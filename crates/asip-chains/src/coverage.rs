@@ -5,12 +5,17 @@
 //! time ignoring any occurrences of the high-frequency sequence already
 //! found. This process continued iteratively until no sequences of any
 //! significant percentage were left."
+//!
+//! Running the detector again with the consumed ops skipped finds
+//! exactly the first run's chains that touch none of them, so the study
+//! enumerates once and each round filters that one list.
 
-use crate::detect::{DetectorConfig, Occurrence, OpRef, SequenceDetector};
+use crate::detect::{
+    by_signature, select_non_overlapping, DetectorConfig, Occurrence, OpSet, SequenceDetector,
+};
 use crate::signature::Signature;
 use asip_opt::ScheduleGraph;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// One selected sequence in a coverage study.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,35 +88,41 @@ impl CoverageAnalyzer {
     }
 
     /// Run the iterative study on a scheduled graph.
+    ///
+    /// The occurrences are enumerated and grouped by signature once per
+    /// study. Each round picks from the ones that touch no op an earlier
+    /// round consumed and do not repeat a chosen signature: exactly the
+    /// chains a re-run of the detector with consumed ops skipped would
+    /// find, since that search walks the same depth-first paths minus
+    /// those through consumed ops, and a chain's branch-and-bound
+    /// pruning depends only on its own prefix.
     pub fn analyze(&self, graph: &ScheduleGraph) -> CoverageReport {
-        let detector = SequenceDetector::new(self.config);
-        let mut consumed: HashSet<OpRef> = HashSet::new();
+        let occurrences = SequenceDetector::new(self.config).occurrences(graph);
+        let mut candidates = by_signature(&occurrences);
+        let mut consumed = OpSet::new(graph);
+        let mut taken = OpSet::new(graph);
         let mut entries: Vec<CoverageEntry> = Vec::new();
 
         for _round in 0..self.max_sequences {
-            let occurrences = detector.occurrences_filtered(graph, |r| consumed.contains(&r));
-            // the already-selected set is tiny (≤ max_sequences), so a
-            // scan over it beats maintaining a second owned set of
-            // cloned signatures
-            let candidates: Vec<Occurrence> = occurrences
-                .into_iter()
-                .filter(|o| entries.iter().all(|e| e.signature != o.signature))
-                .collect();
-            let Some((signature, freq, selected)) = best_signature(graph, &candidates, &consumed)
+            let Some((signature, freq, selected)) = best_signature(graph, &candidates, &mut taken)
             else {
                 break;
             };
             if freq < self.significance_floor {
                 break;
             }
-            let occurrences = selected.len();
-            for occ in &selected {
-                consumed.extend(occ.ops.iter().copied());
+            for &r in selected.iter().flat_map(|o| &o.ops) {
+                consumed.insert(r);
             }
+            // both filters only grow, so narrowing the survivors in place
+            // keeps every later round's candidates exact
+            candidates.retain(|o| {
+                o.signature != *signature && !o.ops.iter().any(|&r| consumed.contains(r))
+            });
             entries.push(CoverageEntry {
-                signature,
+                signature: signature.clone(),
                 frequency: freq,
-                occurrences,
+                occurrences: selected.len(),
             });
         }
         CoverageReport {
@@ -123,30 +134,25 @@ impl CoverageAnalyzer {
 
 /// Pick the signature whose non-overlapping occurrence set covers the
 /// most dynamic frequency; returns the signature, its coverage, and the
-/// selected (mutually disjoint) occurrences.
-fn best_signature(
+/// selected (mutually disjoint) occurrences. `occurrences` must be in
+/// [`by_signature`] order; ties go to the smallest signature.
+fn best_signature<'a>(
     graph: &ScheduleGraph,
-    occurrences: &[Occurrence],
-    consumed: &HashSet<OpRef>,
-) -> Option<(Signature, f64, Vec<Occurrence>)> {
-    use std::collections::BTreeMap;
-    let mut by_sig: BTreeMap<&Signature, Vec<&Occurrence>> = BTreeMap::new();
-    for o in occurrences {
-        by_sig.entry(&o.signature).or_default().push(o);
-    }
-    // borrow while comparing candidates; clone the winner exactly once
-    let mut best: Option<(&Signature, f64, Vec<Occurrence>)> = None;
-    for (sig, occs) in by_sig {
-        let (freq, selected) = crate::detect::select_non_overlapping(graph, &occs, consumed);
+    occurrences: &[&'a Occurrence],
+    taken: &mut OpSet,
+) -> Option<(&'a Signature, f64, Vec<&'a Occurrence>)> {
+    let mut best: Option<(&Signature, f64, Vec<&Occurrence>)> = None;
+    for group in occurrences.chunk_by(|a, b| a.signature == b.signature) {
+        let (freq, selected) = select_non_overlapping(graph, group, taken);
         let better = match &best {
             None => true,
             Some((_, bf, _)) => freq > *bf,
         };
         if better && freq > 0.0 {
-            best = Some((sig, freq, selected));
+            best = Some((&group[0].signature, freq, selected));
         }
     }
-    best.map(|(sig, freq, selected)| (sig.clone(), freq, selected))
+    best
 }
 
 #[cfg(test)]
@@ -154,6 +160,7 @@ mod tests {
     use super::*;
     use asip_opt::{OptLevel, Optimizer};
     use asip_sim::{DataSet, Simulator};
+    use std::collections::HashSet;
 
     fn graph_for(src: &str, level: OptLevel) -> ScheduleGraph {
         let program = asip_frontend::compile("cov", src).expect("compiles");

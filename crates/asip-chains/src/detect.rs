@@ -129,38 +129,93 @@ impl DetectorConfig {
     }
 }
 
-/// Select a maximal-weight set of mutually non-overlapping occurrences
-/// (heaviest first), skipping those touching `consumed` ops; returns the
-/// selected occurrences and their total frequency. Used both for report
-/// aggregation (a sequence's frequency never counts one op twice) and by
-/// the coverage analyzer.
-pub fn select_non_overlapping(
-    graph: &ScheduleGraph,
-    occurrences: &[&Occurrence],
-    consumed: &HashSet<OpRef>,
-) -> (f64, Vec<Occurrence>) {
-    let mut order: Vec<&&Occurrence> = occurrences.iter().collect();
+/// Occurrences sorted by signature, each signature's run heaviest
+/// first with ties by op position — the grouping both the report and
+/// the coverage study select from. Enumerated occurrences are distinct
+/// chains, so this is a total order on them.
+pub(crate) fn by_signature(occurrences: &[Occurrence]) -> Vec<&Occurrence> {
+    let mut order: Vec<&Occurrence> = occurrences.iter().collect();
     order.sort_by(|a, b| {
-        b.min_weight
-            .partial_cmp(&a.min_weight)
-            .expect("weights finite")
-            .then_with(|| a.ops.cmp(&b.ops))
+        a.signature.cmp(&b.signature).then_with(|| {
+            b.min_weight
+                .partial_cmp(&a.min_weight)
+                .expect("weights finite")
+                .then_with(|| a.ops.cmp(&b.ops))
+        })
     });
-    let mut taken: HashSet<OpRef> = HashSet::new();
+    order
+}
+
+/// Greedily select a maximal-weight set of mutually non-overlapping
+/// occurrences from one heaviest-first run of [`by_signature`]; returns
+/// their total frequency and the selected occurrences. `taken` is
+/// scratch space, cleared on entry. Used both for report aggregation (a
+/// sequence's frequency never counts one op twice) and by the coverage
+/// analyzer.
+pub(crate) fn select_non_overlapping<'a>(
+    graph: &ScheduleGraph,
+    order: &[&'a Occurrence],
+    taken: &mut OpSet,
+) -> (f64, Vec<&'a Occurrence>) {
+    taken.clear();
     let mut freq = 0.0;
     let mut selected = Vec::new();
-    for o in order {
-        if o.ops
-            .iter()
-            .any(|r| taken.contains(r) || consumed.contains(r))
-        {
+    for &o in order {
+        if o.ops.iter().any(|&r| taken.contains(r)) {
             continue;
         }
-        taken.extend(o.ops.iter().copied());
+        for &r in &o.ops {
+            taken.insert(r);
+        }
         freq += o.frequency(graph.total_profile_ops);
-        selected.push((**o).clone());
+        selected.push(o);
     }
     (freq, selected)
+}
+
+/// A set of one graph's ops, kept as a mark per op in flat order (node
+/// order, then index within the node). A mark counts only when it
+/// equals the current generation, so clearing is one increment.
+pub(crate) struct OpSet {
+    /// Flat position of each node's first op.
+    node_start: Vec<u32>,
+    marks: Vec<u32>,
+    generation: u32,
+}
+
+impl OpSet {
+    /// An empty set over `graph`'s ops.
+    pub(crate) fn new(graph: &ScheduleGraph) -> Self {
+        let mut node_start = Vec::with_capacity(graph.nodes.len());
+        let mut ops = 0u32;
+        for node in &graph.nodes {
+            node_start.push(ops);
+            ops += node.ops.len() as u32;
+        }
+        OpSet {
+            node_start,
+            marks: vec![0; ops as usize],
+            generation: 1,
+        }
+    }
+
+    /// The flat position of `r`.
+    fn slot(&self, r: OpRef) -> usize {
+        self.node_start[r.node.index()] as usize + r.index
+    }
+
+    pub(crate) fn contains(&self, r: OpRef) -> bool {
+        self.marks[self.slot(r)] == self.generation
+    }
+
+    pub(crate) fn insert(&mut self, r: OpRef) {
+        let slot = self.slot(r);
+        self.marks[slot] = self.generation;
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.generation += 1;
+    }
 }
 
 /// The sequence detection analyzer.
@@ -169,7 +224,9 @@ pub fn select_non_overlapping(
 /// each chainable op, every data-flow successor within the chaining
 /// window, depth-first up to `max_len`, pruning partial chains that can
 /// no longer reach `prune_floor` (branch and bound, as in the paper's
-/// Section 5).
+/// Section 5). Each enumeration first computes every chainable op's
+/// flow-successor list once, into flat per-graph tables, so the
+/// depth-first search itself never rescans the schedule.
 #[derive(Debug, Clone, Copy)]
 pub struct SequenceDetector {
     config: DetectorConfig,
@@ -192,42 +249,25 @@ impl SequenceDetector {
         crate::report::SequenceReport::from_occurrences(graph, &occurrences, &self.config)
     }
 
-    /// Enumerate every chain occurrence (unaggregated).
+    /// Enumerate every chain occurrence (unaggregated), heads in graph
+    /// order and each head's chains in depth-first order.
     pub fn occurrences(&self, graph: &ScheduleGraph) -> Vec<Occurrence> {
-        self.occurrences_filtered(graph, |_| false)
-    }
-
-    /// Enumerate occurrences, skipping any chain that touches an op for
-    /// which `consumed` returns true (used by the coverage analyzer).
-    pub fn occurrences_filtered(
-        &self,
-        graph: &ScheduleGraph,
-        consumed: impl Fn(OpRef) -> bool,
-    ) -> Vec<Occurrence> {
+        let index = FlowIndex::build(self, graph);
         let mut out = Vec::new();
-        for (ni, node) in graph.nodes.iter().enumerate() {
-            for (oi, op) in node.ops.iter().enumerate() {
-                let head = OpRef {
-                    node: NodeId(ni as u32),
-                    index: oi,
-                };
-                if consumed(head) {
-                    continue;
-                }
-                if !(self.config.chainable)(graph.class_of(op)) {
-                    continue;
-                }
-                let mut chain = vec![head];
-                let mut classes = vec![graph.class_of(op)];
-                self.extend(
-                    graph,
-                    &mut chain,
-                    &mut classes,
-                    op.weight,
-                    &consumed,
-                    &mut out,
-                );
+        let mut chain: Vec<u32> = Vec::with_capacity(self.config.max_len);
+        for head in 0..index.refs.len() as u32 {
+            if !index.chainable[head as usize] {
+                continue;
             }
+            chain.push(head);
+            self.extend(
+                graph,
+                &index,
+                &mut chain,
+                index.weights[head as usize],
+                &mut out,
+            );
+            chain.pop();
         }
         out
     }
@@ -235,16 +275,17 @@ impl SequenceDetector {
     fn extend(
         &self,
         graph: &ScheduleGraph,
-        chain: &mut Vec<OpRef>,
-        classes: &mut Vec<asip_ir::OpClass>,
+        index: &FlowIndex,
+        chain: &mut Vec<u32>,
         min_weight: f64,
-        consumed: &impl Fn(OpRef) -> bool,
         out: &mut Vec<Occurrence>,
     ) {
         if chain.len() >= self.config.min_len {
             out.push(Occurrence {
-                ops: chain.clone(),
-                signature: Signature::new(classes.clone()),
+                ops: chain.iter().map(|&i| index.refs[i as usize]).collect(),
+                signature: Signature::new(
+                    chain.iter().map(|&i| index.classes[i as usize]).collect(),
+                ),
                 min_weight,
             });
         }
@@ -261,27 +302,14 @@ impl SequenceDetector {
             }
         }
         let last = *chain.last().expect("chain non-empty");
-        for succ in self.flow_succs(graph, last) {
-            if chain.contains(&succ) || consumed(succ) {
-                continue;
-            }
-            let op = &graph.node(succ.node).ops[succ.index];
-            let class = graph.class_of(op);
-            if !(self.config.chainable)(class) {
+        for &succ in index.succs_of(last) {
+            if chain.contains(&succ) {
                 continue;
             }
             chain.push(succ);
-            classes.push(class);
-            self.extend(
-                graph,
-                chain,
-                classes,
-                min_weight.min(op.weight),
-                consumed,
-                out,
-            );
+            let weight = min_weight.min(index.weights[succ as usize]);
+            self.extend(graph, index, chain, weight, out);
             chain.pop();
-            classes.pop();
         }
     }
 
@@ -296,23 +324,32 @@ impl SequenceDetector {
     /// across region boundaries — and everywhere in a sequential graph —
     /// consumers must lie within `window` schedule edges.
     pub fn flow_succs(&self, graph: &ScheduleGraph, from: OpRef) -> Vec<OpRef> {
-        let src = &graph.node(from.node).ops[from.index];
-        let Some(d) = src.inst.dst() else {
-            return Vec::new();
-        };
         let mut found: Vec<OpRef> = Vec::new();
         let mut seen: HashSet<OpRef> = HashSet::new();
+        self.scan_flow_succs(graph, from, |r| {
+            if seen.insert(r) {
+                found.push(r);
+            }
+        });
+        found
+    }
+
+    /// Visit every flow successor of `from` in [`SequenceDetector::flow_succs`]
+    /// order; an op reachable along several paths is visited once per
+    /// path, so callers deduplicate.
+    fn scan_flow_succs(&self, graph: &ScheduleGraph, from: OpRef, mut visit: impl FnMut(OpRef)) {
+        let src = &graph.node(from.node).ops[from.index];
+        let Some(d) = src.inst.dst() else {
+            return;
+        };
 
         // same node: same issue cycle, direct forwarding
         for (i, op) in graph.node(from.node).ops.iter().enumerate() {
-            if i != from.index && op.inst.uses().contains(&d) {
-                let r = OpRef {
+            if i != from.index && op.inst.reads(d) {
+                visit(OpRef {
                     node: from.node,
                     index: i,
-                };
-                if seen.insert(r) {
-                    found.push(r);
-                }
+                });
             }
         }
 
@@ -324,14 +361,11 @@ impl SequenceDetector {
             let mut n = from.node.index() + 1;
             while n < graph.nodes.len() && graph.nodes[n].block == block {
                 for (i, op) in graph.nodes[n].ops.iter().enumerate() {
-                    if op.inst.uses().contains(&d) {
-                        let r = OpRef {
+                    if op.inst.reads(d) {
+                        visit(OpRef {
                             node: NodeId(n as u32),
                             index: i,
-                        };
-                        if seen.insert(r) {
-                            found.push(r);
-                        }
+                        });
                     }
                 }
                 if graph.nodes[n].ops.iter().any(|op| op.inst.dst() == Some(d)) {
@@ -352,11 +386,8 @@ impl SequenceDetector {
             for &s in &graph.node(n).succs {
                 // collect consumers in s
                 for (i, op) in graph.node(s).ops.iter().enumerate() {
-                    if (s != from.node || i != from.index) && op.inst.uses().contains(&d) {
-                        let r = OpRef { node: s, index: i };
-                        if seen.insert(r) {
-                            found.push(r);
-                        }
+                    if (s != from.node || i != from.index) && op.inst.reads(d) {
+                        visit(OpRef { node: s, index: i });
                     }
                 }
                 // extend the path unless s redefines d (value killed past s)
@@ -367,7 +398,84 @@ impl SequenceDetector {
                 }
             }
         }
-        found
+    }
+}
+
+/// The per-graph tables one enumeration runs on, with every op numbered
+/// by its flat position (node order, then index within the node).
+///
+/// Each chainable op's successor list holds exactly the chainable
+/// entries of [`SequenceDetector::flow_succs`], in its order, so the
+/// depth-first search visits chains exactly as a per-step rescan would.
+struct FlowIndex {
+    /// The op at each flat position.
+    refs: Vec<OpRef>,
+    /// Op classes by flat position.
+    classes: Vec<asip_ir::OpClass>,
+    /// Profile weights by flat position.
+    weights: Vec<f64>,
+    /// Whether each op's class is a chain candidate.
+    chainable: Vec<bool>,
+    /// `succs[succ_start[i]..succ_start[i + 1]]` are op `i`'s chainable
+    /// flow successors (empty for non-chainable ops).
+    succ_start: Vec<u32>,
+    /// Concatenated successor lists.
+    succs: Vec<u32>,
+}
+
+impl FlowIndex {
+    fn build(detector: &SequenceDetector, graph: &ScheduleGraph) -> Self {
+        let mut refs = Vec::new();
+        let mut classes = Vec::new();
+        let mut weights = Vec::new();
+        for (ni, node) in graph.nodes.iter().enumerate() {
+            for (oi, op) in node.ops.iter().enumerate() {
+                refs.push(OpRef {
+                    node: NodeId(ni as u32),
+                    index: oi,
+                });
+                classes.push(graph.class_of(op));
+                weights.push(op.weight);
+            }
+        }
+        let chainable: Vec<bool> = classes
+            .iter()
+            .map(|&c| (detector.config.chainable)(c))
+            .collect();
+
+        let mut seen = OpSet::new(graph);
+        let mut succ_start: Vec<u32> = Vec::with_capacity(refs.len() + 1);
+        let mut succs: Vec<u32> = Vec::new();
+        for (i, &from) in refs.iter().enumerate() {
+            succ_start.push(succs.len() as u32);
+            if !chainable[i] {
+                continue;
+            }
+            seen.clear();
+            detector.scan_flow_succs(graph, from, |r| {
+                if !seen.contains(r) {
+                    seen.insert(r);
+                    let j = seen.slot(r);
+                    if chainable[j] {
+                        succs.push(j as u32);
+                    }
+                }
+            });
+        }
+        succ_start.push(succs.len() as u32);
+        FlowIndex {
+            refs,
+            classes,
+            weights,
+            chainable,
+            succ_start,
+            succs,
+        }
+    }
+
+    /// Op `i`'s chainable flow successors.
+    fn succs_of(&self, i: u32) -> &[u32] {
+        &self.succs[self.succ_start[i as usize] as usize..self.succ_start[i as usize + 1] as usize]
     }
 }
 

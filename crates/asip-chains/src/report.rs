@@ -4,7 +4,6 @@ use crate::detect::{DetectorConfig, Occurrence};
 use crate::signature::Signature;
 use asip_opt::ScheduleGraph;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Aggregated statistics for one signature.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -39,25 +38,22 @@ impl SequenceReport {
         occurrences: &[Occurrence],
         _config: &DetectorConfig,
     ) -> Self {
-        let empty = std::collections::HashSet::new();
-        let mut by_sig: BTreeMap<&Signature, Vec<&Occurrence>> = BTreeMap::new();
-        for occ in occurrences {
-            by_sig.entry(&occ.signature).or_default().push(occ);
-        }
-        let mut map: BTreeMap<Signature, SeqStats> = BTreeMap::new();
-        for (sig, occs) in by_sig {
-            let (frequency, selected) = crate::detect::select_non_overlapping(graph, &occs, &empty);
+        let order = crate::detect::by_signature(occurrences);
+        let mut taken = crate::detect::OpSet::new(graph);
+        let mut entries: Vec<(Signature, SeqStats)> = Vec::new();
+        for group in order.chunk_by(|a, b| a.signature == b.signature) {
+            let (frequency, selected) =
+                crate::detect::select_non_overlapping(graph, group, &mut taken);
             if frequency > 0.0 {
-                map.insert(
-                    sig.clone(),
+                entries.push((
+                    group[0].signature.clone(),
                     SeqStats {
                         frequency,
                         occurrences: selected.len(),
                     },
-                );
+                ));
             }
         }
-        let mut entries: Vec<(Signature, SeqStats)> = map.into_iter().collect();
         entries.sort_by(|a, b| {
             b.1.frequency
                 .partial_cmp(&a.1.frequency)

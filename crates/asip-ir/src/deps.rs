@@ -32,7 +32,7 @@ impl Dependence {
     pub fn between(earlier: &Inst, later: &Inst) -> Vec<DepKind> {
         let mut kinds = Vec::new();
         if let Some(d) = earlier.dst() {
-            if later.uses().contains(&d) {
+            if later.reads(d) {
                 kinds.push(DepKind::Flow);
             }
             if later.dst() == Some(d) {
@@ -40,7 +40,7 @@ impl Dependence {
             }
         }
         if let Some(d) = later.dst() {
-            if earlier.uses().contains(&d) {
+            if earlier.reads(d) {
                 kinds.push(DepKind::Anti);
             }
         }

@@ -155,6 +155,22 @@ impl Inst {
         self.operands().iter().filter_map(Operand::reg).collect()
     }
 
+    /// True if this instruction reads `reg` — `uses().contains(&reg)`
+    /// without allocating (dependence checks call it per op pair).
+    pub fn reads(&self, reg: Reg) -> bool {
+        let is = |o: &Operand| o.reg() == Some(reg);
+        match &self.kind {
+            InstKind::Binary { lhs, rhs, .. } => is(lhs) || is(rhs),
+            InstKind::Unary { src, .. } => is(src),
+            InstKind::Load { index, .. } => is(index),
+            InstKind::Store { index, value, .. } => is(index) || is(value),
+            InstKind::Branch { cond, .. } => is(cond),
+            InstKind::Jump { .. } => false,
+            InstKind::Ret { value } => value.as_ref().is_some_and(is),
+            InstKind::Chained { inputs, .. } => inputs.iter().any(is),
+        }
+    }
+
     /// Rewrite every register operand via `f` (used by renaming/rewriting).
     pub fn map_uses(&mut self, mut f: impl FnMut(Reg) -> Reg) {
         let mut map = |o: &mut Operand| {
@@ -288,6 +304,8 @@ mod tests {
         });
         assert_eq!(i.dst(), Some(Reg(2)));
         assert_eq!(i.uses(), vec![Reg(0)]);
+        assert!(i.reads(Reg(0)));
+        assert!(!i.reads(Reg(2)), "the destination is not read");
 
         let s = inst(InstKind::Store {
             array: ArrayId(0),
@@ -296,6 +314,7 @@ mod tests {
         });
         assert_eq!(s.dst(), None);
         assert_eq!(s.uses(), vec![Reg(1), Reg(3)]);
+        assert!(s.reads(Reg(1)) && s.reads(Reg(3)) && !s.reads(Reg(2)));
         assert!(s.has_side_effects());
         assert!(!s.is_terminator());
     }

@@ -223,7 +223,7 @@ pub fn coalesce_copies(program: &mut Program) -> usize {
                 // d untouched between the def and the mov
                 for mid in def_loc.index + 1..mov_idx {
                     let inst = &program.blocks[bi].insts[mid];
-                    if inst.dst() == Some(d) || inst.uses().contains(&d) {
+                    if inst.dst() == Some(d) || inst.reads(d) {
                         continue 'movs;
                     }
                 }

@@ -85,7 +85,7 @@ fn try_hoist_first_op(work: &mut Work, b: BlockId) -> Option<usize> {
             return None;
         }
         // the branch must not read the register we are about to define
-        if term.inst.uses().contains(&dst) {
+        if term.inst.reads(dst) {
             return None;
         }
         // speculation safety: dst dead on every other path out of p

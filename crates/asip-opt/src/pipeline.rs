@@ -184,7 +184,7 @@ mod tests {
             .enumerate()
             .filter(|(_, o)| {
                 matches!(&o.inst.kind, InstKind::Binary { op: BinOp::Add, dst, .. }
-                    if o.inst.uses().contains(dst))
+                    if o.inst.reads(*dst))
             })
             .map(|(k, _)| k)
             .collect();

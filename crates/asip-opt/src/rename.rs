@@ -199,7 +199,7 @@ mod tests {
             .expect("compare present");
         let orig_i = Reg(0);
         assert!(
-            !cmp.inst.uses().contains(&orig_i),
+            !cmp.inst.reads(orig_i),
             "bottom compare reads the renamed i"
         );
     }
@@ -253,7 +253,7 @@ mod tests {
             .filter(|o| matches!(o.inst.kind, InstKind::Binary { op: BinOp::Mul, .. }))
             .nth(1)
             .expect("second mul");
-        assert!(second_mul.inst.uses().contains(&fresh_i));
+        assert!(second_mul.inst.reads(fresh_i));
     }
 
     use asip_ir::Operand;

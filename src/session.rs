@@ -1616,17 +1616,24 @@ impl Explorer {
     }
 
     /// The worker pool behind [`Explorer::map_all`]: a shared atomic
-    /// work index over `items`, one result slot per item.
+    /// work index over `items`, one result slot per item. With one
+    /// worker the items run in order on the calling thread: a spawned
+    /// thread would buy no parallelism and cost a spawn per call.
     fn map_slice<I, T, F>(&self, items: &[I], f: F) -> Result<Vec<T>, ExplorerError>
     where
         I: Sync,
         T: Send,
         F: Fn(&I) -> Result<T, ExplorerError> + Sync,
     {
+        if self.threads.min(items.len()) <= 1 {
+            // every item runs, as on the pool, before the first error wins
+            let results: Vec<Result<T, ExplorerError>> = items.iter().map(f).collect();
+            return results.into_iter().collect();
+        }
         let slots: Vec<Mutex<Option<Result<T, ExplorerError>>>> =
             items.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let workers = self.threads.min(items.len().max(1));
+        let workers = self.threads.min(items.len());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -2001,6 +2008,38 @@ mod tests {
         let session = Explorer::new();
         let err = session.compile("not-a-benchmark").unwrap_err();
         assert!(matches!(err, ExplorerError::UnknownBenchmark { .. }));
+    }
+
+    #[test]
+    fn one_thread_sessions_run_stage_closures_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let session = Explorer::new().with_threads(1);
+        let ran_on = session
+            .map_all(|_| Ok(std::thread::current().id()))
+            .expect("maps");
+        assert_eq!(ran_on.len(), session.registry().len());
+        assert!(ran_on.iter().all(|&id| id == caller));
+
+        // a wider pool still spreads the work over spawned workers
+        let pooled = Explorer::new().with_threads(2);
+        let ran_on = pooled
+            .map_all(|_| Ok(std::thread::current().id()))
+            .expect("maps");
+        assert!(ran_on.iter().all(|&id| id != caller));
+    }
+
+    #[test]
+    fn one_thread_sessions_run_every_item_and_return_the_first_error() {
+        let session = Explorer::new().with_threads(1);
+        let ran = AtomicUsize::new(0);
+        let err = session
+            .map_all(|b| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                session.compile(if b.name == "fir" { "no-such" } else { b.name })
+            })
+            .unwrap_err();
+        assert!(matches!(err, ExplorerError::UnknownBenchmark { .. }));
+        assert_eq!(ran.load(Ordering::Relaxed), session.registry().len());
     }
 
     #[test]
