@@ -18,9 +18,11 @@
 //!   `base = 0, elem_size = 1` layout that skip the address
 //!   arithmetic);
 //! - branch targets are resolved to decoded block indices;
-//! - chained super-instructions are flattened into a side table and
-//!   evaluated in the generic [`Value`] domain (they are rare and
-//!   their contract is defined over [`eval_binop`]).
+//! - chained super-instructions (every rewritten program's hot code)
+//!   are flattened into a side table of typed `i64`/`f64` steps; where
+//!   an operand's bank differs from its op's domain, decode inserts an
+//!   explicit conversion with the exact [`Value::as_int`] /
+//!   [`Value::as_float`] semantics of the chain contract.
 //!
 //! The hot loop exploits two structural invariants (established at
 //! decode time):
@@ -39,7 +41,7 @@
 //!   byte-identical to the reference interpreter's bump-per-instruction
 //!   profile.
 //!
-//! Per-run state lives in a reusable, arena-backed [`RunState`]: both
+//! Per-run state lives in a reusable, arena-backed `RunState`: both
 //! typed arenas are single allocations sized once at decode time and
 //! **reset by `memcpy`** from the decoded init images at the start of
 //! every run. [`Engine`] pools states internally, so sweeps that run
@@ -103,7 +105,7 @@
 
 use crate::data::DataSet;
 use crate::error::{Result, SimError};
-use crate::machine::{eval_binop, Execution};
+use crate::machine::Execution;
 use crate::profile::Profile;
 use crate::trace::{TraceEvent, TraceSink};
 use asip_ir::{ArrayKind, BinOp, InstKind, Operand, Program, Ty, UnOp, Value};
@@ -231,8 +233,23 @@ enum DecodedInst {
     RetInt { src: u32 },
     /// `ret` of a float slot.
     RetFloat { src: u32 },
-    /// Chained super-instruction; `plan` indexes the chain side table.
-    Chained { dst: u32, plan: u32 },
+    /// Chained super-instruction with an integer destination: run the
+    /// typed steps `chain_steps[start..end]` and write the integer
+    /// accumulator to `ints[dst]`.
+    ChainedInt { dst: u32, start: u32, end: u32 },
+    /// Chained super-instruction with a float destination (writes the
+    /// float accumulator to `floats[dst]`).
+    ChainedFloat { dst: u32, start: u32, end: u32 },
+    /// The hot chain shape: an integer chain whose head input and every
+    /// operand sit in the integer bank, so `chain_steps[start..end]`
+    /// are all `ChainStep::Int` — run without the per-step kind
+    /// dispatch, accumulating from `ints[lhs]`.
+    IntChain {
+        dst: u32,
+        lhs: u32,
+        start: u32,
+        end: u32,
+    },
     /// Decode-time marker for a block without a terminator. Executing
     /// it reproduces the reference interpreter's panic; it costs no
     /// dynamic step and has no profile slot.
@@ -316,28 +333,38 @@ impl AddrPlan {
     }
 }
 
-/// A typed bank slot (for the generic chained-op path).
+/// One typed step of a decoded chained super-instruction. A chain
+/// runs over two accumulators, `i` (integer domain) and `f` (float
+/// domain): it loads its head input, applies each op in the op's own
+/// domain (integer ops on `i64`, `FAdd`..`FDiv` on `f64`, `FCmp*` from
+/// `f64` to `i64`), and leaves its result in the accumulator of the
+/// destination's bank. Every bank crossing is explicit — a `*Conv`
+/// operand read or a `ToFloat`/`ToInt` step — and matches
+/// [`Value::as_int`] / [`Value::as_float`] bit for bit, so the steps
+/// reproduce the chain contract the reference interpreter evaluates
+/// over [`Value`]s.
 #[derive(Debug, Clone, Copy)]
-enum TSlot {
-    /// Integer-bank slot.
-    I(u32),
-    /// Float-bank slot.
-    F(u32),
-}
-
-/// A flattened chained super-instruction: `acc = head(lhs, rhs)` (or
-/// `lhs` with no head op), then `acc = op(acc, slot)` per tail step —
-/// the evaluation contract shared with the rewriter. Chains are
-/// evaluated in the generic [`Value`] domain; they are rare (only
-/// rewritten programs contain them) and their contract is defined over
-/// [`eval_binop`].
-#[derive(Debug, Clone)]
-struct ChainPlan {
-    head: Option<BinOp>,
-    lhs: TSlot,
-    rhs: TSlot,
-    tail: Vec<(BinOp, TSlot)>,
-    dst_float: bool,
+enum ChainStep {
+    /// `i = ints[src]`
+    LoadInt(u32),
+    /// `f = floats[src]`
+    LoadFloat(u32),
+    /// `i = op(i, ints[src])`
+    Int(BinOp, u32),
+    /// `i = op(i, floats[src] as i64)`
+    IntConv(BinOp, u32),
+    /// `f = op(f, floats[src])`
+    Float(BinOp, u32),
+    /// `f = op(f, ints[src] as f64)`
+    FloatConv(BinOp, u32),
+    /// `i = op(f, floats[src])` (float comparison)
+    FloatCmp(BinOp, u32),
+    /// `i = op(f, ints[src] as f64)`
+    FloatCmpConv(BinOp, u32),
+    /// `f = i as f64`
+    ToFloat,
+    /// `i = f as i64` (saturating, like [`Value::as_int`])
+    ToInt,
 }
 
 /// Control-flow outcome of one executed instruction. Kept small and
@@ -357,13 +384,12 @@ enum Step {
 
 /// A reusable, arena-backed run state: one flat `i64` arena and one
 /// flat `f64` arena (each laid out `[arrays][registers][constants]`)
-/// plus the per-block entry counters. Created by [`Engine::new_state`]
-/// or checked out of the engine's internal pool by the pooled run
-/// APIs; every [`Engine::run_into`] resets it by `memcpy` from the
-/// decoded init images before executing, so a faulted or interrupted
-/// run can never leak state into the next one.
+/// plus the per-block entry counters, checked out of the engine's
+/// internal pool by every run API. Each run resets it by `memcpy` from
+/// the decoded init images before executing, so a faulted or
+/// interrupted run can never leak state into the next one.
 #[derive(Debug)]
-pub struct RunState {
+pub(crate) struct RunState {
     ints: Vec<i64>,
     floats: Vec<f64>,
     block_counts: Vec<u64>,
@@ -373,7 +399,7 @@ pub struct RunState {
 /// dataset)` pair: the typed values of every input array plus the
 /// arena offsets they are copied to at the start of each run.
 /// Re-validating and re-collecting bindings per run is the other half
-/// of the per-run allocation storm [`RunState`] removes — prepare once
+/// of the per-run allocation storm `RunState` removes — prepare once
 /// with [`Engine::bind`], reuse across a whole batch or sweep.
 #[derive(Debug, Clone)]
 pub struct BoundInputs {
@@ -387,14 +413,55 @@ pub struct BoundInputs {
 
 /// What a profile-only run produces: everything an [`Execution`]
 /// carries except the materialized output memory (see
-/// [`Engine::run_profile`]; pair with [`Engine::materialize_memory`]
-/// when the outputs are actually needed).
+/// [`Engine::run_profile`], and [`Engine::run_output`] for the outputs
+/// as a typed image).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// The derived execution profile.
     pub profile: Profile,
     /// The program's `ret` value, if any.
     pub result: Option<Value>,
+}
+
+/// A run's outputs as a typed image: the values of every declared
+/// array in declaration order — the integer arrays packed into one
+/// `i64` vector, the float arrays into one `f64` vector, exactly as
+/// they sit in the arenas — plus the `ret` value. It costs 8 B per
+/// element where the `Vec<Vec<Value>>` memory of an [`Execution`]
+/// costs 16 B. Captured by [`Engine::run_output`].
+#[derive(Debug, Clone)]
+pub struct OutputImage {
+    /// `(type, length)` of every declared array, in declaration order.
+    shape: Vec<(Ty, usize)>,
+    ints: Vec<i64>,
+    floats: Vec<f64>,
+    result: Option<Value>,
+}
+
+impl OutputImage {
+    /// Whether two images hold the same output memory, by exactly the
+    /// equality of [`Execution::memory`]: as many arrays, the same
+    /// length per array, and equal elements (`i64 ==` and `f64 ==`, so
+    /// a NaN never equals itself and `-0.0` equals `0.0`; an integer
+    /// element never equals a float one). The `ret` values are not
+    /// compared.
+    pub fn same_memory(&self, other: &OutputImage) -> bool {
+        // with every non-empty array of the same type and length, the
+        // packed vectors line up span for span
+        self.shape.len() == other.shape.len()
+            && self
+                .shape
+                .iter()
+                .zip(&other.shape)
+                .all(|(&(ta, la), &(tb, lb))| la == lb && (ta == tb || la == 0))
+            && self.ints == other.ints
+            && self.floats == other.floats
+    }
+
+    /// The program's `ret` value, if any.
+    pub fn result(&self) -> Option<Value> {
+        self.result
+    }
 }
 
 /// Run-state pool counters (see [`Engine::run_state_stats`]): how many
@@ -439,7 +506,9 @@ pub struct DecodedProgram {
     addr_plans: Vec<AddrPlan>,
     /// Arena spans per declared array, parallel to `arrays`.
     direct: Vec<Direct>,
-    chains: Vec<ChainPlan>,
+    /// Typed steps of every chained super-instruction, flattened; each
+    /// chain entry of `insts` indexes its own range.
+    chain_steps: Vec<ChainStep>,
     /// Init image of the int arena, laid out
     /// `[arrays][registers][constants]` (arrays and registers zeroed,
     /// constants materialized). A [`RunState`] is reset by copying
@@ -452,10 +521,6 @@ pub struct DecodedProgram {
     inst_slots: usize,
     /// Working-count sizing: `max(inst_slots, max decoded id + 1)`.
     count_slots: usize,
-    /// Per-decoded-index dispatch handlers (the `tail-dispatch`
-    /// experiment), parallel to `insts`.
-    #[cfg(feature = "tail-dispatch")]
-    handlers: Vec<Handler>,
 }
 
 /// Decode-time register/constant slot assignment for one arena.
@@ -526,20 +591,76 @@ impl Lowering {
         }
     }
 
-    /// Resolve an operand of either type to a typed slot (chains).
-    fn tslot(&mut self, o: &Operand) -> TSlot {
-        match o {
-            Operand::Reg(r) => {
+    /// Resolve a chain operand read in domain `want`: an immediate is
+    /// converted at decode time (`as f64` / `as i64`, exactly what the
+    /// run-time coercion would compute) into `want`'s constant pool; a
+    /// register keeps its own bank. Returns the slot and whether it
+    /// lies in the *other* bank (needs a run-time conversion).
+    fn chain_operand(&mut self, o: &Operand, want: Ty) -> (u32, bool) {
+        match (*o, want) {
+            (Operand::Reg(r), _) => {
                 let i = r.index();
                 assert!(i < self.reg_slots.len(), "decode: dangling register {r}");
-                if self.reg_float[i] {
-                    TSlot::F(self.reg_slots[i])
-                } else {
-                    TSlot::I(self.reg_slots[i])
-                }
+                (self.reg_slots[i], self.reg_float[i] != (want == Ty::Float))
             }
-            Operand::ImmInt(v) => TSlot::I(self.int_bank.const_slot_i(*v)),
-            Operand::ImmFloat(v) => TSlot::F(self.float_bank.const_slot_f(*v)),
+            (Operand::ImmInt(v), Ty::Float) => (self.float_bank.const_slot_f(v as f64), false),
+            (Operand::ImmFloat(v), Ty::Int) => (self.int_bank.const_slot_i(v as i64), false),
+            (o, want) => (self.slot(&o, want), false),
+        }
+    }
+
+    /// Lower one chained super-instruction into typed steps appended to
+    /// `steps`. The contract (shared with the rewriter and the
+    /// reference interpreter): `acc = ops[0](in[0], in[1])`, then
+    /// `acc = ops[k](acc, in[k + 1])` while inputs remain, with missing
+    /// head inputs zero-filled and the result coerced to the
+    /// destination type `dst`.
+    fn chain(&mut self, inputs: &[Operand], ops: &[BinOp], dst: Ty, steps: &mut Vec<ChainStep>) {
+        let domain = |op: BinOp| if op.is_float() { Ty::Float } else { Ty::Int };
+        let convert = |to: Ty| {
+            if to == Ty::Float {
+                ChainStep::ToFloat
+            } else {
+                ChainStep::ToInt
+            }
+        };
+        let zero = Operand::ImmInt(0);
+        // load the head input straight into the head op's domain (the
+        // destination's, for a chain with no op)
+        let mut acc = ops.first().map_or(dst, |&op| domain(op));
+        let (src, cross) = self.chain_operand(inputs.first().unwrap_or(&zero), acc);
+        let float_load = (acc == Ty::Float) != cross;
+        steps.push(if float_load {
+            ChainStep::LoadFloat(src)
+        } else {
+            ChainStep::LoadInt(src)
+        });
+        if cross {
+            steps.push(convert(acc));
+        }
+        for (k, &op) in ops.iter().enumerate() {
+            let operand = match inputs.get(k + 1) {
+                Some(o) => o,
+                None if k == 0 => &zero,
+                None => break,
+            };
+            let want = domain(op);
+            if acc != want {
+                steps.push(convert(want));
+            }
+            let (src, cross) = self.chain_operand(operand, want);
+            steps.push(match (want, op.result_ty(), cross) {
+                (Ty::Int, _, false) => ChainStep::Int(op, src),
+                (Ty::Int, _, true) => ChainStep::IntConv(op, src),
+                (Ty::Float, Ty::Float, false) => ChainStep::Float(op, src),
+                (Ty::Float, Ty::Float, true) => ChainStep::FloatConv(op, src),
+                (Ty::Float, Ty::Int, false) => ChainStep::FloatCmp(op, src),
+                (Ty::Float, Ty::Int, true) => ChainStep::FloatCmpConv(op, src),
+            });
+            acc = op.result_ty();
+        }
+        if acc != dst {
+            steps.push(convert(dst));
         }
     }
 
@@ -670,7 +791,7 @@ impl DecodedProgram {
         let mut blocks = Vec::with_capacity(program.blocks.len());
         let mut profile_slots = Vec::with_capacity(program.inst_count());
         let mut profile_ranges = Vec::with_capacity(program.blocks.len());
-        let mut chains: Vec<ChainPlan> = Vec::new();
+        let mut chain_steps: Vec<ChainStep> = Vec::new();
         let mut max_id = 0usize;
 
         for (bi, block) in program.blocks.iter().enumerate() {
@@ -835,29 +956,25 @@ impl DecodedProgram {
                     InstKind::Chained {
                         dst, inputs, ops, ..
                     } => {
-                        let mut in_slots: Vec<TSlot> =
-                            inputs.iter().map(|o| lower.tslot(o)).collect();
-                        // the contract zero-fills missing head inputs
-                        while in_slots.len() < 2 {
-                            in_slots.push(TSlot::I(lower.int_bank.const_slot_i(0)));
-                        }
-                        let tail = ops
-                            .iter()
-                            .skip(1)
-                            .zip(in_slots.iter().skip(2))
-                            .map(|(op, slot)| (*op, *slot))
-                            .collect();
-                        let dst_float = program.reg_ty(*dst) == Ty::Float;
-                        chains.push(ChainPlan {
-                            head: ops.first().copied(),
-                            lhs: in_slots[0],
-                            rhs: in_slots[1],
-                            tail,
-                            dst_float,
-                        });
-                        DecodedInst::Chained {
-                            dst: lower.dst(*dst, program.reg_ty(*dst)),
-                            plan: (chains.len() - 1) as u32,
+                        let ty = program.reg_ty(*dst);
+                        let start = chain_steps.len() as u32;
+                        lower.chain(inputs, ops, ty, &mut chain_steps);
+                        let end = chain_steps.len() as u32;
+                        let dst = lower.dst(*dst, ty);
+                        let steps = &chain_steps[start as usize..end as usize];
+                        match steps {
+                            _ if ty == Ty::Float => DecodedInst::ChainedFloat { dst, start, end },
+                            [ChainStep::LoadInt(lhs), rest @ ..]
+                                if rest.iter().all(|s| matches!(s, ChainStep::Int(..))) =>
+                            {
+                                DecodedInst::IntChain {
+                                    dst,
+                                    lhs: *lhs,
+                                    start: start + 1,
+                                    end,
+                                }
+                            }
+                            _ => DecodedInst::ChainedInt { dst, start, end },
                         }
                     }
                 };
@@ -1043,9 +1160,6 @@ impl DecodedProgram {
         let mut image_floats = vec![0f64; (float_off + n_float) as usize];
         image_floats.extend(&lower.float_bank.consts_f);
 
-        #[cfg(feature = "tail-dispatch")]
-        let handlers = insts.iter().map(handler_for).collect();
-
         DecodedProgram {
             insts,
             origins,
@@ -1055,14 +1169,12 @@ impl DecodedProgram {
             arrays,
             addr_plans,
             direct,
-            chains,
+            chain_steps,
             image_ints,
             image_floats,
             entry: program.entry.0,
             inst_slots: program.next_inst_id as usize,
             count_slots: (program.next_inst_id as usize).max(max_id),
-            #[cfg(feature = "tail-dispatch")]
-            handlers,
         }
     }
 
@@ -1170,6 +1282,26 @@ impl DecodedProgram {
             .collect()
     }
 
+    /// Copy the array spans of a finished run's arenas into an
+    /// [`OutputImage`]: arrays sit first in each arena, in declaration
+    /// order, so each bank's outputs are one prefix copy.
+    fn output_image(&self, state: &RunState, result: Option<Value>) -> OutputImage {
+        let shape: Vec<(Ty, usize)> = self.arrays.iter().map(|a| (a.ty, a.len)).collect();
+        let span = |float: bool| -> usize {
+            shape
+                .iter()
+                .filter(|(ty, _)| (*ty == Ty::Float) == float)
+                .map(|&(_, len)| len)
+                .sum()
+        };
+        OutputImage {
+            ints: state.ints[..span(false)].to_vec(),
+            floats: state.floats[..span(true)].to_vec(),
+            shape,
+            result,
+        }
+    }
+
     /// Rebuild the out-of-bounds error for a memory access, allocating
     /// the context (array name) only now that an error is certain.
     #[cold]
@@ -1182,190 +1314,53 @@ impl DecodedProgram {
         }
     }
 
-    /// Direct-layout int load: the shared body of the `LoadInt` arm
-    /// and its dispatch handler.
+    /// Arena index of element `addr` of a direct-layout array, or the
+    /// out-of-bounds step (a negative address wraps to a huge `u64` and
+    /// misses).
     #[inline(always)]
-    fn direct_load_int(&self, dst: u32, decl: u32, index: u32, m: &mut RunState) -> Step {
-        let addr = m.ints[index as usize];
-        let d = self.direct[decl as usize];
-        // a negative address wraps to a huge u64 and misses
-        if (addr as u64) < d.len as u64 {
-            m.ints[dst as usize] = m.ints[d.off as usize + addr as usize];
-            Step::Next
-        } else {
-            Step::Oob { decl, addr }
-        }
-    }
-
-    /// Direct-layout float load.
-    #[inline(always)]
-    fn direct_load_float(&self, dst: u32, decl: u32, index: u32, m: &mut RunState) -> Step {
-        let addr = m.ints[index as usize];
+    fn direct_at(&self, decl: u32, addr: i64) -> std::result::Result<usize, Step> {
         let d = self.direct[decl as usize];
         if (addr as u64) < d.len as u64 {
-            m.floats[dst as usize] = m.floats[d.off as usize + addr as usize];
-            Step::Next
+            Ok(d.off as usize + addr as usize)
         } else {
-            Step::Oob { decl, addr }
+            Err(Step::Oob { decl, addr })
         }
     }
 
-    /// Direct-layout int store.
+    /// Arena index of address `addr` of a general-layout array, or the
+    /// out-of-bounds step.
     #[inline(always)]
-    fn direct_store_int(&self, decl: u32, index: u32, value: u32, m: &mut RunState) -> Step {
-        let addr = m.ints[index as usize];
-        let d = self.direct[decl as usize];
-        if (addr as u64) < d.len as u64 {
-            m.ints[d.off as usize + addr as usize] = m.ints[value as usize];
-            Step::Next
-        } else {
-            Step::Oob { decl, addr }
-        }
-    }
-
-    /// Direct-layout float store.
-    #[inline(always)]
-    fn direct_store_float(&self, decl: u32, index: u32, value: u32, m: &mut RunState) -> Step {
-        let addr = m.ints[index as usize];
-        let d = self.direct[decl as usize];
-        if (addr as u64) < d.len as u64 {
-            m.floats[d.off as usize + addr as usize] = m.floats[value as usize];
-            Step::Next
-        } else {
-            Step::Oob { decl, addr }
-        }
-    }
-
-    /// General-layout int load.
-    #[inline(always)]
-    fn addr_load_int(&self, dst: u32, arr: u32, index: u32, m: &mut RunState) -> Step {
-        let addr = m.ints[index as usize];
+    fn addr_at(&self, arr: u32, addr: i64) -> std::result::Result<usize, Step> {
         let plan = &self.addr_plans[arr as usize];
         match plan.element_of(addr) {
-            Some(slot) => {
-                m.ints[dst as usize] = m.ints[plan.offset as usize + slot];
-                Step::Next
+            Some(slot) => Ok(plan.offset as usize + slot),
+            None => Err(Step::Oob { decl: arr, addr }),
+        }
+    }
+
+    /// Run the typed steps `chain_steps[start..end]` of a chained
+    /// super-instruction and return both accumulators `(i, f)`; the
+    /// caller stores the one of its destination's bank.
+    #[inline(always)]
+    fn run_chain(&self, start: u32, end: u32, m: &RunState) -> (i64, f64) {
+        let (mut i, mut f) = (0i64, 0f64);
+        for step in &self.chain_steps[start as usize..end as usize] {
+            match *step {
+                ChainStep::LoadInt(s) => i = m.ints[s as usize],
+                ChainStep::LoadFloat(s) => f = m.floats[s as usize],
+                ChainStep::Int(op, s) => i = eval_int_bin(op, i, m.ints[s as usize]),
+                ChainStep::IntConv(op, s) => i = eval_int_bin(op, i, m.floats[s as usize] as i64),
+                ChainStep::Float(op, s) => f = eval_float_bin(op, f, m.floats[s as usize]),
+                ChainStep::FloatConv(op, s) => f = eval_float_bin(op, f, m.ints[s as usize] as f64),
+                ChainStep::FloatCmp(op, s) => i = eval_float_cmp(op, f, m.floats[s as usize]),
+                ChainStep::FloatCmpConv(op, s) => {
+                    i = eval_float_cmp(op, f, m.ints[s as usize] as f64)
+                }
+                ChainStep::ToFloat => f = i as f64,
+                ChainStep::ToInt => i = f as i64,
             }
-            None => Step::Oob { decl: arr, addr },
         }
-    }
-
-    /// General-layout float load.
-    #[inline(always)]
-    fn addr_load_float(&self, dst: u32, arr: u32, index: u32, m: &mut RunState) -> Step {
-        let addr = m.ints[index as usize];
-        let plan = &self.addr_plans[arr as usize];
-        match plan.element_of(addr) {
-            Some(slot) => {
-                m.floats[dst as usize] = m.floats[plan.offset as usize + slot];
-                Step::Next
-            }
-            None => Step::Oob { decl: arr, addr },
-        }
-    }
-
-    /// General-layout int store.
-    #[inline(always)]
-    fn addr_store_int(&self, arr: u32, index: u32, value: u32, m: &mut RunState) -> Step {
-        let addr = m.ints[index as usize];
-        let plan = &self.addr_plans[arr as usize];
-        match plan.element_of(addr) {
-            Some(slot) => {
-                m.ints[plan.offset as usize + slot] = m.ints[value as usize];
-                Step::Next
-            }
-            None => Step::Oob { decl: arr, addr },
-        }
-    }
-
-    /// General-layout float store.
-    #[inline(always)]
-    fn addr_store_float(&self, arr: u32, index: u32, value: u32, m: &mut RunState) -> Step {
-        let addr = m.ints[index as usize];
-        let plan = &self.addr_plans[arr as usize];
-        match plan.element_of(addr) {
-            Some(slot) => {
-                m.floats[plan.offset as usize + slot] = m.floats[value as usize];
-                Step::Next
-            }
-            None => Step::Oob { decl: arr, addr },
-        }
-    }
-
-    /// Fused address-arith + direct int load: the produced value is
-    /// written to `dst` *and* used directly as the load address.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // mirrors the fused variant's fields
-    fn int_bin_load_int(
-        &self,
-        op: BinOp,
-        dst: u32,
-        lhs: u32,
-        rhs: u32,
-        ld: u32,
-        decl: u32,
-        m: &mut RunState,
-    ) -> Step {
-        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-        m.ints[dst as usize] = v;
-        let d = self.direct[decl as usize];
-        if (v as u64) < d.len as u64 {
-            m.ints[ld as usize] = m.ints[d.off as usize + v as usize];
-            Step::Next
-        } else {
-            Step::Oob { decl, addr: v }
-        }
-    }
-
-    /// Fused address-arith + direct float load.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // mirrors the fused variant's fields
-    fn int_bin_load_float(
-        &self,
-        op: BinOp,
-        dst: u32,
-        lhs: u32,
-        rhs: u32,
-        ld: u32,
-        decl: u32,
-        m: &mut RunState,
-    ) -> Step {
-        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-        m.ints[dst as usize] = v;
-        let d = self.direct[decl as usize];
-        if (v as u64) < d.len as u64 {
-            m.floats[ld as usize] = m.floats[d.off as usize + v as usize];
-            Step::Next
-        } else {
-            Step::Oob { decl, addr: v }
-        }
-    }
-
-    /// Evaluate a chained super-instruction in the generic [`Value`]
-    /// domain.
-    #[inline(always)]
-    fn run_chain(&self, dst: u32, plan: u32, m: &mut RunState) -> Step {
-        let chain = &self.chains[plan as usize];
-        let read = |s: TSlot| -> Value {
-            match s {
-                TSlot::I(i) => Value::Int(m.ints[i as usize]),
-                TSlot::F(i) => Value::Float(m.floats[i as usize]),
-            }
-        };
-        let a = read(chain.lhs);
-        let mut acc = match chain.head {
-            Some(op) => eval_binop(op, a, read(chain.rhs)),
-            None => a,
-        };
-        for &(op, slot) in &chain.tail {
-            acc = eval_binop(op, acc, read(slot));
-        }
-        if chain.dst_float {
-            m.floats[dst as usize] = acc.as_float();
-        } else {
-            m.ints[dst as usize] = acc.as_int();
-        }
-        Step::Next
+        (i, f)
     }
 
     /// Execute one decoded instruction. Shared by the fast block loop,
@@ -1415,25 +1410,77 @@ impl DecodedProgram {
                 m.ints[dst as usize] = m.floats[src as usize] as i64;
                 Step::Next
             }
-            DecodedInst::LoadInt { dst, decl, index } => self.direct_load_int(dst, decl, index, m),
-            DecodedInst::LoadFloat { dst, decl, index } => {
-                self.direct_load_float(dst, decl, index, m)
+            DecodedInst::LoadInt { dst, decl, index } => {
+                match self.direct_at(decl, m.ints[index as usize]) {
+                    Ok(at) => {
+                        m.ints[dst as usize] = m.ints[at];
+                        Step::Next
+                    }
+                    Err(oob) => oob,
+                }
             }
-            DecodedInst::LoadIntAddr { dst, arr, index } => self.addr_load_int(dst, arr, index, m),
+            DecodedInst::LoadFloat { dst, decl, index } => {
+                match self.direct_at(decl, m.ints[index as usize]) {
+                    Ok(at) => {
+                        m.floats[dst as usize] = m.floats[at];
+                        Step::Next
+                    }
+                    Err(oob) => oob,
+                }
+            }
+            DecodedInst::LoadIntAddr { dst, arr, index } => {
+                match self.addr_at(arr, m.ints[index as usize]) {
+                    Ok(at) => {
+                        m.ints[dst as usize] = m.ints[at];
+                        Step::Next
+                    }
+                    Err(oob) => oob,
+                }
+            }
             DecodedInst::LoadFloatAddr { dst, arr, index } => {
-                self.addr_load_float(dst, arr, index, m)
+                match self.addr_at(arr, m.ints[index as usize]) {
+                    Ok(at) => {
+                        m.floats[dst as usize] = m.floats[at];
+                        Step::Next
+                    }
+                    Err(oob) => oob,
+                }
             }
             DecodedInst::StoreInt { decl, index, value } => {
-                self.direct_store_int(decl, index, value, m)
+                match self.direct_at(decl, m.ints[index as usize]) {
+                    Ok(at) => {
+                        m.ints[at] = m.ints[value as usize];
+                        Step::Next
+                    }
+                    Err(oob) => oob,
+                }
             }
             DecodedInst::StoreFloat { decl, index, value } => {
-                self.direct_store_float(decl, index, value, m)
+                match self.direct_at(decl, m.ints[index as usize]) {
+                    Ok(at) => {
+                        m.floats[at] = m.floats[value as usize];
+                        Step::Next
+                    }
+                    Err(oob) => oob,
+                }
             }
             DecodedInst::StoreIntAddr { arr, index, value } => {
-                self.addr_store_int(arr, index, value, m)
+                match self.addr_at(arr, m.ints[index as usize]) {
+                    Ok(at) => {
+                        m.ints[at] = m.ints[value as usize];
+                        Step::Next
+                    }
+                    Err(oob) => oob,
+                }
             }
             DecodedInst::StoreFloatAddr { arr, index, value } => {
-                self.addr_store_float(arr, index, value, m)
+                match self.addr_at(arr, m.ints[index as usize]) {
+                    Ok(at) => {
+                        m.floats[at] = m.floats[value as usize];
+                        Step::Next
+                    }
+                    Err(oob) => oob,
+                }
             }
             DecodedInst::IntBinMov {
                 op,
@@ -1459,6 +1506,8 @@ impl DecodedProgram {
                 m.floats[dst2 as usize] = v;
                 Step::Next
             }
+            // fused address arithmetic: the produced value is written to
+            // `dst` *and* used directly as the load address
             DecodedInst::IntBinLoadInt {
                 op,
                 dst,
@@ -1466,7 +1515,17 @@ impl DecodedProgram {
                 rhs,
                 ld,
                 decl,
-            } => self.int_bin_load_int(op, dst, lhs, rhs, ld, decl, m),
+            } => {
+                let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
+                m.ints[dst as usize] = v;
+                match self.direct_at(decl, v) {
+                    Ok(at) => {
+                        m.ints[ld as usize] = m.ints[at];
+                        Step::Next
+                    }
+                    Err(oob) => oob,
+                }
+            }
             DecodedInst::IntBinLoadFloat {
                 op,
                 dst,
@@ -1474,7 +1533,17 @@ impl DecodedProgram {
                 rhs,
                 ld,
                 decl,
-            } => self.int_bin_load_float(op, dst, lhs, rhs, ld, decl, m),
+            } => {
+                let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
+                m.ints[dst as usize] = v;
+                match self.direct_at(decl, v) {
+                    Ok(at) => {
+                        m.floats[ld as usize] = m.floats[at];
+                        Step::Next
+                    }
+                    Err(oob) => oob,
+                }
+            }
             DecodedInst::Branch {
                 cond,
                 then_b,
@@ -1512,36 +1581,86 @@ impl DecodedProgram {
             DecodedInst::RetNone => Step::Halt(None),
             DecodedInst::RetInt { src } => Step::Halt(Some(Value::Int(m.ints[src as usize]))),
             DecodedInst::RetFloat { src } => Step::Halt(Some(Value::Float(m.floats[src as usize]))),
-            DecodedInst::Chained { dst, plan } => self.run_chain(dst, plan, m),
+            DecodedInst::ChainedInt { dst, start, end } => {
+                m.ints[dst as usize] = self.run_chain(start, end, m).0;
+                Step::Next
+            }
+            DecodedInst::ChainedFloat { dst, start, end } => {
+                m.floats[dst as usize] = self.run_chain(start, end, m).1;
+                Step::Next
+            }
+            DecodedInst::IntChain {
+                dst,
+                lhs,
+                start,
+                end,
+            } => {
+                let mut acc = m.ints[lhs as usize];
+                for step in &self.chain_steps[start as usize..end as usize] {
+                    let ChainStep::Int(op, s) = *step else {
+                        unreachable!("decode put a non-Int step in an IntChain")
+                    };
+                    acc = eval_int_bin(op, acc, m.ints[s as usize]);
+                }
+                m.ints[dst as usize] = acc;
+                Step::Next
+            }
             DecodedInst::Unterminated => {
                 unreachable!("block fell through without terminator")
             }
         }
     }
 
-    /// The value an instruction wrote to its destination register, if
-    /// any (trace events only; the fused non-branch variants write two
-    /// registers and are re-expanded inline by the trace loop instead).
+    /// The value a fused pair's producer computes, evaluated on the
+    /// state *before* the pair runs (its consumer may overwrite the
+    /// producer's register); `None` for every other instruction. Trace
+    /// events only.
+    fn produced(&self, inst: &DecodedInst, m: &RunState) -> Option<Value> {
+        match *inst {
+            DecodedInst::IntBinBranch { op, lhs, rhs, .. }
+            | DecodedInst::IntBinMov { op, lhs, rhs, .. }
+            | DecodedInst::IntBinLoadInt { op, lhs, rhs, .. }
+            | DecodedInst::IntBinLoadFloat { op, lhs, rhs, .. } => Some(Value::Int(eval_int_bin(
+                op,
+                m.ints[lhs as usize],
+                m.ints[rhs as usize],
+            ))),
+            DecodedInst::FloatCmpBranch { op, lhs, rhs, .. } => Some(Value::Int(eval_float_cmp(
+                op,
+                m.floats[lhs as usize],
+                m.floats[rhs as usize],
+            ))),
+            DecodedInst::FloatBinMov { op, lhs, rhs, .. } => Some(Value::Float(eval_float_bin(
+                op,
+                m.floats[lhs as usize],
+                m.floats[rhs as usize],
+            ))),
+            _ => None,
+        }
+    }
+
+    /// The value an instruction (for a fused pair: its consumer) wrote
+    /// to its destination register, if any. Trace events only.
     fn wrote(&self, inst: &DecodedInst, m: &RunState) -> Option<Value> {
         match *inst {
             DecodedInst::IntBin { dst, .. }
             | DecodedInst::FloatCmp { dst, .. }
-            | DecodedInst::IntBinBranch { dst, .. }
-            | DecodedInst::FloatCmpBranch { dst, .. }
+            | DecodedInst::IntBinMov { dst2: dst, .. }
+            | DecodedInst::IntBinLoadInt { ld: dst, .. }
             | DecodedInst::IntUn { dst, .. }
             | DecodedInst::FloatToInt { dst, .. }
             | DecodedInst::LoadInt { dst, .. }
-            | DecodedInst::LoadIntAddr { dst, .. } => Some(Value::Int(m.ints[dst as usize])),
+            | DecodedInst::LoadIntAddr { dst, .. }
+            | DecodedInst::ChainedInt { dst, .. }
+            | DecodedInst::IntChain { dst, .. } => Some(Value::Int(m.ints[dst as usize])),
             DecodedInst::FloatBin { dst, .. }
+            | DecodedInst::FloatBinMov { dst2: dst, .. }
+            | DecodedInst::IntBinLoadFloat { ld: dst, .. }
             | DecodedInst::FloatUn { dst, .. }
             | DecodedInst::IntToFloat { dst, .. }
             | DecodedInst::LoadFloat { dst, .. }
-            | DecodedInst::LoadFloatAddr { dst, .. } => Some(Value::Float(m.floats[dst as usize])),
-            DecodedInst::Chained { dst, plan } => Some(if self.chains[plan as usize].dst_float {
-                Value::Float(m.floats[dst as usize])
-            } else {
-                Value::Int(m.ints[dst as usize])
-            }),
+            | DecodedInst::LoadFloatAddr { dst, .. }
+            | DecodedInst::ChainedFloat { dst, .. } => Some(Value::Float(m.floats[dst as usize])),
             _ => None,
         }
     }
@@ -1623,16 +1742,8 @@ impl DecodedProgram {
                 let (lo, hi) = (plan.start as usize, plan.end as usize);
                 // iterate the block as a slice so the per-instruction
                 // bounds check is hoisted to one check per block
-                #[cfg(feature = "tail-dispatch")]
-                let handlers = &self.handlers[lo..hi];
-                for (pc, inst) in self.insts[lo..hi].iter().enumerate() {
-                    #[cfg(not(feature = "tail-dispatch"))]
-                    let _ = pc;
-                    #[cfg(not(feature = "tail-dispatch"))]
-                    let step = self.exec(inst, state);
-                    #[cfg(feature = "tail-dispatch")]
-                    let step = (handlers[pc])(self, inst, state);
-                    match step {
+                for inst in &self.insts[lo..hi] {
+                    match self.exec(inst, state) {
                         Step::Next => {}
                         Step::Goto(b) => {
                             block = b as usize;
@@ -1690,197 +1801,40 @@ impl DecodedProgram {
             for pc in plan.start as usize..plan.end as usize {
                 let inst = &self.insts[pc];
                 let (ob, opos) = self.origins[pc];
-                // every fused variant re-expands into its two source
-                // events, with the reference's exact limit ordering:
-                // no event if the producer's step crosses the limit,
-                // the producer's event but not the consumer's if the
-                // consumer's step crosses
-                let step = match *inst {
-                    DecodedInst::IntBinBranch { .. } | DecodedInst::FloatCmpBranch { .. } => {
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let step = self.exec(inst, &mut m);
-                        let producer = &program.blocks[ob as usize].insts[opos as usize];
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: producer,
-                            wrote: self.wrote(inst, &m),
-                        });
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let branch = &program.blocks[ob as usize].insts[opos as usize + 1];
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: branch,
-                            wrote: None,
-                        });
-                        step
+                // a fused pair re-expands into its two source events
+                // with the reference's exact ordering: no event if the
+                // producer's step crosses the limit; the producer's
+                // event but not the consumer's if the consumer's step
+                // crosses, which beats a fused load's out-of-bounds
+                let fused = step_weight(inst) == 2;
+                let produced = self.produced(inst, &m);
+                steps += step_weight(inst).min(1);
+                if steps > limit {
+                    return Err(SimError::StepLimit { limit });
+                }
+                let step = self.exec(inst, &mut m);
+                let source = &program.blocks[ob as usize].insts;
+                if fused {
+                    sink.event(&TraceEvent {
+                        step: steps,
+                        block: asip_ir::BlockId(ob),
+                        inst: &source[opos as usize],
+                        wrote: produced,
+                    });
+                    steps += 1;
+                    if steps > limit {
+                        return Err(SimError::StepLimit { limit });
                     }
-                    DecodedInst::IntBinMov {
-                        op,
-                        dst,
-                        dst2,
-                        lhs,
-                        rhs,
-                    } => {
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-                        m.ints[dst as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize],
-                            wrote: Some(Value::Int(v)),
-                        });
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        m.ints[dst2 as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize + 1],
-                            wrote: Some(Value::Int(v)),
-                        });
-                        Step::Next
-                    }
-                    DecodedInst::FloatBinMov {
-                        op,
-                        dst,
-                        dst2,
-                        lhs,
-                        rhs,
-                    } => {
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let v = eval_float_bin(op, m.floats[lhs as usize], m.floats[rhs as usize]);
-                        m.floats[dst as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize],
-                            wrote: Some(Value::Float(v)),
-                        });
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        m.floats[dst2 as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize + 1],
-                            wrote: Some(Value::Float(v)),
-                        });
-                        Step::Next
-                    }
-                    DecodedInst::IntBinLoadInt {
-                        op,
-                        dst,
-                        lhs,
-                        rhs,
-                        ld,
-                        decl,
-                    } => {
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-                        m.ints[dst as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize],
-                            wrote: Some(Value::Int(v)),
-                        });
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let d = self.direct[decl as usize];
-                        if (v as u64) >= d.len as u64 {
-                            return Err(self.oob(decl, v));
-                        }
-                        let loaded = m.ints[d.off as usize + v as usize];
-                        m.ints[ld as usize] = loaded;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize + 1],
-                            wrote: Some(Value::Int(loaded)),
-                        });
-                        Step::Next
-                    }
-                    DecodedInst::IntBinLoadFloat {
-                        op,
-                        dst,
-                        lhs,
-                        rhs,
-                        ld,
-                        decl,
-                    } => {
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-                        m.ints[dst as usize] = v;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize],
-                            wrote: Some(Value::Int(v)),
-                        });
-                        steps += 1;
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let d = self.direct[decl as usize];
-                        if (v as u64) >= d.len as u64 {
-                            return Err(self.oob(decl, v));
-                        }
-                        let loaded = m.floats[d.off as usize + v as usize];
-                        m.floats[ld as usize] = loaded;
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: &program.blocks[ob as usize].insts[opos as usize + 1],
-                            wrote: Some(Value::Float(loaded)),
-                        });
-                        Step::Next
-                    }
-                    _ => {
-                        steps += step_weight(inst);
-                        if steps > limit {
-                            return Err(SimError::StepLimit { limit });
-                        }
-                        let step = self.exec(inst, &mut m);
-                        if let Step::Oob { decl, addr } = step {
-                            return Err(self.oob(decl, addr));
-                        }
-                        let source = &program.blocks[ob as usize].insts[opos as usize];
-                        sink.event(&TraceEvent {
-                            step: steps,
-                            block: asip_ir::BlockId(ob),
-                            inst: source,
-                            wrote: self.wrote(inst, &m),
-                        });
-                        step
-                    }
-                };
+                }
+                if let Step::Oob { decl, addr } = step {
+                    return Err(self.oob(decl, addr));
+                }
+                sink.event(&TraceEvent {
+                    step: steps,
+                    block: asip_ir::BlockId(ob),
+                    inst: &source[opos as usize + fused as usize],
+                    wrote: self.wrote(inst, &m),
+                });
                 match step {
                     Step::Next => {}
                     Step::Goto(b) => {
@@ -1894,7 +1848,7 @@ impl DecodedProgram {
                             result,
                         })
                     }
-                    Step::Oob { .. } => unreachable!("handled above"),
+                    Step::Oob { .. } => unreachable!("returned above"),
                 }
             }
             unreachable!("block fell through without terminator");
@@ -1918,7 +1872,8 @@ fn step_weight(inst: &DecodedInst) -> u64 {
     }
 }
 
-/// Integer-domain binary semantics (identical to [`eval_binop`] on two
+/// Integer-domain binary semantics (identical to
+/// [`eval_binop`](crate::machine::eval_binop) on two
 /// [`Value::Int`]s).
 #[inline(always)]
 fn eval_int_bin(op: BinOp, a: i64, b: i64) -> i64 {
@@ -1984,359 +1939,22 @@ fn eval_float_cmp(op: BinOp, a: f64, b: f64) -> i64 {
     }
 }
 
-/// The `tail-dispatch` experiment: one pre-resolved function pointer
-/// per decoded instruction, so the hot loop makes an indirect call per
-/// instruction instead of evaluating a `match` — the closest safe Rust
-/// gets to a computed-goto/threaded interpreter
-/// (`#![forbid(unsafe_code)]` rules out real tail-threading). The
-/// table is built at decode time, parallel to `insts`; the match loop
-/// stays the default and the two are benched against each other in
-/// `docs/perf.md`.
-#[cfg(feature = "tail-dispatch")]
-type Handler = fn(&DecodedProgram, &DecodedInst, &mut RunState) -> Step;
-
-/// Resolve the handler for one decoded instruction.
-#[cfg(feature = "tail-dispatch")]
-fn handler_for(inst: &DecodedInst) -> Handler {
-    use handlers::*;
-    match inst {
-        DecodedInst::IntBin { .. } => int_bin,
-        DecodedInst::FloatBin { .. } => float_bin,
-        DecodedInst::FloatCmp { .. } => float_cmp,
-        DecodedInst::IntUn { .. } => int_un,
-        DecodedInst::FloatUn { .. } => float_un,
-        DecodedInst::IntToFloat { .. } => int_to_float,
-        DecodedInst::FloatToInt { .. } => float_to_int,
-        DecodedInst::LoadInt { .. } => load_int,
-        DecodedInst::LoadFloat { .. } => load_float,
-        DecodedInst::LoadIntAddr { .. } => load_int_addr,
-        DecodedInst::LoadFloatAddr { .. } => load_float_addr,
-        DecodedInst::StoreInt { .. } => store_int,
-        DecodedInst::StoreFloat { .. } => store_float,
-        DecodedInst::StoreIntAddr { .. } => store_int_addr,
-        DecodedInst::StoreFloatAddr { .. } => store_float_addr,
-        DecodedInst::Branch { .. } => branch,
-        DecodedInst::IntBinBranch { .. } => int_bin_branch,
-        DecodedInst::FloatCmpBranch { .. } => float_cmp_branch,
-        DecodedInst::IntBinMov { .. } => int_bin_mov,
-        DecodedInst::FloatBinMov { .. } => float_bin_mov,
-        DecodedInst::IntBinLoadInt { .. } => int_bin_load_int,
-        DecodedInst::IntBinLoadFloat { .. } => int_bin_load_float,
-        DecodedInst::Jump { .. } => jump,
-        DecodedInst::RetNone => ret_none,
-        DecodedInst::RetInt { .. } => ret_int,
-        DecodedInst::RetFloat { .. } => ret_float,
-        DecodedInst::Chained { .. } => chained,
-        DecodedInst::Unterminated => unterminated,
-    }
-}
-
-/// Per-variant dispatch handlers. Each destructures the variant it was
-/// resolved for (`handler_for` guarantees the match) and either
-/// inlines the trivial arithmetic or delegates to the same
-/// `#[inline(always)]` helper the match loop's arm uses, so the two
-/// dispatch strategies cannot drift semantically.
-#[cfg(feature = "tail-dispatch")]
-mod handlers {
-    use super::*;
-
-    pub(super) fn int_bin(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntBin { op, dst, lhs, rhs } = *i else {
-            unreachable!()
-        };
-        m.ints[dst as usize] = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-        Step::Next
-    }
-
-    pub(super) fn float_bin(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatBin { op, dst, lhs, rhs } = *i else {
-            unreachable!()
-        };
-        m.floats[dst as usize] = eval_float_bin(op, m.floats[lhs as usize], m.floats[rhs as usize]);
-        Step::Next
-    }
-
-    pub(super) fn float_cmp(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatCmp { op, dst, lhs, rhs } = *i else {
-            unreachable!()
-        };
-        m.ints[dst as usize] = eval_float_cmp(op, m.floats[lhs as usize], m.floats[rhs as usize]);
-        Step::Next
-    }
-
-    pub(super) fn int_un(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntUn { op, dst, src } = *i else {
-            unreachable!()
-        };
-        let v = m.ints[src as usize];
-        m.ints[dst as usize] = match op {
-            UnOp::Neg => v.wrapping_neg(),
-            UnOp::Not => !v,
-            UnOp::Mov => v,
-            _ => unreachable!("decode put a non-int unary in IntUn"),
-        };
-        Step::Next
-    }
-
-    pub(super) fn float_un(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatUn { op, dst, src } = *i else {
-            unreachable!()
-        };
-        let v = m.floats[src as usize];
-        m.floats[dst as usize] = match op {
-            UnOp::FNeg => -v,
-            UnOp::Mov => v,
-            UnOp::Math(f) => f.eval(v),
-            _ => unreachable!("decode put a non-float unary in FloatUn"),
-        };
-        Step::Next
-    }
-
-    pub(super) fn int_to_float(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntToFloat { dst, src } = *i else {
-            unreachable!()
-        };
-        m.floats[dst as usize] = m.ints[src as usize] as f64;
-        Step::Next
-    }
-
-    pub(super) fn float_to_int(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatToInt { dst, src } = *i else {
-            unreachable!()
-        };
-        m.ints[dst as usize] = m.floats[src as usize] as i64;
-        Step::Next
-    }
-
-    pub(super) fn load_int(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::LoadInt { dst, decl, index } = *i else {
-            unreachable!()
-        };
-        p.direct_load_int(dst, decl, index, m)
-    }
-
-    pub(super) fn load_float(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::LoadFloat { dst, decl, index } = *i else {
-            unreachable!()
-        };
-        p.direct_load_float(dst, decl, index, m)
-    }
-
-    pub(super) fn load_int_addr(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::LoadIntAddr { dst, arr, index } = *i else {
-            unreachable!()
-        };
-        p.addr_load_int(dst, arr, index, m)
-    }
-
-    pub(super) fn load_float_addr(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::LoadFloatAddr { dst, arr, index } = *i else {
-            unreachable!()
-        };
-        p.addr_load_float(dst, arr, index, m)
-    }
-
-    pub(super) fn store_int(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::StoreInt { decl, index, value } = *i else {
-            unreachable!()
-        };
-        p.direct_store_int(decl, index, value, m)
-    }
-
-    pub(super) fn store_float(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::StoreFloat { decl, index, value } = *i else {
-            unreachable!()
-        };
-        p.direct_store_float(decl, index, value, m)
-    }
-
-    pub(super) fn store_int_addr(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::StoreIntAddr { arr, index, value } = *i else {
-            unreachable!()
-        };
-        p.addr_store_int(arr, index, value, m)
-    }
-
-    pub(super) fn store_float_addr(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::StoreFloatAddr { arr, index, value } = *i else {
-            unreachable!()
-        };
-        p.addr_store_float(arr, index, value, m)
-    }
-
-    pub(super) fn branch(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::Branch {
-            cond,
-            then_b,
-            else_b,
-        } = *i
-        else {
-            unreachable!()
-        };
-        Step::Goto(if m.ints[cond as usize] != 0 {
-            then_b
-        } else {
-            else_b
-        })
-    }
-
-    pub(super) fn int_bin_branch(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntBinBranch {
-            op,
-            dst,
-            lhs,
-            rhs,
-            then_b,
-            else_b,
-        } = *i
-        else {
-            unreachable!()
-        };
-        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-        m.ints[dst as usize] = v;
-        Step::Goto(if v != 0 { then_b } else { else_b })
-    }
-
-    pub(super) fn float_cmp_branch(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatCmpBranch {
-            op,
-            dst,
-            lhs,
-            rhs,
-            then_b,
-            else_b,
-        } = *i
-        else {
-            unreachable!()
-        };
-        let v = eval_float_cmp(op, m.floats[lhs as usize], m.floats[rhs as usize]);
-        m.ints[dst as usize] = v;
-        Step::Goto(if v != 0 { then_b } else { else_b })
-    }
-
-    pub(super) fn int_bin_mov(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntBinMov {
-            op,
-            dst,
-            dst2,
-            lhs,
-            rhs,
-        } = *i
-        else {
-            unreachable!()
-        };
-        let v = eval_int_bin(op, m.ints[lhs as usize], m.ints[rhs as usize]);
-        m.ints[dst as usize] = v;
-        m.ints[dst2 as usize] = v;
-        Step::Next
-    }
-
-    pub(super) fn float_bin_mov(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::FloatBinMov {
-            op,
-            dst,
-            dst2,
-            lhs,
-            rhs,
-        } = *i
-        else {
-            unreachable!()
-        };
-        let v = eval_float_bin(op, m.floats[lhs as usize], m.floats[rhs as usize]);
-        m.floats[dst as usize] = v;
-        m.floats[dst2 as usize] = v;
-        Step::Next
-    }
-
-    pub(super) fn int_bin_load_int(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::IntBinLoadInt {
-            op,
-            dst,
-            lhs,
-            rhs,
-            ld,
-            decl,
-        } = *i
-        else {
-            unreachable!()
-        };
-        p.int_bin_load_int(op, dst, lhs, rhs, ld, decl, m)
-    }
-
-    pub(super) fn int_bin_load_float(
-        p: &DecodedProgram,
-        i: &DecodedInst,
-        m: &mut RunState,
-    ) -> Step {
-        let DecodedInst::IntBinLoadFloat {
-            op,
-            dst,
-            lhs,
-            rhs,
-            ld,
-            decl,
-        } = *i
-        else {
-            unreachable!()
-        };
-        p.int_bin_load_float(op, dst, lhs, rhs, ld, decl, m)
-    }
-
-    pub(super) fn jump(_p: &DecodedProgram, i: &DecodedInst, _m: &mut RunState) -> Step {
-        let DecodedInst::Jump { target } = *i else {
-            unreachable!()
-        };
-        Step::Goto(target)
-    }
-
-    pub(super) fn ret_none(_p: &DecodedProgram, _i: &DecodedInst, _m: &mut RunState) -> Step {
-        Step::Halt(None)
-    }
-
-    pub(super) fn ret_int(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::RetInt { src } = *i else {
-            unreachable!()
-        };
-        Step::Halt(Some(Value::Int(m.ints[src as usize])))
-    }
-
-    pub(super) fn ret_float(_p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::RetFloat { src } = *i else {
-            unreachable!()
-        };
-        Step::Halt(Some(Value::Float(m.floats[src as usize])))
-    }
-
-    pub(super) fn chained(p: &DecodedProgram, i: &DecodedInst, m: &mut RunState) -> Step {
-        let DecodedInst::Chained { dst, plan } = *i else {
-            unreachable!()
-        };
-        p.run_chain(dst, plan, m)
-    }
-
-    pub(super) fn unterminated(_p: &DecodedProgram, _i: &DecodedInst, _m: &mut RunState) -> Step {
-        unreachable!("block fell through without terminator")
-    }
-}
-
 /// Upper bound on pooled run states per engine. One state per worker
 /// thread is the steady state; 64 comfortably covers any session pool
 /// while bounding what an anomalous burst can pin.
 const POOL_CAP: usize = 64;
 
 /// A reusable execution engine: one program, decoded once, run many
-/// times. This is what sessions cache so that repeated profiles of the
-/// same program (three opt levels, suite sweeps, evaluate re-runs)
-/// never pay the decode again.
+/// times. This is what sessions cache so that every run of the same
+/// program (the profile, a rewritten design's measurements, sweeps)
+/// pays the decode once.
 ///
-/// The engine also pools [`RunState`]s internally: [`Engine::run`],
+/// The engine also pools `RunState`s internally: [`Engine::run`],
 /// [`Engine::run_profile`], [`Engine::run_pooled`] and
 /// [`Engine::run_batch`] check a state out, run (reset is a `memcpy`
 /// from the decoded init images), and return it — after warm-up, a
 /// sweep of thousands of runs performs zero per-run bank allocations
-/// ([`Engine::run_state_stats`] counts both sides). Callers that want
-/// explicit control use [`Engine::new_state`] + [`Engine::bind`] +
-/// [`Engine::run_into`] directly.
+/// ([`Engine::run_state_stats`] counts both sides).
 ///
 /// [`crate::Simulator`] is the borrowing one-shot facade over the same
 /// execution paths; `Engine` owns its program via `Arc` so it can
@@ -2415,8 +2033,8 @@ impl Engine {
     }
 
     /// Validate and convert `data`'s input bindings once, for reuse
-    /// across any number of [`Engine::run_into`] /
-    /// [`Engine::run_pooled`] calls on this engine.
+    /// across any number of [`Engine::run_pooled`] calls on this
+    /// engine.
     ///
     /// # Errors
     ///
@@ -2424,37 +2042,6 @@ impl Engine {
     /// wrong lengths, wrong types.
     pub fn bind(&self, data: &DataSet) -> Result<BoundInputs> {
         self.code.bind(data)
-    }
-
-    /// Allocate a fresh [`RunState`] sized for this program's arenas,
-    /// for callers that manage their own states (the pooled run APIs
-    /// use the engine's internal pool instead).
-    pub fn new_state(&self) -> RunState {
-        self.code.new_state()
-    }
-
-    /// Run into a caller-managed state: reset by `memcpy`, copy the
-    /// bound inputs in, execute. Allocates nothing but the outcome's
-    /// profile.
-    ///
-    /// # Errors
-    ///
-    /// Bad array accesses and the step limit (binding errors were
-    /// already surfaced by [`Engine::bind`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` or `inputs` were built by an engine for a
-    /// different program (arena sizes differ).
-    pub fn run_into(&self, state: &mut RunState, inputs: &BoundInputs) -> Result<RunOutcome> {
-        self.code.run_into(state, inputs, self.step_limit)
-    }
-
-    /// Materialize the declaration-ordered `Vec<Value>` output arrays
-    /// from a state this engine just ran — the lazy half of a full
-    /// [`Execution`], for when the outputs are actually needed.
-    pub fn materialize_memory(&self, state: &RunState) -> Vec<Vec<Value>> {
-        self.code.materialize_memory(state)
     }
 
     /// Run the program on the given input data.
@@ -2488,6 +2075,28 @@ impl Engine {
     pub fn run_profile(&self, data: &DataSet) -> Result<RunOutcome> {
         let inputs = self.code.bind(data)?;
         self.run_pooled(&inputs)
+    }
+
+    /// Pooled run that also captures the outputs as a typed
+    /// [`OutputImage`]: one simulation yields both the profile and the
+    /// outputs a rewritten program must reproduce (see
+    /// [`OutputImage::same_memory`]).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Engine::run`].
+    pub fn run_output(&self, data: &DataSet) -> Result<(RunOutcome, OutputImage)> {
+        let inputs = self.code.bind(data)?;
+        let mut state = self.checkout();
+        let finished = self
+            .code
+            .run_into(&mut state, &inputs, self.step_limit)
+            .map(|out| {
+                let image = self.code.output_image(&state, out.result);
+                (out, image)
+            });
+        self.checkin(state);
+        finished
     }
 
     /// Pooled run over inputs prepared by [`Engine::bind`], skipping
@@ -2810,7 +2419,8 @@ mod tests {
     fn addr_arith_and_mov_fusion_match_the_reference() {
         // an add feeding a direct load fuses (IntBinLoadInt /
         // IntBinLoadFloat), as does a bin-op result mov'd onward
-        // (IntBinMov / FloatBinMov); everything observable must stay
+        // (IntBinMov / FloatBinMov), as does a compare feeding the
+        // branch; everything observable, traces included, must stay
         // byte-identical to the reference interpreter
         let mut b = ProgramBuilder::new("fused");
         let x = b.input_array("x", Ty::Int, 4);
@@ -2830,15 +2440,23 @@ mod tests {
         b.mov_to(h, g.into()); // fuses: fadd + mov
         let k = b.unary(UnOp::FloatToInt, h.into());
         let sum = b.binary(BinOp::Add, t.into(), k.into());
-        b.store(y, Operand::imm_int(0), sum.into());
-        b.ret(Some(sum.into()));
+        let r = b.binary(BinOp::Sub, i.into(), Operand::imm_int(1));
+        b.binary_to(r, BinOp::Add, r.into(), Operand::imm_int(0));
+        b.load_to(r, x, r.into()); // fuses, and the load overwrites r
+        let sum2 = b.binary(BinOp::Add, sum.into(), r.into());
+        b.store(y, Operand::imm_int(0), sum2.into());
+        let c = b.binary(BinOp::CmpLt, sum2.into(), Operand::imm_int(0));
+        let exit = b.new_block();
+        b.branch(c.into(), exit, exit); // fuses: compare + branch
+        b.select_block(exit);
+        b.ret(Some(sum2.into()));
         let p = b.finish().expect("valid");
         let mut d = DataSet::new();
         d.bind_ints("x", vec![10, 20, 30, 40]);
         d.bind_floats("f", vec![0.5, 1.5, 2.5, 3.5]);
         let engine = Engine::new(Arc::new(p.clone()));
-        // all four fusion kinds fired: four pairs collapsed
-        assert_eq!(engine.decoded().len(), p.inst_count() - 4);
+        // every fusion kind fired: six pairs collapsed
+        assert_eq!(engine.decoded().len(), p.inst_count() - 6);
         let decoded = engine.run(&d).expect("runs");
         let reference = crate::reference::ReferenceSimulator::new(&p)
             .run(&d)
@@ -2846,20 +2464,28 @@ mod tests {
         assert_eq!(decoded.profile, reference.profile);
         assert_eq!(decoded.memory, reference.memory);
         assert_eq!(decoded.result, reference.result);
-        // and step-limit parity holds across every fused boundary
+        // and step-limit parity holds across every fused boundary, in
+        // the plain and the traced loop, event for event
         let total = decoded.profile.total_ops();
         for limit in 0..=total {
+            let mut ref_trace = crate::trace::RingTrace::new(64);
+            let mut eng_trace = crate::trace::RingTrace::new(64);
             let r = crate::reference::ReferenceSimulator::new(&p)
                 .with_step_limit(limit)
-                .run(&d);
-            let e = Engine::new(Arc::new(p.clone()))
-                .with_step_limit(limit)
-                .run(&d);
-            match (r, e) {
-                (Ok(a), Ok(b)) => assert_eq!(a.profile, b.profile),
-                (Err(a), Err(b)) => assert_eq!(a, b, "at limit {limit}"),
-                (a, b) => panic!("diverged at limit {limit}: {a:?} vs {b:?}"),
+                .run_traced(&d, &mut ref_trace);
+            let engine = Engine::new(Arc::new(p.clone())).with_step_limit(limit);
+            let traced = engine.run_traced(&d, &mut eng_trace);
+            for e in [engine.run(&d), traced] {
+                match (&r, e) {
+                    (Ok(a), Ok(b)) => assert_eq!(a.profile, b.profile),
+                    (Err(a), Err(b)) => assert_eq!(*a, b, "at limit {limit}"),
+                    (a, b) => panic!("diverged at limit {limit}: {a:?} vs {b:?}"),
+                }
             }
+            assert!(
+                ref_trace.events().eq(eng_trace.events()),
+                "at limit {limit}"
+            );
         }
     }
 
@@ -2878,7 +2504,7 @@ mod tests {
         let mut d = DataSet::new();
         d.bind_ints("x", vec![1, 2]);
         let reference = crate::reference::ReferenceSimulator::new(&p).run(&d);
-        let engine = Engine::new(Arc::new(p)).run(&d);
+        let engine = Engine::new(Arc::new(p.clone())).run(&d);
         assert_eq!(reference, engine);
         assert!(matches!(
             engine,
@@ -2888,5 +2514,204 @@ mod tests {
                 ..
             })
         ));
+        // a step limit between the pair's halves beats the OOB, in the
+        // traced loop too, after the producer's event
+        for limit in 0..3 {
+            let mut ref_trace = crate::trace::RingTrace::new(8);
+            let mut eng_trace = crate::trace::RingTrace::new(8);
+            let r = crate::reference::ReferenceSimulator::new(&p)
+                .with_step_limit(limit)
+                .run_traced(&d, &mut ref_trace);
+            let e = Engine::new(Arc::new(p.clone()))
+                .with_step_limit(limit)
+                .run_traced(&d, &mut eng_trace);
+            assert_eq!(r, e, "at limit {limit}");
+            assert!(
+                ref_trace.events().eq(eng_trace.events()),
+                "at limit {limit}"
+            );
+        }
+    }
+
+    const INTS: [i64; 8] = [7, -3, i64::MAX, 0, 64, 65, -1, i64::MIN];
+    const FLOATS: [f64; 8] = [1.5, -0.0, f64::NAN, 2.5, f64::INFINITY, -2.25, 0.0, 1e300];
+
+    /// Chained super-ops as `ops: inputs -> dst`, where an input is
+    /// `aK` (int input `a[K]`), `xK` (float input `x[K]`) or an
+    /// immediate (`7`, `2.5`). Each destination type is its last op's
+    /// result type, the shape the rewriter emits.
+    const CHAINS: &[&str] = &[
+        "mul add sub: a0 a1 a4 a6 -> int",
+        "fmul fadd fdiv: x0 x3 x5 x3 -> float",
+        "fcmplt add shl: x0 x3 a0 a5 -> int",
+        "fcmpne xor: x2 x2 a0 -> int",
+        "sub: a0 -> int",
+        "fadd: x1 -> float",
+        "sub add: -> int",
+        ": x5 -> float",
+        "div rem: a0 a3 a3 -> int",
+        "div rem: a7 a6 a6 -> int",
+        "shl shr shl: a0 a4 a5 127 -> int",
+        "add mul: a2 1 a2 -> int",
+        "fmul fadd: x4 x6 x0 -> float",
+        "fmul fadd: x1 x0 x1 -> float",
+        "add mul: a0 x5 x7 -> int",
+        "fmul fsub: x0 a1 a2 -> float",
+        "fcmpge or: a1 a6 a4 -> int",
+        "sub add: x5 a1 x0 -> int",
+        "fadd add: x0 x6 a0 -> int",
+        "fadd fcmpgt add: 3 -2.5 -9.75 2.7 -> int",
+        "add add add: a0 a1 a4 -> int",
+    ];
+
+    /// Build a one-block program that evaluates the chain `spec` over
+    /// registers loaded from the int input `a` and the float input
+    /// `x`, stores the result to the output `y` and returns it.
+    fn chain_program(spec: &str) -> Program {
+        let (ops, rest) = spec.split_once(':').expect("ops");
+        let (inputs, dst) = rest.split_once("->").expect("dst");
+        let dst = if dst.trim() == "float" {
+            Ty::Float
+        } else {
+            Ty::Int
+        };
+        let mut b = ProgramBuilder::new("chain");
+        let a = b.input_array("a", Ty::Int, INTS.len());
+        let x = b.input_array("x", Ty::Float, FLOATS.len());
+        let y = b.output_array("y", dst, 1);
+        let entry = b.entry_block();
+        b.select_block(entry);
+        let mut operands = Vec::new();
+        for input in inputs.split_whitespace() {
+            let (array, k) = input.split_at(1);
+            operands.push(match (array, k.parse()) {
+                ("a", Ok(k)) => b.load(a, Operand::imm_int(k)).into(),
+                ("x", Ok(k)) => b.load(x, Operand::imm_int(k)).into(),
+                _ => match input.parse() {
+                    Ok(v) => Operand::imm_int(v),
+                    Err(_) => Operand::imm_float(input.parse().expect("immediate")),
+                },
+            });
+        }
+        let d = b.new_reg(dst);
+        let placeholder = b.mov_to(d, Operand::imm_int(0));
+        b.store(y, Operand::imm_int(0), d.into());
+        b.ret(Some(d.into()));
+        let mut p = b.finish_unchecked();
+        let inst = p.blocks[0].insts.iter_mut().find(|i| i.id == placeholder);
+        inst.expect("placeholder").kind = InstKind::Chained {
+            ext: 0,
+            dst: d,
+            inputs: operands,
+            ops: ops
+                .split_whitespace()
+                .map(|op| op.parse().expect("op"))
+                .collect(),
+        };
+        p
+    }
+
+    fn chain_data() -> DataSet {
+        let mut d = DataSet::new();
+        d.bind_ints("a", INTS.to_vec());
+        d.bind_floats("x", FLOATS.to_vec());
+        d
+    }
+
+    /// A value's bit pattern, so NaN and `-0.0` compare exactly.
+    fn bits(v: &Value) -> (bool, u64) {
+        match *v {
+            Value::Int(i) => (false, i as u64),
+            Value::Float(f) => (true, f.to_bits()),
+        }
+    }
+
+    /// Profile, memory and result, bitwise.
+    type Observed = (Profile, Vec<Vec<(bool, u64)>>, Option<(bool, u64)>);
+
+    fn observe(e: &Execution) -> Observed {
+        let memory = e.memory.iter().map(|a| a.iter().map(bits).collect());
+        (
+            e.profile.clone(),
+            memory.collect(),
+            e.result.as_ref().map(bits),
+        )
+    }
+
+    #[test]
+    fn typed_chains_match_the_reference() {
+        // int-only and float-only chains, an fcmp feeding an int tail,
+        // zero-filled heads, div/rem by zero, shifts of 64 and more,
+        // wrapping overflow, NaN and -0.0 outputs and every bank
+        // crossing, through the plain and the traced loop
+        let data = chain_data();
+        for spec in CHAINS {
+            let p = chain_program(spec);
+            let reference = crate::reference::ReferenceSimulator::new(&p).run(&data);
+            let engine = Engine::new(Arc::new(p));
+            let traced = engine.run_traced(&data, &mut crate::trace::RingTrace::new(4));
+            let want = observe(&reference.expect("runs"));
+            assert_eq!(observe(&engine.run(&data).expect("runs")), want, "{spec}");
+            assert_eq!(observe(&traced.expect("runs")), want, "{spec}");
+        }
+    }
+
+    #[test]
+    fn chain_results_coerce_to_the_destination_bank() {
+        // a destination of the other type than the last op's result
+        // takes the contract's `as_int` / `as_float` coercion
+        let data = chain_data();
+        for (spec, want) in [
+            ("fadd: x0 x3 -> int", Value::Int(4)),
+            ("fadd: x0 x6 -> int", Value::Int(1)),
+            ("fmul: x2 x0 -> int", Value::Int(0)),
+            ("fcmplt: x0 x3 -> float", Value::Float(1.0)),
+            ("mul: a0 a1 -> float", Value::Float(-21.0)),
+            (": a2 -> float", Value::Float(i64::MAX as f64)),
+        ] {
+            let engine = Engine::new(Arc::new(chain_program(spec)));
+            assert_eq!(
+                engine.run(&data).expect("runs").result,
+                Some(want),
+                "{spec}"
+            );
+        }
+    }
+
+    #[test]
+    fn image_equality_is_execution_memory_equality() {
+        // `same_memory` must agree with `Vec<Vec<Value>>` equality on
+        // every pair of outputs, NaN and `-0.0` included
+        let data = chain_data();
+        let runs: Vec<(Execution, OutputImage)> = CHAINS
+            .iter()
+            .map(|spec| {
+                let engine = Engine::new(Arc::new(chain_program(spec)));
+                let (outcome, image) = engine.run_output(&data).expect("runs");
+                let exec = engine.run(&data).expect("runs");
+                assert_eq!(outcome.profile, exec.profile);
+                assert_eq!(
+                    image.result().map(|v| bits(&v)),
+                    exec.result.map(|v| bits(&v))
+                );
+                (exec, image)
+            })
+            .collect();
+        for (ea, ia) in &runs {
+            for (eb, ib) in &runs {
+                assert_eq!(ia.same_memory(ib), ea.memory == eb.memory);
+            }
+        }
+        // an empty array equals an empty array of the other type
+        let empty = |ty| {
+            let mut b = ProgramBuilder::new("empty");
+            let _ = b.output_array("e", ty, 0);
+            let entry = b.entry_block();
+            b.select_block(entry);
+            b.ret(None);
+            let engine = Engine::new(Arc::new(b.finish().expect("valid")));
+            engine.run_output(&DataSet::new()).expect("runs").1
+        };
+        assert!(empty(Ty::Int).same_memory(&empty(Ty::Float)));
     }
 }

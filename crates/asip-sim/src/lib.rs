@@ -12,7 +12,7 @@
 //! program is lowered once into a dense slot-indexed instruction array
 //! and the hot loop runs over copy-only structs with block-granular
 //! step accounting and profiles derived from block entry counts. All
-//! per-run data lives in an arena-backed, pooled [`RunState`] that is
+//! per-run data lives in an arena-backed, pooled run state that is
 //! reset by `memcpy` — batch and sweep callers ([`Engine::run_batch`],
 //! [`Engine::run_pooled`], [`Engine::bind`]) pay zero per-run
 //! allocations. [`Simulator`] is the borrowing one-shot facade;
@@ -59,7 +59,7 @@ pub mod reference;
 pub mod trace;
 
 pub use data::{DataGen, DataSet};
-pub use decode::{BoundInputs, DecodedProgram, Engine, RunOutcome, RunState, RunStateStats};
+pub use decode::{BoundInputs, DecodedProgram, Engine, OutputImage, RunOutcome, RunStateStats};
 pub use error::{Result, SimError};
 pub use machine::{Execution, Simulator};
 pub use profile::Profile;

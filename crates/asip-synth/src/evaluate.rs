@@ -3,8 +3,9 @@
 use crate::extension::AsipDesign;
 use crate::rewrite::{RewriteStats, Rewriter};
 use asip_ir::Program;
-use asip_sim::{DataSet, Engine, SimError, Simulator};
+use asip_sim::{DataSet, Engine, OutputImage, SimError};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::sync::Arc;
 
 /// Measured effect of applying a design to one benchmark.
@@ -24,7 +25,7 @@ pub struct Evaluation {
 
 /// A design applied to a program and decoded, once: the rewritten
 /// program's [`Engine`] plus the static rewrite stats, ready to be
-/// measured against any number of datasets or baseline engines.
+/// [`measure`]d on any number of datasets.
 ///
 /// Rewriting and decoding a candidate design is the expensive half of
 /// an evaluation; design sweeps re-measure the same `(program,
@@ -72,31 +73,59 @@ pub fn prepare(program: &Program, design: &AsipDesign) -> PreparedDesign {
     }
 }
 
-/// Measure a prepared design against the baseline engine on `data`:
-/// both runs go through the pooled engines, and the outputs of the two
-/// runs are compared, so a rewriter bug can never masquerade as a
-/// speedup.
+/// Why a measurement produced no [`Evaluation`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EvalError {
+    /// The rewritten program's run failed in the simulator.
+    Sim(SimError),
+    /// The rewritten program computed different outputs than the
+    /// baseline image it was measured against: a rewriter semantics
+    /// bug (or a baseline taken on other input data). A wrong answer
+    /// is reported, never passed off as a speedup.
+    OutputMismatch,
+}
+
+impl fmt::Display for EvalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EvalError::Sim(e) => write!(f, "rewritten run failed: {e}"),
+            EvalError::OutputMismatch => {
+                f.write_str("rewritten program computed different outputs")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EvalError {}
+
+impl From<SimError> for EvalError {
+    fn from(e: SimError) -> Self {
+        EvalError::Sim(e)
+    }
+}
+
+/// Measure a prepared design on `data` against the unchanged program's
+/// baseline: its dynamic op count `base_cycles` and its output image
+/// `baseline` (both from one [`Engine::run_output`] of the baseline on
+/// the same data — the profile run, in a session). Only the rewritten
+/// program runs; its outputs must match the baseline image by
+/// [`OutputImage::same_memory`], so a rewriter bug can never
+/// masquerade as a speedup.
 ///
 /// # Errors
 ///
-/// Propagates simulator errors from either run.
-///
-/// # Panics
-///
-/// Panics if the rewritten program computes different outputs — that
-/// would be a semantics bug in the rewriter, not an input error.
-pub fn evaluate_prepared(
-    base_engine: &Engine,
+/// [`EvalError::Sim`] if the rewritten run fails,
+/// [`EvalError::OutputMismatch`] if it computes different outputs.
+pub fn measure(
     prepared: &PreparedDesign,
     data: &DataSet,
-) -> Result<Evaluation, SimError> {
-    let base = base_engine.run(data)?;
-    let after = prepared.engine.run(data)?;
-    assert_eq!(
-        base.memory, after.memory,
-        "rewritten program must compute identical outputs"
-    );
-    let base_cycles = base.profile.total_ops();
+    base_cycles: u64,
+    baseline: &OutputImage,
+) -> Result<Evaluation, EvalError> {
+    let (after, image) = prepared.engine.run_output(data)?;
+    if !image.same_memory(baseline) {
+        return Err(EvalError::OutputMismatch);
+    }
     let asip_cycles = after.profile.total_ops();
     Ok(Evaluation {
         base_cycles,
@@ -105,68 +134,29 @@ pub fn evaluate_prepared(
         fused_chains: prepared.stats.fused_chains,
         extension_area: prepared.area,
     })
-}
-
-/// Rewrite a copy of `program` with `design` and measure both versions
-/// on `data` (one-shot convenience over [`prepare`] +
-/// [`evaluate_prepared`]).
-///
-/// # Errors
-///
-/// Propagates simulator errors from either run.
-///
-/// # Panics
-///
-/// Panics if the rewritten program computes different outputs — that
-/// would be a semantics bug in the rewriter, not an input error.
-pub fn evaluate(
-    program: &Program,
-    design: &AsipDesign,
-    data: &DataSet,
-) -> Result<Evaluation, SimError> {
-    let base = Simulator::new(program).run(data)?;
-    let prepared = prepare(program, design);
-    let after = prepared.engine.run(data)?;
-    assert_eq!(
-        base.memory, after.memory,
-        "rewritten program must compute identical outputs"
-    );
-    let base_cycles = base.profile.total_ops();
-    let asip_cycles = after.profile.total_ops();
-    Ok(Evaluation {
-        base_cycles,
-        asip_cycles,
-        speedup: base_cycles as f64 / asip_cycles.max(1) as f64,
-        fused_chains: prepared.stats.fused_chains,
-        extension_area: prepared.area,
-    })
-}
-
-/// As [`evaluate`], but the baseline run reuses an already-decoded
-/// [`Engine`] for the program — the path sessions take when no cached
-/// [`PreparedDesign`] exists yet.
-///
-/// # Errors
-///
-/// Propagates simulator errors from either run.
-///
-/// # Panics
-///
-/// As [`evaluate`]: panics if the rewritten program computes different
-/// outputs.
-pub fn evaluate_with_engine(
-    base_engine: &Engine,
-    design: &AsipDesign,
-    data: &DataSet,
-) -> Result<Evaluation, SimError> {
-    let prepared = prepare(base_engine.program(), design);
-    evaluate_prepared(base_engine, &prepared, data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::select::{AsipDesigner, DesignConstraints};
+    use asip_ir::Program;
+
+    /// Prepare `design` on `program` and measure it against one
+    /// baseline run on `data`.
+    fn measure_once(
+        program: &Program,
+        design: &AsipDesign,
+        data: &DataSet,
+    ) -> Result<Evaluation, EvalError> {
+        let (base, image) = Engine::new(Arc::new(program.clone())).run_output(data)?;
+        measure(
+            &prepare(program, design),
+            data,
+            base.profile.total_ops(),
+            &image,
+        )
+    }
 
     #[test]
     fn design_loop_speeds_up_sewha() {
@@ -176,7 +166,7 @@ mod tests {
         let profile = b.profile(&program).expect("runs");
         let design = AsipDesigner::new(DesignConstraints::default()).design_for(&program, &profile);
         assert!(!design.is_empty(), "feedback should propose extensions");
-        let eval = evaluate(&program, &design, &b.dataset()).expect("evaluates");
+        let eval = measure_once(&program, &design, &b.dataset()).expect("evaluates");
         assert!(eval.fused_chains > 0, "extensions should fire in the code");
         assert!(
             eval.speedup > 1.0,
@@ -191,7 +181,7 @@ mod tests {
         let benches = asip_benchmarks::registry();
         let b = benches.find("bspline").expect("built-in");
         let program = b.compile().expect("compiles");
-        let eval = evaluate(&program, &AsipDesign::default(), &b.dataset()).expect("evaluates");
+        let eval = measure_once(&program, &AsipDesign::default(), &b.dataset()).expect("evaluates");
         assert_eq!(eval.base_cycles, eval.asip_cycles);
         assert_eq!(eval.speedup, 1.0);
         assert_eq!(eval.fused_chains, 0);
@@ -219,7 +209,7 @@ mod tests {
         assert!(!design.is_empty());
         let mut best = 1.0_f64;
         for (b, program, _) in &compiled {
-            let eval = evaluate(program, &design, &b.dataset()).expect("evaluates");
+            let eval = measure_once(program, &design, &b.dataset()).expect("evaluates");
             assert!(eval.speedup >= 1.0, "{}: slowdown", b.name);
             best = best.max(eval.speedup);
         }
@@ -243,9 +233,32 @@ mod tests {
             ..DesignConstraints::default()
         })
         .design_for(&program, &profile);
-        let es = evaluate(&program, &small, &b.dataset()).expect("evaluates");
-        let el = evaluate(&program, &large, &b.dataset()).expect("evaluates");
+        let es = measure_once(&program, &small, &b.dataset()).expect("evaluates");
+        let el = measure_once(&program, &large, &b.dataset()).expect("evaluates");
         assert!(el.speedup >= es.speedup);
         assert!(large.extension_area >= small.extension_area);
+    }
+
+    #[test]
+    fn baseline_from_other_data_is_a_typed_mismatch() {
+        // a wrong answer surfaces as an error value, not a panic: the
+        // rewritten program runs on the default data, the baseline
+        // image comes from a different dataset
+        let benches = asip_benchmarks::registry();
+        let b = benches.find("sewha").expect("built-in");
+        let program = b.compile().expect("compiles");
+        let profile = b.profile(&program).expect("runs");
+        let design = AsipDesigner::new(DesignConstraints::default()).design_for(&program, &profile);
+        let prepared = prepare(&program, &design);
+        let engine = Engine::new(Arc::new(program));
+        let data = b.dataset();
+        let (base, image) = engine.run_output(&data).expect("runs");
+        let cycles = base.profile.total_ops();
+        assert!(measure(&prepared, &data, cycles, &image).is_ok());
+        let (_, other) = engine.run_output(&b.dataset_with_seed(7)).expect("runs");
+        assert!(!other.same_memory(&image), "the datasets must differ");
+        let err = measure(&prepared, &data, cycles, &other).unwrap_err();
+        assert_eq!(err, EvalError::OutputMismatch);
+        assert!(err.to_string().contains("different outputs"));
     }
 }

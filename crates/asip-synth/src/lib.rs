@@ -22,22 +22,29 @@
 //! 3. [`rewrite`] — a matcher that replaces fusable runs in the IR with
 //!    [`asip_ir::InstKind::Chained`] super-instructions (semantics
 //!    preserved; the simulator executes them in one cycle);
-//! 4. [`evaluate`](fn@evaluate) — before/after cycle counts and speedups.
+//! 4. [`evaluate`] — before/after cycle counts and speedups: [`prepare`]
+//!    rewrites and decodes a design once, [`measure`] runs the
+//!    rewritten program and checks its outputs against the baseline's.
 //!
 //! ## Example
 //!
 //! ```
+//! use asip_sim::Engine;
 //! use asip_synth::{AsipDesigner, DesignConstraints};
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let benches = asip_benchmarks::registry();
 //! let bench = benches.find("sewha").expect("built-in");
 //! let program = bench.compile()?;
-//! let profile = bench.profile(&program)?;
+//! let data = bench.dataset();
+//! // one baseline run yields the profile and the output image
+//! let (base, image) = Engine::new(Arc::new(program.clone())).run_output(&data)?;
 //!
 //! let design = AsipDesigner::new(DesignConstraints::default())
-//!     .design_for(&program, &profile);
-//! let eval = asip_synth::evaluate::evaluate(&program, &design, &bench.dataset())?;
+//!     .design_for(&program, &base.profile);
+//! let prepared = asip_synth::prepare(&program, &design);
+//! let eval = asip_synth::measure(&prepared, &data, base.profile.total_ops(), &image)?;
 //! assert!(eval.speedup >= 1.0);
 //! # Ok(())
 //! # }
@@ -55,9 +62,7 @@ pub mod rewrite;
 pub mod select;
 
 pub use cost::{fu_area, fu_delay_ns, ChainedUnit};
-pub use evaluate::{
-    evaluate, evaluate_prepared, evaluate_with_engine, prepare, Evaluation, PreparedDesign,
-};
+pub use evaluate::{measure, prepare, EvalError, Evaluation, PreparedDesign};
 pub use extension::{AsipDesign, IsaExtension};
 pub use frontier::{DesignSpace, LevelFeedback, ParetoPoint, SearchStats};
 pub use report::DesignReport;

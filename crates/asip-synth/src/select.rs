@@ -218,12 +218,6 @@ impl AsipDesigner {
             _ => frontier::build_design(&candidates, &greedy),
         }
     }
-
-    /// Alias for [`AsipDesigner::design_from_report`], kept for callers
-    /// written against the pre-split API.
-    pub fn select(&self, report: &SequenceReport) -> AsipDesign {
-        self.design_from_report(report)
-    }
 }
 
 /// Drop fusable candidates that never statically match any of
@@ -279,7 +273,7 @@ mod tests {
             ("add-add", 10.0),
             ("add-compare", 5.0),
         ]);
-        let design = AsipDesigner::new(DesignConstraints::default()).select(&r);
+        let design = AsipDesigner::new(DesignConstraints::default()).design_from_report(&r);
         assert!(!design.is_empty());
         assert!(design.find(&"multiply-add".parse().expect("ok")).is_some());
         // add-add has better benefit/area than multiply-add (adders are cheap)
@@ -293,7 +287,7 @@ mod tests {
             area_budget: 300.0, // fits add-add only
             ..DesignConstraints::default()
         };
-        let design = AsipDesigner::new(tight).select(&r);
+        let design = AsipDesigner::new(tight).design_from_report(&r);
         assert_eq!(design.len(), 1);
         assert_eq!(design.extensions[0].signature.to_string(), "add-add");
         assert!(design.extension_area <= 300.0);
@@ -312,7 +306,7 @@ mod tests {
             max_extensions: 2,
             ..DesignConstraints::default()
         };
-        let design = AsipDesigner::new(cons).select(&r);
+        let design = AsipDesigner::new(cons).design_from_report(&r);
         assert_eq!(design.len(), 2);
 
         // a divide chain cannot close a 5 ns clock
@@ -321,7 +315,7 @@ mod tests {
             clock_ns: 5.0,
             ..DesignConstraints::default()
         };
-        assert!(AsipDesigner::new(fast).select(&r).is_empty());
+        assert!(AsipDesigner::new(fast).design_from_report(&r).is_empty());
     }
 
     #[test]
@@ -368,7 +362,7 @@ mod tests {
     fn skips_unfusable_signatures() {
         // memory ops cannot be fused by the rewriter
         let r = report(vec![("load-multiply", 30.0), ("add-store", 25.0)]);
-        let design = AsipDesigner::new(DesignConstraints::default()).select(&r);
+        let design = AsipDesigner::new(DesignConstraints::default()).design_from_report(&r);
         assert!(design.is_empty());
     }
 }

@@ -1438,8 +1438,13 @@ mod tests {
             .design_from_schedule(&graph, &program);
         round_trip(&design);
 
+        let data = bench.dataset();
+        let (_, image) = asip_sim::Engine::new(Arc::new(program.clone()))
+            .run_output(&data)
+            .expect("runs");
+        let prepared = asip_synth::prepare(&program, &design);
         let evaluation =
-            asip_synth::evaluate(&program, &design, &bench.dataset()).expect("evaluates");
+            asip_synth::measure(&prepared, &data, profile.total_ops(), &image).expect("evaluates");
         round_trip(&evaluation);
         round_trip(&vec![(String::from("sewha"), evaluation)]);
     }

@@ -2,8 +2,9 @@
 //!
 //! Every stage of the exploration pipeline has its own error domain —
 //! the front end ([`FrontendError`]), IR validation ([`IrError`]), the
-//! profiling simulator ([`SimError`]) and the design-evaluation rerun
-//! (also simulator errors, but in a different stage of Figure 1). Before
+//! profiling simulator ([`SimError`]) and the design-evaluation run of
+//! the rewritten program (simulator errors in a different stage of
+//! Figure 1, plus wrong outputs). Before
 //! the session API, callers threaded `Box<dyn Error>` through every
 //! driver loop; [`ExplorerError`] replaces that with one inspectable
 //! enum and `From` conversions from each stage error.
@@ -186,9 +187,16 @@ pub enum ExplorerError {
     Ir(IrError),
     /// The profiling simulation failed (paper step 2).
     Sim(SimError),
-    /// The design-evaluation rerun failed (paper Figure 1: measuring the
+    /// The design-evaluation run failed (paper Figure 1: measuring the
     /// rewritten program on the proposed ASIP).
     Eval(SimError),
+    /// A rewritten program computed different outputs than its
+    /// baseline: a wrong answer from the rewriter, reported as an
+    /// error (a serve daemon answers it; nothing panics).
+    OutputMismatch {
+        /// The benchmark whose rewritten program diverged.
+        benchmark: String,
+    },
     /// A suite-level stage was asked to design for zero benchmarks.
     EmptySuite,
 }
@@ -209,6 +217,11 @@ impl fmt::Display for ExplorerError {
             ExplorerError::Ir(e) => write!(f, "IR validation failed: {e}"),
             ExplorerError::Sim(e) => write!(f, "profiling simulation failed: {e}"),
             ExplorerError::Eval(e) => write!(f, "design evaluation failed: {e}"),
+            ExplorerError::OutputMismatch { benchmark } => write!(
+                f,
+                "design evaluation failed: the rewritten `{benchmark}` computed different \
+                 outputs than the baseline"
+            ),
             ExplorerError::EmptySuite => {
                 write!(f, "suite stage requires at least one benchmark")
             }
@@ -221,6 +234,7 @@ impl std::error::Error for ExplorerError {
         match self {
             ExplorerError::UnknownBenchmark { .. }
             | ExplorerError::InvalidEndpoint { .. }
+            | ExplorerError::OutputMismatch { .. }
             | ExplorerError::EmptySuite => None,
             ExplorerError::Frontend(e) => Some(e),
             ExplorerError::Ir(e) => Some(e),
@@ -278,6 +292,10 @@ mod tests {
         assert!(e.to_string().contains("`nope`"));
         let e = ExplorerError::Eval(SimError::StepLimit { limit: 7 });
         assert!(e.to_string().contains("design evaluation"));
+        let e = ExplorerError::OutputMismatch {
+            benchmark: "fir".into(),
+        };
+        assert!(e.to_string().contains("`fir` computed different outputs"));
         let e = ExplorerError::EmptySuite;
         assert!(e.to_string().contains("at least one benchmark"));
         assert!(std::error::Error::source(&e).is_none());

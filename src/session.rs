@@ -71,9 +71,9 @@ use asip_benchmarks::{Benchmark, DataSpec, Registry, DEFAULT_SEED};
 use asip_chains::{DetectorConfig, SequenceDetector, SequenceReport};
 use asip_ir::{OpClass, Program};
 use asip_opt::{OptConfig, OptLevel, Optimizer, ScheduleGraph};
-use asip_sim::{Engine, Profile, RunStateStats};
+use asip_sim::{Engine, OutputImage, Profile, RunStateStats};
 use asip_synth::{
-    AsipDesign, AsipDesigner, DesignConstraints, DesignSpace, Evaluation, LevelFeedback,
+    AsipDesign, AsipDesigner, DesignConstraints, DesignSpace, EvalError, Evaluation, LevelFeedback,
     PreparedDesign,
 };
 use std::collections::BTreeSet;
@@ -553,6 +553,12 @@ pub struct Explorer {
     /// profile and evaluate stages share so one session decodes each
     /// program exactly once.
     engines: Mutex<LruCache<String, Arc<Engine>>>,
+    /// Baseline output images, keyed like the profile cache by
+    /// `(benchmark, seed)`. The profile stage's own run captures each
+    /// one (when the profile came from a tier instead, the first
+    /// evaluation runs the baseline once), so an evaluation simulates
+    /// only the rewritten program. Derived state, like `engines`.
+    baselines: Mutex<LruCache<(String, u64), Arc<OutputImage>>>,
     /// Rewritten-design engines, keyed by `(benchmark, design digest)`.
     /// Design sweeps re-measure the same `(program, design)` pair
     /// across datasets and constraint grids; caching the
@@ -581,6 +587,7 @@ impl Default for Explorer {
             tiers: TierStack::new(),
             caches: Caches::default(),
             engines: Mutex::new(LruCache::default()),
+            baselines: Mutex::new(LruCache::default()),
             rewritten: Mutex::new(LruCache::default()),
         }
     }
@@ -667,6 +674,7 @@ impl Explorer {
             cache.set_capacity(cap);
         });
         lock(&self.engines).set_capacity(cap);
+        lock(&self.baselines).set_capacity(cap);
         lock(&self.rewritten).set_capacity(cap);
         self
     }
@@ -854,6 +862,7 @@ impl Explorer {
     pub fn reset(&self) {
         self.caches.for_each(|_, cache| cache.reset());
         lock(&self.engines).clear();
+        lock(&self.baselines).clear();
         lock(&self.rewritten).clear();
         if let Some(staging) = &self.staging {
             staging.clear();
@@ -969,10 +978,11 @@ impl Explorer {
     /// The session's decoded simulator [`Engine`] for a benchmark:
     /// the compiled program lowered once into the pre-decoded execution
     /// form (see [`asip_sim::decode`]) and cached, so every simulation
-    /// the session performs for this program — the profile stage, the
-    /// evaluate stage's baseline re-run, suite sweeps — shares one
-    /// decode. The cache is dropped by [`Explorer::reset`] and bounded
-    /// by [`Explorer::with_cache_capacity`] like the stage caches.
+    /// the session performs for this program — the profile stage's
+    /// run and, for a profile served by a tier, the one lazy baseline
+    /// run of the evaluate stage — shares one decode. The cache is
+    /// dropped by [`Explorer::reset`] and bounded by
+    /// [`Explorer::with_cache_capacity`] like the stage caches.
     ///
     /// # Errors
     ///
@@ -1017,6 +1027,45 @@ impl Explorer {
         Ok(prepared)
     }
 
+    /// The baseline output image of `name` on the session's seeded
+    /// data: captured by the profile stage's run, or — when the profile
+    /// came from a tier — computed here by one baseline run and cached.
+    fn baseline(&self, name: &str) -> Result<Arc<OutputImage>, ExplorerError> {
+        let key = (name.to_string(), self.seed);
+        if let Some(image) = lock(&self.baselines).get(&key) {
+            return Ok(Arc::clone(image));
+        }
+        let data = self.benchmark(name)?.dataset_with_seed(self.seed);
+        let (_, image) = self
+            .engine(name)?
+            .run_output(&data)
+            .map_err(ExplorerError::Eval)?;
+        let image = Arc::new(image);
+        // a concurrent baseline run of the same program is benign
+        // (deterministic); last writer wins
+        lock(&self.baselines).insert(key, Arc::clone(&image));
+        Ok(image)
+    }
+
+    /// Measure `design` on `name`: only the rewritten program runs. The
+    /// baseline cycle count is the cached profile's `total_ops`, and
+    /// the rewritten outputs are checked against the cached baseline
+    /// image.
+    fn measure(&self, name: &str, design: &AsipDesign) -> Result<Evaluation, ExplorerError> {
+        let profiled = self.profile(name)?;
+        let data = profiled.benchmark.dataset_with_seed(self.seed);
+        let prepared = self.prepared(name, design)?;
+        let baseline = self.baseline(name)?;
+        asip_synth::measure(&prepared, &data, profiled.profile.total_ops(), &baseline).map_err(
+            |e| match e {
+                EvalError::Sim(e) => ExplorerError::Eval(e),
+                EvalError::OutputMismatch => ExplorerError::OutputMismatch {
+                    benchmark: name.to_string(),
+                },
+            },
+        )
+    }
+
     /// Profile stage: run the benchmark on its seeded Table-1 input
     /// data and collect per-instruction dynamic counts.
     ///
@@ -1034,9 +1083,11 @@ impl Explorer {
             disk,
             || {
                 let data = compiled.benchmark.dataset_with_seed(seed);
-                // profile-only pooled run: no Vec<Value> output banks
-                // are ever materialized on this path
-                Ok(self.engine(name)?.run_profile(&data)?.profile)
+                // one pooled run yields the profile and the typed
+                // baseline output image every evaluation checks against
+                let (outcome, image) = self.engine(name)?.run_output(&data)?;
+                lock(&self.baselines).insert((name.to_string(), seed), Arc::new(image));
+                Ok(outcome.profile)
             },
         )?;
         Ok(Profiled {
@@ -1177,8 +1228,10 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// Propagates earlier-stage errors; simulator failures during the
-    /// measurement rerun surface as [`ExplorerError::Eval`].
+    /// Propagates earlier-stage errors; simulator failures of the
+    /// rewritten run surface as [`ExplorerError::Eval`], and a
+    /// rewritten program whose outputs differ from the baseline's as
+    /// [`ExplorerError::OutputMismatch`].
     pub fn evaluate(&self, name: &str) -> Result<Evaluated, ExplorerError> {
         self.evaluate_with(name, self.constraints, self.detector)
     }
@@ -1206,10 +1259,7 @@ impl Explorer {
         );
         let disk = || self.key_design(Stage::Evaluate, &compiled.benchmark, constraints, detector);
         let evaluation = self.cached(Stage::Evaluate, &self.caches.evaluate, key, disk, || {
-            let data = compiled.benchmark.dataset_with_seed(self.seed);
-            let prepared = self.prepared(name, &designed.design)?;
-            asip_synth::evaluate_prepared(&*self.engine(name)?, &prepared, &data)
-                .map_err(ExplorerError::Eval)
+            self.measure(name, &designed.design)
         })?;
         Ok(Evaluated {
             benchmark: compiled.benchmark,
@@ -1310,7 +1360,8 @@ impl Explorer {
     /// # Errors
     ///
     /// Everything [`Explorer::design_suite_with`] raises; measurement
-    /// failures surface as [`ExplorerError::Eval`].
+    /// failures surface as [`ExplorerError::Eval`] or
+    /// [`ExplorerError::OutputMismatch`].
     pub fn evaluate_suite_with(
         &self,
         names: &[&str],
@@ -1332,25 +1383,23 @@ impl Explorer {
             disk,
             || {
                 // each member measurement starts from its compiled
-                // program: stage the not-yet-memoized reads in parallel
-                let keys = designed
-                    .benchmarks
-                    .iter()
-                    .filter(|name| !self.caches.compile.contains_key(*name))
-                    .filter_map(|name| {
-                        let bench = self.registry.find(name)?;
-                        self.key_compile(bench).map(|k| (Stage::Compile, k))
-                    })
-                    .collect();
+                // program and its profile: stage the not-yet-memoized
+                // reads in parallel
+                let mut keys = Vec::new();
+                for name in &designed.benchmarks {
+                    let Some(bench) = self.registry.find(name) else {
+                        continue;
+                    };
+                    if !self.caches.compile.contains_key(name) {
+                        keys.extend(self.key_compile(bench).map(|k| (Stage::Compile, k)));
+                    }
+                    if !self.caches.profile.contains_key(&(name.clone(), self.seed)) {
+                        keys.extend(self.key_profile(bench).map(|k| (Stage::Profile, k)));
+                    }
+                }
                 self.prefetch_keys(keys);
                 self.map_slice(&designed.benchmarks, |name| {
-                    let compiled = self.compile(name)?;
-                    let data = compiled.benchmark.dataset_with_seed(self.seed);
-                    let prepared = self.prepared(name, &design)?;
-                    let evaluation =
-                        asip_synth::evaluate_prepared(&*self.engine(name)?, &prepared, &data)
-                            .map_err(ExplorerError::Eval)?;
-                    Ok((name.clone(), evaluation))
+                    Ok((name.clone(), self.measure(name, &design)?))
                 })
             },
         )?;

@@ -351,3 +351,78 @@ fn evaluated_shares_the_cached_evaluation_arc() {
     assert!(Arc::ptr_eq(&e1.evaluation, &e2.evaluation));
     assert!(Arc::ptr_eq(&e1.design, &e2.design));
 }
+
+/// Run-state checkouts of each baseline engine, per member.
+fn baseline_checkouts(session: &Explorer, names: &[&str]) -> Vec<u64> {
+    names
+        .iter()
+        .map(|name| {
+            let engine = session.engine(name).expect("engine");
+            engine.run_state_stats().checkouts
+        })
+        .collect()
+}
+
+#[test]
+fn warm_suite_evaluation_runs_no_baseline() {
+    // the profile runs captured every baseline output: measuring a new
+    // suite design simulates only the rewritten programs
+    let session = Explorer::new().with_levels([OptLevel::Pipelined]);
+    session.explore_all().expect("explores");
+    let names: Vec<&str> = session.registry().iter().map(|b| b.name).collect();
+    assert_eq!(names.len(), 12);
+    let before = baseline_checkouts(&session, &names);
+    let suite = session
+        .evaluate_suite_with(&names, DesignConstraints::default(), session.detector())
+        .expect("evaluates");
+    assert_eq!(suite.evaluations.len(), 12);
+    assert_eq!(
+        baseline_checkouts(&session, &names),
+        before,
+        "zero baseline run states checked out"
+    );
+    // the baseline cycles are the cached profiles' op counts
+    for (name, evaluation) in suite.evaluations.iter() {
+        let profiled = session.profile(name).expect("cached");
+        assert_eq!(evaluation.base_cycles, profiled.profile.total_ops());
+    }
+}
+
+#[test]
+fn store_warm_session_runs_each_baseline_once() {
+    // profiles served by the store carry no output image: the first
+    // evaluation runs each baseline once, later ones reuse it
+    let dir = std::env::temp_dir().join(format!("asip-baselines-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let names: Vec<&str> = Explorer::new().registry().iter().map(|b| b.name).collect();
+    {
+        let writer = Explorer::new().with_store(&dir);
+        for name in &names {
+            writer.profile(name).expect("profiles");
+        }
+    }
+    let session = Explorer::new()
+        .with_levels([OptLevel::Pipelined])
+        .with_store(&dir);
+    for name in &names {
+        session.profile(name).expect("profiles");
+    }
+    let stats = session.cache_stats();
+    assert_eq!(stats.profile.disk_hits, names.len() as u64);
+    assert!(baseline_checkouts(&session, &names).iter().all(|&n| n == 0));
+    let small = DesignConstraints {
+        area_budget: 1500.0,
+        ..DesignConstraints::default()
+    };
+    for constraints in [DesignConstraints::default(), small] {
+        session
+            .evaluate_suite_with(&names, constraints, session.detector())
+            .expect("evaluates");
+        assert!(
+            baseline_checkouts(&session, &names).iter().all(|&n| n == 1),
+            "each baseline runs exactly once"
+        );
+    }
+    assert_eq!(session.cache_stats().evaluate_suite.misses, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -115,15 +115,22 @@ fn figures_series_decay_monotonically() {
 fn figure1_design_loop_produces_speedup() {
     // the framework promise: feedback-selected chained instructions
     // actually speed up the code that motivated them
-    use asip_explorer::synth::{evaluate, DesignConstraints};
+    use asip_explorer::sim::Engine;
+    use asip_explorer::synth::{measure, prepare, DesignConstraints};
+    use std::sync::Arc;
     let mut wins = 0;
     for name in ["sewha", "bspline", "iir", "flatten"] {
         let benches = registry();
         let bench = benches.find(name).expect("built-in");
         let program = bench.compile().expect("compiles");
-        let profile = bench.profile(&program).expect("simulates");
-        let design = AsipDesigner::new(DesignConstraints::default()).design_for(&program, &profile);
-        let eval = evaluate(&program, &design, &bench.dataset()).expect("evaluates");
+        let data = bench.dataset();
+        let (base, image) = Engine::new(Arc::new(program.clone()))
+            .run_output(&data)
+            .expect("simulates");
+        let design =
+            AsipDesigner::new(DesignConstraints::default()).design_for(&program, &base.profile);
+        let prepared = prepare(&program, &design);
+        let eval = measure(&prepared, &data, base.profile.total_ops(), &image).expect("evaluates");
         assert!(eval.speedup >= 1.0, "{name}: slowdown {:.3}", eval.speedup);
         if eval.speedup > 1.05 {
             wins += 1;
