@@ -3,6 +3,7 @@
 
 use crate::report::{SeqStats, SequenceReport};
 use crate::signature::Signature;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// A combined report across several benchmarks.
@@ -14,15 +15,19 @@ pub type CombinedReport = SequenceReport;
 /// the reading consistent with the magnitudes in the paper's combined
 /// figures and Table 2.
 ///
+/// Takes owned reports or references (`&[SequenceReport]` or
+/// `&[&SequenceReport]`), so callers holding shared studies need not
+/// clone them.
+///
 /// # Panics
 ///
 /// Panics if `reports` is empty — there is nothing to combine.
-pub fn combine(reports: &[SequenceReport]) -> CombinedReport {
+pub fn combine<R: Borrow<SequenceReport>>(reports: &[R]) -> CombinedReport {
     assert!(!reports.is_empty(), "cannot combine zero reports");
     let n = reports.len() as f64;
-    let suite_total: u64 = reports.iter().map(|r| r.total_profile_ops).sum();
+    let suite_total: u64 = reports.iter().map(|r| r.borrow().total_profile_ops).sum();
     let mut avg: BTreeMap<Signature, SeqStats> = BTreeMap::new();
-    for r in reports {
+    for r in reports.iter().map(Borrow::borrow) {
         for (sig, stats) in r.entries() {
             // probe by reference first: a map hit (the common case once
             // the first report is in) must not clone the signature
@@ -160,6 +165,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot combine")]
     fn empty_combination_panics() {
-        let _ = combine(&[]);
+        let _ = combine::<SequenceReport>(&[]);
     }
 }

@@ -152,7 +152,9 @@ impl Inst {
 
     /// All registers read by this instruction.
     pub fn uses(&self) -> Vec<Reg> {
-        self.operands().iter().filter_map(Operand::reg).collect()
+        let mut regs = Vec::new();
+        self.for_each_use(|r| regs.push(r));
+        regs
     }
 
     /// True if this instruction reads `reg` — `uses().contains(&reg)`
@@ -168,6 +170,32 @@ impl Inst {
             InstKind::Jump { .. } => false,
             InstKind::Ret { value } => value.as_ref().is_some_and(is),
             InstKind::Chained { inputs, .. } => inputs.iter().any(is),
+        }
+    }
+
+    /// Call `f` on every register read by this instruction, once per
+    /// operand, in [`Inst::uses`] order — without allocating.
+    pub fn for_each_use(&self, mut f: impl FnMut(Reg)) {
+        let mut visit = |o: &Operand| {
+            if let Some(r) = o.reg() {
+                f(r);
+            }
+        };
+        match &self.kind {
+            InstKind::Binary { lhs, rhs, .. } => {
+                visit(lhs);
+                visit(rhs);
+            }
+            InstKind::Unary { src, .. } => visit(src),
+            InstKind::Load { index, .. } => visit(index),
+            InstKind::Store { index, value, .. } => {
+                visit(index);
+                visit(value);
+            }
+            InstKind::Branch { cond, .. } => visit(cond),
+            InstKind::Jump { .. } => {}
+            InstKind::Ret { value } => value.iter().for_each(visit),
+            InstKind::Chained { inputs, .. } => inputs.iter().for_each(visit),
         }
     }
 

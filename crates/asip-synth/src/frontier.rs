@@ -21,8 +21,9 @@
 //!   the branch step's feasibility check.
 //! - **Shared evaluation**: one memo table per search memoizes
 //!   coverage-report combination per level, [`ChainedUnit`] area/delay
-//!   per signature, and static-match tests per signature, so a
-//!   256-config sweep pays for each only once.
+//!   per signature, and static-match tests per signature (lookups in
+//!   one [`FusableRuns`] index per program), so a 256-config sweep pays
+//!   for each only once.
 //!
 //! Configs that agree on `(opt_level, clock_ns)` share one search (the
 //! candidate list depends only on those two); each config then *queries*
@@ -33,11 +34,11 @@
 
 use crate::cost::ChainedUnit;
 use crate::extension::{AsipDesign, IsaExtension};
-use crate::rewrite;
+use crate::rewrite::{self, FusableRuns};
 use crate::select::{AsipDesigner, DesignConstraints};
 use asip_chains::{SequenceReport, Signature};
 use asip_ir::Program;
-use asip_opt::{OptLevel, ScheduleGraph};
+use asip_opt::OptLevel;
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// Benefit improvements below this are ties: the greedy design is kept
@@ -53,19 +54,21 @@ pub(crate) const EPS: f64 = 1e-9;
 const MAX_EXPANSIONS: usize = 50_000;
 
 /// Compiler feedback for one optimization level: every suite member's
-/// schedule at that level, paired with its program.
+/// coverage study ([`coverage_report`](crate::select::coverage_report))
+/// of its schedule at that level, paired with its program.
 ///
 /// All [`LevelFeedback`] entries passed to one
 /// [`AsipDesigner::explore_design_space`] call must describe the *same*
-/// program suite (the schedules differ per level, the programs do not);
-/// the search memoizes static-match tests per signature across levels
-/// on that invariant.
+/// program suite, in the same order (the studies differ per level, the
+/// programs do not): the search memoizes static-match tests per
+/// signature across levels on that invariant, and panics if it does
+/// not hold.
 #[derive(Debug, Clone)]
 pub struct LevelFeedback<'a> {
     /// The optimization level the schedules were produced at.
     pub level: OptLevel,
-    /// `(schedule, program)` per suite member.
-    pub suite: Vec<(&'a ScheduleGraph, &'a Program)>,
+    /// `(coverage study, program)` per suite member.
+    pub suite: Vec<(&'a SequenceReport, &'a Program)>,
 }
 
 /// One non-dominated point of a search group's (area, opcode slots,
@@ -187,7 +190,9 @@ pub fn canonicalize_configs(configs: &[DesignConstraints]) -> Vec<DesignConstrai
 
 /// Shared evaluations of one design-space search: chained-unit costs
 /// and static-match tests per signature. Keyed by signature only — the
-/// program suite is fixed for the search (see [`LevelFeedback`]).
+/// program suite is fixed for the search (see [`LevelFeedback`]), and a
+/// static-match miss is a lookup in the suite's [`FusableRuns`]
+/// indices, built once per search.
 #[derive(Debug, Default)]
 pub(crate) struct MemoTable {
     units: BTreeMap<Signature, (f64, f64)>,
@@ -210,16 +215,15 @@ impl MemoTable {
         cost
     }
 
-    /// Whether `sig` statically matches a fusable run in any program.
-    fn matches(&mut self, sig: &Signature, programs: &[&Program]) -> bool {
+    /// Whether `sig` statically matches a fusable run in any indexed
+    /// program.
+    fn matches(&mut self, sig: &Signature, runs: &[FusableRuns]) -> bool {
         if let Some(&m) = self.matchable.get(sig) {
             self.hits += 1;
             return m;
         }
         self.misses += 1;
-        let m = programs
-            .iter()
-            .any(|program| rewrite::Rewriter::count_static_matches(program, sig) > 0);
+        let m = runs.iter().any(|r| r.contains(sig));
         self.matchable.insert(sig.clone(), m);
         m
     }
@@ -229,20 +233,20 @@ impl MemoTable {
     }
 }
 
-/// `retain_matchable` (see [`select`](crate::select)) through the memo
-/// table: drop fusable candidates that never statically match any
-/// program.
-fn retain_matchable_memo(
+/// Drop fusable candidates that never statically match (`matches`
+/// says no) — the rewriter could not instantiate them, so spending area
+/// on them is pure waste. Unfusable signatures pass through (candidate
+/// building filters them anyway).
+pub(crate) fn retain_matchable(
     report: &SequenceReport,
-    programs: &[&Program],
-    memo: &mut MemoTable,
+    mut matches: impl FnMut(&Signature) -> bool,
 ) -> SequenceReport {
     SequenceReport::from_parts(
         report.name.clone(),
         report
             .entries()
             .iter()
-            .filter(|(sig, _)| !rewrite::is_fusable_signature(sig) || memo.matches(sig, programs))
+            .filter(|(sig, _)| !rewrite::is_fusable_signature(sig) || matches(sig))
             .cloned()
             .collect(),
         report.total_profile_ops,
@@ -599,16 +603,16 @@ impl AsipDesigner {
     /// beat it — the same contract as
     /// [`AsipDesigner::design_from_report`].
     ///
-    /// The designer's own `constraints` are not consulted (each config
-    /// carries its own); its detector configuration drives the coverage
-    /// studies.
+    /// The designer's own `constraints` and detector are not consulted:
+    /// each config carries its own constraints, and the feedback
+    /// carries the coverage studies.
     ///
     /// # Panics
     ///
-    /// Panics when a config's level has no feedback entry, or a
-    /// feedback suite is empty — both are caller contract violations,
-    /// like the empty suite in
-    /// [`AsipDesigner::design_from_schedules`].
+    /// Panics when a config's level has no feedback entry, a feedback
+    /// suite is empty, or two feedback entries list different programs
+    /// — all caller contract violations, like the empty suite in
+    /// [`AsipDesigner::design_from_reports`].
     pub fn explore_design_space(
         &self,
         feedback: &[LevelFeedback<'_>],
@@ -617,6 +621,7 @@ impl AsipDesigner {
         let configs = canonicalize_configs(configs);
         let mut stats = SearchStats::default();
         let mut memo = MemoTable::default();
+        let runs = suite_runs(feedback);
 
         // one combined matchable report per distinct level
         let mut reports: BTreeMap<u8, SequenceReport> = BTreeMap::new();
@@ -632,16 +637,12 @@ impl AsipDesigner {
                 .find(|f| f.level == level)
                 .unwrap_or_else(|| panic!("no feedback for {level:?}"));
             assert!(!fb.suite.is_empty(), "feedback suite must not be empty");
-            let per_member: Vec<SequenceReport> = fb
-                .suite
-                .iter()
-                .map(|(graph, _)| self.coverage_report(graph))
-                .collect();
+            let per_member: Vec<&SequenceReport> =
+                fb.suite.iter().map(|(report, _)| *report).collect();
             let combined = asip_chains::combine(&per_member);
-            let programs: Vec<&Program> = fb.suite.iter().map(|(_, program)| *program).collect();
             reports.insert(
                 level.number(),
-                retain_matchable_memo(&combined, &programs, &mut memo),
+                retain_matchable(&combined, |sig| memo.matches(sig, &runs)),
             );
         }
 
@@ -710,6 +711,30 @@ impl AsipDesigner {
             stats,
         }
     }
+}
+
+/// One [`FusableRuns`] index per suite program, after checking that
+/// every feedback entry lists the same programs in the same order (the
+/// memo table keys static matches by signature alone).
+fn suite_runs(feedback: &[LevelFeedback<'_>]) -> Vec<FusableRuns> {
+    let Some((first, rest)) = feedback.split_first() else {
+        return Vec::new();
+    };
+    let programs = || first.suite.iter().map(|(_, program)| *program);
+    for fb in rest {
+        assert!(
+            fb.suite.len() == first.suite.len()
+                && fb
+                    .suite
+                    .iter()
+                    .zip(programs())
+                    .all(|((_, p), q)| std::ptr::eq(*p, q) || *p == q),
+            "feedback for {:?} lists other programs than feedback for {:?}",
+            fb.level,
+            first.level
+        );
+    }
+    programs().map(FusableRuns::new).collect()
 }
 
 #[cfg(test)]
@@ -849,6 +874,35 @@ mod tests {
         assert_eq!(empty.count, 0);
         assert_eq!(empty.area.to_bits(), 0.0f64.to_bits());
         assert_eq!(empty.benefit.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "lists other programs")]
+    fn feedback_over_different_programs_is_a_contract_violation() {
+        // static matches are memoized by signature alone, so every
+        // level must describe the same suite
+        let benches = asip_benchmarks::registry();
+        let compile = |name| {
+            benches
+                .find(name)
+                .expect("built-in")
+                .compile()
+                .expect("compiles")
+        };
+        let (sewha, fir) = (compile("sewha"), compile("fir"));
+        let study = report(vec![("multiply-add", 20.0)]);
+        let feedback = [
+            LevelFeedback {
+                level: OptLevel::Pipelined,
+                suite: vec![(&study, &sewha)],
+            },
+            LevelFeedback {
+                level: OptLevel::PipelinedRenamed,
+                suite: vec![(&study, &fir)],
+            },
+        ];
+        AsipDesigner::new(DesignConstraints::default())
+            .explore_design_space(&feedback, &[DesignConstraints::default()]);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!    ([`AsipDesigner::explore_design_space`] → [`DesignSpace`]);
 //! 3. [`rewrite`] — a matcher that replaces fusable runs in the IR with
 //!    [`asip_ir::InstKind::Chained`] super-instructions (semantics
-//!    preserved; the simulator executes them in one cycle);
+//!    preserved; the simulator executes them in one cycle), driven by
+//!    one [`FusableRuns`] index per program;
 //! 4. [`evaluate`] — before/after cycle counts and speedups: [`prepare`]
 //!    rewrites and decodes a design once, [`measure`] runs the
 //!    rewritten program and checks its outputs against the baseline's.
@@ -66,5 +67,5 @@ pub use evaluate::{measure, prepare, EvalError, Evaluation, PreparedDesign};
 pub use extension::{AsipDesign, IsaExtension};
 pub use frontier::{DesignSpace, LevelFeedback, ParetoPoint, SearchStats};
 pub use report::DesignReport;
-pub use rewrite::Rewriter;
-pub use select::{AsipDesigner, DesignConstraints};
+pub use rewrite::{FusableRuns, Rewriter};
+pub use select::{coverage_report, AsipDesigner, DesignConstraints};

@@ -19,7 +19,7 @@
 
 use crate::extension::AsipDesign;
 use asip_chains::Signature;
-use asip_ir::{BinOp, DefUse, Inst, InstKind, OpClass, Operand, Program};
+use asip_ir::{BinOp, Inst, InstKind, OpClass, Operand, Program, Reg};
 
 /// True if the rewriter can implement this signature as a chained
 /// instruction (pure binary ALU classes only).
@@ -50,6 +50,132 @@ fn commutative(op: BinOp) -> bool {
     )
 }
 
+/// The fusable runs of one program: for every block position, the
+/// longest run of consecutive instructions starting there that the
+/// rewriter may fuse, plus each position's op class.
+///
+/// A run is a sequence of `Binary` instructions in which each result
+/// feeds the next instruction — as its lhs, or as either operand of a
+/// commutative op, never as both — and each intermediate register has
+/// exactly one def and one use in the whole program. A signature of
+/// length `k` matches at a position iff the run there is at least `k`
+/// long and the next `k` classes spell the signature.
+///
+/// Fusing a matched run never changes the run length at any *other*
+/// position that survives: the removed intermediates had one def and
+/// one use, both inside the run; the fused `Chained` instruction is
+/// not `Binary`, so runs that reached into it only get shorter; and
+/// the external operands keep their use counts. One index per program
+/// therefore serves a whole rewrite.
+#[derive(Debug, Clone)]
+pub struct FusableRuns {
+    /// Flat position of each block's first instruction.
+    block_starts: Vec<usize>,
+    /// Op class per flat position.
+    classes: Vec<OpClass>,
+    /// Longest fusable run starting at each flat position (0 for a
+    /// non-`Binary` instruction).
+    runs: Vec<u32>,
+}
+
+impl FusableRuns {
+    /// Index `program` in one pass over its instructions.
+    pub fn new(program: &Program) -> Self {
+        // per-register def and use counts (uses counted per operand,
+        // like `Inst::uses`)
+        let mut defs = vec![0u32; program.reg_types.len()];
+        let mut uses = vec![0u32; program.reg_types.len()];
+        let bump = |counts: &mut Vec<u32>, r: Reg| {
+            if r.index() >= counts.len() {
+                counts.resize(r.index() + 1, 0);
+            }
+            counts[r.index()] += 1;
+        };
+        for (_, inst) in program.insts() {
+            if let Some(d) = inst.dst() {
+                bump(&mut defs, d);
+            }
+            inst.for_each_use(|r| bump(&mut uses, r));
+        }
+        let once = |counts: &[u32], r: Reg| counts.get(r.index()) == Some(&1);
+
+        let total = program.inst_count();
+        let mut block_starts = Vec::with_capacity(program.blocks.len());
+        let mut classes = Vec::with_capacity(total);
+        let mut runs = vec![0u32; total];
+        for block in &program.blocks {
+            let base = classes.len();
+            block_starts.push(base);
+            classes.extend(block.insts.iter().map(|inst| program.class_of(inst)));
+            // backwards: a link from `i` to `i + 1` extends the run there
+            for (i, inst) in block.insts.iter().enumerate().rev() {
+                let InstKind::Binary { dst, .. } = inst.kind else {
+                    continue;
+                };
+                let linked = block
+                    .insts
+                    .get(i + 1)
+                    .is_some_and(|next| feeds(dst, next) && once(&defs, dst) && once(&uses, dst));
+                runs[base + i] = if linked { 1 + runs[base + i + 1] } else { 1 };
+            }
+        }
+        FusableRuns {
+            block_starts,
+            classes,
+            runs,
+        }
+    }
+
+    /// The longest fusable run starting at instruction `start` of block
+    /// `block` (0 if that instruction is not `Binary`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the position is outside the indexed program.
+    pub fn run_at(&self, block: usize, start: usize) -> usize {
+        self.runs[self.flat(block, start)] as usize
+    }
+
+    /// True if `sig` matches a fusable run starting at instruction
+    /// `start` of block `block`.
+    pub fn matches_at(&self, block: usize, start: usize, sig: &Signature) -> bool {
+        self.matches_flat(self.flat(block, start), sig)
+    }
+
+    /// True if `sig` matches a fusable run anywhere in the program.
+    pub fn contains(&self, sig: &Signature) -> bool {
+        (0..self.runs.len()).any(|p| self.matches_flat(p, sig))
+    }
+
+    fn flat(&self, block: usize, start: usize) -> usize {
+        let p = self.block_starts[block] + start;
+        let end = self
+            .block_starts
+            .get(block + 1)
+            .copied()
+            .unwrap_or(self.runs.len());
+        assert!(p < end, "position {start} is outside block {block}");
+        p
+    }
+
+    fn matches_flat(&self, p: usize, sig: &Signature) -> bool {
+        let k = sig.len();
+        self.runs[p] as usize >= k && self.classes[p..p + k] == *sig.classes()
+    }
+}
+
+/// True if `d` feeds `next` in a fusable position: `next` is `Binary`
+/// and reads `d` as its lhs, or as either operand if commutative, but
+/// not as both operands (one link cannot carry two values).
+fn feeds(d: Reg, next: &Inst) -> bool {
+    let InstKind::Binary { op, lhs, rhs, .. } = &next.kind else {
+        return false;
+    };
+    let feeds_lhs = lhs.reg() == Some(d);
+    let feeds_rhs = rhs.reg() == Some(d);
+    feeds_lhs != feeds_rhs && (feeds_lhs || commutative(*op))
+}
+
 /// Applies an [`AsipDesign`] to programs.
 #[derive(Debug, Clone)]
 pub struct Rewriter {
@@ -78,157 +204,85 @@ impl Rewriter {
 
     /// Rewrite a program in place; longest extensions are tried first at
     /// each position. Returns fusion statistics.
+    ///
+    /// One [`FusableRuns`] index drives a single walk over each block:
+    /// a fusion never changes the runs at later positions, so the walk
+    /// fuses exactly the sites, in exactly the order, that rescanning
+    /// the rewritten program from the top after every fusion would.
     pub fn apply(&self, program: &mut Program) -> RewriteStats {
         let mut stats = RewriteStats::default();
+        if self.design.is_empty() {
+            return stats;
+        }
         // longest first so a MAC3 wins over a MAC at the same site
         let mut ext_order: Vec<usize> = (0..self.design.extensions.len()).collect();
         ext_order.sort_by_key(|&i| std::cmp::Reverse(self.design.extensions[i].signature.len()));
 
-        loop {
-            let du = DefUse::new(program);
-            let Some((block, start, ext_idx)) = self.find_match(program, &du, &ext_order) else {
-                return stats;
+        let runs = FusableRuns::new(program);
+        for b in 0..program.blocks.len() {
+            let matched_at = |start: usize| {
+                ext_order
+                    .iter()
+                    .map(|&e| &self.design.extensions[e])
+                    .find(|ext| runs.matches_at(b, start, &ext.signature))
             };
-            let ext = &self.design.extensions[ext_idx];
-            let k = ext.signature.len();
-            let fused = self.fuse_run(program, block, start, k, ext.id);
-            let insts = &mut program.blocks[block].insts;
-            insts.splice(start..start + k, [fused]);
-            stats.fused_chains += 1;
-            stats.removed_ops += k - 1;
+            let old = std::mem::take(&mut program.blocks[b].insts);
+            let mut insts = Vec::with_capacity(old.len());
+            let mut rest = old.into_iter();
+            let mut start = 0;
+            while let Some(inst) = rest.next() {
+                let Some(ext) = matched_at(start) else {
+                    insts.push(inst);
+                    start += 1;
+                    continue;
+                };
+                let k = ext.signature.len();
+                let run: Vec<Inst> = std::iter::once(inst)
+                    .chain(rest.by_ref().take(k - 1))
+                    .collect();
+                insts.push(fuse_run(&run, ext.id, program));
+                stats.fused_chains += 1;
+                stats.removed_ops += k - 1;
+                start += k;
+            }
+            program.blocks[b].insts = insts;
         }
+        stats
     }
+}
 
-    /// Count the fusable runs of `sig` present in `program` without
-    /// rewriting (used by the designer to avoid spending area on
-    /// extensions that would never fire).
-    pub fn count_static_matches(program: &Program, sig: &Signature) -> usize {
-        let du = DefUse::new(program);
-        let probe = Rewriter::new(AsipDesign::default());
-        let mut n = 0;
-        for block in &program.blocks {
-            for start in 0..block.insts.len() {
-                if probe.matches_at(program, &du, block, start, sig) {
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
-    /// Find the first fusable run matching any extension.
-    fn find_match(
-        &self,
-        program: &Program,
-        du: &DefUse,
-        ext_order: &[usize],
-    ) -> Option<(usize, usize, usize)> {
-        for (bi, block) in program.blocks.iter().enumerate() {
-            for start in 0..block.insts.len() {
-                for &ei in ext_order {
-                    let ext = &self.design.extensions[ei];
-                    if self.matches_at(program, du, block, start, &ext.signature) {
-                        return Some((bi, start, ei));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    fn matches_at(
-        &self,
-        program: &Program,
-        du: &DefUse,
-        block: &asip_ir::Block,
-        start: usize,
-        sig: &Signature,
-    ) -> bool {
-        let k = sig.len();
-        if start + k > block.insts.len() {
-            return false;
-        }
-        let run = &block.insts[start..start + k];
-        // classes match and every member is a pure binary ALU op
-        for (inst, want) in run.iter().zip(sig.classes()) {
-            let InstKind::Binary { .. } = inst.kind else {
-                return false;
-            };
-            if program.class_of(inst) != *want {
-                return false;
-            }
-        }
-        // each op feeds exactly the next one, in a fusable position
-        for w in run.windows(2) {
-            let prev = &w[0];
-            let next = &w[1];
-            let d = prev.dst().expect("binary ops define");
-            let InstKind::Binary { op, lhs, rhs, .. } = &next.kind else {
-                return false;
-            };
-            let feeds_lhs = lhs.reg() == Some(d);
-            let feeds_rhs = rhs.reg() == Some(d);
-            if !(feeds_lhs || (feeds_rhs && commutative(*op))) {
-                return false;
-            }
-            if feeds_lhs && feeds_rhs {
-                return false; // both operands: cannot express with one link
-            }
-            // the intermediate value must die at the next op: its only
-            // use anywhere is `next`
-            let uses = du.uses_of(d);
-            if uses.len() != 1 || uses[0] != next.id {
-                return false;
-            }
-            // and it must not be redefined elsewhere in a way that makes
-            // removal unsafe: single def (this one)
-            if du.defs_of(d).len() != 1 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Build the Chained instruction for a verified run.
-    fn fuse_run(
-        &self,
-        program: &mut Program,
-        block: usize,
-        start: usize,
-        k: usize,
-        ext_id: u32,
-    ) -> Inst {
-        let run: Vec<Inst> = program.blocks[block].insts[start..start + k].to_vec();
-        let mut inputs: Vec<Operand> = Vec::with_capacity(k + 1);
-        let mut ops: Vec<BinOp> = Vec::with_capacity(k);
-        let InstKind::Binary { op, lhs, rhs, .. } = &run[0].kind else {
+/// Build the Chained instruction for a verified run.
+fn fuse_run(run: &[Inst], ext_id: u32, program: &mut Program) -> Inst {
+    let k = run.len();
+    let mut inputs: Vec<Operand> = Vec::with_capacity(k + 1);
+    let mut ops: Vec<BinOp> = Vec::with_capacity(k);
+    let InstKind::Binary { op, lhs, rhs, .. } = &run[0].kind else {
+        unreachable!("verified binary");
+    };
+    inputs.push(*lhs);
+    inputs.push(*rhs);
+    ops.push(*op);
+    for w in run.windows(2) {
+        let d = w[0].dst().expect("binary ops define");
+        let InstKind::Binary { op, lhs, rhs, .. } = &w[1].kind else {
             unreachable!("verified binary");
         };
-        inputs.push(*lhs);
-        inputs.push(*rhs);
+        // the external (non-chained) operand
+        let external = if lhs.reg() == Some(d) { *rhs } else { *lhs };
+        inputs.push(external);
         ops.push(*op);
-        for w in run.windows(2) {
-            let d = w[0].dst().expect("binary ops define");
-            let InstKind::Binary { op, lhs, rhs, .. } = &w[1].kind else {
-                unreachable!("verified binary");
-            };
-            // the external (non-chained) operand
-            let external = if lhs.reg() == Some(d) { *rhs } else { *lhs };
-            inputs.push(external);
-            ops.push(*op);
-        }
-        let dst = run[k - 1].dst().expect("binary ops define");
-        let id = program.new_inst_id();
-        Inst::new(
-            id,
-            InstKind::Chained {
-                ext: ext_id,
-                dst,
-                inputs,
-                ops,
-            },
-        )
     }
+    let dst = run[k - 1].dst().expect("binary ops define");
+    let id = program.new_inst_id();
+    Inst::new(
+        id,
+        InstKind::Chained {
+            ext: ext_id,
+            dst,
+            inputs,
+            ops,
+        },
+    )
 }
 
 #[cfg(test)]

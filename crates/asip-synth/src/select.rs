@@ -3,7 +3,7 @@
 
 use crate::extension::AsipDesign;
 use crate::frontier;
-use crate::rewrite;
+use crate::rewrite::FusableRuns;
 use asip_chains::{CoverageAnalyzer, DetectorConfig, SeqStats, SequenceReport};
 use asip_ir::Program;
 use asip_opt::{OptConfig, OptLevel, Optimizer, ScheduleGraph};
@@ -38,12 +38,12 @@ impl Default for DesignConstraints {
 ///
 /// The designer is split into a *pure selection core* and *convenience
 /// wrappers*. The core methods ([`AsipDesigner::design_from_report`],
-/// [`AsipDesigner::design_from_schedule`],
-/// [`AsipDesigner::design_from_schedules`]) consume precomputed
-/// compiler feedback and never run the optimizer, so a session that
-/// already holds a cached [`ScheduleGraph`] pays nothing extra for the
-/// design stage — and the schedule the designer sees is byte-identical
-/// to the one the analyze stage reported. The wrappers
+/// [`AsipDesigner::design_from_reports`]) consume precomputed compiler
+/// feedback — each member's [`coverage_report`] of a cached
+/// [`ScheduleGraph`] — and never run the optimizer, so a session that
+/// already holds the schedule (or the study itself) pays nothing extra
+/// for the design stage, and the schedule the designer sees is
+/// byte-identical to the one the analyze stage reported. The wrappers
 /// ([`AsipDesigner::design_for`], [`AsipDesigner::design_for_suite`])
 /// run the optimizer themselves, honoring the designer's
 /// [`OptConfig`], for callers without a session.
@@ -89,97 +89,64 @@ impl AsipDesigner {
         self.opt_config
     }
 
-    /// Run the iterative coverage study on one precomputed schedule and
-    /// aggregate it into a sequence report, preserving both the dynamic
-    /// frequency and the selected occurrence count per signature.
-    pub(crate) fn coverage_report(&self, graph: &ScheduleGraph) -> SequenceReport {
-        let coverage = CoverageAnalyzer::new(self.detector)
-            .with_floor(1.0)
-            .with_max_sequences(16)
-            .analyze(graph);
-        SequenceReport::from_parts(
-            graph.name.clone(),
-            coverage
-                .entries
-                .iter()
-                .map(|e| {
-                    (
-                        e.signature.clone(),
-                        SeqStats {
-                            frequency: e.frequency,
-                            occurrences: e.occurrences,
-                        },
-                    )
-                })
-                .collect(),
-            graph.total_profile_ops,
-        )
-    }
-
-    /// Select extensions for one program from its precomputed schedule.
+    /// Select one extension set from per-member coverage studies (see
+    /// [`coverage_report`]), each paired with its program — for a whole
+    /// suite, the paper's actual scenario ("an ASIP … tuned to a suite
+    /// of applications"), or for one program. The studies are averaged
+    /// (every application counts equally) and one extension set is
+    /// selected.
     ///
-    /// Candidates whose signature never statically matches a fusable run
-    /// of the program are dropped before selection — the coverage
-    /// analysis reports *potential* chains (post-scheduling), and there
-    /// is no point spending silicon on a chain the rewriter can never
-    /// instantiate in this code.
-    pub fn design_from_schedule(&self, graph: &ScheduleGraph, program: &Program) -> AsipDesign {
-        let report = self.coverage_report(graph);
-        self.design_from_report(&retain_matchable(&report, &[program]))
-    }
-
-    /// Select one extension set for a whole suite from precomputed
-    /// schedules — the paper's actual scenario ("an ASIP … tuned to a
-    /// suite of applications"). Each schedule's coverage study runs
-    /// separately; the per-benchmark results are averaged (every
-    /// application counts equally) and one extension set is selected. A
-    /// candidate must statically match in at least one program.
+    /// Candidates whose signature never statically matches a fusable
+    /// run of any member program are dropped before selection — the
+    /// coverage analysis reports *potential* chains (post-scheduling),
+    /// and there is no point spending silicon on a chain the rewriter
+    /// can never instantiate in this code.
     ///
     /// # Panics
     ///
     /// Panics if `suite` is empty — there is nothing to design for.
-    pub fn design_from_schedules(&self, suite: &[(&ScheduleGraph, &Program)]) -> AsipDesign {
+    pub fn design_from_reports(&self, suite: &[(&SequenceReport, &Program)]) -> AsipDesign {
         assert!(!suite.is_empty(), "suite must not be empty");
-        let reports: Vec<SequenceReport> = suite
-            .iter()
-            .map(|(graph, _)| self.coverage_report(graph))
-            .collect();
+        let reports: Vec<&SequenceReport> = suite.iter().map(|(report, _)| *report).collect();
         let combined = asip_chains::combine(&reports);
-        let programs: Vec<&Program> = suite.iter().map(|(_, program)| *program).collect();
-        self.design_from_report(&retain_matchable(&combined, &programs))
+        let runs: Vec<FusableRuns> = suite
+            .iter()
+            .map(|(_, program)| FusableRuns::new(program))
+            .collect();
+        self.design_from_report(&frontier::retain_matchable(&combined, |sig| {
+            runs.iter().any(|r| r.contains(sig))
+        }))
     }
 
     /// Convenience wrapper: run the full feedback loop for one program —
-    /// optimize at the designer's level and [`OptConfig`], then
-    /// [`AsipDesigner::design_from_schedule`].
+    /// optimize at the designer's level and [`OptConfig`], run the
+    /// coverage study, then [`AsipDesigner::design_from_reports`].
     pub fn design_for(&self, program: &Program, profile: &Profile) -> AsipDesign {
-        let graph = Optimizer::new(self.constraints.opt_level)
-            .with_config(self.opt_config)
-            .run(program, profile);
-        self.design_from_schedule(&graph, program)
+        self.design_for_suite(&[(program, profile)])
     }
 
-    /// Convenience wrapper: optimize every suite member, then
-    /// [`AsipDesigner::design_from_schedules`].
+    /// Convenience wrapper: optimize every suite member and run its
+    /// coverage study, then [`AsipDesigner::design_from_reports`].
     ///
     /// # Panics
     ///
     /// Panics if `programs` is empty.
     pub fn design_for_suite(&self, programs: &[(&Program, &Profile)]) -> AsipDesign {
-        let graphs: Vec<ScheduleGraph> = programs
+        let reports: Vec<SequenceReport> = programs
             .iter()
             .map(|(program, profile)| {
-                Optimizer::new(self.constraints.opt_level)
+                let graph = Optimizer::new(self.constraints.opt_level)
                     .with_config(self.opt_config)
-                    .run(program, profile)
+                    .run(program, profile);
+                coverage_report(&graph, self.detector)
             })
             .collect();
-        let suite: Vec<(&ScheduleGraph, &Program)> = graphs
+        let suite: Vec<(&SequenceReport, &Program)> = reports
             .iter()
             .zip(programs)
-            .map(|(graph, (program, _))| (graph, *program))
+            .map(|(report, (program, _))| (report, *program))
             .collect();
-        self.design_from_schedules(&suite)
+        self.design_from_reports(&suite)
     }
 
     /// Select extensions from an existing (possibly suite-combined)
@@ -220,25 +187,32 @@ impl AsipDesigner {
     }
 }
 
-/// Drop fusable candidates that never statically match any of
-/// `programs` — the rewriter could not instantiate them, so spending
-/// area on them is pure waste. Unfusable signatures pass through (the
-/// selection core filters them anyway).
-fn retain_matchable(report: &SequenceReport, programs: &[&Program]) -> SequenceReport {
+/// Run the iterative coverage study (floor 1 %, at most 16 sequences)
+/// on one precomputed schedule and aggregate it into the sequence
+/// report selection consumes, preserving both the dynamic frequency and
+/// the selected occurrence count per signature. The study depends only
+/// on the schedule and the detector, so sessions memoize it.
+pub fn coverage_report(graph: &ScheduleGraph, detector: DetectorConfig) -> SequenceReport {
+    let coverage = CoverageAnalyzer::new(detector)
+        .with_floor(1.0)
+        .with_max_sequences(16)
+        .analyze(graph);
     SequenceReport::from_parts(
-        report.name.clone(),
-        report
-            .entries()
+        graph.name.clone(),
+        coverage
+            .entries
             .iter()
-            .filter(|(sig, _)| {
-                !rewrite::is_fusable_signature(sig)
-                    || programs
-                        .iter()
-                        .any(|program| rewrite::Rewriter::count_static_matches(program, sig) > 0)
+            .map(|e| {
+                (
+                    e.signature.clone(),
+                    SeqStats {
+                        frequency: e.frequency,
+                        occurrences: e.occurrences,
+                    },
+                )
             })
-            .cloned()
             .collect(),
-        report.total_profile_ops,
+        graph.total_profile_ops,
     )
 }
 
@@ -320,8 +294,9 @@ mod tests {
 
     #[test]
     fn wrapper_agrees_with_schedule_core() {
-        // design_for is exactly "optimize, then design_from_schedule":
-        // a session holding the same schedule gets the same design
+        // design_for is exactly "optimize, study, then
+        // design_from_reports": a session holding the same schedule
+        // gets the same design
         let benches = asip_benchmarks::registry();
         let b = benches.find("sewha").expect("built-in");
         let program = b.compile().expect("compiles");
@@ -330,9 +305,10 @@ mod tests {
         let graph = Optimizer::new(designer.constraints().opt_level)
             .with_config(designer.opt_config())
             .run(&program, &profile);
+        let report = coverage_report(&graph, DetectorConfig::default());
         assert_eq!(
             designer.design_for(&program, &profile),
-            designer.design_from_schedule(&graph, &program)
+            designer.design_from_reports(&[(&report, &program)])
         );
     }
 
@@ -351,9 +327,10 @@ mod tests {
         let graph = Optimizer::new(designer.constraints().opt_level)
             .with_config(designer.opt_config())
             .run(&program, &profile);
+        let report = coverage_report(&graph, DetectorConfig::default());
         assert_eq!(
             designer.design_for(&program, &profile),
-            designer.design_from_schedule(&graph, &program),
+            designer.design_from_reports(&[(&report, &program)]),
             "the wrapper must schedule with its own OptConfig"
         );
     }

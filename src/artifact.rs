@@ -1435,7 +1435,7 @@ mod tests {
         round_trip(&report);
 
         let design = asip_synth::AsipDesigner::new(asip_synth::DesignConstraints::default())
-            .design_from_schedule(&graph, &program);
+            .design_for(&program, &profile);
         round_trip(&design);
 
         let data = bench.dataset();
@@ -1457,9 +1457,10 @@ mod tests {
         let program = bench.compile().expect("compiles");
         let profile = bench.profile(&program).expect("profiles");
         let graph = asip_opt::Optimizer::new(OptLevel::Pipelined).run(&program, &profile);
+        let report = asip_synth::coverage_report(&graph, asip_chains::DetectorConfig::default());
         let feedback = [LevelFeedback {
             level: OptLevel::Pipelined,
-            suite: vec![(&graph, &program)],
+            suite: vec![(&report, &program)],
         }];
         let configs: Vec<DesignConstraints> = [500.0, 2000.0, 6000.0]
             .into_iter()

@@ -27,6 +27,12 @@
 //! - **Bounded caches.** [`Explorer::with_cache_capacity`] puts an LRU
 //!   bound on every stage cache; evictions and live entry counts are
 //!   surfaced through [`CacheStats`].
+//! - **Derived work done once.** Below the stage caches the session
+//!   memoizes what several stages share: decoded engines, baseline
+//!   output images, coverage studies per `(benchmark, level)` and one
+//!   rewritten engine plus its measurement per `(benchmark, design)`.
+//!   Sweeps whose configs reach the same studies or the same designs
+//!   run each once (`coverage_*` and `measurements*` in [`CacheStats`]).
 //! - **Pluggable persistence.** [`Explorer::with_store`] attaches an
 //!   on-disk, content-addressed artifact store under the memory caches
 //!   so separate processes share work. Every stage request flows
@@ -80,7 +86,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Hit/miss/eviction counters (and the live entry count) for one stage
@@ -175,6 +181,18 @@ pub struct CacheStats {
     /// should show `creates` frozen while `checkouts` grows — zero
     /// per-run bank allocations.
     pub run_state: RunStateStats,
+    /// Coverage studies the session ran (the design stages' feedback,
+    /// memoized per `(benchmark, seed, level, optimizer, detector)`).
+    pub coverage_studies: u64,
+    /// Coverage-study requests served from the session's memo.
+    pub coverage_reused: u64,
+    /// Rewritten-program measurements the session ran (one simulation
+    /// each, memoized per `(benchmark, design)`).
+    pub measurements: u64,
+    /// Measurement requests served from the session's memo: a design
+    /// reached again — by another config or another stage — is not
+    /// simulated again.
+    pub measurements_reused: u64,
 }
 
 impl CacheStats {
@@ -360,6 +378,20 @@ impl fmt::Display for CacheStats {
                 self.run_state.checkouts, self.run_state.creates
             )?;
         }
+        if self.coverage_studies + self.coverage_reused > 0 {
+            write!(
+                f,
+                "  coverage: {}run/{}reused",
+                self.coverage_studies, self.coverage_reused
+            )?;
+        }
+        if self.measurements + self.measurements_reused > 0 {
+            write!(
+                f,
+                "  measure: {}run/{}reused",
+                self.measurements, self.measurements_reused
+            )?;
+        }
         Ok(())
     }
 }
@@ -439,6 +471,43 @@ type SuiteKey = (Vec<String>, u64, ConsKey, DetKey, OptKey);
 /// *canonicalized* (sorted, deduplicated) constraint grid and every
 /// configuration that feeds selection.
 type SpaceKey = (Vec<String>, u64, Vec<ConsKey>, DetKey, OptKey);
+
+/// Key of the coverage-study memo — the analyze stage's key: a study
+/// depends only on the schedule and the detector.
+type StudyKey = (String, u64, OptLevel, OptKey, DetKey);
+
+/// A design applied to one program: its rewritten engine, and the
+/// last successful measurement of that engine with the seed whose data
+/// it ran on (errors are never stored). The rewrite does not depend on
+/// the seed, the measurement does: a session re-seeded by
+/// [`Explorer::with_seed`] keeps the engine and measures again.
+#[derive(Debug)]
+struct Rewritten {
+    prepared: Arc<PreparedDesign>,
+    evaluation: Mutex<Option<(u64, Evaluation)>>,
+}
+
+/// Run/reuse counters of the session's derived-work memos.
+#[derive(Debug, Default)]
+struct DerivedCounters {
+    coverage_studies: AtomicU64,
+    coverage_reused: AtomicU64,
+    measurements: AtomicU64,
+    measurements_reused: AtomicU64,
+}
+
+impl DerivedCounters {
+    fn reset(&self) {
+        for c in [
+            &self.coverage_studies,
+            &self.coverage_reused,
+            &self.measurements,
+            &self.measurements_reused,
+        ] {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+}
 
 /// Stable digest of an [`AsipDesign`]'s full identity — every field
 /// that affects the rewrite (extension ids, signatures, areas,
@@ -559,12 +628,24 @@ pub struct Explorer {
     /// evaluation runs the baseline once), so an evaluation simulates
     /// only the rewritten program. Derived state, like `engines`.
     baselines: Mutex<LruCache<(String, u64), Arc<OutputImage>>>,
-    /// Rewritten-design engines, keyed by `(benchmark, design digest)`.
-    /// Design sweeps re-measure the same `(program, design)` pair
-    /// across datasets and constraint grids; caching the
-    /// [`PreparedDesign`] here means each pair is rewritten and decoded
-    /// exactly once per session instead of once per evaluation.
-    rewritten: Mutex<LruCache<(String, u64), Arc<PreparedDesign>>>,
+    /// Coverage studies ([`asip_synth::coverage_report`]), keyed like
+    /// the analyze stage. Every design stage reads its feedback here,
+    /// so a sweep runs each `(benchmark, level)` study once however
+    /// many configs, suite designs and design spaces reach it. Derived
+    /// state, like `engines`.
+    coverage: Mutex<LruCache<StudyKey, Arc<SequenceReport>>>,
+    /// Rewritten designs, keyed by `(benchmark, design digest)`: the
+    /// [`PreparedDesign`] (rewritten and decoded once) and its
+    /// measurement on the seeded data, tagged with the seed. Configs
+    /// whose designs coincide — common in a constraint sweep — and the
+    /// per-benchmark and suite evaluate stages share one entry, so each
+    /// `(program, design)` pair is rewritten and decoded once per
+    /// session and simulated once per seed. Derived state, like
+    /// `engines`.
+    rewritten: Mutex<LruCache<(String, u64), Arc<Rewritten>>>,
+    /// Run/reuse counters of `coverage` and of the measurements in
+    /// `rewritten`.
+    derived: DerivedCounters,
 }
 
 impl Default for Explorer {
@@ -588,7 +669,9 @@ impl Default for Explorer {
             caches: Caches::default(),
             engines: Mutex::new(LruCache::default()),
             baselines: Mutex::new(LruCache::default()),
+            coverage: Mutex::new(LruCache::default()),
             rewritten: Mutex::new(LruCache::default()),
+            derived: DerivedCounters::default(),
         }
     }
 }
@@ -675,6 +758,7 @@ impl Explorer {
         });
         lock(&self.engines).set_capacity(cap);
         lock(&self.baselines).set_capacity(cap);
+        lock(&self.coverage).set_capacity(cap);
         lock(&self.rewritten).set_capacity(cap);
         self
     }
@@ -863,7 +947,9 @@ impl Explorer {
         self.caches.for_each(|_, cache| cache.reset());
         lock(&self.engines).clear();
         lock(&self.baselines).clear();
+        lock(&self.coverage).clear();
         lock(&self.rewritten).clear();
+        self.derived.reset();
         if let Some(staging) = &self.staging {
             staging.clear();
         }
@@ -924,6 +1010,10 @@ impl Explorer {
                 .map(|tier| tier.remote_totals())
                 .unwrap_or_default(),
             run_state: self.run_state_stats(),
+            coverage_studies: self.derived.coverage_studies.load(Ordering::Relaxed),
+            coverage_reused: self.derived.coverage_reused.load(Ordering::Relaxed),
+            measurements: self.derived.measurements.load(Ordering::Relaxed),
+            measurements_reused: self.derived.measurements_reused.load(Ordering::Relaxed),
         }
     }
 
@@ -937,8 +1027,8 @@ impl Explorer {
         for engine in lock(&self.engines).values() {
             stats.absorb(engine.run_state_stats());
         }
-        for prepared in lock(&self.rewritten).values() {
-            stats.absorb(prepared.engine().run_state_stats());
+        for rewritten in lock(&self.rewritten).values() {
+            stats.absorb(rewritten.prepared.engine().run_state_stats());
         }
         stats
     }
@@ -1001,10 +1091,9 @@ impl Explorer {
 
     /// The session's rewritten-and-decoded engine for a `(benchmark,
     /// design)` pair (see [`asip_synth::prepare`]), cached by a stable
-    /// digest of the design so sweeps that re-measure the same design
-    /// across datasets and constraint grids rewrite and decode it once.
-    /// Like the baseline engine cache, this is derived state: dropped
-    /// by [`Explorer::reset`], bounded by
+    /// digest of the design so sweeps that reach the same design again
+    /// rewrite and decode it once. Like the baseline engine cache, this
+    /// is derived state: dropped by [`Explorer::reset`], bounded by
     /// [`Explorer::with_cache_capacity`].
     ///
     /// # Errors
@@ -1015,16 +1104,57 @@ impl Explorer {
         name: &str,
         design: &AsipDesign,
     ) -> Result<Arc<PreparedDesign>, ExplorerError> {
+        Ok(Arc::clone(&self.rewritten(name, design)?.prepared))
+    }
+
+    /// The session's [`Rewritten`] entry for a `(benchmark, design)`
+    /// pair, prepared on first use.
+    fn rewritten(&self, name: &str, design: &AsipDesign) -> Result<Arc<Rewritten>, ExplorerError> {
         let key = (name.to_string(), design_digest(design));
-        if let Some(prepared) = lock(&self.rewritten).get(&key) {
-            return Ok(Arc::clone(prepared));
+        if let Some(rewritten) = lock(&self.rewritten).get(&key) {
+            return Ok(Arc::clone(rewritten));
         }
         let compiled = self.compile(name)?;
-        let prepared = Arc::new(asip_synth::prepare(&compiled.program, design));
+        let rewritten = Arc::new(Rewritten {
+            prepared: Arc::new(asip_synth::prepare(&compiled.program, design)),
+            evaluation: Mutex::new(None),
+        });
         // as with the baseline engines: a concurrent prepare of the
         // same pair is benign (pure, milliseconds); last writer wins
-        lock(&self.rewritten).insert(key, Arc::clone(&prepared));
-        Ok(prepared)
+        lock(&self.rewritten).insert(key, Arc::clone(&rewritten));
+        Ok(rewritten)
+    }
+
+    /// The coverage study of `name`'s schedule at `level` under `opt`
+    /// and `detector` — the feedback every design stage selects from —
+    /// run once per key and then served from the session's memo.
+    fn coverage(
+        &self,
+        name: &str,
+        level: OptLevel,
+        opt: OptConfig,
+        detector: DetectorConfig,
+    ) -> Result<Arc<SequenceReport>, ExplorerError> {
+        let key = (
+            name.to_string(),
+            self.seed,
+            level,
+            OptKey::from(opt),
+            DetKey::from(detector),
+        );
+        if let Some(report) = lock(&self.coverage).get(&key) {
+            self.derived.coverage_reused.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(report));
+        }
+        let scheduled = self.schedule_with(name, level, opt)?;
+        let report = Arc::new(asip_synth::coverage_report(&scheduled.graph, detector));
+        self.derived
+            .coverage_studies
+            .fetch_add(1, Ordering::Relaxed);
+        // a concurrent study of the same key is benign (deterministic);
+        // last writer wins
+        lock(&self.coverage).insert(key, Arc::clone(&report));
+        Ok(report)
     }
 
     /// The baseline output image of `name` on the session's seeded
@@ -1050,20 +1180,41 @@ impl Explorer {
     /// Measure `design` on `name`: only the rewritten program runs. The
     /// baseline cycle count is the cached profile's `total_ops`, and
     /// the rewritten outputs are checked against the cached baseline
-    /// image.
+    /// image. A successful measurement is kept on the design's
+    /// [`Rewritten`] entry with the session seed, so a design reached
+    /// again under the same seed is not simulated again; a failure is
+    /// not kept.
     fn measure(&self, name: &str, design: &AsipDesign) -> Result<Evaluation, ExplorerError> {
+        let rewritten = self.rewritten(name, design)?;
+        if let Some((_, evaluation)) = lock(&rewritten.evaluation)
+            .as_ref()
+            .filter(|(seed, _)| *seed == self.seed)
+        {
+            self.derived
+                .measurements_reused
+                .fetch_add(1, Ordering::Relaxed);
+            return Ok(evaluation.clone());
+        }
         let profiled = self.profile(name)?;
         let data = profiled.benchmark.dataset_with_seed(self.seed);
-        let prepared = self.prepared(name, design)?;
         let baseline = self.baseline(name)?;
-        asip_synth::measure(&prepared, &data, profiled.profile.total_ops(), &baseline).map_err(
-            |e| match e {
-                EvalError::Sim(e) => ExplorerError::Eval(e),
-                EvalError::OutputMismatch => ExplorerError::OutputMismatch {
-                    benchmark: name.to_string(),
-                },
-            },
+        let evaluation = asip_synth::measure(
+            &rewritten.prepared,
+            &data,
+            profiled.profile.total_ops(),
+            &baseline,
         )
+        .map_err(|e| match e {
+            EvalError::Sim(e) => ExplorerError::Eval(e),
+            EvalError::OutputMismatch => ExplorerError::OutputMismatch {
+                benchmark: name.to_string(),
+            },
+        })?;
+        self.derived.measurements.fetch_add(1, Ordering::Relaxed);
+        // a concurrent measurement of the same pair is benign
+        // (deterministic); last writer wins
+        *lock(&rewritten.evaluation) = Some((self.seed, evaluation.clone()));
+        Ok(evaluation)
     }
 
     /// Profile stage: run the benchmark on its seeded Table-1 input
@@ -1202,7 +1353,6 @@ impl Explorer {
         constraints: DesignConstraints,
         detector: DetectorConfig,
     ) -> Result<Designed, ExplorerError> {
-        let scheduled = self.schedule_with(name, constraints.opt_level, self.opt_config)?;
         let compiled = self.compile(name)?;
         let key = (
             name.to_string(),
@@ -1213,9 +1363,8 @@ impl Explorer {
         );
         let disk = || self.key_design(Stage::Design, &compiled.benchmark, constraints, detector);
         let design = self.cached(Stage::Design, &self.caches.design, key, disk, || {
-            Ok(AsipDesigner::new(constraints)
-                .with_detector(detector)
-                .design_from_schedule(&scheduled.graph, &compiled.program))
+            let report = self.coverage(name, constraints.opt_level, self.opt_config, detector)?;
+            Ok(AsipDesigner::new(constraints).design_from_reports(&[(&report, &compiled.program)]))
         })?;
         Ok(Designed {
             benchmark: compiled.benchmark,
@@ -1321,17 +1470,14 @@ impl Explorer {
                 // them in parallel first (no-op without a store)
                 self.prefetch_keys(self.member_stage_keys(&members, constraints.opt_level, opt));
                 let staged = self.map_slice(&members, |name| {
-                    let scheduled = self.schedule_with(name, constraints.opt_level, opt)?;
-                    let compiled = self.compile(name)?;
-                    Ok((scheduled, compiled))
+                    let report = self.coverage(name, constraints.opt_level, opt, detector)?;
+                    Ok((report, self.compile(name)?))
                 })?;
-                let suite: Vec<(&ScheduleGraph, &Program)> = staged
+                let suite: Vec<(&SequenceReport, &Program)> = staged
                     .iter()
-                    .map(|(s, c)| (s.graph.as_ref(), c.program.as_ref()))
+                    .map(|(r, c)| (r.as_ref(), c.program.as_ref()))
                     .collect();
-                Ok(AsipDesigner::new(constraints)
-                    .with_detector(detector)
-                    .design_from_schedules(&suite))
+                Ok(AsipDesigner::new(constraints).design_from_reports(&suite))
             },
         )?;
         Ok(DesignedSuite {
@@ -1490,9 +1636,8 @@ impl Explorer {
                     .flat_map(|&level| members.iter().map(move |m| (level, m.clone())))
                     .collect();
                 let staged = self.map_slice(&work, |(level, name)| {
-                    let scheduled = self.schedule_with(name, *level, opt)?;
-                    let compiled = self.compile(name)?;
-                    Ok((*level, scheduled, compiled))
+                    let report = self.coverage(name, *level, opt, detector)?;
+                    Ok((*level, report, self.compile(name)?))
                 })?;
                 let feedback: Vec<LevelFeedback<'_>> = levels
                     .iter()
@@ -1501,15 +1646,13 @@ impl Explorer {
                         suite: staged
                             .iter()
                             .filter(|(l, _, _)| *l == level)
-                            .map(|(_, s, c)| (s.graph.as_ref(), c.program.as_ref()))
+                            .map(|(_, r, c)| (r.as_ref(), c.program.as_ref()))
                             .collect(),
                     })
                     .collect();
                 // the designer's own constraints are not consulted by
                 // explore_design_space; any config seeds it
-                Ok(AsipDesigner::new(configs[0])
-                    .with_detector(detector)
-                    .explore_design_space(&feedback, &configs))
+                Ok(AsipDesigner::new(configs[0]).explore_design_space(&feedback, &configs))
             },
         )?;
         Ok(DesignSpaced {
@@ -2135,6 +2278,31 @@ mod tests {
         let after = session.cache_stats().run_state;
         assert_eq!(after.creates, warm.creates, "warm sweeps allocate nothing");
         assert_eq!(after.checkouts, warm.checkouts + 8);
+    }
+
+    #[test]
+    fn measurements_follow_the_session_seed() {
+        // one design measured on `edge` under two seeds: the data moves
+        // its cycle count, and the re-seeded session must report the
+        // new seed's measurement, not the stored one
+        let session = Explorer::new().with_seed(1995);
+        let design = session.evaluate("edge").expect("evaluates").design;
+        let first = session.measure("edge", &design).expect("measures");
+        let session = session.with_seed(7);
+        let second = session.measure("edge", &design).expect("measures");
+        let fresh = Explorer::new()
+            .with_seed(7)
+            .measure("edge", &design)
+            .expect("measures");
+        assert_ne!(
+            first.base_cycles, second.base_cycles,
+            "edge is data-dependent"
+        );
+        assert_eq!(second, fresh);
+        // the same seed again is served from the entry
+        let reused = session.cache_stats().measurements_reused;
+        assert_eq!(session.measure("edge", &design).expect("cached"), fresh);
+        assert_eq!(session.cache_stats().measurements_reused, reused + 1);
     }
 
     #[test]

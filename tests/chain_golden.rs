@@ -1,20 +1,25 @@
-//! Golden digest of the chain detector's output across the full corpus.
+//! Golden digests of the chain detector's, the rewriter's and the
+//! design-space search's output.
 //!
-//! Every `SequenceReport` (the analyze stage), every default-floor
-//! `CoverageReport` and every default-constraint `AsipDesign` (the
-//! design stage, whose coverage study runs at a 1 % floor) of the 36
-//! `full_registry()` programs at all three optimization levels is
-//! folded into one FNV-1a digest. The constant below was recorded
-//! before the detector's per-graph successor tables and the
-//! single-enumeration coverage study replaced the per-step rescans, so
-//! any change to what the detector finds — a chain, a weight, an
-//! ordering tie-break — shows up here as a digest mismatch.
+//! The first digest folds every `SequenceReport` (the analyze stage),
+//! every default-floor `CoverageReport` and every default-constraint
+//! `AsipDesign` (the design stage, whose coverage study runs at a 1 %
+//! floor) of the 36 `full_registry()` programs at all three
+//! optimization levels into one FNV-1a digest. It was recorded before
+//! the detector's per-graph successor tables and the single-enumeration
+//! coverage study replaced the per-step rescans, so any change to what
+//! the detector finds — a chain, a weight, an ordering tie-break —
+//! shows up as a digest mismatch.
+//!
+//! The second digest pins what selection and rewriting make of that
+//! feedback: see [`rewrites_and_search_match_the_recorded_digest`].
 
 use asip_explorer::prelude::*;
 use asip_explorer::store::StableHasher;
+use asip_explorer::synth::{AsipDesign, Rewriter};
 use asip_explorer::ArtifactCodec;
 
-/// The recorded digest (see the module docs).
+/// The recorded detector digest (see the module docs).
 const GOLDEN: u64 = 0xc6f7_e83f_51ee_a6e0;
 
 #[test]
@@ -56,6 +61,85 @@ fn detector_output_matches_the_recorded_digest() {
         h.finish(),
         GOLDEN,
         "detector output changed: got {:#018x}",
+        h.finish()
+    );
+}
+
+/// The recorded digest of rewriting and search (see
+/// [`rewrites_and_search_match_the_recorded_digest`]).
+const REWRITE_GOLDEN: u64 = 0xc87d_6844_d54a_b0ed;
+
+/// The 256-point constraint lattice of the one-shot sweep: 8 area
+/// budgets × 4 clocks × 4 extension caps × 2 feedback levels.
+fn lattice() -> Vec<DesignConstraints> {
+    let mut grid = Vec::with_capacity(256);
+    for opt_level in [OptLevel::Pipelined, OptLevel::PipelinedRenamed] {
+        for area in 1..=8u32 {
+            for clock in 0..4u32 {
+                for max_extensions in 1..=4usize {
+                    grid.push(DesignConstraints {
+                        area_budget: 750.0 * f64::from(area),
+                        clock_ns: 25.0 + 10.0 * f64::from(clock),
+                        max_extensions,
+                        opt_level,
+                    });
+                }
+            }
+        }
+    }
+    grid
+}
+
+/// The second digest, recorded before the rewriter's single walk over
+/// a fusable-run index and the session's shared coverage studies and
+/// measurements replaced the rescan-after-every-fusion rewrite and the
+/// per-call studies and simulations: the rewritten
+/// program of each of the 36 programs at every level under its default
+/// design; every lattice config's Table-1 suite design and its
+/// evaluations; and the encoded 256-config design space, which pins the
+/// search's work counters too.
+#[test]
+fn rewrites_and_search_match_the_recorded_digest() {
+    let full = Explorer::new()
+        .with_registry(full_registry())
+        .with_threads(1);
+    let mut h = StableHasher::new();
+    for bench in full.registry().iter() {
+        let compiled = full.compile(bench.name).expect("compiles");
+        for level in OptLevel::all() {
+            let constraints = DesignConstraints {
+                opt_level: level,
+                ..DesignConstraints::default()
+            };
+            let designed = full
+                .design_with(bench.name, constraints, DetectorConfig::default())
+                .expect("designs");
+            let mut rewritten = Program::clone(&compiled.program);
+            Rewriter::new(AsipDesign::clone(&designed.design)).apply(&mut rewritten);
+            h.write(&rewritten.to_bytes());
+        }
+    }
+
+    let table1 = Explorer::new().with_threads(1);
+    let names: Vec<&str> = table1.registry().iter().map(|b| b.name).collect();
+    let grid = lattice();
+    for &c in &grid {
+        let suite = table1
+            .evaluate_suite_with(&names, c, DetectorConfig::default())
+            .expect("evaluates");
+        h.write(&suite.design.to_bytes());
+        for (name, evaluation) in suite.evaluations.iter() {
+            h.write_str(name);
+            h.write(&evaluation.to_bytes());
+        }
+    }
+    let spaced = table1.design_space(&grid).expect("explores");
+    assert_eq!(spaced.space.len(), 256);
+    h.write(&spaced.space.to_bytes());
+    assert_eq!(
+        h.finish(),
+        REWRITE_GOLDEN,
+        "rewriting or search output changed: got {:#018x}",
         h.finish()
     );
 }

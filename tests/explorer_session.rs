@@ -426,3 +426,126 @@ fn store_warm_session_runs_each_baseline_once() {
     assert_eq!(session.cache_stats().evaluate_suite.misses, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn warm_suite_sweeps_share_coverage_studies_and_measurements() {
+    // a coverage study depends only on (member, level) and a
+    // measurement only on (member, design): a warm session that reaches
+    // either again through another config runs neither again
+    let session = Explorer::new();
+    let names: Vec<&str> = session.registry().iter().map(|b| b.name).collect();
+    let members = names.len() as u64;
+    let detector = session.detector();
+    let first = session.evaluate_suite().expect("evaluates");
+    let warm = session.cache_stats();
+    assert_eq!(warm.coverage_studies, members, "one study per member");
+    assert_eq!(warm.measurements, members, "one measurement per member");
+
+    // a new area budget is a new suite design, from the memoized studies
+    let tighter = DesignConstraints {
+        area_budget: 1500.0,
+        ..DesignConstraints::default()
+    };
+    session
+        .design_suite_with(&names, tighter, detector)
+        .expect("designs");
+    let stats = session.cache_stats();
+    assert_eq!(stats.design_suite.misses, warm.design_suite.misses + 1);
+    assert_eq!(
+        stats.coverage_studies, warm.coverage_studies,
+        "no new study"
+    );
+    assert_eq!(stats.coverage_reused, warm.coverage_reused + members);
+
+    // another config whose suite design is the default's
+    let twin = [40.5, 41.0]
+        .into_iter()
+        .map(|clock_ns| DesignConstraints {
+            clock_ns,
+            ..DesignConstraints::default()
+        })
+        .chain((1..=8).map(|step| DesignConstraints {
+            area_budget: 6000.0 + 125.0 * f64::from(step),
+            ..DesignConstraints::default()
+        }))
+        .find(|&c| {
+            let designed = session
+                .design_suite_with(&names, c, detector)
+                .expect("designs");
+            *designed.design == *first.design
+        })
+        .expect("a nearby config selects the same design");
+    let before = session.cache_stats();
+    let again = session
+        .evaluate_suite_with(&names, twin, detector)
+        .expect("evaluates");
+    let after = session.cache_stats();
+    assert_eq!(
+        after.evaluate_suite.misses,
+        before.evaluate_suite.misses + 1,
+        "a new evaluate-suite entry"
+    );
+    assert_eq!(
+        after.run_state.checkouts, before.run_state.checkouts,
+        "zero rewritten simulations"
+    );
+    assert_eq!(after.measurements, before.measurements);
+    assert_eq!(
+        after.measurements_reused,
+        before.measurements_reused + members
+    );
+    assert_eq!(*again.evaluations, *first.evaluations);
+    let shown = after.to_string();
+    assert!(
+        shown.contains("coverage: ") && shown.contains("measure: "),
+        "{shown}"
+    );
+
+    session.reset();
+    let zeroed = session.cache_stats();
+    assert_eq!(
+        (
+            zeroed.coverage_studies,
+            zeroed.coverage_reused,
+            zeroed.measurements,
+            zeroed.measurements_reused
+        ),
+        (0, 0, 0, 0),
+        "reset zeroes the derived-work counters"
+    );
+}
+
+#[test]
+fn reseeded_session_measures_a_reached_design_again() {
+    // a seed change keeps the session's caches, and with them the
+    // rewritten engine of every (benchmark, design) pair; the
+    // measurement — cycles, and the output check on the seeded data —
+    // must not survive it. `fir` selects the same design under both
+    // seeds, so the re-seeded evaluation reaches the same entry.
+    let (first, second) = (1995, 7);
+    let fresh = |seed: u64| {
+        Explorer::new()
+            .with_seed(seed)
+            .evaluate("fir")
+            .expect("evaluates")
+    };
+    let session = Explorer::new().with_seed(first);
+    let base = session.evaluate("fir").expect("evaluates");
+    let session = session.with_seed(second);
+    let before = session.cache_stats();
+    let reseeded = session.evaluate("fir").expect("evaluates");
+    let after = session.cache_stats();
+    assert_eq!(*reseeded.design, *base.design, "one shared design entry");
+    assert_eq!(*reseeded.evaluation, *fresh(second).evaluation);
+    assert_eq!(
+        (after.measurements, after.measurements_reused),
+        (before.measurements + 1, before.measurements_reused),
+        "the new seed's data is simulated, not served from the old seed"
+    );
+
+    // back at the first seed, the evaluate stage still holds its entry
+    let session = session.with_seed(first);
+    let back = session.evaluate("fir").expect("evaluates");
+    assert_eq!(*back.evaluation, *base.evaluation);
+    assert_eq!(*back.evaluation, *fresh(first).evaluation);
+}

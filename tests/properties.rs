@@ -15,7 +15,7 @@ use asip_explorer::ir::{parse_program, Program};
 use asip_explorer::opt::{OptLevel, Optimizer};
 use asip_explorer::sim::{DataGen, DataSet, Engine, ReferenceSimulator, Simulator};
 use asip_explorer::synth::rewrite::is_fusable_signature;
-use asip_explorer::synth::{AsipDesigner, DesignConstraints, Rewriter};
+use asip_explorer::synth::{AsipDesigner, DesignConstraints, FusableRuns, Rewriter};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -234,10 +234,11 @@ proptest! {
             "{} extensions exceed slot budget {}", design.extensions.len(), constraints.max_extensions);
         prop_assert!(design.extension_area <= constraints.area_budget + 1e-9,
             "area {} exceeds budget {}", design.extension_area, constraints.area_budget);
+        let runs = FusableRuns::new(&p);
         for ext in &design.extensions {
             prop_assert!(is_fusable_signature(&ext.signature),
                 "selected unfusable signature {:?}", ext.signature);
-            prop_assert!(Rewriter::count_static_matches(&p, &ext.signature) > 0,
+            prop_assert!(runs.contains(&ext.signature),
                 "selected signature {:?} never statically matches", ext.signature);
         }
 
