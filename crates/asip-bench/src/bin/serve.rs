@@ -164,10 +164,20 @@ fn run_daemon(addr: &str, store: Option<PathBuf>, warm: bool, chaos_panic: bool)
         asip_bench::human_bytes(stats.bytes_out),
         stats.frame_errors,
     );
-    if stats.overloaded + stats.panics + stats.deadline_truncated + stats.idle_reaped > 0 {
+    let hardening = stats.overloaded
+        + stats.panics
+        + stats.deadline_truncated
+        + stats.size_truncated
+        + stats.idle_reaped;
+    if hardening > 0 {
         println!(
-            "hardening: {} shed, {} panics isolated, {} batch keys past deadline, {} idle conns reaped",
-            stats.overloaded, stats.panics, stats.deadline_truncated, stats.idle_reaped,
+            "hardening: {} shed, {} panics isolated, {} batch keys past deadline, \
+             {} batch keys past the body cap, {} idle conns reaped",
+            stats.overloaded,
+            stats.panics,
+            stats.deadline_truncated,
+            stats.size_truncated,
+            stats.idle_reaped,
         );
     }
     asip_bench::print_cache_report(&session);

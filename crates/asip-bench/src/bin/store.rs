@@ -27,7 +27,9 @@
 //!   checksum, full typed decode); exit code 2 when anything is
 //!   corrupt, so CI can gate on store health. Corrupt entries are left
 //!   in place — sessions heal them on the next request — but `gc` or
-//!   plain `rm` can be used to drop them eagerly.
+//!   plain `rm` can be used to drop them eagerly. Entries from an older
+//!   format version are counted as `stale`, not corrupt: a version bump
+//!   leaves them unread under old keys, and `gc` reclaims their space.
 //!
 //! Every operation is safe against concurrent sessions: readers of a
 //! GC'd entry degrade to a recompute, never to a wrong result.
@@ -240,17 +242,24 @@ fn main() -> ExitCode {
         "verify" => {
             let report = store.verify();
             println!(
-                "verified {} entries ({}): {} ok, {} corrupt",
-                report.ok + report.corrupt,
+                "verified {} entries ({}): {} ok, {} corrupt, {} stale",
+                report.ok + report.corrupt + report.stale,
                 asip_bench::human_bytes(report.bytes),
                 report.ok,
-                report.corrupt
+                report.corrupt,
+                report.stale
             );
             for stage in Stage::all() {
                 let bad = report.corrupt_per_stage[stage as usize];
                 if bad > 0 {
                     println!("         - {}: {bad} corrupt", stage.name());
                 }
+            }
+            if report.stale > 0 {
+                println!(
+                    "stale entries are from an older format version and are never read; \
+                     `store gc --max-age SECS` reclaims their space"
+                );
             }
             if report.corrupt > 0 {
                 println!("corrupt entries recompute (and heal) on the next session request");

@@ -9,17 +9,17 @@
 //!     12     1  kind               message kind (see `kind`)
 //!     13     8  request id         u64 LE, echoed by the response
 //!     21     4  body length        u32 LE, at most MAX_BODY_BYTES
-//!     25     8  body checksum      u64 LE, FNV-1a 64 over the body
+//!     25     8  body checksum      u64 LE, XXH64 (seed 0) over the body
 //!     33     …  body               ArtifactCodec-encoded message
 //! ```
 //!
 //! The framing reuses the store's building blocks on purpose: the same
-//! FNV-1a checksum ([`crate::store`]), the same self-describing
-//! [`ArtifactCodec`](crate::artifact::ArtifactCodec) primitives for the
-//! body ([`crate::artifact`]), and
-//! the same failure philosophy — any structural defect (bad magic,
-//! oversize length, checksum mismatch, short read) is a typed
-//! [`RemoteError`], never a panic or a misread. Version negotiation is
+//! XXH64 checksum as store entries ([`crate::store`]), the same
+//! self-describing [`ArtifactCodec`](crate::artifact::ArtifactCodec)
+//! primitives for the body ([`crate::artifact`]), and the same failure
+//! philosophy — any structural defect (bad magic, oversize length,
+//! checksum mismatch, short read) is a typed [`RemoteError`], never a
+//! panic or a misread. Version negotiation is
 //! all-or-nothing like the store's `FORMAT_VERSION`: a peer announcing
 //! a different [`PROTO_VERSION`] is rejected with
 //! [`RemoteError::VersionSkew`] before its body is interpreted, and the
@@ -47,7 +47,10 @@ pub const PROTO_MAGIC: [u8; 8] = *b"ASIPRPC\n";
 /// alone are bump-free) *and* the `STATS` body grew the daemon
 /// hardening counters (overloaded/panics/deadline/idle-reap), which
 /// changes an existing body encoding and forces the bump.
-pub const PROTO_VERSION: u32 = 2;
+/// v3 — the frame's body checksum changed from FNV-1a 64 to XXH64
+/// (seed 0), the store's entry checksum, and the `STATS` body grew
+/// [`ServeStats::size_truncated`].
+pub const PROTO_VERSION: u32 = 3;
 
 /// Upper bound on one frame's body. Generous (the largest suite
 /// artifact is a few hundred KiB; a full prefetch batch is a few MiB)
@@ -217,6 +220,10 @@ pub struct ServeStats {
     /// Batch keys left unserved because a request ran past its
     /// deadline (each answered as a miss).
     pub deadline_truncated: u64,
+    /// Batch keys left unserved because their payload would have pushed
+    /// the response body past [`MAX_BODY_BYTES`] (each answered as a
+    /// miss, as is every key after the first such one).
+    pub size_truncated: u64,
     /// Connections reaped after sitting idle past the idle timeout.
     pub idle_reaped: u64,
     /// Per-stage computation counts from the server session's own
@@ -259,6 +266,18 @@ fn put_opt_payload(enc: &mut Encoder, payload: Option<&[u8]>) {
         }
         None => enc.put_bool(false),
     }
+}
+
+/// Encoded size of a [`Response::Batch`] body whose every slot is a
+/// miss: the sequence header plus one `None` marker per slot.
+pub(crate) fn batch_miss_body_bytes(slots: usize) -> usize {
+    9 + 2 * slots
+}
+
+/// Body bytes a hit of `payload_len` bytes adds over a miss slot in a
+/// [`Response::Batch`] body: the byte-string tag, length and payload.
+pub(crate) fn batch_hit_extra_bytes(payload_len: usize) -> usize {
+    9 + payload_len
 }
 
 fn get_opt_payload(dec: &mut Decoder<'_>) -> Result<Option<Vec<u8>>, RemoteError> {
@@ -430,6 +449,7 @@ impl Response {
                 enc.put_u64(s.overloaded);
                 enc.put_u64(s.panics);
                 enc.put_u64(s.deadline_truncated);
+                enc.put_u64(s.size_truncated);
                 enc.put_u64(s.idle_reaped);
                 enc.put_seq(s.stage_computes.len());
                 for (name, n) in &s.stage_computes {
@@ -491,6 +511,7 @@ impl Response {
                     overloaded: dec.u64().map_err(body_err)?,
                     panics: dec.u64().map_err(body_err)?,
                     deadline_truncated: dec.u64().map_err(body_err)?,
+                    size_truncated: dec.u64().map_err(body_err)?,
                     idle_reaped: dec.u64().map_err(body_err)?,
                     stage_computes: Vec::new(),
                     tier_totals: Vec::new(),
@@ -526,8 +547,9 @@ impl Response {
 ///
 /// # Errors
 ///
-/// Propagates socket write failures (timeouts surface as
-/// [`RemoteError::Timeout`]).
+/// [`RemoteError::Frame`] for a body over [`MAX_BODY_BYTES`] (nothing
+/// is written: every reader would reject the frame). Propagates socket
+/// write failures (timeouts surface as [`RemoteError::Timeout`]).
 pub fn write_frame(
     w: &mut dyn Write,
     kind_byte: u8,
@@ -551,7 +573,11 @@ pub fn write_frame_versioned(
     request_id: u64,
     body: &[u8],
 ) -> Result<u64, RemoteError> {
-    debug_assert!(body.len() as u64 <= u64::from(MAX_BODY_BYTES));
+    if body.len() as u64 > u64::from(MAX_BODY_BYTES) {
+        return Err(RemoteError::Frame {
+            detail: format!("body length {} exceeds {MAX_BODY_BYTES}", body.len()),
+        });
+    }
     let mut frame = Vec::with_capacity(HEADER_BYTES + body.len());
     frame.extend_from_slice(&PROTO_MAGIC);
     frame.extend_from_slice(&version.to_le_bytes());
@@ -712,6 +738,7 @@ mod tests {
             overloaded: 2,
             panics: 1,
             deadline_truncated: 7,
+            size_truncated: 5,
             idle_reaped: 3,
             stage_computes: vec![("compile".into(), 12), ("profile".into(), 12)],
             tier_totals: vec![(
@@ -725,6 +752,29 @@ mod tests {
             )],
             ..ServeStats::default()
         }));
+    }
+
+    #[test]
+    fn batch_body_size_matches_its_encoding() {
+        let slots = vec![None, Some(vec![7; 100]), None, Some(Vec::new())];
+        let expected = batch_miss_body_bytes(slots.len())
+            + slots
+                .iter()
+                .flatten()
+                .map(|p| batch_hit_extra_bytes(p.len()))
+                .sum::<usize>();
+        assert_eq!(Response::Batch(slots).encode_body().len(), expected);
+    }
+
+    #[test]
+    fn oversize_body_is_refused_before_writing() {
+        let mut wire = Vec::new();
+        let body = vec![0u8; MAX_BODY_BYTES as usize + 1];
+        assert!(matches!(
+            write_frame(&mut wire, kind::BATCH, 1, &body),
+            Err(RemoteError::Frame { detail }) if detail.contains("exceeds")
+        ));
+        assert!(wire.is_empty());
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! bounded for in-flight connections to drain, and flushes the store
 //! manifest so a later cold start sees every entry.
 
+use crate::artifact::Stage;
 use crate::remote::proto::{
-    read_frame_after, write_frame, Request, Response, ServeStats, ServerInfo, PROTO_VERSION,
+    batch_hit_extra_bytes, batch_miss_body_bytes, read_frame_after, write_frame, Request, Response,
+    ServeStats, ServerInfo, MAX_BODY_BYTES, PROTO_VERSION,
 };
 use crate::remote::transport::{Conn, Endpoint, Listener};
 use crate::session::Explorer;
@@ -102,6 +104,7 @@ struct ServeCounters {
     overloaded: AtomicU64,
     panics: AtomicU64,
     deadline_truncated: AtomicU64,
+    size_truncated: AtomicU64,
     idle_reaped: AtomicU64,
 }
 
@@ -177,8 +180,9 @@ impl Shared {
             overloaded: c.overloaded.load(Ordering::Relaxed),
             panics: c.panics.load(Ordering::Relaxed),
             deadline_truncated: c.deadline_truncated.load(Ordering::Relaxed),
+            size_truncated: c.size_truncated.load(Ordering::Relaxed),
             idle_reaped: c.idle_reaped.load(Ordering::Relaxed),
-            stage_computes: crate::artifact::Stage::all()
+            stage_computes: Stage::all()
                 .into_iter()
                 .map(|s| (s.name().to_string(), cache.stage(s).misses))
                 .collect(),
@@ -191,22 +195,74 @@ impl Shared {
         }
     }
 
-    /// Serve a `get` probe from the resident stack, top tier down. A
+    /// Read `(stage, key)` from the resident stack, top tier down. A
     /// miss everywhere stays a miss — the client computes.
-    fn lookup(&self, stage: crate::artifact::Stage, key: u64) -> Option<Vec<u8>> {
-        for tier in self.session.tier_stack().tiers() {
-            if let TierRead::Hit(payload) = tier.get(stage, key) {
-                self.add(&self.counters.hits, 1);
-                return Some(payload);
+    fn find(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
+        self.session
+            .tier_stack()
+            .tiers()
+            .iter()
+            .find_map(|tier| match tier.get(stage, key) {
+                TierRead::Hit(payload) => Some(payload),
+                _ => None,
+            })
+    }
+
+    /// Count one answered probe as a hit or a miss.
+    fn count_probe(&self, hit: bool) {
+        let cell = if hit {
+            &self.counters.hits
+        } else {
+            &self.counters.misses
+        };
+        self.add(cell, 1);
+    }
+
+    /// Serve a `get_batch` probe. Two bounds answer keys `None`, which
+    /// the client treats as misses — degraded, never wrong. Once the
+    /// request `deadline` passes, every remaining key is
+    /// `deadline_truncated`. The first hit that would push the response
+    /// body past `body_budget` (the frame cap in production), and every
+    /// key after it, are `size_truncated`, so the reply always fits in
+    /// a frame the client accepts.
+    fn get_batch(
+        &self,
+        keys: Vec<(Stage, u64)>,
+        deadline: Instant,
+        body_budget: usize,
+    ) -> Vec<Option<Vec<u8>>> {
+        self.add(&self.counters.batch_keys, keys.len() as u64);
+        let mut body_bytes = batch_miss_body_bytes(keys.len());
+        let mut full = false;
+        let mut reads = Vec::with_capacity(keys.len());
+        for (stage, key) in keys {
+            if full {
+                self.add(&self.counters.size_truncated, 1);
+                reads.push(None);
+                continue;
             }
+            if Instant::now() >= deadline {
+                self.add(&self.counters.deadline_truncated, 1);
+                reads.push(None);
+                continue;
+            }
+            let read = self.find(stage, key);
+            let extra = read.as_ref().map_or(0, |p| batch_hit_extra_bytes(p.len()));
+            if body_bytes + extra > body_budget {
+                full = true;
+                self.add(&self.counters.size_truncated, 1);
+                reads.push(None);
+                continue;
+            }
+            body_bytes += extra;
+            self.count_probe(read.is_some());
+            reads.push(read);
         }
-        self.add(&self.counters.misses, 1);
-        None
+        reads
     }
 
     /// Answer one decoded request. `deadline` bounds the work: only
-    /// `get_batch` iterates long enough to check it, truncating the
-    /// remaining keys to `None` once it passes.
+    /// `get_batch` iterates long enough to check it.
     fn handle(&self, req: Request, deadline: Instant) -> Response {
         match req {
             Request::Ping => {
@@ -219,22 +275,12 @@ impl Shared {
             }
             Request::Get { stage, key } => {
                 self.add(&self.counters.gets, 1);
-                Response::Value(self.lookup(stage, key))
+                let read = self.find(stage, key);
+                self.count_probe(read.is_some());
+                Response::Value(read)
             }
             Request::GetBatch { keys } => {
-                self.add(&self.counters.batch_keys, keys.len() as u64);
-                let mut reads = Vec::with_capacity(keys.len());
-                for (stage, key) in keys {
-                    if Instant::now() >= deadline {
-                        // a truncated slot is a miss to the client:
-                        // it recomputes — degraded, never wrong
-                        self.add(&self.counters.deadline_truncated, 1);
-                        reads.push(None);
-                        continue;
-                    }
-                    reads.push(self.lookup(stage, key));
-                }
-                Response::Batch(reads)
+                Response::Batch(self.get_batch(keys, deadline, MAX_BODY_BYTES as usize))
             }
             Request::Put {
                 stage,
@@ -609,6 +655,45 @@ mod tests {
 
         let stats = handle.shutdown();
         assert_eq!(stats.batch_keys, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_replies_stay_inside_the_body_budget() {
+        let dir = temp_dir("budget");
+        let shared = Shared {
+            session: Arc::new(Explorer::new().with_store(&dir)),
+            counters: ServeCounters::default(),
+            stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            inflight: AtomicUsize::new(0),
+            options: ServeOptions::default(),
+        };
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for key in 1..=4 {
+            let put = Request::Put {
+                stage: Stage::Profile,
+                key,
+                payload: vec![key as u8; 100],
+            };
+            assert!(matches!(shared.handle(put, deadline), Response::Done(true)));
+        }
+        // key 9 is a miss; the budget fits exactly two 100-byte hits
+        let keys: Vec<_> = [1, 9, 2, 3, 4].map(|k| (Stage::Profile, k)).into();
+        let budget = batch_miss_body_bytes(keys.len()) + 2 * batch_hit_extra_bytes(100);
+        let reads = shared.get_batch(keys.clone(), deadline, budget);
+        let hits: Vec<bool> = reads.iter().map(Option::is_some).collect();
+        assert_eq!(hits, [true, false, true, false, false]);
+        assert_eq!(Response::Batch(reads).encode_body().len(), budget);
+        let stats = shared.stats();
+        assert_eq!((stats.hits, stats.misses, stats.size_truncated), (2, 1, 2));
+
+        // one byte less: the second hit no longer fits
+        let reads = shared.get_batch(keys, deadline, budget - 1);
+        let hits: Vec<bool> = reads.iter().map(Option::is_some).collect();
+        assert_eq!(hits, [true, false, false, false, false]);
+        assert!(Response::Batch(reads).encode_body().len() < budget);
+        assert_eq!(shared.stats().size_truncated, 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,10 +24,10 @@
 //! artifact is a pure function of — benchmark *source bytes* (not just
 //! the name), data spec, seed, stage name, every relevant configuration
 //! and [`FORMAT_VERSION`]. Each file carries a self-describing header
-//! (magic, version, stage, payload length, payload checksum) ahead of an
-//! [`ArtifactCodec`] payload. The manifest is an *index cache* over the
-//! entry files (per-stage byte/entry accounting and precise write
-//! times); the directory is always the authority, and a missing or
+//! (magic, version, stage, payload length, XXH64 payload checksum) ahead
+//! of an [`ArtifactCodec`] payload. The manifest is an *index cache*
+//! over the entry files (per-stage byte/entry accounting and precise
+//! write times); the directory is always the authority, and a missing or
 //! damaged manifest is rebuilt by scan. The full specification lives in
 //! `docs/persistence.md`.
 //!
@@ -116,7 +116,11 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// ([`asip_benchmarks::Suite`]) is folded into every benchmark-keyed
 /// hash, so generated-corpus artifacts can never collide with Table-1
 /// names.
-pub const FORMAT_VERSION: u32 = 3;
+/// v4 — the header's payload checksum changed from FNV-1a 64 to XXH64
+/// (seed 0), which checks replayed bytes at memory speed. Payloads,
+/// the codec and key recipes are unchanged; v3 entries miss under the
+/// new keys and recompute, and `verify` reports them as stale.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic bytes opening every artifact file.
 const MAGIC: [u8; 8] = *b"ASIPART\n";
@@ -401,8 +405,15 @@ pub struct GcReport {
 pub struct VerifyReport {
     /// Entries whose header, checksum and typed payload all validated.
     pub ok: u64,
-    /// Entries rejected at any validation step.
+    /// Entries rejected at any validation step, stale ones aside.
     pub corrupt: u64,
+    /// Intact-looking entries from an older format: the magic matches
+    /// and the version field is in `1..FORMAT_VERSION`. A version bump
+    /// leaves these behind under keys no current recipe derives; they
+    /// are dead weight for `gc`, not damage. (No single bit flip of the
+    /// current version lands in that range, so a damaged current entry
+    /// still counts as `corrupt`.)
+    pub stale: u64,
     /// Bytes across every inspected entry.
     pub bytes: u64,
     /// Per-stage ok counts, indexed by `Stage as usize`.
@@ -793,7 +804,9 @@ impl ArtifactStore {
 
     /// Walk every entry and validate it end to end: header, checksum,
     /// and a full typed decode of the payload against its stage's
-    /// artifact type. Counters are untouched — this is a maintenance
+    /// artifact type. Entries written under an older
+    /// [`FORMAT_VERSION`] are reported as [`VerifyReport::stale`], not
+    /// as corrupt. Counters are untouched — this is a maintenance
     /// walk, not the request path — and nothing is deleted; pair with
     /// [`ArtifactStore::gc`] or plain `rm` to act on the report.
     ///
@@ -820,6 +833,8 @@ impl ArtifactStore {
             if valid {
                 report.ok += 1;
                 report.ok_per_stage[e.stage as usize] += 1;
+            } else if is_stale_entry(&bytes) {
+                report.stale += 1;
             } else {
                 report.corrupt += 1;
                 report.corrupt_per_stage[e.stage as usize] += 1;
@@ -1006,12 +1021,76 @@ fn unique_tmp(path: &Path) -> PathBuf {
     ))
 }
 
-/// FNV-1a 64 over the payload (the same algorithm as [`StableHasher`],
-/// kept separate so the checksum is independent of key derivation).
+/// XXH64 (seed 0) over the payload: the integrity checksum of every
+/// store entry and every wire frame.
+///
+/// Deliberately a different algorithm from [`StableHasher`]: keys want
+/// a fixed, field-by-field digest, while the checksum runs over every
+/// replayed byte at every hop and must keep up with memory. XXH64 folds
+/// 32-byte stripes through four independent multiply lanes instead of
+/// FNV-1a's one serial multiply per byte. All reads are little-endian,
+/// so a checksum written on one host validates on any other.
 pub(crate) fn checksum(payload: &[u8]) -> u64 {
-    let mut h = StableHasher::new();
-    h.write(payload);
-    h.finish()
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    const P5: u64 = 0x27d4_eb2f_1656_67c5;
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+    fn merge(h: u64, acc: u64) -> u64 {
+        (h ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4)
+    }
+    let u64_at = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+
+    let mut stripes = payload.chunks_exact(32);
+    let mut h = if payload.len() >= 32 {
+        let mut acc = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (lane, word) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = round(*lane, u64_at(word));
+            }
+        }
+        let h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.into_iter().fold(h, merge)
+    } else {
+        P5
+    };
+    h = h.wrapping_add(payload.len() as u64);
+
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ round(0, u64_at(word)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut tail = words.remainder();
+    if let Some((half, rest)) = tail.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = rest;
+    }
+    for &byte in tail {
+        h = (h ^ u64::from(byte).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Validate a complete entry file's framing — magic, version, stage
@@ -1040,6 +1119,15 @@ fn validate_entry(bytes: &[u8], stage: Stage) -> Option<&[u8]> {
         return None;
     }
     Some(payload)
+}
+
+/// Whether a file that failed [`validate_entry`] is an entry from an
+/// older format version rather than a damaged one.
+fn is_stale_entry(bytes: &[u8]) -> bool {
+    bytes
+        .strip_prefix(&MAGIC)
+        .and_then(split_u32)
+        .is_some_and(|(version, _)| (1..FORMAT_VERSION).contains(&version))
 }
 
 /// Typed-decode one validated payload against the artifact type of
@@ -1079,6 +1167,32 @@ mod tests {
             std::env::temp_dir().join(format!("asip-store-unit-{tag}-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
         ArtifactStore::open(dir)
+    }
+
+    #[test]
+    fn checksum_matches_published_xxh64_vectors() {
+        assert_eq!(checksum(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(checksum(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(checksum(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // 39 bytes: one stripe, then a word, the 4-byte and 1-byte tails
+        assert_eq!(
+            checksum(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_at_every_length() {
+        let base: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=base.len() {
+            let mut bytes = base[..len].to_vec();
+            let sum = checksum(&bytes);
+            for bit in 0..len * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&bytes), sum, "len {len}, bit {bit}");
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
     }
 
     #[test]

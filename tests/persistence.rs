@@ -4,6 +4,7 @@
 //! degrade to a clean recompute — never an error, never a wrong result.
 
 use asip_explorer::prelude::*;
+use asip_explorer::store::{StableHasher, FORMAT_VERSION};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -255,6 +256,71 @@ fn version_bump_invalidates_old_entries() {
     );
     assert!(stats.total_disk_corrupt() > 0, "{stats}");
     assert_eq!(clean.profile, recomputed.profile);
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrite a current entry file as the previous format wrote it:
+/// version field `FORMAT_VERSION - 1` and an FNV-1a 64 payload checksum.
+/// Header: magic (8), version (4), stage-name length (1) and name,
+/// payload length (8), checksum (8), payload.
+fn forge_previous_format(bytes: &[u8]) -> Vec<u8> {
+    let name_len = usize::from(bytes[12]);
+    let sum_at = 13 + name_len + 8;
+    let mut fnv = StableHasher::new();
+    fnv.write(&bytes[sum_at + 8..]);
+    let mut old = bytes.to_vec();
+    old[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+    old[sum_at..sum_at + 8].copy_from_slice(&fnv.finish().to_le_bytes());
+    old
+}
+
+#[test]
+fn entries_of_the_previous_format_are_stale_not_corrupt() {
+    let dir = store_dir("stale");
+    let first = Explorer::new().with_store(&dir);
+    let clean = first.profile("sewha").expect("computes");
+
+    // Turn the store into one the previous format wrote: every entry
+    // moves to a key no current recipe derives (old keys hashed the old
+    // version), under the old header.
+    let files = entry_files(&dir);
+    for f in &files {
+        let bytes = fs::read(f).expect("readable");
+        let stem = f.file_stem().and_then(|s| s.to_str()).expect("hex stem");
+        let key = u64::from_str_radix(stem, 16).expect("hex key");
+        let moved = f.with_file_name(format!("{:016x}.art", key ^ 0x5eed_5eed_5eed_5eed));
+        fs::write(moved, forge_previous_format(&bytes)).expect("write");
+        fs::remove_file(f).expect("remove");
+    }
+
+    let second = Explorer::new().with_store(&dir);
+    let recomputed = second.profile("sewha").expect("recomputes");
+    let stats = second.cache_stats();
+    assert_eq!(stats.total_disk_hits(), 0, "{stats}");
+    assert_eq!(
+        stats.total_disk_corrupt(),
+        0,
+        "old keys are never read: {stats}"
+    );
+    assert!(stats.total_disk_writes() > 0, "{stats}");
+    assert_eq!(clean.profile, recomputed.profile);
+
+    let report = second.store().expect("store attached").verify();
+    assert_eq!(report.stale, files.len() as u64, "{report:?}");
+    assert_eq!(report.corrupt, 0, "{report:?}");
+    assert_eq!(report.ok, stats.total_disk_writes(), "{report:?}");
+
+    // a bit flip in a current entry's version field stays corrupt
+    let current = entry_files(&dir)
+        .into_iter()
+        .find(|f| fs::read(f).is_ok_and(|b| b[8..12] == FORMAT_VERSION.to_le_bytes()))
+        .expect("a current entry");
+    let mut bytes = fs::read(&current).expect("readable");
+    bytes[8] ^= 0b100;
+    fs::write(&current, &bytes).expect("rewrite");
+    let report = second.store().expect("store attached").verify();
+    assert_eq!((report.stale, report.corrupt), (files.len() as u64, 1));
 
     fs::remove_dir_all(&dir).ok();
 }
