@@ -8,6 +8,14 @@
 //! level-2 report. Payloads are shared through [`Arc`]: a cache hit in
 //! the [`Explorer`](crate::Explorer) session returns a handle to the
 //! *same* underlying data, never a re-computed copy.
+//!
+//! Every payload also has a binary encoding, [`ArtifactCodec`], which
+//! the store's entries and the serve protocol's bodies share. It is
+//! untagged: LEB128 varints for integers, lengths and variants (see
+//! [`Encoder`]), op codes and op classes as indices into the IR's
+//! `all()` tables, and programs field by field. Decoding range-checks
+//! every primitive and re-validates every structure, so arbitrary bytes
+//! yield a [`CodecError`], never a panic.
 
 use asip_benchmarks::Benchmark;
 use asip_chains::SequenceReport;
@@ -326,43 +334,27 @@ impl Exploration {
 //
 // The offline build links a no-op `serde` shim, so derive-based
 // serialization is unavailable; stage payloads are persisted with this
-// hand-rolled self-describing binary codec instead. Every value carries
-// a one-byte type tag, so a decoder reading skewed bytes fails with a
-// typed [`CodecError`] instead of misinterpreting them. Swapping in the
-// real serde later is mechanical: replace each `ArtifactCodec` impl
-// with the already-present derives and re-point the store at
-// `bincode`/`serde_json`.
-
-/// Type tags of the self-describing binary artifact encoding. One tag
-/// byte precedes every encoded value; see `docs/persistence.md` for the
-/// full framing specification.
-mod tag {
-    /// Unsigned 64-bit integer (8 bytes little-endian follow).
-    pub const U64: u8 = 0x01;
-    /// Signed 64-bit integer (8 bytes little-endian follow).
-    pub const I64: u8 = 0x02;
-    /// IEEE-754 double (8 bytes little-endian bit pattern follow).
-    pub const F64: u8 = 0x03;
-    /// Boolean (1 byte follows: 0 or 1).
-    pub const BOOL: u8 = 0x04;
-    /// UTF-8 string (u64 little-endian byte length, then the bytes).
-    pub const STR: u8 = 0x05;
-    /// Sequence header (u64 little-endian element count; the elements
-    /// follow, each self-tagged).
-    pub const SEQ: u8 = 0x06;
-    /// Absent optional value (no payload).
-    pub const NONE: u8 = 0x07;
-    /// Present optional value (the value follows, self-tagged).
-    pub const SOME: u8 = 0x08;
-    /// Raw byte string (u64 little-endian byte length, then the bytes
-    /// verbatim). Carries opaque payloads — e.g. already-encoded
-    /// artifacts traveling through the wire protocol — without
-    /// re-interpreting them.
-    pub const BYTES: u8 = 0x09;
-}
+// hand-rolled binary codec instead. The encoding is untagged: a value's
+// type is fixed by its position in the payload's schema, so the bytes
+// carry only the values themselves. Integers are LEB128 varints, so the
+// small ids, lengths, counts and op codes that make up most payloads
+// take one or two bytes. Skew between writer and reader is caught by
+// the envelope, not by the payload: store entries and wire frames carry
+// a format/protocol version and an XXH64 checksum, and the store's keys
+// hash the format version. Within a payload every primitive is still
+// range-checked, so arbitrary bytes decode to a typed [`CodecError`],
+// never a panic. See `docs/persistence.md` for the full specification.
 
 /// Write half of the artifact codec: a growing byte buffer with one
 /// `put_*` method per primitive of the encoding.
+///
+/// - `u64`, lengths, element counts and enum variants: LEB128 varint
+///   (7 bits a byte, least significant group first, high bit set on
+///   every byte but the last);
+/// - `i64`: zigzag-mapped, then varint;
+/// - `f64`: its 8-byte little-endian IEEE-754 bit pattern;
+/// - `bool` and the `Option` marker: one byte, `0` or `1`;
+/// - strings and byte strings: varint byte length, then the bytes.
 ///
 /// ```
 /// use asip_explorer::artifact::{ArtifactCodec, Decoder, Encoder};
@@ -371,6 +363,7 @@ mod tag {
 /// enc.put_str("fir");
 /// enc.put_u64(1995);
 /// let bytes = enc.into_bytes();
+/// assert_eq!(bytes, [3, b'f', b'i', b'r', 0xCB, 0x0F]);
 ///
 /// let mut dec = Decoder::new(&bytes);
 /// assert_eq!(dec.str()?, "fir");
@@ -381,6 +374,12 @@ mod tag {
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+}
+
+/// Encoded size of `v` as a varint (1 to 10 bytes). Lets callers
+/// budget an encoding exactly without producing it.
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 impl Encoder {
@@ -394,35 +393,34 @@ impl Encoder {
         self.buf
     }
 
-    /// Append an unsigned integer.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.push(tag::U64);
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Append an unsigned integer (varint).
+    pub fn put_u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
-    /// Append a signed integer.
+    /// Append a signed integer (zigzag varint: small magnitudes of
+    /// either sign stay short).
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.push(tag::I64);
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_u64(((v << 1) ^ (v >> 63)) as u64);
     }
 
     /// Append a float (by exact bit pattern — NaNs round-trip).
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.push(tag::F64);
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     /// Append a boolean.
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(tag::BOOL);
         self.buf.push(u8::from(v));
     }
 
     /// Append a string.
     pub fn put_str(&mut self, v: &str) {
-        self.buf.push(tag::STR);
-        self.buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(v.as_bytes());
+        self.put_bytes(v.as_bytes());
     }
 
     /// Append an opaque byte string verbatim. The counterpart of
@@ -430,16 +428,14 @@ impl Encoder {
     /// (a nested artifact moving through the remote protocol) and must
     /// round-trip untouched.
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.push(tag::BYTES);
-        self.buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
+        self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
 
     /// Append a sequence header; the caller then encodes exactly `len`
     /// elements.
     pub fn put_seq(&mut self, len: usize) {
-        self.buf.push(tag::SEQ);
-        self.buf.extend_from_slice(&(len as u64).to_le_bytes());
+        self.put_u64(len as u64);
     }
 
     /// Append a whole slice as a sequence (header plus every element),
@@ -455,18 +451,16 @@ impl Encoder {
 
     /// Append an optional value.
     pub fn put_option<T: ArtifactCodec>(&mut self, v: Option<&T>) {
-        match v {
-            None => self.buf.push(tag::NONE),
-            Some(v) => {
-                self.buf.push(tag::SOME);
-                v.encode(self);
-            }
+        self.put_bool(v.is_some());
+        if let Some(v) = v {
+            v.encode(self);
         }
     }
 }
 
 /// Read half of the artifact codec: a cursor over encoded bytes that
-/// validates every type tag. See [`Encoder`] for a round-trip example.
+/// range-checks every primitive. See [`Encoder`] for the encoding and a
+/// round-trip example.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     bytes: &'a [u8],
@@ -474,6 +468,10 @@ pub struct Decoder<'a> {
 }
 
 use crate::error::CodecError;
+
+fn invalid(detail: String) -> CodecError {
+    CodecError::Invalid { detail }
+}
 
 impl<'a> Decoder<'a> {
     /// A decoder over `bytes`, positioned at the start.
@@ -497,116 +495,140 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
-    fn expect_tag(&mut self, expected: u8) -> Result<(), CodecError> {
-        let at = self.pos;
-        let found = self.take(1)?[0];
-        if found == expected {
-            Ok(())
-        } else {
-            Err(CodecError::Tag {
-                at,
-                expected,
-                found,
-            })
+    fn byte(&mut self) -> Result<u8, CodecError> {
+        let b = *self
+            .bytes
+            .get(self.pos)
+            .ok_or(CodecError::Truncated { at: self.pos })?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    /// Read an unsigned integer (varint). An overlong encoding (a
+    /// redundant trailing zero group) or one wider than 64 bits is
+    /// [`CodecError::Invalid`]: every value has exactly one encoding.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        // most ids, counts and codes fit one byte
+        match self.bytes.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.long_varint(),
         }
     }
 
-    fn raw_u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Read an unsigned integer.
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
-        self.expect_tag(tag::U64)?;
-        self.raw_u64()
+    fn long_varint(&mut self) -> Result<u64, CodecError> {
+        let at = self.pos;
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            if shift == 63 && b > 1 {
+                return Err(invalid(format!("varint at offset {at} exceeds 64 bits")));
+            }
+            value |= u64::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                if b == 0 && shift > 0 {
+                    return Err(invalid(format!("overlong varint at offset {at}")));
+                }
+                return Ok(value);
+            }
+        }
+        // the tenth byte (shift 63) always returns above
+        Err(invalid(format!("varint at offset {at} exceeds 64 bits")))
     }
 
     /// Read an unsigned integer that must fit `usize`.
     pub fn usize(&mut self) -> Result<usize, CodecError> {
         let v = self.u64()?;
-        usize::try_from(v).map_err(|_| CodecError::Invalid {
-            detail: format!("{v} does not fit usize"),
-        })
+        usize::try_from(v).map_err(|_| invalid(format!("{v} does not fit usize")))
     }
 
     /// Read an unsigned integer that must fit `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         let v = self.u64()?;
-        u32::try_from(v).map_err(|_| CodecError::Invalid {
-            detail: format!("{v} does not fit u32"),
-        })
+        u32::try_from(v).map_err(|_| invalid(format!("{v} does not fit u32")))
     }
 
-    /// Read a signed integer.
+    /// Read a signed integer (zigzag varint).
     pub fn i64(&mut self) -> Result<i64, CodecError> {
-        self.expect_tag(tag::I64)?;
-        self.raw_u64().map(|v| v as i64)
+        let v = self.u64()?;
+        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
     }
 
     /// Read a float.
     pub fn f64(&mut self) -> Result<f64, CodecError> {
-        self.expect_tag(tag::F64)?;
-        self.raw_u64().map(f64::from_bits)
+        let b = self.take(8)?;
+        Ok(f64::from_bits(u64::from_le_bytes(
+            b.try_into().expect("take(8) yields 8 bytes"),
+        )))
     }
 
-    /// Read a boolean.
+    /// Read a boolean: one byte, `0` or `1`.
     pub fn bool(&mut self) -> Result<bool, CodecError> {
-        self.expect_tag(tag::BOOL)?;
-        match self.take(1)?[0] {
+        let at = self.pos;
+        match self.byte()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(CodecError::Invalid {
-                detail: format!("boolean byte {other:#04x}"),
-            }),
+            other => Err(invalid(format!(
+                "byte {other:#04x} at offset {at} is not 0 or 1"
+            ))),
         }
+    }
+
+    /// Read a length prefix and that many bytes, borrowed from the
+    /// input.
+    fn len_prefixed(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.usize()?;
+        self.take(len)
     }
 
     /// Read a string.
     pub fn str(&mut self) -> Result<String, CodecError> {
-        self.expect_tag(tag::STR)?;
-        let len = self.raw_u64()?;
-        let len = usize::try_from(len).map_err(|_| CodecError::Invalid {
-            detail: format!("string length {len} does not fit usize"),
-        })?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| CodecError::Invalid {
-            detail: format!("string is not UTF-8: {e}"),
-        })
+        let bytes = self.len_prefixed()?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|e| invalid(format!("string is not UTF-8: {e}")))
     }
 
     /// Read an opaque byte string written by [`Encoder::put_bytes`].
     pub fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        self.expect_tag(tag::BYTES)?;
-        let len = self.raw_u64()?;
-        let len = usize::try_from(len).map_err(|_| CodecError::Invalid {
-            detail: format!("byte-string length {len} does not fit usize"),
-        })?;
-        Ok(self.take(len)?.to_vec())
+        self.len_prefixed().map(<[u8]>::to_vec)
     }
 
     /// Read a sequence header, returning the element count. The caller
-    /// then decodes exactly that many elements.
+    /// then decodes exactly that many elements. Every element encodes
+    /// to at least one byte, so a count beyond the bytes left is
+    /// [`CodecError::Truncated`] before anything is allocated for it.
     pub fn seq(&mut self) -> Result<usize, CodecError> {
-        self.expect_tag(tag::SEQ)?;
-        let len = self.raw_u64()?;
-        usize::try_from(len).map_err(|_| CodecError::Invalid {
-            detail: format!("sequence length {len} does not fit usize"),
-        })
+        let at = self.pos;
+        let len = self.usize()?;
+        if len > self.bytes.len() - self.pos {
+            return Err(CodecError::Truncated { at });
+        }
+        Ok(len)
     }
 
     /// Read an optional value.
     pub fn option<T: ArtifactCodec>(&mut self) -> Result<Option<T>, CodecError> {
-        let at = self.pos;
-        match self.take(1)?[0] {
-            t if t == tag::NONE => Ok(None),
-            t if t == tag::SOME => Ok(Some(T::decode(self)?)),
-            found => Err(CodecError::Tag {
-                at,
-                expected: tag::SOME,
-                found,
-            }),
+        if self.bool()? {
+            T::decode(self).map(Some)
+        } else {
+            Ok(None)
         }
+    }
+
+    /// Read a code written as an index into `table` (the op-code
+    /// tables, enum variants): the entry at that index, or
+    /// [`CodecError::Invalid`] naming `what` for an unknown code.
+    pub fn code<T: Copy>(&mut self, table: &[T], what: &str) -> Result<T, CodecError> {
+        let code = self.u64()?;
+        usize::try_from(code)
+            .ok()
+            .and_then(|i| table.get(i))
+            .copied()
+            .ok_or_else(|| invalid(format!("unknown {what} code {code}")))
     }
 
     /// Assert that every byte was consumed (corrupted entries often
@@ -654,7 +676,7 @@ pub trait ArtifactCodec: Sized {
     ///
     /// # Errors
     ///
-    /// Any [`CodecError`] on truncated, mistyped or invalid bytes.
+    /// Any [`CodecError`] on truncated or invalid bytes.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError>;
 
     /// Encode into a fresh byte vector.
@@ -677,6 +699,13 @@ pub trait ArtifactCodec: Sized {
         Ok(v)
     }
 }
+
+/// The most elements a decoder reserves up front for a sequence. `seq`
+/// bounds a count by the bytes left, but an element can be far larger
+/// in memory than its one-byte minimum encoding, so a hostile count
+/// must not size an allocation: past this cap the vector grows as
+/// elements actually decode.
+const PREALLOC_CAP: usize = 1024;
 
 /// Decode a batch of independently-encoded payloads of one artifact
 /// type, returning one result per payload (order preserved). For batch
@@ -764,9 +793,7 @@ impl<T: ArtifactCodec> ArtifactCodec for Vec<T> {
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let len = dec.seq()?;
-        // Cap the up-front reservation: a corrupted length must not
-        // allocate gigabytes before element decoding fails.
-        let mut out = Vec::with_capacity(len.min(1024));
+        let mut out = Vec::with_capacity(len.min(PREALLOC_CAP));
         for _ in 0..len {
             out.push(T::decode(dec)?);
         }
@@ -795,7 +822,7 @@ impl<T: ArtifactCodec> ArtifactCodec for Option<T> {
 
 // -- IR ids and operands -----------------------------------------------
 
-use asip_ir::{BinOp, Inst, InstKind, Operand, UnOp};
+use asip_ir::{ArrayDecl, ArrayKind, BinOp, Block, Inst, InstKind, MathFn, Operand, Ty, UnOp};
 use asip_opt::NodeId;
 
 impl ArtifactCodec for asip_ir::Reg {
@@ -843,39 +870,65 @@ impl ArtifactCodec for NodeId {
     }
 }
 
-/// Decode a mnemonic string through `FromStr` (the IR's mnemonics are
-/// stable public vocabulary, which makes them better version-skew
-/// detectors than raw discriminant integers).
-fn parse_mnemonic<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, CodecError> {
-    s.parse().map_err(|_| CodecError::Invalid {
-        detail: format!("unknown {what} mnemonic `{s}`"),
-    })
-}
+// Op codes are indices into the IR's `all()` tables (`BinOp::all`,
+// `OpClass::all`, `MathFn::all`); `artifact::tests` pins those tables,
+// so reordering one fails a test and forces a `FORMAT_VERSION` bump.
 
 impl ArtifactCodec for BinOp {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(self.mnemonic());
+        enc.put_u64(*self as u64);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        parse_mnemonic(&dec.str()?, "binary op")
+        dec.code(BinOp::all(), "binary op")
     }
 }
 
+/// The unary ops other than `Math`, in code order: a unary op's code is
+/// its index here, or `PLAIN_UNARY.len()` plus the [`MathFn::all`]
+/// index of a `Math` intrinsic.
+const PLAIN_UNARY: [UnOp; 6] = [
+    UnOp::Neg,
+    UnOp::Not,
+    UnOp::FNeg,
+    UnOp::Mov,
+    UnOp::IntToFloat,
+    UnOp::FloatToInt,
+];
+
 impl ArtifactCodec for UnOp {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(self.mnemonic());
+        let code = match self {
+            UnOp::Neg => 0,
+            UnOp::Not => 1,
+            UnOp::FNeg => 2,
+            UnOp::Mov => 3,
+            UnOp::IntToFloat => 4,
+            UnOp::FloatToInt => 5,
+            UnOp::Math(m) => PLAIN_UNARY.len() as u64 + *m as u64,
+        };
+        enc.put_u64(code);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        parse_mnemonic(&dec.str()?, "unary op")
+        let code = dec.u64()?;
+        let plain = PLAIN_UNARY.len() as u64;
+        let op = if code < plain {
+            PLAIN_UNARY.get(code as usize).copied()
+        } else {
+            usize::try_from(code - plain)
+                .ok()
+                .and_then(|i| MathFn::all().get(i))
+                .map(|&m| UnOp::Math(m))
+        };
+        op.ok_or_else(|| invalid(format!("unknown unary op code {code}")))
     }
 }
 
 impl ArtifactCodec for OpClass {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(self.paper_name());
+        enc.put_u64(*self as u64);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        parse_mnemonic(&dec.str()?, "op class")
+        dec.code(OpClass::all(), "op class")
     }
 }
 
@@ -901,9 +954,7 @@ impl ArtifactCodec for Operand {
             0 => Ok(Operand::Reg(asip_ir::Reg::decode(dec)?)),
             1 => Ok(Operand::ImmInt(dec.i64()?)),
             2 => Ok(Operand::ImmFloat(dec.f64()?)),
-            v => Err(CodecError::Invalid {
-                detail: format!("operand variant {v}"),
-            }),
+            v => Err(invalid(format!("operand variant {v}"))),
         }
     }
 }
@@ -1014,11 +1065,7 @@ impl ArtifactCodec for Inst {
                 inputs: Vec::<Operand>::decode(dec)?,
                 ops: Vec::<BinOp>::decode(dec)?,
             },
-            v => {
-                return Err(CodecError::Invalid {
-                    detail: format!("instruction variant {v}"),
-                })
-            }
+            v => return Err(invalid(format!("instruction variant {v}"))),
         };
         Ok(Inst { id, kind })
     }
@@ -1026,23 +1073,96 @@ impl ArtifactCodec for Inst {
 
 // -- stage payloads ----------------------------------------------------
 
-impl ArtifactCodec for Program {
-    /// Programs persist through the IR's lossless textual format (see
-    /// [`asip_ir::parse_program`]): the dump is validated on decode, so
-    /// a bit-flipped program file is rejected rather than simulated.
-    /// `next_inst_id` is carried explicitly because the text encodes
-    /// only the *used* ids.
+impl ArtifactCodec for Ty {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(&self.to_string());
+        enc.put_u64(*self as u64);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        dec.code(&[Ty::Int, Ty::Float], "type")
+    }
+}
+
+impl ArtifactCodec for ArrayDecl {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(&self.name);
+        self.ty.encode(enc);
+        enc.put_u64(self.len as u64);
+        enc.put_u64(self.kind as u64);
+        enc.put_i64(self.base);
+        enc.put_i64(self.elem_size);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(ArrayDecl {
+            name: dec.str()?,
+            ty: Ty::decode(dec)?,
+            len: dec.usize()?,
+            kind: dec.code(
+                &[ArrayKind::Input, ArrayKind::Output, ArrayKind::Internal],
+                "array kind",
+            )?,
+            base: dec.i64()?,
+            elem_size: dec.i64()?,
+        })
+    }
+}
+
+impl ArtifactCodec for Program {
+    /// Programs persist field by field: name, register types, array
+    /// declarations, blocks (label and instructions; a block's id is
+    /// its position), entry and `next_inst_id`. Decode re-checks what
+    /// the textual IR parser checks: `next_inst_id` is raised past the
+    /// largest instruction id, and the program must pass
+    /// [`Program::validate`], so a tampered program is rejected rather
+    /// than simulated.
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(&self.name);
+        enc.put_elems(&self.reg_types);
+        enc.put_elems(&self.arrays);
+        enc.put_seq(self.blocks.len());
+        for block in &self.blocks {
+            enc.put_option(block.label.as_ref());
+            enc.put_elems(&block.insts);
+        }
+        self.entry.encode(enc);
         enc.put_u64(u64::from(self.next_inst_id));
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let text = dec.str()?;
-        let next = dec.u32()?;
-        let mut program = asip_ir::parse_program(&text).map_err(|e| CodecError::Invalid {
-            detail: format!("program text rejected: {e}"),
-        })?;
-        program.next_inst_id = program.next_inst_id.max(next);
+        let name = dec.str()?;
+        let reg_types = Vec::decode(dec)?;
+        let arrays = Vec::decode(dec)?;
+        let len = dec.seq()?;
+        let mut blocks = Vec::with_capacity(len.min(PREALLOC_CAP));
+        let mut ids_end = 0u32;
+        for index in 0..len {
+            let id = u32::try_from(index)
+                .map_err(|_| invalid(format!("block index {index} does not fit u32")))?;
+            let label = dec.option()?;
+            let insts: Vec<Inst> = Vec::decode(dec)?;
+            for inst in &insts {
+                let end = inst.id.0.checked_add(1).ok_or_else(|| {
+                    invalid(format!("instruction id {} leaves no next id", inst.id))
+                })?;
+                ids_end = ids_end.max(end);
+            }
+            blocks.push(Block {
+                id: asip_ir::BlockId(id),
+                label,
+                insts,
+            });
+        }
+        let entry = asip_ir::BlockId::decode(dec)?;
+        let next_inst_id = dec.u32()?.max(ids_end);
+        let program = Program {
+            name,
+            reg_types,
+            arrays,
+            blocks,
+            entry,
+            next_inst_id,
+        };
+        program
+            .validate()
+            .map_err(|e| invalid(format!("program rejected: {e}")))?;
         Ok(program)
     }
 }
@@ -1113,9 +1233,7 @@ impl ArtifactCodec for ScheduleGraph {
         };
         // Re-validate structure: a decoded graph feeds the detector and
         // the design stage, which index nodes unchecked.
-        graph
-            .check_invariants()
-            .map_err(|detail| CodecError::Invalid { detail })?;
+        graph.check_invariants().map_err(invalid)?;
         Ok(graph)
     }
 }
@@ -1127,9 +1245,7 @@ impl ArtifactCodec for asip_chains::Signature {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let classes = Vec::<OpClass>::decode(dec)?;
         if classes.len() < 2 {
-            return Err(CodecError::Invalid {
-                detail: format!("signature of length {}", classes.len()),
-            });
+            return Err(invalid(format!("signature of length {}", classes.len())));
         }
         Ok(asip_chains::Signature::new(classes))
     }
@@ -1141,8 +1257,13 @@ impl ArtifactCodec for asip_chains::SeqStats {
         enc.put_u64(self.occurrences as u64);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let frequency = dec.f64()?;
+        // reports sort by frequency and require a total order on it
+        if !(frequency.is_finite() && frequency >= 0.0) {
+            return Err(invalid(format!("sequence frequency {frequency}")));
+        }
         Ok(asip_chains::SeqStats {
-            frequency: dec.f64()?,
+            frequency,
             occurrences: dec.usize()?,
         })
     }
@@ -1205,9 +1326,7 @@ impl ArtifactCodec for OptLevel {
         OptLevel::all()
             .into_iter()
             .find(|l| u64::from(l.number()) == n)
-            .ok_or_else(|| CodecError::Invalid {
-                detail: format!("unknown optimization level {n}"),
-            })
+            .ok_or_else(|| invalid(format!("unknown optimization level {n}")))
     }
 }
 
@@ -1371,6 +1490,21 @@ mod tests {
         round_trip(&true);
         round_trip(&String::from("héllo"));
         round_trip(&vec![1u64, 2, 3]);
+        round_trip(&i64::MIN);
+        round_trip(&i64::MAX);
+        for v in [
+            0u64,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            round_trip(&v);
+            assert_eq!(v.to_bytes().len(), varint_len(v), "{v}");
+        }
         round_trip(&Some(7u64));
         round_trip(&None::<u64>);
         round_trip(&(String::from("k"), 2.5f64));
@@ -1391,17 +1525,17 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_tag_and_truncation_errors() {
+    fn decode_rejects_truncation_and_trailing_bytes() {
         use crate::error::CodecError;
-        // wrong tag
-        let bytes = 5u64.to_bytes();
-        assert!(matches!(
-            f64::from_bytes(&bytes),
-            Err(CodecError::Tag { .. })
-        ));
-        // truncation
+        // truncation, inside a varint and inside a fixed-width float
+        let bytes = u64::MAX.to_bytes();
+        assert_eq!(bytes.len(), 10);
         assert!(matches!(
             u64::from_bytes(&bytes[..4]),
+            Err(CodecError::Truncated { .. })
+        ));
+        assert!(matches!(
+            f64::from_bytes(&1.5f64.to_bytes()[..7]),
             Err(CodecError::Truncated { .. })
         ));
         // trailing garbage
@@ -1413,6 +1547,87 @@ mod tests {
         ));
         // empty input
         assert!(u64::from_bytes(&[]).is_err());
+    }
+
+    #[test]
+    fn integers_are_varints_and_small_values_take_one_byte() {
+        assert_eq!(0u64.to_bytes(), [0]);
+        assert_eq!(127u64.to_bytes(), [0x7F]);
+        assert_eq!(128u64.to_bytes(), [0x80, 0x01]);
+        assert_eq!(300u64.to_bytes(), [0xAC, 0x02]);
+        assert_eq!(u64::MAX.to_bytes().last(), Some(&0x01));
+        // zigzag: 0, -1, 1, -2, 2 … map to 0, 1, 2, 3, 4 …
+        assert_eq!(0i64.to_bytes(), [0]);
+        assert_eq!((-1i64).to_bytes(), [1]);
+        assert_eq!(1i64.to_bytes(), [2]);
+        assert_eq!((-64i64).to_bytes(), [0x7F]);
+        assert_eq!(i64::MIN.to_bytes().len(), 10);
+        assert_eq!(true.to_bytes(), [1]);
+        assert_eq!(Some(5u64).to_bytes(), [1, 5]);
+        assert_eq!(None::<u64>.to_bytes(), [0]);
+        assert_eq!(2.0f64.to_bytes(), 2.0f64.to_bits().to_le_bytes());
+    }
+
+    /// The op-code tables: an op's code is its index here. Reordering,
+    /// inserting or removing an entry changes stored payloads, so it
+    /// must fail this test and bump `FORMAT_VERSION`.
+    #[test]
+    fn op_code_tables_are_pinned() {
+        let binary: Vec<&str> = BinOp::all().iter().map(|op| op.mnemonic()).collect();
+        assert_eq!(
+            binary,
+            [
+                "add", "sub", "mul", "div", "rem", "shl", "shr", "and", "or", "xor", "cmplt",
+                "cmple", "cmpgt", "cmpge", "cmpeq", "cmpne", "fadd", "fsub", "fmul", "fdiv",
+                "fcmplt", "fcmple", "fcmpgt", "fcmpge", "fcmpeq", "fcmpne"
+            ]
+        );
+        let math: Vec<&str> = MathFn::all().iter().map(|m| m.name()).collect();
+        assert_eq!(math, ["sin", "cos", "sqrt", "fabs", "exp", "log", "floor"]);
+        let classes: Vec<&str> = OpClass::all().iter().map(|c| c.paper_name()).collect();
+        assert_eq!(
+            classes,
+            [
+                "add",
+                "subtract",
+                "multiply",
+                "divide",
+                "shift",
+                "logic",
+                "compare",
+                "load",
+                "store",
+                "fadd",
+                "fsub",
+                "fmultiply",
+                "fdivide",
+                "fload",
+                "fstore",
+                "move",
+                "convert",
+                "math",
+                "branch",
+                "chained"
+            ]
+        );
+        let plain: Vec<&str> = PLAIN_UNARY.iter().map(|op| op.mnemonic()).collect();
+        assert_eq!(plain, ["neg", "not", "fneg", "mov", "itof", "ftoi"]);
+
+        // the encoder writes exactly those indices
+        for (i, op) in BinOp::all().iter().enumerate() {
+            assert_eq!(op.to_bytes(), (i as u64).to_bytes(), "{op}");
+        }
+        for (i, class) in OpClass::all().iter().enumerate() {
+            assert_eq!(class.to_bytes(), (i as u64).to_bytes(), "{class}");
+        }
+        let unary = PLAIN_UNARY
+            .iter()
+            .copied()
+            .chain(MathFn::all().iter().map(|&m| UnOp::Math(m)));
+        for (i, op) in unary.enumerate() {
+            assert_eq!(op.to_bytes(), (i as u64).to_bytes(), "{op}");
+            round_trip(&op);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::fmt;
 /// truncated, corrupted or version-skewed store entry must degrade to a
 /// recompute, never to a session error. The variants exist so codec
 /// users outside the session (tools inspecting a store directly) can
-/// tell truncation from tag skew from semantic rejection.
+/// tell truncation from semantic rejection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The byte stream ended in the middle of a value.
@@ -30,17 +30,8 @@ pub enum CodecError {
         /// Offset at which more bytes were needed.
         at: usize,
     },
-    /// A value's leading tag byte did not match the expected type.
-    Tag {
-        /// Offset of the offending tag byte.
-        at: usize,
-        /// The tag the decoder expected.
-        expected: u8,
-        /// The tag actually found.
-        found: u8,
-    },
-    /// The bytes decoded structurally but describe an invalid value
-    /// (unknown mnemonic, impossible length, failed re-validation).
+    /// The bytes describe an invalid value (overlong varint, a bool
+    /// byte other than 0 or 1, unknown op code, failed re-validation).
     Invalid {
         /// Human-readable description of the rejection.
         detail: String,
@@ -58,14 +49,6 @@ impl fmt::Display for CodecError {
             CodecError::Truncated { at } => {
                 write!(f, "artifact bytes truncated at offset {at}")
             }
-            CodecError::Tag {
-                at,
-                expected,
-                found,
-            } => write!(
-                f,
-                "artifact tag mismatch at offset {at}: expected {expected:#04x}, found {found:#04x}"
-            ),
             CodecError::Invalid { detail } => write!(f, "invalid artifact payload: {detail}"),
             CodecError::Trailing { remaining } => {
                 write!(f, "artifact decoded with {remaining} trailing bytes")

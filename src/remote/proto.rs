@@ -14,9 +14,11 @@
 //! ```
 //!
 //! The framing reuses the store's building blocks on purpose: the same
-//! XXH64 checksum as store entries ([`crate::store`]), the same
-//! self-describing [`ArtifactCodec`](crate::artifact::ArtifactCodec)
-//! primitives for the body ([`crate::artifact`]), and the same failure
+//! XXH64 checksum as store entries ([`crate::store`]), the same untagged
+//! [`Encoder`]/[`Decoder`] primitives for the body as artifact payloads
+//! ([`crate::artifact`]: varint integers and lengths, one-byte booleans
+//! and option markers; a stage travels as its index in
+//! [`Stage::all`]), and the same failure
 //! philosophy — any structural defect (bad magic, oversize length,
 //! checksum mismatch, short read) is a typed [`RemoteError`], never a
 //! panic or a misread. Version negotiation is
@@ -26,7 +28,7 @@
 //! client degrades to local compute. See `docs/serve.md` for the
 //! complete specification and compatibility policy.
 
-use crate::artifact::{Decoder, Encoder, Stage};
+use crate::artifact::{varint_len, Decoder, Encoder, Stage};
 use crate::error::RemoteError;
 use crate::store::checksum;
 use crate::tier::TierStats;
@@ -50,7 +52,11 @@ pub const PROTO_MAGIC: [u8; 8] = *b"ASIPRPC\n";
 /// v3 — the frame's body checksum changed from FNV-1a 64 to XXH64
 /// (seed 0), the store's entry checksum, and the `STATS` body grew
 /// [`ServeStats::size_truncated`].
-pub const PROTO_VERSION: u32 = 3;
+/// v4 — bodies use the untagged varint codec of store format v5
+/// (integers and lengths are LEB128 varints, booleans and option
+/// markers one byte, no type tags), and a stage travels as its index in
+/// [`Stage::all`] instead of its name.
+pub const PROTO_VERSION: u32 = 4;
 
 /// Upper bound on one frame's body. Generous (the largest suite
 /// artifact is a few hundred KiB; a full prefetch batch is a few MiB)
@@ -245,15 +251,12 @@ impl ServeStats {
 // -- body encoding -----------------------------------------------------
 
 fn put_stage_key(enc: &mut Encoder, stage: Stage, key: u64) {
-    enc.put_str(stage.name());
+    enc.put_u64(stage as u64);
     enc.put_u64(key);
 }
 
 fn get_stage_key(dec: &mut Decoder<'_>) -> Result<(Stage, u64), RemoteError> {
-    let name = dec.str().map_err(body_err)?;
-    let stage = Stage::from_name(&name).ok_or_else(|| RemoteError::Frame {
-        detail: format!("unknown stage `{name}` in message body"),
-    })?;
+    let stage = dec.code(&Stage::all(), "stage").map_err(body_err)?;
     let key = dec.u64().map_err(body_err)?;
     Ok((stage, key))
 }
@@ -269,15 +272,15 @@ fn put_opt_payload(enc: &mut Encoder, payload: Option<&[u8]>) {
 }
 
 /// Encoded size of a [`Response::Batch`] body whose every slot is a
-/// miss: the sequence header plus one `None` marker per slot.
+/// miss: the varint slot count plus one `None` marker byte per slot.
 pub(crate) fn batch_miss_body_bytes(slots: usize) -> usize {
-    9 + 2 * slots
+    varint_len(slots as u64) + slots
 }
 
 /// Body bytes a hit of `payload_len` bytes adds over a miss slot in a
-/// [`Response::Batch`] body: the byte-string tag, length and payload.
+/// [`Response::Batch`] body: the varint byte length and the payload.
 pub(crate) fn batch_hit_extra_bytes(payload_len: usize) -> usize {
-    9 + payload_len
+    varint_len(payload_len as u64) + payload_len
 }
 
 fn get_opt_payload(dec: &mut Decoder<'_>) -> Result<Option<Vec<u8>>, RemoteError> {
@@ -756,7 +759,18 @@ mod tests {
 
     #[test]
     fn batch_body_size_matches_its_encoding() {
-        let slots = vec![None, Some(vec![7; 100]), None, Some(Vec::new())];
+        // payload lengths on both sides of the one- and two-byte varint
+        // boundaries, and a slot count that needs a two-byte varint
+        let mut slots = vec![
+            None,
+            Some(vec![7; 100]),
+            None,
+            Some(Vec::new()),
+            Some(vec![1; 127]),
+            Some(vec![2; 128]),
+            Some(vec![3; 16_384]),
+        ];
+        slots.resize(130, None);
         let expected = batch_miss_body_bytes(slots.len())
             + slots
                 .iter()
@@ -764,6 +778,18 @@ mod tests {
                 .map(|p| batch_hit_extra_bytes(p.len()))
                 .sum::<usize>();
         assert_eq!(Response::Batch(slots).encode_body().len(), expected);
+    }
+
+    #[test]
+    fn stages_travel_as_their_index() {
+        for (i, stage) in Stage::all().into_iter().enumerate() {
+            let body = Request::Get { stage, key: 300 }.encode_body();
+            assert_eq!(body, [i as u8, 0xAC, 0x02], "{stage}");
+        }
+        assert!(matches!(
+            Request::decode(kind::GET, &[9, 0]),
+            Err(RemoteError::Frame { detail }) if detail.contains("stage")
+        ));
     }
 
     #[test]

@@ -120,7 +120,13 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// (seed 0), which checks replayed bytes at memory speed. Payloads,
 /// the codec and key recipes are unchanged; v3 entries miss under the
 /// new keys and recompute, and `verify` reports them as stale.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5 — the payload codec became untagged: integers, lengths and
+/// variants are LEB128 varints, op codes and op classes are indices
+/// into the IR's `all()` tables, and a `Program` is written field by
+/// field instead of as textual IR. Payloads shrink about 5×; v4 entries
+/// miss under the new keys and recompute, and `verify` reports them as
+/// stale.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Magic bytes opening every artifact file.
 const MAGIC: [u8; 8] = *b"ASIPART\n";
@@ -407,12 +413,14 @@ pub struct VerifyReport {
     pub ok: u64,
     /// Entries rejected at any validation step, stale ones aside.
     pub corrupt: u64,
-    /// Intact-looking entries from an older format: the magic matches
-    /// and the version field is in `1..FORMAT_VERSION`. A version bump
-    /// leaves these behind under keys no current recipe derives; they
-    /// are dead weight for `gc`, not damage. (No single bit flip of the
-    /// current version lands in that range, so a damaged current entry
-    /// still counts as `corrupt`.)
+    /// Intact-looking entries from an older format: the magic matches,
+    /// the version field is in `1..FORMAT_VERSION`, and the rest of the
+    /// entry is not a valid current one. A version bump leaves these
+    /// behind under keys no current recipe derives; they are dead
+    /// weight for `gc`, not damage. (A current entry whose version
+    /// field took a bit flip still checksums and decodes as current, so
+    /// it counts as `corrupt`, whichever older version the flip lands
+    /// on.)
     pub stale: u64,
     /// Bytes across every inspected entry.
     pub bytes: u64,
@@ -833,7 +841,7 @@ impl ArtifactStore {
             if valid {
                 report.ok += 1;
                 report.ok_per_stage[e.stage as usize] += 1;
-            } else if is_stale_entry(&bytes) {
+            } else if is_stale_entry(&bytes, e.stage) {
                 report.stale += 1;
             } else {
                 report.corrupt += 1;
@@ -935,15 +943,7 @@ impl ArtifactTier for ArtifactStore {
         if fs::create_dir_all(parent).is_err() {
             return false;
         }
-        let mut bytes = Vec::with_capacity(payload.len() + 64);
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        let stage_name = stage.name().as_bytes();
-        bytes.push(stage_name.len() as u8);
-        bytes.extend_from_slice(stage_name);
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&checksum(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
+        let bytes = frame_entry(FORMAT_VERSION, stage, payload);
 
         if let Some(plan) = self.fault_plan() {
             // An injected write error fails before any byte lands.
@@ -1093,17 +1093,38 @@ pub(crate) fn checksum(payload: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
+/// A complete entry file: the header (magic, `version`, stage name,
+/// payload length, checksum) followed by the payload.
+fn frame_entry(version: u32, stage: Stage, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(payload.len() + 64);
+    bytes.extend_from_slice(&MAGIC);
+    bytes.extend_from_slice(&version.to_le_bytes());
+    let stage_name = stage.name().as_bytes();
+    bytes.push(stage_name.len() as u8);
+    bytes.extend_from_slice(stage_name);
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&checksum(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
 /// Validate a complete entry file's framing — magic, version, stage
 /// name, payload length, checksum — and return the payload slice. Any
 /// failure returns `None`; the caller counts it as `corrupt`. Typed
 /// payload decoding is the next layer up (the tier stack or
 /// [`ArtifactStore::load`]).
 fn validate_entry(bytes: &[u8], stage: Stage) -> Option<&[u8]> {
+    match parse_entry(bytes, stage)? {
+        (FORMAT_VERSION, payload) => Some(payload),
+        _ => None,
+    }
+}
+
+/// [`validate_entry`] without the version check: the version field and
+/// the checksum-validated payload.
+fn parse_entry(bytes: &[u8], stage: Stage) -> Option<(u32, &[u8])> {
     let rest = bytes.strip_prefix(&MAGIC)?;
     let (version, rest) = split_u32(rest)?;
-    if version != FORMAT_VERSION {
-        return None;
-    }
     let (&name_len, rest) = rest.split_first()?;
     let name_len = usize::from(name_len);
     if rest.len() < name_len {
@@ -1118,16 +1139,21 @@ fn validate_entry(bytes: &[u8], stage: Stage) -> Option<&[u8]> {
     if payload.len() as u64 != payload_len || checksum(payload) != expected_sum {
         return None;
     }
-    Some(payload)
+    Some((version, payload))
 }
 
 /// Whether a file that failed [`validate_entry`] is an entry from an
-/// older format version rather than a damaged one.
-fn is_stale_entry(bytes: &[u8]) -> bool {
-    bytes
+/// older format version rather than a damaged one: its version is
+/// older, and it does not frame and decode as a current entry (which a
+/// current entry with a flipped version bit would).
+fn is_stale_entry(bytes: &[u8], stage: Stage) -> bool {
+    let older = bytes
         .strip_prefix(&MAGIC)
         .and_then(split_u32)
-        .is_some_and(|(version, _)| (1..FORMAT_VERSION).contains(&version))
+        .is_some_and(|(version, _)| (1..FORMAT_VERSION).contains(&version));
+    older
+        && !parse_entry(bytes, stage)
+            .is_some_and(|(_, payload)| decode_stage_payload(stage, payload))
 }
 
 /// Typed-decode one validated payload against the artifact type of
@@ -1478,6 +1504,57 @@ mod tests {
         let dirty = store.verify();
         assert_eq!((dirty.ok, dirty.corrupt), (1, 2));
         assert_eq!(dirty.corrupt_per_stage[Stage::Profile as usize], 1);
+        fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn older_entries_are_stale_and_version_bit_flips_are_corrupt() {
+        let store = temp_store("stale-rule");
+        let evaluation = asip_synth::Evaluation {
+            base_cycles: 200,
+            asip_cycles: 100,
+            speedup: 2.0,
+            fused_chains: 3,
+            extension_area: 512.0,
+        };
+        // the same evaluation as format v4 wrote it: the same header
+        // and checksum, over the tagged fixed-width payload encoding
+        let mut v4_payload = Vec::new();
+        for (tag, bits) in [
+            (0x01u8, 200u64),
+            (0x01, 100),
+            (0x03, 2.0f64.to_bits()),
+            (0x01, 3),
+            (0x03, 512.0f64.to_bits()),
+        ] {
+            v4_payload.push(tag);
+            v4_payload.extend_from_slice(&bits.to_le_bytes());
+        }
+        store.save(Stage::Evaluate, 1, &evaluation);
+        fs::write(
+            store.entry_path(Stage::Evaluate, 1),
+            frame_entry(4, Stage::Evaluate, &v4_payload),
+        )
+        .expect("writable");
+        let report = store.verify();
+        assert_eq!((report.ok, report.stale, report.corrupt), (0, 1, 0));
+
+        // a current entry stays corrupt under every single-bit flip of
+        // its version field, including flips onto an older version
+        store.save(Stage::Evaluate, 1, &evaluation);
+        let path = store.entry_path(Stage::Evaluate, 1);
+        let current = fs::read(&path).expect("readable");
+        for bit in 0..32 {
+            let mut bytes = current.clone();
+            bytes[8 + bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &bytes).expect("writable");
+            let report = store.verify();
+            assert_eq!(
+                (report.ok, report.stale, report.corrupt),
+                (0, 0, 1),
+                "version bit {bit}"
+            );
+        }
         fs::remove_dir_all(store.dir()).ok();
     }
 }

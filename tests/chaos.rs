@@ -1,7 +1,8 @@
 //! Seeded chaos sweeps: many deterministic [`FaultPlan`]s driven
 //! through full `explore_all` sessions — store-backed, remote-backed,
 //! and multi-client against one serve daemon — plus a simulated-crash
-//! truncation sweep over every on-disk artifact.
+//! truncation sweep over every on-disk artifact and poisoned payloads
+//! planted through the daemon's `Put`.
 //!
 //! The invariants are absolute, not statistical:
 //!
@@ -16,9 +17,13 @@
 //! the tier-1 default keeps local runs quick), mirroring the
 //! `ASIP_GEN_SWEEP_SEEDS` convention of the generator sweep.
 
-use asip_explorer::remote::{serve, Endpoint, RetryPolicy, ServeOptions};
+use asip_explorer::artifact::{ArtifactCodec, Encoder};
+use asip_explorer::prelude::{ScheduleGraph, SequenceReport, Stage};
+use asip_explorer::remote::{serve, Endpoint, RemoteTier, RetryPolicy, ServeOptions};
+use asip_explorer::tier::ArtifactTier;
 use asip_explorer::{
-    Exploration, Explorer, FaultConfig, FaultPlan, FaultTier, MemoryTier, StoreGcConfig,
+    ArtifactStore, CodecError, Exploration, Explorer, FaultConfig, FaultPlan, FaultTier,
+    MemoryTier, StoreGcConfig,
 };
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -449,4 +454,113 @@ fn crash_torn_manifest_always_recovers_and_is_rewritten_valid() {
     }
     fs::remove_dir_all(&scratch).ok();
     fs::remove_dir_all(&pristine).ok();
+}
+
+// -- poisoned puts -----------------------------------------------------
+
+/// The keys of every entry file a store directory holds at `stage`.
+fn stage_keys(dir: &Path, stage: Stage) -> Vec<u64> {
+    let mut keys: Vec<u64> = fs::read_dir(dir.join(stage.name()))
+        .expect("stage directory")
+        .flatten()
+        .filter_map(|e| {
+            let path = e.path();
+            let stem = path.file_stem()?.to_str()?;
+            (path.extension()? == "art").then(|| u64::from_str_radix(stem, 16).ok())?
+        })
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// A report's encoding with its first frequency replaced by NaN,
+/// written through the public encoder field by field, since
+/// `SequenceReport` itself cannot hold an unsortable frequency.
+fn nan_report_bytes(report: &SequenceReport) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_str(&report.name);
+    enc.put_seq(report.entries().len());
+    for (i, (signature, stats)) in report.entries().iter().enumerate() {
+        signature.encode(&mut enc);
+        enc.put_f64(if i == 0 { f64::NAN } else { stats.frequency });
+        enc.put_u64(stats.occurrences as u64);
+    }
+    enc.put_u64(report.total_profile_ops);
+    enc.into_bytes()
+}
+
+/// The daemon stores `Put` payloads without decoding them, so a client
+/// can plant framed, correctly checksummed payloads that no reader may
+/// accept: a NaN frequency (which the report's sort cannot order) and a
+/// NaN schedule weight. A fresh client must count each as corrupt,
+/// recompute byte-identical results, and never panic.
+#[test]
+fn poisoned_puts_are_counted_corrupt_and_recomputed() {
+    let expected = format!("{:?}", Explorer::new().explore("fir").expect("explores"));
+    let dir = store_dir("poisoned-put");
+    let server_session = Arc::new(Explorer::new().with_store(&dir));
+    let handle = serve(server_session, &loopback(), chaos_serve_options()).expect("binds");
+    let addr = handle.endpoint().to_string();
+
+    // an ordinary client populates the daemon's store through its puts
+    let first = Explorer::new()
+        .with_remote(&addr, chaos_policy(1))
+        .expect("daemon endpoint parses");
+    first.explore("fir").expect("explores");
+
+    // a hostile client overwrites every analyze and schedule entry
+    let reader = ArtifactStore::open(&dir);
+    let hostile = RemoteTier::new(handle.endpoint().clone(), chaos_policy(2));
+    let mut poisoned = 0u64;
+    for key in stage_keys(&dir, Stage::Analyze) {
+        let report: SequenceReport = reader.load(Stage::Analyze, key).expect("valid entry");
+        assert!(report.entries().len() >= 2, "the sort must compare a NaN");
+        let poison = nan_report_bytes(&report);
+        assert!(
+            matches!(
+                SequenceReport::from_bytes(&poison),
+                Err(CodecError::Invalid { detail }) if detail.contains("frequency")
+            ),
+            "the poison is rejected for its frequency"
+        );
+        assert!(hostile.put(Stage::Analyze, key, &poison), "put lands");
+        poisoned += 1;
+    }
+    for key in stage_keys(&dir, Stage::Schedule) {
+        let mut graph: ScheduleGraph = reader.load(Stage::Schedule, key).expect("valid entry");
+        let node = graph
+            .nodes
+            .iter_mut()
+            .find(|n| !n.ops.is_empty())
+            .expect("a node with ops");
+        node.ops[0].weight = f64::NAN;
+        let poison = graph.to_bytes();
+        assert!(
+            matches!(
+                ScheduleGraph::from_bytes(&poison),
+                Err(CodecError::Invalid { detail }) if detail.contains("weight")
+            ),
+            "the poison is rejected for its weight"
+        );
+        assert!(hostile.put(Stage::Schedule, key, &poison), "put lands");
+        poisoned += 1;
+    }
+    assert_eq!(poisoned, 6, "three levels of analyze and schedule entries");
+
+    let fresh = Explorer::new()
+        .with_remote(&addr, chaos_policy(3))
+        .expect("daemon endpoint parses");
+    let run = fresh
+        .explore("fir")
+        .expect("a poisoned tier costs recomputes");
+    assert_eq!(format!("{run:?}"), expected, "byte-identical results");
+    let stats = fresh.cache_stats();
+    assert_eq!(stats.total_remote_corrupt(), poisoned, "{stats}");
+    for stage in [Stage::Analyze, Stage::Schedule] {
+        assert_eq!(stats.stage(stage).remote_corrupt, 3, "{stage}: {stats}");
+    }
+
+    let served = handle.shutdown();
+    assert_eq!(served.panics, 0);
+    fs::remove_dir_all(&dir).ok();
 }

@@ -260,10 +260,13 @@ fn version_bump_invalidates_old_entries() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Rewrite a current entry file as the previous format wrote it:
-/// version field `FORMAT_VERSION - 1` and an FNV-1a 64 payload checksum.
+/// Rewrite a current entry file as an older format: version field
+/// `FORMAT_VERSION - 1` and an FNV-1a 64 payload checksum (the checksum
+/// formats up to v3 wrote), so it cannot pass as a current entry.
 /// Header: magic (8), version (4), stage-name length (1) and name,
-/// payload length (8), checksum (8), payload.
+/// payload length (8), checksum (8), payload. (The store's unit tests
+/// cover a v4 entry, whose checksum is current but whose payload is
+/// not.)
 fn forge_previous_format(bytes: &[u8]) -> Vec<u8> {
     let name_len = usize::from(bytes[12]);
     let sum_at = 13 + name_len + 8;
