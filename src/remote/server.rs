@@ -10,41 +10,60 @@
 //! client process, and a `stats` op exposing its own session counters
 //! so tests can observe single-flight behaviour fleet-wide.
 //!
-//! Threading model: one accept thread polls the listener under a short
-//! interval so the stop flag stays responsive; each accepted connection
-//! gets its own thread that serves frames until the peer hangs up, the
-//! idle timeout passes, or shutdown is requested. Shutdown (the
-//! [`Request::Shutdown`](crate::remote::Request) op or
-//! [`ServerHandle::request_shutdown`]) stops the accept loop, waits
-//! bounded for in-flight connections to drain, and flushes the store
-//! manifest so a later cold start sees every entry.
+//! Threading model: one accept thread blocks in `accept`, so a new
+//! connection is read the moment it lands. Each connection is served by
+//! a worker thread until the peer hangs up, the idle timeout passes, or
+//! shutdown is requested; the worker then parks, and the next connection
+//! goes to a parked worker before any new thread is spawned. A worker
+//! parked for the idle timeout exits. Shutdown (the
+//! [`Request::Shutdown`](crate::remote::Request) op,
+//! [`ServerHandle::request_shutdown`] or dropping the handle) sets the
+//! stop flag, releases parked workers and wakes the accept loop with one
+//! connection to the daemon's own endpoint; joining then waits bounded
+//! for in-flight connections to drain and flushes the store manifest so
+//! a later cold start sees every entry.
+//!
+//! A `get` that a persistent tier answers also lands in the session's
+//! staging memory tier, so the next client reads it from memory instead
+//! of the disk (see [`ServeOptions`]).
 
 use crate::artifact::Stage;
 use crate::remote::proto::{
     batch_hit_extra_bytes, batch_miss_body_bytes, read_frame_after, write_frame, Request, Response,
     ServeStats, ServerInfo, MAX_BODY_BYTES, PROTO_VERSION,
 };
-use crate::remote::transport::{Conn, Endpoint, Listener};
+use crate::remote::transport::{Conn, Endpoint, Listener, Waker};
 use crate::session::Explorer;
 use crate::store::{StoreGcConfig, FORMAT_VERSION};
 use crate::tier::TierRead;
+use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tunables of a [`serve`] daemon.
+///
+/// The daemon accepts on arrival: a new connection waits for no timer,
+/// whatever the `poll_interval`. Connection threads are reused: a worker
+/// whose connection ended parks for up to `idle_timeout` and takes the
+/// next connection, and a thread is spawned only when no worker is
+/// parked. Entries the daemon reads from a persistent tier (its store)
+/// are promoted into the session's staging memory tier, which its byte
+/// budget (64 MiB by default, LRU) bounds; keys are content hashes, so a
+/// promoted entry never goes stale. The daemon session's own stage
+/// requests may then count such entries as prefetch hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Bound on each read/write once a frame has started. A slow
     /// client that stalls mid-frame (or stops draining responses) is
     /// cut loose after this long rather than pinning its thread.
     pub io_timeout: Duration,
-    /// How often the accept loop and idle connections re-check the
-    /// stop flag; also the worst-case wait before a new connection is
-    /// accepted, so it bounds per-request latency for short-lived
-    /// clients, and the upper bound on shutdown latency per thread.
+    /// How often idle connections re-check the stop flag, so the upper
+    /// bound on shutdown latency per connection, and the step of the
+    /// bounded drain wait on shutdown. Not a latency floor: new
+    /// connections are accepted on arrival.
     pub poll_interval: Duration,
     /// Bound on *data* requests (`get`/`get_batch`/`put`/`contains`)
     /// being served at once, across all connections. A request landing
@@ -62,15 +81,16 @@ pub struct ServeOptions {
     pub request_deadline: Duration,
     /// How long a connection may sit idle (no frame started) before the
     /// daemon reaps it to bound thread count against clients that
-    /// connect and forget. Reaps are counted as `idle_reaped`.
+    /// connect and forget. Reaps are counted as `idle_reaped`. Also how
+    /// long a worker thread stays parked for the next connection before
+    /// it exits.
     pub idle_timeout: Duration,
 }
 
 impl Default for ServeOptions {
-    /// Ten-second I/O bound, 5ms stop-flag/accept poll (a connection
-    /// landing mid-sleep waits a full interval, so a coarse poll is a
-    /// per-connection latency floor), 64 in-flight data requests,
-    /// thirty-second request deadline, sixty-second idle reap.
+    /// Ten-second I/O bound, 5ms stop-flag poll on idle connections,
+    /// 64 in-flight data requests, thirty-second request deadline,
+    /// sixty-second idle reap (and worker park).
     fn default() -> Self {
         ServeOptions {
             io_timeout: Duration::from_secs(10),
@@ -82,7 +102,7 @@ impl Default for ServeOptions {
     }
 }
 
-/// How long [`serve`]'s shutdown path waits for in-flight connections
+/// How long [`serve`]'s shutdown path waits for connection threads
 /// before abandoning them (their threads still exit on their next
 /// stop-flag poll; only the *wait* is bounded).
 const DRAIN_BOUND: Duration = Duration::from_secs(5);
@@ -115,6 +135,30 @@ struct Shared {
     active: AtomicUsize,
     inflight: AtomicUsize,
     options: ServeOptions,
+    /// Wakes the accept loop out of its blocking accept on stop.
+    waker: Waker,
+    /// Parked workers and the connections handed to them.
+    pool: Mutex<Pool>,
+    /// Signals a parked worker that a connection was handed over.
+    handoff: Condvar,
+    /// Signals a [`ServerHandle::join`] waiting for the stop flag.
+    stopped: Condvar,
+    /// Live connection threads.
+    workers: AtomicUsize,
+    /// Connection threads spawned over the daemon's life.
+    spawned: AtomicUsize,
+}
+
+/// Parked connection threads. Under the lock, `handed.len() <= idle`
+/// always holds: a connection is queued only while a parked worker is
+/// free to take it, and a parked worker exits only once the queue is
+/// empty, so a worker that times out can never strand a connection.
+#[derive(Default)]
+struct Pool {
+    /// Workers parked (or about to take a handed connection).
+    idle: usize,
+    /// Connections handed over and not yet taken.
+    handed: VecDeque<Box<dyn Conn>>,
 }
 
 /// RAII claim on one of the daemon's [`ServeOptions::max_inflight`]
@@ -142,6 +186,23 @@ fn is_data_op(req: &Request) -> bool {
 }
 
 impl Shared {
+    fn new(session: Arc<Explorer>, options: ServeOptions, waker: Waker) -> Shared {
+        Shared {
+            session,
+            counters: ServeCounters::default(),
+            stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            inflight: AtomicUsize::new(0),
+            options,
+            waker,
+            pool: Mutex::new(Pool::default()),
+            handoff: Condvar::new(),
+            stopped: Condvar::new(),
+            workers: AtomicUsize::new(0),
+            spawned: AtomicUsize::new(0),
+        }
+    }
+
     fn add(&self, cell: &AtomicU64, n: u64) {
         cell.fetch_add(n, Ordering::Relaxed);
     }
@@ -196,16 +257,25 @@ impl Shared {
     }
 
     /// Read `(stage, key)` from the resident stack, top tier down. A
-    /// miss everywhere stays a miss — the client computes.
+    /// miss everywhere stays a miss — the client computes. A hit in a
+    /// persistent tier, whose bytes passed that tier's checksum, is
+    /// promoted into the topmost non-persistent tier above it (the
+    /// staging memory tier), so the next read of a hot entry skips the
+    /// disk. Keys are content hashes, so a promoted entry cannot go
+    /// stale, whatever later puts, GC or file deletion do.
     fn find(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
-        self.session
-            .tier_stack()
-            .tiers()
-            .iter()
-            .find_map(|tier| match tier.get(stage, key) {
-                TierRead::Hit(payload) => Some(payload),
-                _ => None,
-            })
+        let tiers = self.session.tier_stack().tiers();
+        for (depth, tier) in tiers.iter().enumerate() {
+            if let TierRead::Hit(payload) = tier.get(stage, key) {
+                if tier.persistent() {
+                    if let Some(hot) = tiers[..depth].iter().find(|t| !t.persistent()) {
+                        hot.put(stage, key, &payload);
+                    }
+                }
+                return Some(payload);
+            }
+        }
+        None
     }
 
     /// Count one answered probe as a hit or a miss.
@@ -335,6 +405,83 @@ impl Shared {
         self.handle_isolated(req)
     }
 
+    /// Stop the daemon: set the flag, release parked workers and a
+    /// waiting [`ServerHandle::join`], and wake the accept loop out of
+    /// its blocking accept.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // taking the lock orders the flag before every parked thread's
+        // next check, so no notification is lost
+        drop(crate::tier::lock(&self.pool));
+        self.handoff.notify_all();
+        self.stopped.notify_all();
+        self.waker.wake();
+    }
+
+    /// Block until the stop flag is set.
+    fn wait_for_stop(&self) {
+        let mut pool = crate::tier::lock(&self.pool);
+        while !self.stop.load(Ordering::SeqCst) {
+            pool = self
+                .stopped
+                .wait(pool)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Hand `conn` to a parked worker, or give it back when none is
+    /// free (see [`Pool`]).
+    fn hand_off(&self, conn: Box<dyn Conn>) -> Result<(), Box<dyn Conn>> {
+        let mut pool = crate::tier::lock(&self.pool);
+        if pool.handed.len() >= pool.idle {
+            return Err(conn);
+        }
+        pool.handed.push_back(conn);
+        drop(pool);
+        self.handoff.notify_one();
+        Ok(())
+    }
+
+    /// Park a worker whose connection just ended until another is
+    /// handed to it: `None` once `idle_timeout` passes without one, or
+    /// the daemon stops. The worker counts as idle before it leaves
+    /// `active`, so with no active connection every worker is parked or
+    /// gone.
+    fn park(&self) -> Option<Box<dyn Conn>> {
+        let mut pool = crate::tier::lock(&self.pool);
+        pool.idle += 1;
+        self.active.fetch_sub(1, Ordering::SeqCst);
+        let deadline = Instant::now() + self.options.idle_timeout;
+        loop {
+            if let Some(conn) = pool.handed.pop_front() {
+                pool.idle -= 1;
+                return Some(conn);
+            }
+            let now = Instant::now();
+            if self.stop.load(Ordering::SeqCst) || now >= deadline {
+                pool.idle -= 1;
+                return None;
+            }
+            pool = self
+                .handoff
+                .wait_timeout(pool, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// Wait (bounded) for connection threads to exit, then flush the
+    /// manifest so a cold restart sees every entry written this run.
+    fn drain(&self) {
+        let deadline = Instant::now() + DRAIN_BOUND;
+        while self.workers.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(self.options.poll_interval);
+        }
+        if let Some(store) = self.session.store() {
+            store.gc(&StoreGcConfig::default());
+        }
+    }
+
     fn handle_isolated(&self, req: Request) -> Response {
         let deadline = Instant::now() + self.options.request_deadline;
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle(req, deadline)))
@@ -420,38 +567,48 @@ fn serve_conn(shared: &Shared, mut conn: Box<dyn Conn>) {
             Err(_) => return,
         }
         if closing {
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.request_stop();
             return;
         }
         idle_since = Instant::now();
     }
 }
 
+/// A connection thread: serve `conn`, then each connection handed to it
+/// while parked, until it parks for `idle_timeout` or the daemon stops.
+fn worker(shared: &Shared, conn: Box<dyn Conn>) {
+    let mut next = Some(conn);
+    while let Some(conn) = next {
+        serve_conn(shared, conn);
+        next = shared.park();
+    }
+    shared.workers.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Accept connections as they arrive and give each to a parked worker,
+/// spawning a worker only when none is parked. Returns on the first
+/// connection accepted after the stop flag is set: the stop wake (or a
+/// client landing with it), which it drops.
 fn accept_loop(shared: &Arc<Shared>, listener: Box<dyn Listener>) {
-    let poll = shared.options.poll_interval;
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.poll_accept(poll) {
-            Ok(Some(conn)) => {
-                shared.add(&shared.counters.connections, 1);
-                shared.active.fetch_add(1, Ordering::SeqCst);
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || {
-                    serve_conn(&shared, conn);
-                    shared.active.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            Ok(None) => {}
-            Err(_) => std::thread::sleep(poll),
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
         }
-    }
-    // drain: wait (bounded) for in-flight connections, then flush the
-    // manifest so a cold restart sees every entry written this run
-    let deadline = Instant::now() + DRAIN_BOUND;
-    while shared.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(poll);
-    }
-    if let Some(store) = shared.session.store() {
-        store.gc(&StoreGcConfig::default());
+        let Ok(conn) = accepted else {
+            // a failing socket (out of descriptors, say): back off
+            // rather than spin
+            std::thread::sleep(shared.options.poll_interval);
+            continue;
+        };
+        shared.add(&shared.counters.connections, 1);
+        shared.active.fetch_add(1, Ordering::SeqCst);
+        if let Err(conn) = shared.hand_off(conn) {
+            shared.workers.fetch_add(1, Ordering::SeqCst);
+            shared.spawned.fetch_add(1, Ordering::Relaxed);
+            let shared = Arc::clone(shared);
+            std::thread::spawn(move || worker(&shared, conn));
+        }
     }
 }
 
@@ -469,6 +626,8 @@ impl std::fmt::Debug for Shared {
         f.debug_struct("Shared")
             .field("stop", &self.stop.load(Ordering::SeqCst))
             .field("active", &self.active.load(Ordering::SeqCst))
+            .field("workers", &self.workers.load(Ordering::SeqCst))
+            .field("spawned", &self.spawned.load(Ordering::Relaxed))
             .field("options", &self.options)
             .finish_non_exhaustive()
     }
@@ -493,11 +652,13 @@ impl ServerHandle {
         self.shared.stats()
     }
 
-    /// Ask the daemon to stop. Returns immediately; the accept loop
-    /// notices within one poll interval, drains and flushes. Use
-    /// [`ServerHandle::join`] (or [`ServerHandle::shutdown`]) to wait.
+    /// Ask the daemon to stop. Returns immediately: parked workers
+    /// exit, the accept loop is woken and stops accepting, and idle
+    /// connections close within one poll interval. Use
+    /// [`ServerHandle::join`] (or [`ServerHandle::shutdown`]) to wait
+    /// for the drain and the manifest flush.
     pub fn request_shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.request_stop();
     }
 
     /// Whether the stop flag is set (by [`ServerHandle::request_shutdown`]
@@ -507,12 +668,28 @@ impl ServerHandle {
     }
 
     /// Wait for the daemon to exit (after a stop was requested locally
-    /// or over the wire). Returns the final statistics snapshot.
+    /// or over the wire): the accept loop ends, connection threads drain
+    /// (bounded) and the store manifest is flushed. Returns the final
+    /// statistics snapshot.
     pub fn join(mut self) -> ServeStats {
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+        self.finish();
         self.shared.stats()
+    }
+
+    /// Wait for a stop, then for the accept loop, then drain. The accept
+    /// loop returns on the stop wake. It never will when no wake can
+    /// reach its socket (a Unix path since reclaimed by another daemon);
+    /// that thread then holds nothing but a listener no client can
+    /// reach, so it is left behind rather than waited on.
+    fn finish(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        self.shared.wait_for_stop();
+        if accept.is_finished() || self.shared.waker.wake() {
+            let _ = accept.join();
+        }
+        self.shared.drain();
     }
 
     /// [`request_shutdown`](ServerHandle::request_shutdown) followed by
@@ -524,13 +701,13 @@ impl ServerHandle {
 }
 
 impl Drop for ServerHandle {
-    /// A dropped handle stops the daemon (best-effort, without
-    /// waiting): a forgotten `serve` in a test must not leak an accept
-    /// thread past the test body.
+    /// A dropped handle stops the daemon and waits for it, as
+    /// [`ServerHandle::shutdown`] does: a forgotten `serve` in a test
+    /// must not leak an accept or connection thread past the test body.
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+        if self.accept.is_some() {
+            self.shared.request_stop();
+            self.finish();
         }
     }
 }
@@ -552,14 +729,7 @@ pub fn serve(
 ) -> io::Result<ServerHandle> {
     let listener = endpoint.bind()?;
     let resolved = listener.local_endpoint();
-    let shared = Arc::new(Shared {
-        session,
-        counters: ServeCounters::default(),
-        stop: AtomicBool::new(false),
-        active: AtomicUsize::new(0),
-        inflight: AtomicUsize::new(0),
-        options,
-    });
+    let shared = Arc::new(Shared::new(session, options, Waker::new(listener.as_ref())));
     let accept = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -661,14 +831,12 @@ mod tests {
     #[test]
     fn batch_replies_stay_inside_the_body_budget() {
         let dir = temp_dir("budget");
-        let shared = Shared {
-            session: Arc::new(Explorer::new().with_store(&dir)),
-            counters: ServeCounters::default(),
-            stop: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            inflight: AtomicUsize::new(0),
-            options: ServeOptions::default(),
-        };
+        let listener = loopback().bind().expect("binds");
+        let shared = Shared::new(
+            Arc::new(Explorer::new().with_store(&dir)),
+            ServeOptions::default(),
+            Waker::new(listener.as_ref()),
+        );
         let deadline = Instant::now() + Duration::from_secs(60);
         for key in 1..=4 {
             let put = Request::Put {
@@ -798,6 +966,198 @@ mod tests {
         // the listener is gone: a fail-fast client sees a dead server
         let tier = RemoteTier::new(endpoint, RetryPolicy::fail_fast());
         assert!(tier.ping().is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Poll `cond` until it holds, failing after five seconds.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn sequential_fresh_clients_reuse_parked_workers() {
+        let dir = temp_dir("reuse");
+        let session = Arc::new(Explorer::new().with_store(&dir));
+        let handle = serve(session, &loopback(), ServeOptions::default()).expect("binds");
+        let shared = Arc::clone(&handle.shared);
+        for _ in 0..20 {
+            let tier = RemoteTier::new(handle.endpoint().clone(), RetryPolicy::default());
+            tier.ping().expect("ping answered");
+            drop(tier);
+            // with no active connection, the worker has parked
+            wait_until("the connection to end", || {
+                shared.active.load(Ordering::SeqCst) == 0
+            });
+        }
+        assert_eq!(handle.stats().connections, 20);
+        assert!(
+            shared.spawned.load(Ordering::SeqCst) <= 2,
+            "twenty fresh clients need at most two worker threads: {shared:?}"
+        );
+        let _ = handle.shutdown();
+        assert_eq!(shared.workers.load(Ordering::SeqCst), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A daemon with two parked workers and a third serving an idle raw
+    /// connection (returned: dropping it would end that connection).
+    fn daemon_with_parked_workers(tag: &str) -> (ServerHandle, Box<dyn Conn>, PathBuf) {
+        let dir = temp_dir(tag);
+        let session = Arc::new(Explorer::new().with_store(&dir));
+        let handle = serve(session, &loopback(), ServeOptions::default()).expect("binds");
+        let dial = || {
+            handle
+                .endpoint()
+                .connect(Duration::from_secs(1))
+                .expect("dials")
+        };
+        let (idle, ended) = (dial(), [dial(), dial()]);
+        wait_until("three accepted connections", || {
+            handle.shared.active.load(Ordering::SeqCst) == 3
+        });
+        drop(ended);
+        wait_until("two parked workers", || {
+            crate::tier::lock(&handle.shared.pool).idle == 2
+        });
+        assert_eq!(handle.shared.workers.load(Ordering::SeqCst), 3);
+        (handle, idle, dir)
+    }
+
+    /// Run `stop` on a busy daemon: it must return promptly (long before
+    /// the sixty-second idle timeout) with every worker thread gone.
+    fn assert_stops_promptly(tag: &str, stop: impl FnOnce(ServerHandle)) {
+        let (handle, idle, dir) = daemon_with_parked_workers(tag);
+        let shared = Arc::clone(&handle.shared);
+        let endpoint = handle.endpoint().clone();
+        let started = Instant::now();
+        stop(handle);
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "{tag}: stopping took {took:?}"
+        );
+        assert_eq!(
+            shared.workers.load(Ordering::SeqCst),
+            0,
+            "{tag}: no worker thread outlives the daemon"
+        );
+        assert!(
+            endpoint.connect(Duration::from_secs(1)).is_err(),
+            "{tag}: the accept loop ended and closed its listener"
+        );
+        drop(idle);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_returns_promptly_with_parked_workers_and_an_idle_client() {
+        assert_stops_promptly("stop-shutdown", |handle| {
+            let _ = handle.shutdown();
+        });
+    }
+
+    #[test]
+    fn drop_returns_promptly_with_parked_workers_and_an_idle_client() {
+        assert_stops_promptly("stop-drop", drop);
+    }
+
+    #[test]
+    fn wire_shutdown_returns_promptly_with_parked_workers_and_an_idle_client() {
+        assert_stops_promptly("stop-wire", |handle| {
+            let tier = RemoteTier::new(handle.endpoint().clone(), RetryPolicy::default());
+            tier.shutdown_server().expect("closing acknowledged");
+            let _ = handle.join();
+        });
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn stopping_a_daemon_whose_socket_path_was_reclaimed_does_not_hang() {
+        let dir = temp_dir("reclaimed");
+        let sock = std::env::temp_dir().join(format!(
+            "asip-serve-reclaimed-{}-{:?}.sock",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&sock);
+        let endpoint = Endpoint::Unix(sock.clone());
+        let stale = serve(
+            Arc::new(Explorer::new().with_store(&dir)),
+            &endpoint,
+            ServeOptions::default(),
+        )
+        .expect("binds");
+        std::fs::remove_file(&sock).expect("external cleanup");
+        let live = serve(
+            Arc::new(Explorer::new().with_store(&dir)),
+            &endpoint,
+            ServeOptions::default(),
+        )
+        .expect("rebinds the path");
+
+        let started = Instant::now();
+        let _ = stale.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(2));
+        assert!(sock.exists(), "the live daemon keeps its socket");
+        let tier = RemoteTier::new(endpoint, RetryPolicy::fail_fast());
+        assert!(tier.ping().is_ok(), "the live daemon still answers");
+        assert_eq!(
+            live.stats().connections,
+            1,
+            "stopping the stale daemon never dialled the live one"
+        );
+        let _ = live.shutdown();
+        assert!(!sock.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_hits_are_promoted_to_memory_and_damaged_entries_never_are() {
+        use crate::artifact::Stage;
+        use crate::tier::TierRead;
+        let dir = temp_dir("promote");
+        let session = Arc::new(Explorer::new().with_store(&dir));
+        let handle =
+            serve(Arc::clone(&session), &loopback(), ServeOptions::default()).expect("binds");
+        let tier = RemoteTier::new(handle.endpoint().clone(), RetryPolicy::default());
+        assert!(tier.put(Stage::Profile, 1, b"good"));
+        assert!(tier.put(Stage::Profile, 2, b"damaged"));
+        let store = session.store().expect("store attached");
+        let path = store.entry_path(Stage::Profile, 2);
+        let mut bytes = std::fs::read(&path).expect("readable");
+        *bytes.last_mut().expect("nonempty") ^= 0xFF;
+        std::fs::write(&path, &bytes).expect("writable");
+
+        let staging = &session.tier_stack().tiers()[0];
+        assert!(!staging.persistent(), "the staging memory tier");
+        assert!(
+            !staging.contains(Stage::Profile, 1),
+            "puts land on disk only"
+        );
+        assert!(matches!(tier.get(Stage::Profile, 1), TierRead::Hit(p) if p == b"good"));
+        assert!(
+            staging.contains(Stage::Profile, 1),
+            "a disk hit is promoted"
+        );
+        assert!(matches!(tier.get(Stage::Profile, 2), TierRead::Miss));
+        assert!(
+            !staging.contains(Stage::Profile, 2),
+            "damage is never promoted"
+        );
+
+        // the promoted entry answers from memory once the disk is gone
+        std::fs::remove_dir_all(&dir).expect("store removable");
+        assert!(matches!(tier.get(Stage::Profile, 1), TierRead::Hit(p) if p == b"good"));
+        let totals: std::collections::HashMap<_, _> =
+            handle.stats().tier_totals.into_iter().collect();
+        assert_eq!(totals["disk"].corrupt, 1, "{totals:?}");
+        assert_eq!(totals["disk"].hits, 1, "{totals:?}");
+        assert_eq!(totals["memory"].hits, 1, "{totals:?}");
+        let _ = handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,7 +15,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -53,18 +53,18 @@ impl Conn for UnixStream {
     }
 }
 
-/// A bound, non-blocking server socket. [`Listener::poll_accept`]
-/// returns instead of blocking so the accept loop can observe the
-/// shutdown flag between polls.
+/// A bound server socket. [`Listener::accept`] blocks until a
+/// connection arrives, so a connection is served the moment it lands;
+/// an accept loop that must stop is woken by one connection to the
+/// listener's own endpoint (the daemon's stop path does this).
 pub trait Listener: Send + fmt::Debug {
-    /// Accept one pending connection if any, otherwise sleep at most
-    /// `wait` and return `None`. Accepted connections are switched back
-    /// to blocking mode (their reads are bounded by explicit timeouts).
+    /// Block until a connection arrives and return it. Its reads and
+    /// writes are bounded by explicit timeouts ([`Conn`]).
     ///
     /// # Errors
     ///
     /// Fatal socket errors (the caller backs off and retries).
-    fn poll_accept(&self, wait: Duration) -> io::Result<Option<Box<dyn Conn>>>;
+    fn accept(&self) -> io::Result<Box<dyn Conn>>;
 
     /// The endpoint this listener is actually bound to — for TCP with
     /// port 0 this carries the kernel-assigned port, so in-process
@@ -79,22 +79,13 @@ struct TcpTransportListener {
 }
 
 impl Listener for TcpTransportListener {
-    fn poll_accept(&self, wait: Duration) -> io::Result<Option<Box<dyn Conn>>> {
-        match self.inner.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                // match the client side: batch replies are written as
-                // header + payload, and Nagle holding the short header
-                // for a delayed ACK costs ~40ms per response
-                stream.set_nodelay(true).ok();
-                Ok(Some(Box::new(stream)))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(wait);
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
+    fn accept(&self) -> io::Result<Box<dyn Conn>> {
+        let (stream, _) = self.inner.accept()?;
+        // match the client side: batch replies are written as header +
+        // payload, and Nagle holding the short header for a delayed ACK
+        // costs ~40ms per response
+        stream.set_nodelay(true).ok();
+        Ok(Box::new(stream))
     }
 
     fn local_endpoint(&self) -> Endpoint {
@@ -122,18 +113,9 @@ fn socket_file_id(path: &std::path::Path) -> Option<(u64, u64)> {
 
 #[cfg(unix)]
 impl Listener for UnixTransportListener {
-    fn poll_accept(&self, wait: Duration) -> io::Result<Option<Box<dyn Conn>>> {
-        match self.inner.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                Ok(Some(Box::new(stream)))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(wait);
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
+    fn accept(&self) -> io::Result<Box<dyn Conn>> {
+        let (stream, _) = self.inner.accept()?;
+        Ok(Box::new(stream))
     }
 
     fn local_endpoint(&self) -> Endpoint {
@@ -152,6 +134,66 @@ impl Drop for UnixTransportListener {
         if self.owner.is_some() && socket_file_id(&self.path) == self.owner {
             std::fs::remove_file(&self.path).ok();
         }
+    }
+}
+
+/// Wakes a thread blocked in [`Listener::accept`] by connecting once to
+/// the listener's own endpoint. A TCP listener bound to an unspecified
+/// address (`0.0.0.0`, `[::]`) is reached through loopback.
+#[derive(Debug)]
+pub(crate) struct Waker {
+    target: Endpoint,
+    /// The Unix socket file the listener created, when it is one: a
+    /// wake never connects to a path that another socket has since
+    /// reclaimed, since that would reach the other listener instead.
+    socket: Option<(u64, u64)>,
+}
+
+/// Bound on a wake's connect. A live listener completes a loopback
+/// connect at once; this only caps a wake that cannot land.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+impl Waker {
+    /// A waker for `listener`. Build it right after the bind, while the
+    /// socket file on a Unix path is still the listener's own.
+    pub(crate) fn new(listener: &dyn Listener) -> Waker {
+        let target = match listener.local_endpoint() {
+            Endpoint::Tcp(addr) => match addr.parse::<SocketAddr>() {
+                Ok(mut addr) if addr.ip().is_unspecified() => {
+                    let loopback: IpAddr = if addr.is_ipv4() {
+                        Ipv4Addr::LOCALHOST.into()
+                    } else {
+                        Ipv6Addr::LOCALHOST.into()
+                    };
+                    addr.set_ip(loopback);
+                    Endpoint::Tcp(addr.to_string())
+                }
+                _ => Endpoint::Tcp(addr),
+            },
+            unix => unix,
+        };
+        #[cfg(unix)]
+        let socket = match &target {
+            Endpoint::Unix(path) => socket_file_id(path),
+            Endpoint::Tcp(_) => None,
+        };
+        #[cfg(not(unix))]
+        let socket = None;
+        Waker { target, socket }
+    }
+
+    /// Connect once to the listener, so a blocked `accept` returns; the
+    /// connection is dropped at once. Returns whether the wake reached
+    /// the listener: `false` when it cannot (its Unix path now names
+    /// another socket, or none) or the connect failed.
+    pub(crate) fn wake(&self) -> bool {
+        #[cfg(unix)]
+        if let Endpoint::Unix(path) = &self.target {
+            if socket_file_id(path) != self.socket {
+                return false;
+            }
+        }
+        self.target.connect(WAKE_CONNECT_TIMEOUT).is_ok()
     }
 }
 
@@ -339,7 +381,7 @@ impl Endpoint {
         }
     }
 
-    /// Bind a non-blocking listener on this endpoint. A TCP port of 0
+    /// Bind a listener on this endpoint. A TCP port of 0
     /// binds an ephemeral port (read it back via
     /// [`Listener::local_endpoint`]); a Unix bind replaces a stale
     /// socket file left by a dead server, refusing only when a live
@@ -353,7 +395,6 @@ impl Endpoint {
         match self {
             Endpoint::Tcp(addr) => {
                 let inner = TcpListener::bind(addr.as_str())?;
-                inner.set_nonblocking(true)?;
                 let local = inner.local_addr()?;
                 Ok(Box::new(TcpTransportListener { inner, local }))
             }
@@ -370,7 +411,6 @@ impl Endpoint {
                     }
                     Err(e) => return Err(e),
                 };
-                inner.set_nonblocking(true)?;
                 let owner = socket_file_id(path);
                 Ok(Box::new(UnixTransportListener {
                     inner,
@@ -437,16 +477,8 @@ mod tests {
             .expect("binds ephemeral port");
         let endpoint = listener.local_endpoint();
         assert!(!endpoint.to_string().ends_with(":0"), "real port resolved");
-        assert!(listener
-            .poll_accept(Duration::from_millis(1))
-            .expect("polls")
-            .is_none());
         let mut client = endpoint.connect(Duration::from_secs(1)).expect("connects");
-        let mut server = loop {
-            if let Some(conn) = listener.poll_accept(Duration::from_millis(5)).unwrap() {
-                break conn;
-            }
-        };
+        let mut server = listener.accept().expect("accepts");
         client.write_all(b"hello").unwrap();
         let mut buf = [0u8; 5];
         server.read_exact(&mut buf).unwrap();
@@ -462,11 +494,7 @@ mod tests {
         {
             let listener = endpoint.bind().expect("binds");
             let mut client = endpoint.connect(Duration::from_secs(1)).expect("connects");
-            let mut server = loop {
-                if let Some(conn) = listener.poll_accept(Duration::from_millis(5)).unwrap() {
-                    break conn;
-                }
-            };
+            let mut server = listener.accept().expect("accepts");
             client.write_all(b"hi").unwrap();
             let mut buf = [0u8; 2];
             server.read_exact(&mut buf).unwrap();
@@ -506,11 +534,7 @@ mod tests {
         );
         // The live listener still accepts.
         let mut client = endpoint.connect(Duration::from_secs(1)).expect("connects");
-        let mut server = loop {
-            if let Some(conn) = live.poll_accept(Duration::from_millis(5)).unwrap() {
-                break conn;
-            }
-        };
+        let mut server = live.accept().expect("accepts");
         client.write_all(b"ok").unwrap();
         let mut buf = [0u8; 2];
         server.read_exact(&mut buf).unwrap();
@@ -518,5 +542,37 @@ mod tests {
 
         drop(live);
         assert!(!path.exists(), "owner removes its own socket on drop");
+    }
+
+    #[test]
+    fn a_waker_reaches_a_listener_on_an_unspecified_address_through_loopback() {
+        let listener = Endpoint::parse("0.0.0.0:0")
+            .unwrap()
+            .bind()
+            .expect("binds every interface");
+        let waker = Waker::new(listener.as_ref());
+        assert!(waker.target.to_string().starts_with("127.0.0.1:"));
+        assert!(waker.wake(), "loopback reaches the listener");
+        listener.accept().expect("the wake connection arrives");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_waker_never_connects_to_a_reclaimed_unix_path() {
+        let path =
+            std::env::temp_dir().join(format!("asip-transport-wake-{}.sock", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let endpoint = Endpoint::Unix(path.clone());
+        let stale = endpoint.bind().expect("first bind");
+        let waker = Waker::new(stale.as_ref());
+        assert!(waker.wake(), "the path is still the listener's own");
+        stale.accept().expect("the wake connection arrives");
+
+        std::fs::remove_file(&path).expect("external cleanup");
+        let live = endpoint.bind().expect("second bind on the same path");
+        assert!(!waker.wake(), "the path now names another socket");
+        drop(stale);
+        drop(live);
+        assert!(!waker.wake(), "no socket at the path");
     }
 }

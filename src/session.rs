@@ -772,7 +772,7 @@ impl Explorer {
     /// Lookup order per stage request: typed memory cache → staging
     /// byte tier → disk store → compute (then write through to every
     /// persistent tier) — one [`TierStack`] walk, see [`crate::tier`].
-    /// Store keys hash the benchmark *source bytes*, the data spec, the
+    /// Store keys hash a digest of the benchmark *source*, the data spec, the
     /// seed and every configuration the stage depends on, so a store
     /// directory can be shared by sessions with different
     /// configurations — they simply address different entries. Missing,
@@ -2111,12 +2111,14 @@ impl Explorer {
 
 /// Feed a benchmark's content identity: the suite tag (so a generated
 /// program can never collide with a Table-1 artifact even under a reused
-/// name), the name, the *source bytes* (so a replaced registry entry can
-/// never serve the old program) and the input-data specification.
+/// name), the name, the XXH64 digest of the *source bytes* (so a replaced
+/// registry entry can never serve the old program, while a key hashes
+/// eight bytes of source instead of all of it) and the input-data
+/// specification.
 fn hash_benchmark(h: &mut StableHasher, b: &Benchmark) {
     h.write(&[b.suite.tag()]);
     h.write_str(b.name);
-    h.write_str(b.source);
+    h.write_u64(crate::store::checksum(b.source.as_bytes()));
     hash_data_spec(h, b.data);
 }
 

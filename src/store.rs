@@ -21,11 +21,12 @@
 //! ```
 //!
 //! The key is a [`StableHasher`] (FNV-1a 64) digest of everything the
-//! artifact is a pure function of — benchmark *source bytes* (not just
-//! the name), data spec, seed, stage name, every relevant configuration
-//! and [`FORMAT_VERSION`]. Each file carries a self-describing header
-//! (magic, version, stage, payload length, XXH64 payload checksum) ahead
-//! of an [`ArtifactCodec`] payload. The manifest is an *index cache*
+//! artifact is a pure function of — the benchmark source's XXH64 digest
+//! (not just the name), data spec, seed, stage name, every relevant
+//! configuration and [`FORMAT_VERSION`]. Each file carries a
+//! self-describing header (magic, version, stage, payload length, and an
+//! XXH64 checksum over the header fields and the payload) ahead of an
+//! [`ArtifactCodec`] payload. The manifest is an *index cache*
 //! over the entry files (per-stage byte/entry accounting and precise
 //! write times); the directory is always the authority, and a missing or
 //! damaged manifest is rebuilt by scan. The full specification lives in
@@ -126,7 +127,14 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// field instead of as textual IR. Payloads shrink about 5×; v4 entries
 /// miss under the new keys and recompute, and `verify` reports them as
 /// stale.
-pub const FORMAT_VERSION: u32 = 5;
+/// v6 — key derivation changed: benchmark identity hashes the source's
+/// XXH64 digest ([`checksum`]) instead of the source bytes, so a key
+/// costs a few dozen bytes of FNV-1a instead of the whole source. The
+/// entry checksum now also covers the header's version, stage name and
+/// payload length, so a damaged header field fails the checksum. Payloads
+/// and the codec are unchanged; v5 entries miss under the new keys and
+/// recompute, and `verify` reports them as stale.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Magic bytes opening every artifact file.
 const MAGIC: [u8; 8] = *b"ASIPART\n";
@@ -413,14 +421,14 @@ pub struct VerifyReport {
     pub ok: u64,
     /// Entries rejected at any validation step, stale ones aside.
     pub corrupt: u64,
-    /// Intact-looking entries from an older format: the magic matches,
-    /// the version field is in `1..FORMAT_VERSION`, and the rest of the
-    /// entry is not a valid current one. A version bump leaves these
-    /// behind under keys no current recipe derives; they are dead
-    /// weight for `gc`, not damage. (A current entry whose version
-    /// field took a bit flip still checksums and decodes as current, so
-    /// it counts as `corrupt`, whichever older version the flip lands
-    /// on.)
+    /// Intact entries from an older format: the version field is in
+    /// `1..FORMAT_VERSION` and the entry frames under that version's
+    /// checksum rule, whether or not its payload decodes today. A
+    /// version bump leaves these behind under keys no current recipe
+    /// derives; they are dead weight for `gc`, not damage. (A current
+    /// entry whose version field took a bit flip fails the checksum,
+    /// which covers the version, so it counts as `corrupt`, whichever
+    /// older version the flip lands on.)
     pub stale: u64,
     /// Bytes across every inspected entry.
     pub bytes: u64,
@@ -1021,8 +1029,9 @@ fn unique_tmp(path: &Path) -> PathBuf {
     ))
 }
 
-/// XXH64 (seed 0) over the payload: the integrity checksum of every
-/// store entry and every wire frame.
+/// XXH64 (seed 0): the integrity checksum of every store entry and
+/// every wire frame, and the digest a benchmark's source enters its
+/// store keys as.
 ///
 /// Deliberately a different algorithm from [`StableHasher`]: keys want
 /// a fixed, field-by-field digest, while the checksum runs over every
@@ -1030,7 +1039,13 @@ fn unique_tmp(path: &Path) -> PathBuf {
 /// 32-byte stripes through four independent multiply lanes instead of
 /// FNV-1a's one serial multiply per byte. All reads are little-endian,
 /// so a checksum written on one host validates on any other.
-pub(crate) fn checksum(payload: &[u8]) -> u64 {
+///
+/// ```
+/// use asip_explorer::store::checksum;
+///
+/// assert_eq!(checksum(b"abc"), 0x44bc_2cf5_ad77_0999);
+/// ```
+pub fn checksum(payload: &[u8]) -> u64 {
     const P1: u64 = 0x9e37_79b1_85eb_ca87;
     const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
     const P3: u64 = 0x1656_67b1_9e37_79f9;
@@ -1094,7 +1109,8 @@ pub(crate) fn checksum(payload: &[u8]) -> u64 {
 }
 
 /// A complete entry file: the header (magic, `version`, stage name,
-/// payload length, checksum) followed by the payload.
+/// payload length, checksum) followed by the payload, checksummed by
+/// `version`'s rule ([`entry_checksum`]).
 fn frame_entry(version: u32, stage: Stage, payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(payload.len() + 64);
     bytes.extend_from_slice(&MAGIC);
@@ -1103,9 +1119,39 @@ fn frame_entry(version: u32, stage: Stage, payload: &[u8]) -> Vec<u8> {
     bytes.push(stage_name.len() as u8);
     bytes.extend_from_slice(stage_name);
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&checksum(payload).to_le_bytes());
+    let sum = entry_checksum(version, &bytes[MAGIC.len()..], payload)
+        .expect("entries are framed under a known version");
+    bytes.extend_from_slice(&sum.to_le_bytes());
     bytes.extend_from_slice(payload);
     bytes
+}
+
+/// The checksum an entry of `version` carries, given its header fields
+/// between the magic and the checksum (version, stage-name length and
+/// name, payload length) and its payload. From v6 it covers both: XXH64
+/// over the fields followed by the payload's XXH64. v4 and v5 summed
+/// the payload alone with XXH64, and v1–v3 with FNV-1a 64. `None` for a
+/// version no build has written.
+fn entry_checksum(version: u32, fields: &[u8], payload: &[u8]) -> Option<u64> {
+    match version {
+        1..=3 => {
+            let mut fnv = StableHasher::new();
+            fnv.write(payload);
+            Some(fnv.finish())
+        }
+        4 | 5 => Some(checksum(payload)),
+        FORMAT_VERSION => {
+            // the fields take at most 4 + 1 + 255 + 8 bytes (the name
+            // length is one byte), so they and the payload's sum fit
+            // on the stack
+            let mut covered = [0u8; 276];
+            let (head, sum) = covered.split_at_mut(fields.len());
+            head.copy_from_slice(fields);
+            sum[..8].copy_from_slice(&checksum(payload).to_le_bytes());
+            Some(checksum(&covered[..fields.len() + 8]))
+        }
+        _ => None,
+    }
 }
 
 /// Validate a complete entry file's framing — magic, version, stage
@@ -1121,10 +1167,10 @@ fn validate_entry(bytes: &[u8], stage: Stage) -> Option<&[u8]> {
 }
 
 /// [`validate_entry`] without the version check: the version field and
-/// the checksum-validated payload.
+/// the payload, checksum-validated under that version's rule.
 fn parse_entry(bytes: &[u8], stage: Stage) -> Option<(u32, &[u8])> {
-    let rest = bytes.strip_prefix(&MAGIC)?;
-    let (version, rest) = split_u32(rest)?;
+    let header = bytes.strip_prefix(&MAGIC)?;
+    let (version, rest) = split_u32(header)?;
     let (&name_len, rest) = rest.split_first()?;
     let name_len = usize::from(name_len);
     if rest.len() < name_len {
@@ -1135,25 +1181,24 @@ fn parse_entry(bytes: &[u8], stage: Stage) -> Option<(u32, &[u8])> {
         return None;
     }
     let (payload_len, rest) = split_u64(rest)?;
+    let fields = &header[..header.len() - rest.len()];
     let (expected_sum, payload) = split_u64(rest)?;
-    if payload.len() as u64 != payload_len || checksum(payload) != expected_sum {
+    if payload.len() as u64 != payload_len
+        || entry_checksum(version, fields, payload) != Some(expected_sum)
+    {
         return None;
     }
     Some((version, payload))
 }
 
 /// Whether a file that failed [`validate_entry`] is an entry from an
-/// older format version rather than a damaged one: its version is
-/// older, and it does not frame and decode as a current entry (which a
-/// current entry with a flipped version bit would).
+/// older format version rather than a damaged one: it frames under its
+/// own older version's checksum rule, whether or not its payload would
+/// decode today. A current entry whose version field took a bit flip
+/// fails that rule (its checksum covers the version), so it stays
+/// corrupt.
 fn is_stale_entry(bytes: &[u8], stage: Stage) -> bool {
-    let older = bytes
-        .strip_prefix(&MAGIC)
-        .and_then(split_u32)
-        .is_some_and(|(version, _)| (1..FORMAT_VERSION).contains(&version));
-    older
-        && !parse_entry(bytes, stage)
-            .is_some_and(|(_, payload)| decode_stage_payload(stage, payload))
+    parse_entry(bytes, stage).is_some_and(|(version, _)| version < FORMAT_VERSION)
 }
 
 /// Typed-decode one validated payload against the artifact type of
@@ -1555,6 +1600,34 @@ mod tests {
                 "version bit {bit}"
             );
         }
+        fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn a_previous_version_entry_with_a_current_payload_is_stale() {
+        // v5 and v6 share the codec, so a genuine v5 entry's payload
+        // decodes today: only its framing tells it apart
+        let store = temp_store("stale-same-codec");
+        let evaluation = asip_synth::Evaluation {
+            base_cycles: 200,
+            asip_cycles: 100,
+            speedup: 2.0,
+            fused_chains: 3,
+            extension_area: 512.0,
+        };
+        store.save(Stage::Evaluate, 1, &evaluation);
+        let path = store.entry_path(Stage::Evaluate, 1);
+        let current = fs::read(&path).expect("readable");
+        let payload = evaluation.to_bytes();
+        assert!(current.ends_with(&payload));
+        fs::write(&path, frame_entry(5, Stage::Evaluate, &payload)).expect("writable");
+        let report = store.verify();
+        assert_eq!((report.ok, report.stale, report.corrupt), (0, 1, 0));
+        assert_eq!(
+            store.load::<asip_synth::Evaluation>(Stage::Evaluate, 1),
+            None,
+            "a stale entry is never served"
+        );
         fs::remove_dir_all(store.dir()).ok();
     }
 }

@@ -4,7 +4,7 @@
 //! degrade to a clean recompute — never an error, never a wrong result.
 
 use asip_explorer::prelude::*;
-use asip_explorer::store::{StableHasher, FORMAT_VERSION};
+use asip_explorer::store::{checksum, FORMAT_VERSION};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -260,21 +260,20 @@ fn version_bump_invalidates_old_entries() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Rewrite a current entry file as an older format: version field
-/// `FORMAT_VERSION - 1` and an FNV-1a 64 payload checksum (the checksum
-/// formats up to v3 wrote), so it cannot pass as a current entry.
-/// Header: magic (8), version (4), stage-name length (1) and name,
-/// payload length (8), checksum (8), payload. (The store's unit tests
-/// cover a v4 entry, whose checksum is current but whose payload is
-/// not.)
+/// Rewrite a current entry file as the previous format wrote it:
+/// version field `FORMAT_VERSION - 1` and that version's checksum, an
+/// XXH64 over the payload alone (the current checksum also covers the
+/// header fields). Header: magic (8), version (4), stage-name length
+/// (1) and name, payload length (8), checksum (8), payload. The payload
+/// is left as it is, so it still decodes today: only the framing marks
+/// the entry stale.
 fn forge_previous_format(bytes: &[u8]) -> Vec<u8> {
     let name_len = usize::from(bytes[12]);
     let sum_at = 13 + name_len + 8;
-    let mut fnv = StableHasher::new();
-    fnv.write(&bytes[sum_at + 8..]);
+    let sum = checksum(&bytes[sum_at + 8..]);
     let mut old = bytes.to_vec();
     old[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
-    old[sum_at..sum_at + 8].copy_from_slice(&fnv.finish().to_le_bytes());
+    old[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
     old
 }
 
@@ -360,4 +359,122 @@ fn sessions_without_a_store_never_touch_disk_counters() {
     assert_eq!(stats.total_disk_writes(), 0);
     assert_eq!(stats.total_disk_corrupt(), 0);
     assert!(session.store().is_none());
+}
+
+/// Every entry key in the store for `stage`, sorted.
+fn stage_keys(dir: &Path, stage: Stage) -> Vec<u64> {
+    let mut keys: Vec<u64> = fs::read_dir(dir.join(stage.name()))
+        .map(|entries| {
+            entries
+                .flatten()
+                .filter_map(|e| {
+                    let name = e.file_name().into_string().ok()?;
+                    u64::from_str_radix(name.strip_suffix(".art")?, 16).ok()
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    keys.sort_unstable();
+    keys
+}
+
+/// Every entry key in the store, by stage.
+fn all_keys(dir: &Path) -> Vec<(Stage, Vec<u64>)> {
+    Stage::all()
+        .into_iter()
+        .map(|stage| (stage, stage_keys(dir, stage)))
+        .collect()
+}
+
+#[test]
+fn stage_keys_are_pinned() {
+    let dir = store_dir("pinned");
+    Explorer::new()
+        .with_seed(1)
+        .with_store(&dir)
+        .explore("fir")
+        .expect("explores");
+    // level 1 alone tells its schedule and analyze entries apart from
+    // the other levels'
+    let level1 = store_dir("pinned-level1");
+    Explorer::new()
+        .with_seed(1)
+        .with_store(&level1)
+        .analyze("fir", OptLevel::Pipelined)
+        .expect("analyzes");
+    let only = |dir: &Path, stage: Stage| match stage_keys(dir, stage)[..] {
+        [key] => key,
+        ref keys => panic!("{stage}: expected one entry, found {keys:x?}"),
+    };
+    let level1_schedule = only(&level1, Stage::Schedule);
+    let level1_analyze = only(&level1, Stage::Analyze);
+    assert!(stage_keys(&dir, Stage::Schedule).contains(&level1_schedule));
+    assert!(stage_keys(&dir, Stage::Analyze).contains(&level1_analyze));
+    let keys = [
+        only(&dir, Stage::Compile),
+        only(&dir, Stage::Profile),
+        level1_schedule,
+        level1_analyze,
+        only(&dir, Stage::Design),
+        only(&dir, Stage::Evaluate),
+    ];
+    // Recorded at format v6. These move only with a deliberate recipe
+    // change, which also needs a FORMAT_VERSION bump (or a release:
+    // the crate version is in every key), and then new constants here.
+    assert_eq!(
+        keys.map(|k| format!("{k:016x}")),
+        [
+            "815023dc01671bae",
+            "d8fbc963818d550b",
+            "f94196212b01ce32",
+            "3637e8c1cb0e7663",
+            "8fd21e56f687c091",
+            "d727d8a3cff60ada",
+        ],
+        "compile, profile, level-1 schedule, level-1 analyze, design, evaluate"
+    );
+    fs::remove_dir_all(&dir).ok();
+    fs::remove_dir_all(&level1).ok();
+}
+
+#[test]
+fn a_one_byte_source_change_moves_exactly_that_benchmarks_keys() {
+    let mut edited = asip_benchmarks::registry();
+    let fir = *edited.find("fir").expect("built-in");
+    let mut source = fir.source.to_string();
+    assert_eq!(source.pop(), Some('\n'));
+    source.push(' ');
+    edited.push(Benchmark {
+        source: Box::leak(source.into_boxed_str()),
+        ..fir
+    });
+
+    let keys_of = |tag: &str, registry: Option<&asip_benchmarks::Registry>, name: &str| {
+        let dir = store_dir(tag);
+        let session = Explorer::new().with_seed(1);
+        let session = match registry {
+            Some(registry) => session.with_registry(registry.clone()),
+            None => session,
+        };
+        session.with_store(&dir).explore(name).expect("explores");
+        let keys = all_keys(&dir);
+        fs::remove_dir_all(&dir).ok();
+        keys
+    };
+    let (fir_before, fir_after) = (
+        keys_of("edit-fir-before", None, "fir"),
+        keys_of("edit-fir-after", Some(&edited), "fir"),
+    );
+    for ((stage, before), (_, after)) in fir_before.iter().zip(&fir_after) {
+        assert_eq!(before.len(), after.len(), "{stage}");
+        assert!(
+            before.iter().all(|k| !after.contains(k)),
+            "{stage}: every fir key moves: {before:x?} vs {after:x?}"
+        );
+    }
+    assert_eq!(
+        keys_of("edit-iir-before", None, "iir"),
+        keys_of("edit-iir-after", Some(&edited), "iir"),
+        "no other benchmark's key moves"
+    );
 }

@@ -7,7 +7,7 @@ use asip_explorer::remote::{serve, Endpoint, RemoteTier, RetryPolicy, ServeOptio
 use asip_explorer::Explorer;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn store_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("asip-remote-serve-{tag}-{}", std::process::id()));
@@ -211,4 +211,61 @@ fn client_with_local_store_prefers_the_remote_tier() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&server_dir);
     let _ = std::fs::remove_dir_all(&client_dir);
+}
+
+#[test]
+fn fresh_clients_are_accepted_on_arrival_whatever_the_poll_interval() {
+    let dir = store_dir("arrival");
+    let options = ServeOptions {
+        poll_interval: Duration::from_secs(1),
+        ..ServeOptions::default()
+    };
+    let handle = serve(
+        Arc::new(Explorer::new().with_store(&dir)),
+        &loopback(),
+        options,
+    )
+    .expect("binds");
+    // each client dials afresh; an accept loop that slept between polls
+    // could keep each one waiting for up to a whole interval
+    let started = Instant::now();
+    for _ in 0..5 {
+        let tier = RemoteTier::new(handle.endpoint().clone(), RetryPolicy::default());
+        tier.ping().expect("ping answered");
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "five fresh pings took {took:?} against a one-second poll interval"
+    );
+    assert_eq!(handle.shutdown().connections, 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replayed_entries_are_served_from_daemon_memory_after_the_store_is_deleted() {
+    let dir = store_dir("hot");
+    let server_session = Arc::new(Explorer::new().with_store(&dir));
+    server_session.explore("fir").expect("server warms up");
+    let server_computes = server_session.cache_stats().total_misses();
+    let handle = serve(server_session, &loopback(), ServeOptions::default()).expect("binds");
+
+    // the first replay reads the daemon's store, which promotes every
+    // entry it serves into the daemon's staging memory
+    let first = client(handle.endpoint());
+    let replay = first.explore("fir").expect("served remotely");
+    assert_eq!(first.cache_stats().total_misses(), 0);
+
+    // with the store gone, the second replay is served from memory
+    std::fs::remove_dir_all(&dir).expect("store removable");
+    let second = client(handle.endpoint());
+    let again = second.explore("fir").expect("served from daemon memory");
+    let stats = second.cache_stats();
+    assert_eq!(stats.total_misses(), 0, "zero recomputes: {stats}");
+    assert!(stats.total_remote_hits() > 0, "served remotely: {stats}");
+    assert_eq!(again.speedup().to_bits(), replay.speedup().to_bits());
+
+    let final_stats = handle.shutdown();
+    assert_eq!(final_stats.total_computes(), server_computes);
+    let _ = std::fs::remove_dir_all(&dir);
 }
