@@ -128,31 +128,25 @@ fn main() {
         "the sweep adds no optimizer runs beyond the distinct (benchmark, level) pairs"
     );
 
-    // robustness re-measurement over fresh input seeds, batched through
-    // one pooled run state per benchmark (`Engine::run_batch`): the
-    // shared design's speedups hold beyond the seed it was tuned on
+    // robustness re-measurement over fresh input seeds, every run on
+    // the session's cached engines: the shared design's speedups hold
+    // beyond the seed it was tuned on
     println!();
-    println!("seed robustness (batched re-measurement, 4 fresh seeds):");
+    println!("seed robustness (re-measurement on 4 fresh seeds):");
     let before = session.cache_stats().run_state;
     for name in suite.benchmarks.iter() {
         let bench = session.benchmark(name).expect("registered");
-        let datasets: Vec<_> = (1..=4u64).map(|s| bench.dataset_with_seed(s)).collect();
-        let refs: Vec<&_> = datasets.iter().collect();
-        let base = session
-            .engine(name)
-            .expect("cached engine")
-            .run_batch(&refs)
-            .expect("base batch runs");
-        let asip = session
+        let base = session.engine(name).expect("cached engine");
+        let prepared = session
             .prepared(name, &suite.design)
-            .expect("cached rewritten engine")
-            .engine()
-            .run_batch(&refs)
-            .expect("asip batch runs");
-        let speedups: Vec<f64> = base
-            .iter()
-            .zip(&asip)
-            .map(|(b, a)| b.profile.total_ops() as f64 / a.profile.total_ops().max(1) as f64)
+            .expect("cached rewritten engine");
+        let speedups: Vec<f64> = (1..=4u64)
+            .map(|seed| {
+                let data = bench.dataset_with_seed(seed);
+                let b = base.run_profile(&data).expect("base runs");
+                let a = prepared.engine().run_profile(&data).expect("asip runs");
+                b.profile.total_ops() as f64 / a.profile.total_ops().max(1) as f64
+            })
             .collect();
         println!(
             "  {:10} {:>8.3}x geomean over {} seeds",
@@ -166,12 +160,14 @@ fn main() {
         );
     }
     let after = session.cache_stats().run_state;
-    // each benchmark ran 2 batches = 2 checkouts; the batches reuse one
-    // state across their 4 datasets instead of allocating per run
-    assert_eq!(
-        after.checkouts - before.checkouts,
-        2 * suite.benchmarks.len() as u64,
-        "one run-state checkout per batch, not per dataset"
+    // the loop runs one thread, so each engine allocates at most one
+    // run state (none if the stages above already pooled one) and
+    // every later seed reuses it
+    let engines = 2 * suite.benchmarks.len() as u64;
+    assert_eq!(after.checkouts - before.checkouts, 4 * engines);
+    assert!(
+        after.creates - before.creates <= engines,
+        "at most one run-state allocation per engine, not one per seed"
     );
     println!();
     asip_bench::print_cache_report(&session);

@@ -46,11 +46,10 @@
 //! **reset by `memcpy`** from the decoded init images at the start of
 //! every run. [`Engine`] pools states internally, so sweeps that run
 //! the same decoded program thousands of times (ablation, design-space
-//! search, batched profiling) perform zero per-run bank allocations —
-//! see [`Engine::run_batch`], [`Engine::run_pooled`] and
-//! [`Engine::bind`] (input validation hoisted out of the per-run
-//! path). Output memory is materialized lazily: profile-only runs
-//! never re-box arenas into `Vec<Value>`.
+//! search, seed sweeps) perform zero per-run bank allocations after
+//! the first — see [`Engine::run_profile`]. Output memory is
+//! materialized lazily: profile-only runs never re-box arenas into
+//! `Vec<Value>`.
 //!
 //! Error paths allocate nothing until an error actually occurs: the
 //! decoded load/store entries carry only declaration indices, and the
@@ -395,14 +394,12 @@ pub(crate) struct RunState {
     block_counts: Vec<u64>,
 }
 
-/// Input bindings validated and converted once per `(program,
-/// dataset)` pair: the typed values of every input array plus the
-/// arena offsets they are copied to at the start of each run.
-/// Re-validating and re-collecting bindings per run is the other half
-/// of the per-run allocation storm `RunState` removes — prepare once
-/// with [`Engine::bind`], reuse across a whole batch or sweep.
+/// Input bindings validated and converted for one run: the typed
+/// values of every input array plus the arena offsets they are copied
+/// to at the start of the run. They are built before a state is
+/// checked out, so a binding error never touches the pool.
 #[derive(Debug, Clone)]
-pub struct BoundInputs {
+pub(crate) struct BoundInputs {
     ints: Vec<(u32, Vec<i64>)>,
     floats: Vec<(u32, Vec<f64>)>,
     /// Arena-size stamps: a `BoundInputs` only fits the program whose
@@ -1950,11 +1947,11 @@ const POOL_CAP: usize = 64;
 /// pays the decode once.
 ///
 /// The engine also pools `RunState`s internally: [`Engine::run`],
-/// [`Engine::run_profile`], [`Engine::run_pooled`] and
-/// [`Engine::run_batch`] check a state out, run (reset is a `memcpy`
-/// from the decoded init images), and return it — after warm-up, a
-/// sweep of thousands of runs performs zero per-run bank allocations
-/// ([`Engine::run_state_stats`] counts both sides).
+/// [`Engine::run_profile`] and [`Engine::run_output`] check a state
+/// out, run (reset is a `memcpy` from the decoded init images), and
+/// return it — after warm-up, a sweep of thousands of runs performs
+/// zero per-run bank allocations ([`Engine::run_state_stats`] counts
+/// both sides).
 ///
 /// [`crate::Simulator`] is the borrowing one-shot facade over the same
 /// execution paths; `Engine` owns its program via `Arc` so it can
@@ -1964,7 +1961,7 @@ pub struct Engine {
     program: Arc<Program>,
     code: DecodedProgram,
     step_limit: u64,
-    /// Reusable run states, checked out per run (or once per batch).
+    /// Reusable run states, checked out per run.
     pool: Mutex<Vec<RunState>>,
     checkouts: AtomicU64,
     creates: AtomicU64,
@@ -2032,18 +2029,6 @@ impl Engine {
         }
     }
 
-    /// Validate and convert `data`'s input bindings once, for reuse
-    /// across any number of [`Engine::run_pooled`] calls on this
-    /// engine.
-    ///
-    /// # Errors
-    ///
-    /// The binding half of [`Engine::run`]'s errors: unbound inputs,
-    /// wrong lengths, wrong types.
-    pub fn bind(&self, data: &DataSet) -> Result<BoundInputs> {
-        self.code.bind(data)
-    }
-
     /// Run the program on the given input data.
     ///
     /// # Errors
@@ -2074,7 +2059,10 @@ impl Engine {
     /// Same conditions as [`Engine::run`].
     pub fn run_profile(&self, data: &DataSet) -> Result<RunOutcome> {
         let inputs = self.code.bind(data)?;
-        self.run_pooled(&inputs)
+        let mut state = self.checkout();
+        let outcome = self.code.run_into(&mut state, &inputs, self.step_limit);
+        self.checkin(state);
+        outcome
     }
 
     /// Pooled run that also captures the outputs as a typed
@@ -2097,52 +2085,6 @@ impl Engine {
             });
         self.checkin(state);
         finished
-    }
-
-    /// Pooled run over inputs prepared by [`Engine::bind`], skipping
-    /// per-run re-validation and output materialization.
-    ///
-    /// # Errors
-    ///
-    /// Bad array accesses and the step limit.
-    pub fn run_pooled(&self, inputs: &BoundInputs) -> Result<RunOutcome> {
-        let mut state = self.checkout();
-        let outcome = self.code.run_into(&mut state, inputs, self.step_limit);
-        self.checkin(state);
-        outcome
-    }
-
-    /// Run a batch of datasets through **one** pooled run state,
-    /// binding each dataset once: the sweep-shaped API. Results are
-    /// byte-identical to sequential [`Engine::run`] calls.
-    ///
-    /// # Errors
-    ///
-    /// Fail-fast: the first dataset that errors (binding, bad access,
-    /// step limit) aborts the batch and returns its error.
-    pub fn run_batch(&self, datasets: &[&DataSet]) -> Result<Vec<Execution>> {
-        let mut state = self.checkout();
-        let mut results = Vec::with_capacity(datasets.len());
-        for data in datasets {
-            let one = self.code.bind(data).and_then(|inputs| {
-                self.code
-                    .run_into(&mut state, &inputs, self.step_limit)
-                    .map(|out| Execution {
-                        profile: out.profile,
-                        memory: self.code.materialize_memory(&state),
-                        result: out.result,
-                    })
-            });
-            match one {
-                Ok(exec) => results.push(exec),
-                Err(e) => {
-                    self.checkin(state);
-                    return Err(e);
-                }
-            }
-        }
-        self.checkin(state);
-        Ok(results)
     }
 
     /// Run with an execution-trace observer (see [`crate::trace`]).
@@ -2354,10 +2296,9 @@ mod tests {
     fn pooled_run_states_are_reused() {
         let engine = Engine::new(Arc::new(sum_loop_program(4)));
         let d = data();
-        let inputs = engine.bind(&d).expect("binds");
         let mut last = None;
         for _ in 0..8 {
-            last = Some(engine.run_pooled(&inputs).expect("runs"));
+            last = Some(engine.run_profile(&d).expect("runs"));
         }
         let full = engine.run(&d).expect("runs");
         let out = last.expect("ran");
@@ -2369,19 +2310,33 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_sequential_runs() {
-        let engine = Engine::new(Arc::new(sum_loop_program(4)));
-        let d1 = data();
-        let mut d2 = DataSet::new();
-        d2.bind_ints("x", vec![4, 3, 2, 1]);
-        let batch = engine.run_batch(&[&d1, &d2]).expect("runs");
-        assert_eq!(batch.len(), 2);
-        for (b, d) in batch.iter().zip([&d1, &d2]) {
-            let s = engine.run(d).expect("runs");
-            assert_eq!(b.profile, s.profile);
-            assert_eq!(b.memory, s.memory);
-            assert_eq!(b.result, s.result);
+    fn two_datasets_on_one_engine_equal_fresh_engines() {
+        // `y` starts from the zeroed init image and accumulates into
+        // itself, so any of d1's run the pooled state carries into d2's
+        // shows in d2's memory and result
+        let mut b = ProgramBuilder::new("accumulate");
+        let x = b.input_array("x", Ty::Int, 2);
+        let y = b.output_array("y", Ty::Int, 1);
+        let entry = b.entry_block();
+        b.select_block(entry);
+        let acc = b.load(y, Operand::imm_int(0));
+        let v = b.load(x, Operand::imm_int(1));
+        let sum = b.binary(BinOp::Add, acc.into(), v.into());
+        b.store(y, Operand::imm_int(0), sum.into());
+        b.ret(Some(sum.into()));
+        let p = Arc::new(b.finish().expect("valid"));
+        let engine = Engine::new(Arc::clone(&p));
+        let (mut d1, mut d2) = (DataSet::new(), DataSet::new());
+        d1.bind_ints("x", vec![0, 5]);
+        d2.bind_ints("x", vec![0, 9]);
+        for d in [&d1, &d2] {
+            let pooled = engine.run(d).expect("runs");
+            let fresh = Engine::new(Arc::clone(&p)).run(d).expect("runs");
+            assert_eq!(pooled.profile, fresh.profile);
+            assert_eq!(pooled.memory, fresh.memory);
+            assert_eq!(pooled.result, fresh.result);
         }
+        assert_eq!(engine.run_state_stats().creates, 1);
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! and the hot loop runs over copy-only structs with block-granular
 //! step accounting and profiles derived from block entry counts. All
 //! per-run data lives in an arena-backed, pooled run state that is
-//! reset by `memcpy` — batch and sweep callers ([`Engine::run_batch`],
-//! [`Engine::run_pooled`], [`Engine::bind`]) pay zero per-run
-//! allocations. [`Simulator`] is the borrowing one-shot facade;
-//! [`Engine`] owns its program and amortizes the decode over many
-//! runs; the original walk-the-IR interpreter is retained in
+//! reset by `memcpy` — repeated runs of one [`Engine`] pay zero
+//! per-run bank allocations. [`Simulator`] is the borrowing one-shot
+//! facade; [`Engine`] owns its program and amortizes the decode over
+//! many runs; the original walk-the-IR interpreter is retained in
 //! [`mod@reference`] as the executable specification the differential
 //! tests compare against.
 //!
@@ -59,7 +58,7 @@ pub mod reference;
 pub mod trace;
 
 pub use data::{DataGen, DataSet};
-pub use decode::{BoundInputs, DecodedProgram, Engine, OutputImage, RunOutcome, RunStateStats};
+pub use decode::{DecodedProgram, Engine, OutputImage, RunOutcome, RunStateStats};
 pub use error::{Result, SimError};
 pub use machine::{Execution, Simulator};
 pub use profile::Profile;

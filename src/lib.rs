@@ -126,7 +126,6 @@ pub mod artifact;
 pub mod cache;
 pub mod error;
 pub mod fault;
-pub mod perf;
 pub mod remote;
 pub mod session;
 pub mod store;

@@ -19,8 +19,9 @@ fn store_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The bench harness's 256-config grid: 8 area budgets × 4 clocks ×
-/// 4 extension caps × 2 feedback levels.
+/// The 256-config lattice explorer-bench's design-sweep draws its
+/// grids from: 8 area budgets × 4 clocks × 4 extension caps × 2
+/// feedback levels.
 fn grid_256() -> Vec<DesignConstraints> {
     let mut grid = Vec::with_capacity(256);
     for &opt_level in &[OptLevel::Pipelined, OptLevel::PipelinedRenamed] {

@@ -161,31 +161,26 @@ proptest! {
 
     #[test]
     fn pooled_and_fresh_run_states_agree(seed in any::<u64>(), config in gen_config()) {
-        // the RunState pooling property: repeated pooled runs (reused,
-        // memcpy-reset banks) and a one-shot fresh-state run are
-        // byte-identical on any generated program
+        // the RunState pooling property: repeated runs through the pool
+        // (reused, memcpy-reset banks) are byte-identical to the first
+        // run on any generated program, and one state serves them all
         let prog = generate(seed, &config);
         let p = compile(&prog);
         let data = dataset(&prog);
         let engine = Engine::new(Arc::new(p));
-        let fresh = engine.run(&data).expect("first run");
-        let inputs = engine.bind(&data).expect("binds");
+        let first = engine.run(&data).expect("first run");
         for _ in 0..3 {
-            let pooled = engine.run_pooled(&inputs).expect("pooled run");
-            prop_assert_eq!(&pooled.profile, &fresh.profile);
-            prop_assert_eq!(&pooled.result, &fresh.result);
-        }
-        // batch over the same dataset thrice: still identical, and the
-        // lazy memory materialization matches the one-shot run's
-        let batch = engine.run_batch(&[&data, &data, &data]).expect("batch runs");
-        for exec in &batch {
-            prop_assert_eq!(&exec.profile, &fresh.profile);
-            prop_assert_eq!(&exec.memory, &fresh.memory);
-            prop_assert_eq!(&exec.result, &fresh.result);
+            let pooled = engine.run_profile(&data).expect("pooled run");
+            prop_assert_eq!(&pooled.profile, &first.profile);
+            prop_assert_eq!(&pooled.result, &first.result);
+            let again = engine.run(&data).expect("pooled run");
+            prop_assert_eq!(&again.profile, &first.profile);
+            prop_assert_eq!(&again.memory, &first.memory);
+            prop_assert_eq!(&again.result, &first.result);
         }
         let stats = engine.run_state_stats();
         prop_assert_eq!(stats.creates, 1, "one state serves every run");
-        prop_assert_eq!(stats.checkouts, 5);
+        prop_assert_eq!(stats.checkouts, 7);
     }
 
     #[test]

@@ -153,24 +153,31 @@ fn step_limit_errors_agree_with_the_reference_on_real_programs() {
 }
 
 #[test]
-fn run_batch_is_byte_identical_to_sequential_runs_on_the_full_corpus() {
+fn seed_varied_runs_on_one_engine_match_fresh_engines_on_the_full_corpus() {
     // every corpus benchmark (12 Table-1 + 24 generated), three
-    // seed-varied datasets each, through one pooled run state: the
-    // batch must reproduce sequential `run` calls byte for byte —
-    // profiles, memories, results
+    // seed-varied datasets each, in sequence through one engine's pooled
+    // run state: each run must equal the same run on a fresh engine byte
+    // for byte — profiles, memories, results — so no dataset's state
+    // survives into the next
     for bench in asip_explorer::benchmarks::full_registry().iter() {
-        let program = bench.compile().expect("compiles");
-        let engine = Engine::new(Arc::new(program));
-        let datasets: Vec<_> = (1..=3u64).map(|s| bench.dataset_with_seed(s)).collect();
-        let refs: Vec<&_> = datasets.iter().collect();
-        let batch = engine.run_batch(&refs).expect("batch runs");
-        assert_eq!(batch.len(), datasets.len());
-        for (data, batched) in datasets.iter().zip(&batch) {
-            let single = engine.run(data).expect("single run");
-            assert_eq!(batched.profile, single.profile, "{}: profiles", bench.name);
-            assert_eq!(batched.memory, single.memory, "{}: memories", bench.name);
-            assert_eq!(batched.result, single.result, "{}: results", bench.name);
+        let program = Arc::new(bench.compile().expect("compiles"));
+        let engine = Engine::new(Arc::clone(&program));
+        for seed in 1..=3u64 {
+            let data = bench.dataset_with_seed(seed);
+            let pooled = engine.run(&data).expect("pooled run");
+            let fresh = Engine::new(Arc::clone(&program))
+                .run(&data)
+                .expect("fresh run");
+            assert_eq!(pooled.profile, fresh.profile, "{}: profiles", bench.name);
+            assert_eq!(pooled.memory, fresh.memory, "{}: memories", bench.name);
+            assert_eq!(pooled.result, fresh.result, "{}: results", bench.name);
         }
+        assert_eq!(
+            engine.run_state_stats().creates,
+            1,
+            "{}: pool reuse",
+            bench.name
+        );
     }
 }
 
