@@ -17,7 +17,7 @@
 //! `cargo run --release -p asip-bench --bin ablation`
 
 use asip_chains::{CoverageAnalyzer, DetectorConfig, SequenceDetector, Signature};
-use asip_explorer::Explorer;
+use asip_explorer::{Explorer, Stage};
 use asip_opt::{OptConfig, OptLevel};
 use asip_synth::DesignConstraints;
 
@@ -218,12 +218,12 @@ fn main() {
     // previous bench binary's run left it in the shared store (a disk
     // hit) — never both, never twice.
     assert_eq!(
-        stats.compile.misses + stats.compile.disk_hits,
+        stats.compile.misses + stats.tier("disk").stage(Stage::Compile).hits,
         2,
         "the whole ablation compiles each of its two benchmarks once"
     );
     assert_eq!(
-        stats.profile.misses + stats.profile.disk_hits,
+        stats.profile.misses + stats.tier("disk").stage(Stage::Profile).hits,
         2,
         "and simulates each once"
     );

@@ -221,7 +221,7 @@ fn run_check(addr: &str) -> ExitCode {
     };
     asip_bench::print_cache_report(&second);
     let stats = second.cache_stats();
-    let (misses, remote_hits) = (stats.total_misses(), stats.total_remote_hits());
+    let (misses, remote_hits) = (stats.total_misses(), stats.tier("remote").total().hits);
     let wire_errors = stats.remote.errors + stats.remote.skipped;
     if misses > 0 || remote_hits == 0 || wire_errors > 0 {
         eprintln!(

@@ -1,8 +1,7 @@
 //! # asip-bench
 //!
 //! The experiment harness: shared driver code used by the binaries that
-//! regenerate every table and figure of the paper, and by the Criterion
-//! benches.
+//! regenerate every table and figure of the paper.
 //!
 //! All drivers run on one [`asip_explorer::Explorer`] session, so a
 //! sweep that revisits a benchmark under many detector or optimizer
@@ -194,7 +193,8 @@ pub fn human_bytes(bytes: u64) -> String {
 pub fn print_cache_report(session: &Explorer) {
     let stats = session.cache_stats();
     println!("session cache: {stats}");
-    for (name, t) in session.tier_totals() {
+    for tier in &stats.tiers {
+        let (name, t) = (tier.name, tier.total());
         println!(
             "{name:>14}: {}h/{}m/{}w{} — {} entries, {}",
             t.hits,
@@ -222,7 +222,7 @@ pub fn print_cache_report(session: &Explorer) {
             human_bytes(r.bytes_received),
         );
     }
-    let (prefetch, gc) = (stats.total_prefetch_hits(), stats.total_gc_evictions());
+    let (prefetch, gc) = (stats.total_prefetch_hits(), stats.gc_evictions);
     if prefetch > 0 {
         println!(
             "{:>14}: {prefetch} artifacts decoded from prefetched bytes",
@@ -255,6 +255,7 @@ pub fn length_arg() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asip_explorer::TierStats;
 
     /// A storeless session: these tests pin exact memory-tier miss
     /// counts, which a warm shared store would (correctly) turn into
@@ -309,8 +310,8 @@ mod tests {
             assert!(session.tier_stack().is_empty(), "no tiers at all");
             session.compile("fir").expect("compiles without a store");
             let stats = session.cache_stats();
-            assert_eq!(stats.total_disk_hits() + stats.total_disk_misses(), 0);
-            assert_eq!(stats.total_disk_writes(), 0);
+            assert!(stats.tiers.is_empty(), "no tier reports: {stats}");
+            assert_eq!(stats.tier("disk").total(), TierStats::default());
             assert_eq!(stats.total_prefetch_hits(), 0);
         }
         std::env::set_var("ASIP_STORE", "some/explicit/dir");

@@ -34,6 +34,16 @@ pub enum FrontendError {
         /// Explanation.
         detail: String,
     },
+    /// The source nests deeper than the front end accepts: statement
+    /// bodies and the expression tree below them together may be at most
+    /// `limit` levels high ([`crate::parser::MAX_NESTING`]), so no later
+    /// walk over the tree can overflow the stack.
+    RecursionLimitExceeded {
+        /// Where the limit was crossed.
+        pos: Pos,
+        /// The nesting limit.
+        limit: usize,
+    },
     /// Semantic error (types, undeclared names, recursion, ...).
     Sema {
         /// Where the problem was found.
@@ -73,6 +83,9 @@ impl fmt::Display for FrontendError {
         match self {
             FrontendError::Lex { pos, detail } => write!(f, "lexical error at {pos}: {detail}"),
             FrontendError::Parse { pos, detail } => write!(f, "syntax error at {pos}: {detail}"),
+            FrontendError::RecursionLimitExceeded { pos, limit } => {
+                write!(f, "nesting deeper than {limit} levels at {pos}")
+            }
             FrontendError::Sema { pos, detail } => write!(f, "semantic error at {pos}: {detail}"),
             FrontendError::Lowering(e) => write!(f, "internal lowering error: {e}"),
         }

@@ -4,19 +4,36 @@ use crate::ast::*;
 use crate::error::{FrontendError, Pos};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 
+/// The deepest nesting the parser accepts. Every statement body, unary
+/// operator, cast, parenthesis, index, call and binary operator is one
+/// level, and no node of the tree may sit more than this many levels
+/// below its function body. That bounds both the parser's own recursion
+/// and the height of the tree handed to semantic analysis and lowering,
+/// which walk it recursively, so both fit a 2 MiB thread stack.
+pub const MAX_NESTING: usize = 256;
+
 /// Parse a token stream into a [`Unit`].
 ///
 /// # Errors
 ///
 /// Returns [`FrontendError::Parse`] with the position of the offending
-/// token.
+/// token, or [`FrontendError::RecursionLimitExceeded`] when the source
+/// nests deeper than [`MAX_NESTING`].
 pub fn parse(tokens: &[Token]) -> Result<Unit, FrontendError> {
-    Parser { tokens, i: 0 }.unit()
+    Parser {
+        tokens,
+        i: 0,
+        depth: 0,
+    }
+    .unit()
 }
 
 struct Parser<'a> {
     tokens: &'a [Token],
     i: usize,
+    /// Nesting levels open above the node being parsed (see
+    /// [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -42,6 +59,30 @@ impl<'a> Parser<'a> {
 
     fn err(&self, detail: impl Into<String>) -> FrontendError {
         FrontendError::parse(self.pos(), detail.into())
+    }
+
+    /// Fail when a subtree `height` levels tall, rooted at the current
+    /// depth, reaches past [`MAX_NESTING`].
+    fn check_height(&self, height: usize) -> Result<(), FrontendError> {
+        if self.depth + height > MAX_NESTING {
+            return Err(FrontendError::RecursionLimitExceeded {
+                pos: self.pos(),
+                limit: MAX_NESTING,
+            });
+        }
+        Ok(())
+    }
+
+    /// Run `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, FrontendError>,
+    ) -> Result<T, FrontendError> {
+        self.depth += 1;
+        self.check_height(0)?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn eat_punct(&mut self, p: Punct) -> Result<(), FrontendError> {
@@ -218,11 +259,13 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt_or_block(&mut self) -> Result<Vec<Stmt>, FrontendError> {
-        if matches!(self.peek_kind(), TokenKind::Punct(Punct::LBrace)) {
-            self.block()
-        } else {
-            Ok(vec![self.stmt()?])
-        }
+        self.nested(|p| {
+            if matches!(p.peek_kind(), TokenKind::Punct(Punct::LBrace)) {
+                p.block()
+            } else {
+                Ok(vec![p.stmt()?])
+            }
+        })
     }
 
     /// `+=`/`-=`/`*=`//`=` desugar target, if the next token is one.
@@ -434,21 +477,29 @@ impl<'a> Parser<'a> {
     // --- expressions, precedence climbing -------------------------------
 
     fn expr(&mut self) -> Result<Expr, FrontendError> {
-        self.binary_expr(0)
+        Ok(self.binary_expr(0)?.0)
     }
 
-    fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, FrontendError> {
-        let mut lhs = self.unary_expr()?;
+    /// Precedence climbing. The expression parsers return each subtree
+    /// with its height, the levels it reaches below its root. The loop
+    /// builds a left-deep chain without recursing, so the parser's depth
+    /// stays put while each operator pushes everything built so far one
+    /// level down: the chain's height, not the parser's depth, is what
+    /// is checked against [`MAX_NESTING`].
+    fn binary_expr(&mut self, min_prec: u8) -> Result<(Expr, usize), FrontendError> {
+        let (mut lhs, mut height) = self.unary_expr()?;
         loop {
             let Some((op, prec)) = self.peek_binop() else {
-                return Ok(lhs);
+                return Ok((lhs, height));
             };
             if prec < min_prec {
-                return Ok(lhs);
+                return Ok((lhs, height));
             }
             let pos = self.pos();
             self.bump();
-            let rhs = self.binary_expr(prec + 1)?;
+            let (rhs, rhs_height) = self.nested(|p| p.binary_expr(prec + 1))?;
+            height = 1 + height.max(rhs_height);
+            self.check_height(height)?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -485,24 +536,28 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, FrontendError> {
+    fn unary_expr(&mut self) -> Result<(Expr, usize), FrontendError> {
         let pos = self.pos();
         match self.peek_kind() {
             TokenKind::Punct(Punct::Minus) => {
                 self.bump();
-                Ok(Expr::Unary {
+                let (operand, height) = self.nested(Self::unary_expr)?;
+                let e = Expr::Unary {
                     op: UnaryOp::Neg,
-                    operand: Box::new(self.unary_expr()?),
+                    operand: Box::new(operand),
                     pos,
-                })
+                };
+                Ok((e, height + 1))
             }
             TokenKind::Punct(Punct::Bang) => {
                 self.bump();
-                Ok(Expr::Unary {
+                let (operand, height) = self.nested(Self::unary_expr)?;
+                let e = Expr::Unary {
                     op: UnaryOp::Not,
-                    operand: Box::new(self.unary_expr()?),
+                    operand: Box::new(operand),
                     pos,
-                })
+                };
+                Ok((e, height + 1))
             }
             TokenKind::Punct(Punct::LParen) => {
                 // cast `(int) e` / `(float) e`, or parenthesized expression
@@ -517,56 +572,62 @@ impl<'a> Parser<'a> {
                     } else {
                         ScalarTy::Float
                     };
-                    return Ok(Expr::Cast {
+                    let (operand, height) = self.nested(Self::unary_expr)?;
+                    let e = Expr::Cast {
                         to,
-                        operand: Box::new(self.unary_expr()?),
+                        operand: Box::new(operand),
                         pos,
-                    });
+                    };
+                    return Ok((e, height + 1));
                 }
                 self.bump();
-                let e = self.expr()?;
+                let (e, height) = self.nested(|p| p.binary_expr(0))?;
                 self.eat_punct(Punct::RParen)?;
-                Ok(e)
+                Ok((e, height + 1))
             }
             _ => self.primary(),
         }
     }
 
-    fn primary(&mut self) -> Result<Expr, FrontendError> {
+    fn primary(&mut self) -> Result<(Expr, usize), FrontendError> {
         let pos = self.pos();
         match self.peek_kind().clone() {
             TokenKind::IntLit(v) => {
                 self.bump();
-                Ok(Expr::IntLit(v, pos))
+                Ok((Expr::IntLit(v, pos), 0))
             }
             TokenKind::FloatLit(v) => {
                 self.bump();
-                Ok(Expr::FloatLit(v, pos))
+                Ok((Expr::FloatLit(v, pos), 0))
             }
             TokenKind::Ident(name) => {
                 self.bump();
                 if self.try_punct(Punct::LBracket) {
-                    let index = self.expr()?;
+                    let (index, height) = self.nested(|p| p.binary_expr(0))?;
                     self.eat_punct(Punct::RBracket)?;
-                    Ok(Expr::Index {
+                    let e = Expr::Index {
                         name,
                         index: Box::new(index),
                         pos,
-                    })
+                    };
+                    Ok((e, height + 1))
                 } else if self.try_punct(Punct::LParen) {
                     let mut args = Vec::new();
+                    let mut height = 0;
                     if !self.try_punct(Punct::RParen) {
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, arg_height) = self.nested(|p| p.binary_expr(0))?;
+                            args.push(arg);
+                            height = height.max(arg_height);
                             if self.try_punct(Punct::RParen) {
                                 break;
                             }
                             self.eat_punct(Punct::Comma)?;
                         }
                     }
-                    Ok(Expr::Call { name, args, pos })
+                    Ok((Expr::Call { name, args, pos }, height + 1))
                 } else {
-                    Ok(Expr::Var(name, pos))
+                    Ok((Expr::Var(name, pos), 0))
                 }
             }
             other => Err(self.err(format!("expected expression, found {other}"))),

@@ -481,10 +481,6 @@ impl ArtifactTier for FaultTier {
         self.inner.stats(stage)
     }
 
-    fn totals(&self) -> TierStats {
-        self.inner.totals()
-    }
-
     fn persistent(&self) -> bool {
         self.inner.persistent()
     }

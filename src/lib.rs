@@ -140,8 +140,8 @@ pub use error::{CodecError, ExplorerError, RemoteError};
 pub use fault::{FaultConfig, FaultCounts, FaultPlan, FaultSite, FaultTier, PANIC_PROBE_KEY};
 pub use remote::{serve, Endpoint, RemoteTier, RemoteTotals, RetryPolicy, ServeOptions};
 pub use session::{CacheStats, Explorer, StageStats};
-pub use store::{ArtifactStore, DiskStats, GcReport, Manifest, StoreGcConfig, VerifyReport};
-pub use tier::{ArtifactTier, TierRead, TierStack, TierStats};
+pub use store::{ArtifactStore, GcReport, Manifest, StoreGcConfig, VerifyReport};
+pub use tier::{ArtifactTier, TierRead, TierReport, TierStack, TierStats};
 
 /// Convenience re-exports for the common exploration flow.
 pub mod prelude {
@@ -152,8 +152,8 @@ pub mod prelude {
     pub use crate::error::ExplorerError;
     pub use crate::remote::{RemoteTier, RemoteTotals, RetryPolicy};
     pub use crate::session::{CacheStats, Explorer, StageStats};
-    pub use crate::store::{ArtifactStore, DiskStats, GcReport, StoreGcConfig};
-    pub use crate::tier::{ArtifactTier, TierStats};
+    pub use crate::store::{ArtifactStore, GcReport, StoreGcConfig};
+    pub use crate::tier::{ArtifactTier, TierReport, TierStats};
     pub use asip_benchmarks::{
         full_registry, generated_corpus, registry, Benchmark, DataSpec, Suite,
     };

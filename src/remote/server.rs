@@ -247,11 +247,10 @@ impl Shared {
                 .into_iter()
                 .map(|s| (s.name().to_string(), cache.stage(s).misses))
                 .collect(),
-            tier_totals: self
-                .session
-                .tier_totals()
-                .into_iter()
-                .map(|(name, totals)| (name.to_string(), totals))
+            tier_totals: cache
+                .tiers
+                .iter()
+                .map(|t| (t.name.to_string(), t.total()))
                 .collect(),
         }
     }

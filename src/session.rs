@@ -41,8 +41,9 @@
 //!   write-through of computed artifacts; [`Explorer::with_tier`] plugs
 //!   in additional tiers (e.g. a future shared remote store) behind the
 //!   same [`ArtifactTier`] interface. Corrupted or stale entries fall
-//!   back to recompute, and the disk tier's
-//!   hit/miss/write/corrupt/byte counters are part of [`CacheStats`].
+//!   back to recompute, and every mounted tier's
+//!   hit/miss/write/corrupt/byte counters are part of [`CacheStats`]
+//!   ([`CacheStats::tiers`], by name through [`CacheStats::tier`]).
 //! - **Parallel warm starts.** [`Explorer::explore_all`] and the suite
 //!   stages [`prefetch`](Explorer::prefetch) their persisted artifacts
 //!   on the session thread pool before fan-out, so a warm run performs
@@ -72,7 +73,7 @@ use crate::cache::{LruCache, MemoryTier};
 use crate::error::ExplorerError;
 use crate::remote::{Endpoint, RemoteTier, RemoteTotals, RetryPolicy};
 use crate::store::{ArtifactStore, StableHasher, StoreGcConfig};
-use crate::tier::{lock, ArtifactTier, StageCache, TierStack, TierStats};
+use crate::tier::{lock, ArtifactTier, StageCache, TierReport, TierStack};
 use asip_benchmarks::{Benchmark, DataSpec, Registry, DEFAULT_SEED};
 use asip_chains::{DetectorConfig, SequenceDetector, SequenceReport};
 use asip_ir::{OpClass, Program};
@@ -89,16 +90,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Hit/miss/eviction counters (and the live entry count) for one stage
-/// cache, plus the disk-tier counters for the same stage when a store is
-/// attached ([`Explorer::with_store`]).
+/// Hit/miss/eviction counters (and the live entry count) for one
+/// stage's typed front cache.
 ///
-/// The tiers count disjoint outcomes: a request is either a memory
-/// `hit`, a prefetch hit (`prefetch_hits` — decoded from bytes the
-/// parallel prefetcher staged in memory), a disk hit (`disk_hits` — the
-/// artifact was decoded from disk, *not* recomputed), or a `miss` (the
-/// stage actually ran). `misses` therefore always equals the number of
-/// times the stage's computation executed in this session.
+/// A request is either a memory `hit`, a prefetch hit (`prefetch_hits`
+/// — decoded from bytes the parallel prefetcher staged in memory), a
+/// hit in a lower tier (counted by that tier, see [`CacheStats::tiers`])
+/// or a `miss` (the stage actually ran). `misses` therefore always
+/// equals the number of times the stage's computation executed in this
+/// session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageStats {
     /// Requests served from the in-memory session cache.
@@ -115,41 +115,11 @@ pub struct StageStats {
     /// ([`Explorer::prefetch`]) — no recompute *and* no request-path
     /// disk read.
     pub prefetch_hits: u64,
-    /// Requests served by decoding a persisted artifact (no recompute).
-    /// Prefetched entries count here at staging time, so a warm
-    /// prefetched run still shows one disk hit per artifact read.
-    pub disk_hits: u64,
-    /// Disk probes that found no entry (the stage then ran, or — for a
-    /// prefetch probe — nothing was staged).
-    pub disk_misses: u64,
-    /// Artifacts written through to the store.
-    pub disk_writes: u64,
-    /// Store entries rejected as corrupted or version-skewed (the stage
-    /// then ran and the entry was rewritten).
-    pub disk_corrupt: u64,
-    /// On-disk bytes currently held by this stage's store entries
-    /// (whole files; session-local view — see
-    /// [`ArtifactStore::snapshot`] for the authoritative index).
-    pub disk_bytes: u64,
-    /// Store entries this session's [`ArtifactStore::gc`] passes
-    /// evicted for this stage.
-    pub gc_evictions: u64,
-    /// Requests served by the remote tier ([`Explorer::with_remote`]) —
-    /// the server had the artifact, no local recompute.
-    pub remote_hits: u64,
-    /// Remote probes that missed: the server had no entry, or the
-    /// request degraded on a network failure (see
-    /// [`CacheStats::remote`] for the wire-level split).
-    pub remote_misses: u64,
-    /// Artifacts written through to the remote tier.
-    pub remote_writes: u64,
-    /// Remote payloads that arrived intact (frame checksum) but failed
-    /// typed decoding; the recompute's write-through replaces them.
-    pub remote_corrupt: u64,
 }
 
-/// A snapshot of the session's per-stage cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A snapshot of the session's per-stage cache counters and of every
+/// mounted tier's counters.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Compile-stage counters.
     pub compile: StageStats,
@@ -169,6 +139,14 @@ pub struct CacheStats {
     pub evaluate_suite: StageStats,
     /// Design-space-stage counters.
     pub design_space: StageStats,
+    /// Every tier of the session's [`TierStack`], top (probed first)
+    /// to bottom — the staging memory tier, the remote tier, the disk
+    /// store and any tier mounted with [`Explorer::with_tier`]. Empty
+    /// for a storeless session.
+    pub tiers: Vec<TierReport>,
+    /// Store entries evicted by this session's [`ArtifactStore::gc`]
+    /// passes (see [`Explorer::with_store_gc`]).
+    pub gc_evictions: u64,
     /// Wire-level counters of the remote tier
     /// ([`Explorer::with_remote`]): requests, errors, retries,
     /// unhealthy-skips and bytes over the wire. All zero for a session
@@ -211,112 +189,61 @@ impl CacheStats {
         }
     }
 
+    /// The counters of every mounted tier named `name` (`"memory"`,
+    /// `"remote"`, `"disk"`, or a custom tier's name), summed; all zero
+    /// when no such tier is mounted.
+    pub fn tier(&self, name: &'static str) -> TierReport {
+        let mut sum = TierReport {
+            name,
+            ..TierReport::default()
+        };
+        for tier in self.tiers.iter().filter(|t| t.name == name) {
+            for (a, b) in sum.stages.iter_mut().zip(tier.stages) {
+                *a = a.merge(b);
+            }
+        }
+        sum
+    }
+
+    fn sum(&self, field: impl Fn(StageStats) -> u64) -> u64 {
+        Stage::all().into_iter().map(|s| field(self.stage(s))).sum()
+    }
+
     /// Total cache hits across stages.
     pub fn total_hits(&self) -> u64 {
-        Stage::all().iter().map(|s| self.stage(*s).hits).sum()
+        self.sum(|s| s.hits)
     }
 
     /// Total stage executions across stages.
     pub fn total_misses(&self) -> u64 {
-        Stage::all().iter().map(|s| self.stage(*s).misses).sum()
+        self.sum(|s| s.misses)
     }
 
     /// Total LRU evictions across stages.
     pub fn total_evictions(&self) -> u64 {
-        Stage::all().iter().map(|s| self.stage(*s).evictions).sum()
+        self.sum(|s| s.evictions)
     }
 
     /// Total entries currently resident across stage caches.
     pub fn total_entries(&self) -> u64 {
-        Stage::all().iter().map(|s| self.stage(*s).entries).sum()
-    }
-
-    /// Total disk-tier hits across stages (artifacts decoded from the
-    /// store instead of recomputed).
-    pub fn total_disk_hits(&self) -> u64 {
-        Stage::all().iter().map(|s| self.stage(*s).disk_hits).sum()
-    }
-
-    /// Total disk-tier misses across stages.
-    pub fn total_disk_misses(&self) -> u64 {
-        Stage::all()
-            .iter()
-            .map(|s| self.stage(*s).disk_misses)
-            .sum()
-    }
-
-    /// Total artifacts written through to the store across stages.
-    pub fn total_disk_writes(&self) -> u64 {
-        Stage::all()
-            .iter()
-            .map(|s| self.stage(*s).disk_writes)
-            .sum()
-    }
-
-    /// Total corrupted/version-skewed store entries rejected across
-    /// stages.
-    pub fn total_disk_corrupt(&self) -> u64 {
-        Stage::all()
-            .iter()
-            .map(|s| self.stage(*s).disk_corrupt)
-            .sum()
+        self.sum(|s| s.entries)
     }
 
     /// Total requests served from prefetch-staged bytes across stages.
     pub fn total_prefetch_hits(&self) -> u64 {
-        Stage::all()
-            .iter()
-            .map(|s| self.stage(*s).prefetch_hits)
-            .sum()
+        self.sum(|s| s.prefetch_hits)
     }
 
-    /// Total store entries evicted by this session's GC passes.
-    pub fn total_gc_evictions(&self) -> u64 {
-        Stage::all()
-            .iter()
-            .map(|s| self.stage(*s).gc_evictions)
-            .sum()
+    /// Store entries rejected as corrupted or version-skewed:
+    /// `tier("disk").total().corrupt`.
+    pub fn total_disk_corrupt(&self) -> u64 {
+        self.tier("disk").total().corrupt
     }
 
-    /// Total on-disk bytes across every stage's store entries
-    /// (session-local view).
-    pub fn total_disk_bytes(&self) -> u64 {
-        Stage::all().iter().map(|s| self.stage(*s).disk_bytes).sum()
-    }
-
-    /// Total remote-tier hits across stages (artifacts served by the
-    /// daemon instead of recomputed).
-    pub fn total_remote_hits(&self) -> u64 {
-        Stage::all()
-            .iter()
-            .map(|s| self.stage(*s).remote_hits)
-            .sum()
-    }
-
-    /// Total remote-tier misses across stages (server had no entry, or
-    /// the request degraded on a network failure).
-    pub fn total_remote_misses(&self) -> u64 {
-        Stage::all()
-            .iter()
-            .map(|s| self.stage(*s).remote_misses)
-            .sum()
-    }
-
-    /// Total artifacts written through to the remote tier across
-    /// stages.
-    pub fn total_remote_writes(&self) -> u64 {
-        Stage::all()
-            .iter()
-            .map(|s| self.stage(*s).remote_writes)
-            .sum()
-    }
-
-    /// Total remote payloads rejected by typed decoding across stages.
+    /// Remote payloads rejected by typed decoding:
+    /// `tier("remote").total().corrupt`.
     pub fn total_remote_corrupt(&self) -> u64 {
-        Stage::all()
-            .iter()
-            .map(|s| self.stage(*s).remote_corrupt)
-            .sum()
+        self.tier("remote").total().corrupt
     }
 }
 
@@ -332,30 +259,19 @@ impl fmt::Display for CacheStats {
                 write!(f, "/{}ev", st.evictions)?;
             }
         }
-        let (dh, dm, dw, dc) = (
-            self.total_disk_hits(),
-            self.total_disk_misses(),
-            self.total_disk_writes(),
-            self.total_disk_corrupt(),
-        );
-        if dh + dm + dw + dc > 0 {
-            write!(f, "  disk: {dh}h/{dm}m/{dw}w")?;
-            if dc > 0 {
-                write!(f, "/{dc}corrupt")?;
+        for tier in &self.tiers {
+            let (name, t) = (tier.name, tier.total());
+            let r = match name {
+                "remote" => self.remote,
+                _ => RemoteTotals::default(),
+            };
+            if t.hits + t.misses + t.writes + t.corrupt == 0 && r == RemoteTotals::default() {
+                continue;
             }
-        }
-        let (rh, rm, rw, rc) = (
-            self.total_remote_hits(),
-            self.total_remote_misses(),
-            self.total_remote_writes(),
-            self.total_remote_corrupt(),
-        );
-        if rh + rm + rw + rc > 0 || self.remote != RemoteTotals::default() {
-            write!(f, "  remote: {rh}h/{rm}m/{rw}w")?;
-            if rc > 0 {
-                write!(f, "/{rc}corrupt")?;
+            write!(f, "  {name}: {}h/{}m/{}w", t.hits, t.misses, t.writes)?;
+            if t.corrupt > 0 {
+                write!(f, "/{}corrupt", t.corrupt)?;
             }
-            let r = self.remote;
             if r.errors + r.retries + r.skipped > 0 {
                 write!(f, " ({}err/{}retry/{}skip)", r.errors, r.retries, r.skipped)?;
             }
@@ -367,9 +283,8 @@ impl fmt::Display for CacheStats {
         if pf > 0 {
             write!(f, "  prefetch: {pf}h")?;
         }
-        let gc = self.total_gc_evictions();
-        if gc > 0 {
-            write!(f, "  gc: {gc}ev")?;
+        if self.gc_evictions > 0 {
+            write!(f, "  gc: {}ev", self.gc_evictions)?;
         }
         if self.run_state != RunStateStats::default() {
             write!(
@@ -546,19 +461,19 @@ struct Caches {
 }
 
 impl Caches {
-    /// Run `f` over every stage cache's counter-facing surface, in
-    /// stage order. The typed caches have nine distinct types, so
-    /// uniform access goes through this visitor instead of an array.
-    fn for_each(&self, mut f: impl FnMut(Stage, &dyn StageCacheOps)) {
-        f(Stage::Compile, &self.compile);
-        f(Stage::Profile, &self.profile);
-        f(Stage::Schedule, &self.schedule);
-        f(Stage::Analyze, &self.analyze);
-        f(Stage::Design, &self.design);
-        f(Stage::Evaluate, &self.evaluate);
-        f(Stage::DesignSuite, &self.design_suite);
-        f(Stage::EvaluateSuite, &self.evaluate_suite);
-        f(Stage::DesignSpace, &self.design_space);
+    /// Run `f` over every stage cache's bookkeeping surface, in stage
+    /// order. The typed caches have nine distinct types, so uniform
+    /// access goes through this visitor instead of an array.
+    fn for_each(&self, mut f: impl FnMut(&dyn StageCacheOps)) {
+        f(&self.compile);
+        f(&self.profile);
+        f(&self.schedule);
+        f(&self.analyze);
+        f(&self.design);
+        f(&self.evaluate);
+        f(&self.design_suite);
+        f(&self.evaluate_suite);
+        f(&self.design_space);
     }
 }
 
@@ -567,17 +482,7 @@ impl Caches {
 trait StageCacheOps {
     fn set_capacity(&self, capacity: Option<usize>) -> u64;
     fn reset(&self);
-    fn front_stats(&self) -> FrontStats;
-}
-
-/// A snapshot of one typed cache's counters and occupancy.
-#[derive(Debug, Clone, Copy, Default)]
-struct FrontStats {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    prefetch_hits: u64,
-    entries: u64,
+    fn stats(&self) -> StageStats;
 }
 
 impl<K: Eq + Hash + Clone, V> StageCacheOps for StageCache<K, V> {
@@ -587,8 +492,8 @@ impl<K: Eq + Hash + Clone, V> StageCacheOps for StageCache<K, V> {
     fn reset(&self) {
         StageCache::reset(self)
     }
-    fn front_stats(&self) -> FrontStats {
-        FrontStats {
+    fn stats(&self) -> StageStats {
+        StageStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -753,7 +658,7 @@ impl Explorer {
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         let cap = Some(capacity.max(1));
         self.cache_capacity = cap;
-        self.caches.for_each(|_, cache| {
+        self.caches.for_each(|cache| {
             cache.set_capacity(cap);
         });
         lock(&self.engines).set_capacity(cap);
@@ -777,7 +682,7 @@ impl Explorer {
     /// directory can be shared by sessions with different
     /// configurations — they simply address different entries. Missing,
     /// corrupted or version-skewed entries silently fall back to
-    /// recompute; the per-stage disk counters in [`CacheStats`] make
+    /// recompute; the `"disk"` tier's counters in [`CacheStats`] make
     /// hits, misses and corruption observable.
     pub fn with_store(mut self, dir: impl Into<PathBuf>) -> Self {
         self.store = Some(Arc::new(ArtifactStore::open(dir)));
@@ -789,7 +694,7 @@ impl Explorer {
     /// [`ArtifactStore::gc`] pass at attach time, so long-lived hosts
     /// (bench machines, services) keep the shared store inside a
     /// standing budget without a manual `store gc` invocation. The
-    /// evictions are counted in [`StageStats::gc_evictions`] like any
+    /// evictions are counted in [`CacheStats::gc_evictions`] like any
     /// other GC pass; an empty or fresh store makes the pass a cheap
     /// no-op.
     pub fn with_store_gc(self, dir: impl Into<PathBuf>, config: StoreGcConfig) -> Self {
@@ -811,7 +716,7 @@ impl Explorer {
     /// Server failures are never session errors: each one degrades to
     /// a counted miss under `policy`'s retry/timeout/backoff bounds,
     /// and an unhealthy server is skipped (one probe per second) until
-    /// it answers again. The per-stage `remote_*` counters and the
+    /// it answers again. The `"remote"` tier's counters and the
     /// wire-level [`CacheStats::remote`] totals make every degradation
     /// observable.
     ///
@@ -835,7 +740,9 @@ impl Explorer {
     /// disk store, written through like any persistent tier). This is
     /// the extension point for custom shared caches — anything beyond
     /// the built-in disk store and [`Explorer::with_remote`] daemon —
-    /// which need nothing beyond the trait's five methods.
+    /// which need nothing beyond the trait's five methods. Its counters
+    /// appear in [`CacheStats::tiers`] under its
+    /// [`name`](ArtifactTier::name).
     pub fn with_tier(mut self, tier: Arc<dyn ArtifactTier>) -> Self {
         self.extra_tiers.push(tier);
         self.rebuild_tiers();
@@ -917,21 +824,10 @@ impl Explorer {
         self.remote.as_deref()
     }
 
-    /// The session's tier stack (empty for a storeless session). Useful
-    /// for inspecting per-tier [`TierStats`] beyond the per-stage
-    /// aggregation in [`CacheStats`].
+    /// The session's tier stack (empty for a storeless session). Its
+    /// counters are reported per tier in [`CacheStats::tiers`].
     pub fn tier_stack(&self) -> &TierStack {
         &self.tiers
-    }
-
-    /// `(tier name, summed stats)` for every tier in the stack, top to
-    /// bottom — the per-tier byte totals next to the hit/miss counters.
-    pub fn tier_totals(&self) -> Vec<(&'static str, TierStats)> {
-        self.tiers
-            .tiers()
-            .iter()
-            .map(|t| (t.name(), t.totals()))
-            .collect()
     }
 
     // -- ephemeral-state management ------------------------------------
@@ -944,7 +840,7 @@ impl Explorer {
     /// and stay valid because their keys hash artifact content identity
     /// rather than session history.
     pub fn reset(&self) {
-        self.caches.for_each(|_, cache| cache.reset());
+        self.caches.for_each(|cache| cache.reset());
         lock(&self.engines).clear();
         lock(&self.baselines).clear();
         lock(&self.coverage).clear();
@@ -957,53 +853,29 @@ impl Explorer {
     }
 
     /// Snapshot the per-stage cache hit/miss/eviction counters and live
-    /// entry counts, joined with the disk tier's counters and byte
-    /// totals when a store is attached.
+    /// entry counts, and the counters of every mounted tier.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut fronts = [FrontStats::default(); 9];
-        self.caches.for_each(|stage, cache| {
-            fronts[stage as usize] = cache.front_stats();
-        });
-        let get = |s: Stage| {
-            let front = fronts[s as usize];
-            let (disk, gc_evictions) = self
-                .store
-                .as_ref()
-                .map(|store| (store.as_ref().stats(s), store.gc_evictions(s)))
-                .unwrap_or_default();
-            let remote = self
-                .remote
-                .as_ref()
-                .map(|tier| ArtifactTier::stats(tier.as_ref(), s))
-                .unwrap_or_default();
-            StageStats {
-                hits: front.hits,
-                misses: front.misses,
-                evictions: front.evictions,
-                entries: front.entries,
-                prefetch_hits: front.prefetch_hits,
-                disk_hits: disk.hits,
-                disk_misses: disk.misses,
-                disk_writes: disk.writes,
-                disk_corrupt: disk.corrupt,
-                disk_bytes: disk.bytes,
-                gc_evictions,
-                remote_hits: remote.hits,
-                remote_misses: remote.misses,
-                remote_writes: remote.writes,
-                remote_corrupt: remote.corrupt,
-            }
-        };
+        let c = &self.caches;
         CacheStats {
-            compile: get(Stage::Compile),
-            profile: get(Stage::Profile),
-            schedule: get(Stage::Schedule),
-            analyze: get(Stage::Analyze),
-            design: get(Stage::Design),
-            evaluate: get(Stage::Evaluate),
-            design_suite: get(Stage::DesignSuite),
-            evaluate_suite: get(Stage::EvaluateSuite),
-            design_space: get(Stage::DesignSpace),
+            compile: c.compile.stats(),
+            profile: c.profile.stats(),
+            schedule: c.schedule.stats(),
+            analyze: c.analyze.stats(),
+            design: c.design.stats(),
+            evaluate: c.evaluate.stats(),
+            design_suite: c.design_suite.stats(),
+            evaluate_suite: c.evaluate_suite.stats(),
+            design_space: c.design_space.stats(),
+            tiers: self
+                .tiers
+                .tiers()
+                .iter()
+                .map(|t| TierReport {
+                    name: t.name(),
+                    stages: Stage::all().map(|s| t.stats(s)),
+                })
+                .collect(),
+            gc_evictions: self.store.as_ref().map_or(0, |s| s.gc_evictions()),
             remote: self
                 .remote
                 .as_ref()
@@ -2328,7 +2200,7 @@ mod tests {
     fn storeless_sessions_have_an_empty_tier_stack() {
         let session = Explorer::new();
         assert!(session.tier_stack().is_empty());
-        assert!(session.tier_totals().is_empty());
+        assert!(session.cache_stats().tiers.is_empty());
         // and never pay key hashing
         assert_eq!(session.disk_key(Stage::Compile, |_| {}), None);
     }
@@ -2345,7 +2217,25 @@ mod tests {
             .collect();
         assert_eq!(names, ["memory", "disk"]);
         assert!(session.tier_stack().can_stage());
-        assert_eq!(session.tier_totals().len(), 2);
+        let reported: Vec<&str> = session.cache_stats().tiers.iter().map(|t| t.name).collect();
+        assert_eq!(reported, names, "one report per mounted tier, in order");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tier_reports_by_name_sum_same_named_tiers_and_default_to_empty() {
+        let (a, b) = (Arc::new(MemoryTier::new()), Arc::new(MemoryTier::new()));
+        a.put(Stage::Compile, 1, b"x");
+        b.put(Stage::Compile, 2, b"y");
+        b.put(Stage::Profile, 3, b"z");
+        // the session's own staging tier is a third "memory" tier
+        let stats = Explorer::new().with_tier(a).with_tier(b).cache_stats();
+        let memory = stats.tier("memory");
+        assert_eq!(stats.tiers.len(), 3);
+        assert_eq!(memory.stage(Stage::Compile).writes, 2);
+        assert_eq!(memory.stage(Stage::Profile).entries, 1);
+        assert_eq!(memory.total().writes, 3);
+        let absent = stats.tier("disk");
+        assert_eq!((absent.name, absent.stages), ("disk", Default::default()));
     }
 }

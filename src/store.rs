@@ -56,6 +56,7 @@
 //! ```
 //! use asip_explorer::artifact::Stage;
 //! use asip_explorer::store::{ArtifactStore, StableHasher, StoreGcConfig};
+//! use asip_explorer::tier::ArtifactTier;
 //! use asip_explorer::synth::Evaluation;
 //!
 //! let dir = std::env::temp_dir().join(format!("asip-store-doc-{}", std::process::id()));
@@ -74,11 +75,11 @@
 //! };
 //! assert!(store.save(Stage::Evaluate, key, &value));
 //! assert_eq!(store.load::<Evaluation>(Stage::Evaluate, key), Some(value));
-//! assert_eq!(store.disk_stats(Stage::Evaluate).hits, 1);
+//! assert_eq!(store.stats(Stage::Evaluate).hits, 1);
 //!
 //! // a missing key is a counted miss, not an error
 //! assert_eq!(store.load::<Evaluation>(Stage::Evaluate, key ^ 1), None);
-//! assert_eq!(store.disk_stats(Stage::Evaluate).misses, 1);
+//! assert_eq!(store.stats(Stage::Evaluate).misses, 1);
 //!
 //! // a zero byte budget evicts everything; the next run recomputes
 //! let report = store.gc(&StoreGcConfig::default().with_max_bytes(0));
@@ -213,34 +214,6 @@ impl StableHasher {
     /// The digest so far.
     pub fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-/// Disk-tier counters: one bundle per stage (or summed across stages by
-/// [`ArtifactStore::disk_totals`]). Every [`ArtifactStore::load`]
-/// increments exactly one of `hits`, `misses` or `corrupt`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DiskStats {
-    /// Entries found on disk, validated and decoded.
-    pub hits: u64,
-    /// Probes that found no entry file.
-    pub misses: u64,
-    /// Artifacts written through to disk.
-    pub writes: u64,
-    /// Entry files present but rejected (bad magic, version skew, wrong
-    /// stage, checksum or decode failure) and recomputed instead.
-    pub corrupt: u64,
-}
-
-impl DiskStats {
-    /// Component-wise sum.
-    fn add(self, other: DiskStats) -> DiskStats {
-        DiskStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            writes: self.writes + other.writes,
-            corrupt: self.corrupt + other.corrupt,
-        }
     }
 }
 
@@ -459,7 +432,7 @@ struct EntryMeta {
 pub struct ArtifactStore {
     dir: PathBuf,
     counters: TierCounters,
-    gc_evicted: [AtomicU64; STAGE_COUNT],
+    gc_evicted: AtomicU64,
     /// Lazy session-local index of the directory (sizes + precise write
     /// times), populated by the first occupancy query and kept in sync
     /// by this session's saves and GC passes. Other processes' writes
@@ -480,7 +453,7 @@ impl ArtifactStore {
         ArtifactStore {
             dir: dir.into(),
             counters: TierCounters::default(),
-            gc_evicted: Default::default(),
+            gc_evicted: AtomicU64::new(0),
             index: Mutex::new(None),
             faults_armed: AtomicBool::new(false),
             faults: Mutex::new(None),
@@ -556,27 +529,10 @@ impl ArtifactStore {
         self.put(stage, key, &value.to_bytes())
     }
 
-    /// Snapshot one stage's disk counters.
-    pub fn disk_stats(&self, stage: Stage) -> DiskStats {
-        let s = self.counters.snapshot(stage);
-        DiskStats {
-            hits: s.hits,
-            misses: s.misses,
-            writes: s.writes,
-            corrupt: s.corrupt,
-        }
-    }
-
-    /// Disk counters summed over every stage.
-    pub fn disk_totals(&self) -> DiskStats {
-        Stage::all()
-            .into_iter()
-            .fold(DiskStats::default(), |acc, s| acc.add(self.disk_stats(s)))
-    }
-
-    /// Entries this session's GC passes evicted for one stage.
-    pub fn gc_evictions(&self, stage: Stage) -> u64 {
-        self.gc_evicted[stage as usize].load(Ordering::Relaxed)
+    /// Entries this session's GC passes evicted, over every stage
+    /// (the per-stage split of one pass is in its [`GcReport`]).
+    pub fn gc_evictions(&self) -> u64 {
+        self.gc_evicted.load(Ordering::Relaxed)
     }
 
     // -- manifest, GC, verify ------------------------------------------
@@ -738,7 +694,7 @@ impl ArtifactStore {
                 report.evicted_entries += 1;
                 report.evicted_bytes += e.bytes;
                 report.evicted_per_stage[e.stage as usize] += 1;
-                self.gc_evicted[e.stage as usize].fetch_add(1, Ordering::Relaxed);
+                self.gc_evicted.fetch_add(1, Ordering::Relaxed);
             } else {
                 retained.push(*e);
             }
@@ -1010,9 +966,7 @@ impl ArtifactTier for ArtifactStore {
 
     fn reset_counters(&self) {
         self.counters.reset();
-        for c in &self.gc_evicted {
-            c.store(0, Ordering::Relaxed);
-        }
+        self.gc_evicted.store(0, Ordering::Relaxed);
     }
 }
 
@@ -1298,15 +1252,15 @@ mod tests {
     fn save_load_round_trip_with_counters() {
         let store = temp_store("roundtrip");
         assert_eq!(store.load::<u64>(Stage::Compile, 1), None);
-        assert_eq!(store.disk_stats(Stage::Compile).misses, 1);
+        assert_eq!(store.stats(Stage::Compile).misses, 1);
 
         assert!(store.save(Stage::Compile, 1, &42u64));
         assert_eq!(store.load::<u64>(Stage::Compile, 1), Some(42));
-        let stats = store.disk_stats(Stage::Compile);
+        let stats = store.stats(Stage::Compile);
         assert_eq!((stats.hits, stats.misses, stats.writes), (1, 1, 1));
         // other stages are unaffected; totals sum
-        assert_eq!(store.disk_stats(Stage::Profile), DiskStats::default());
-        assert_eq!(store.disk_totals().hits, 1);
+        assert_eq!(store.stats(Stage::Profile), TierStats::default());
+        assert_eq!(store.totals().hits, 1);
         fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1333,7 +1287,7 @@ mod tests {
         *bytes.last_mut().expect("nonempty") ^= 0xFF;
         fs::write(&path, &bytes).expect("writable");
         assert_eq!(store.load::<String>(Stage::Analyze, 5), None);
-        assert_eq!(store.disk_stats(Stage::Analyze).corrupt, 1);
+        assert_eq!(store.stats(Stage::Analyze).corrupt, 1);
 
         // truncate mid-header
         fs::write(&path, &bytes[..10]).expect("writable");
@@ -1345,7 +1299,7 @@ mod tests {
         bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         fs::write(&path, &bytes).expect("writable");
         assert_eq!(store.load::<String>(Stage::Analyze, 5), None);
-        assert_eq!(store.disk_stats(Stage::Analyze).corrupt, 3);
+        assert_eq!(store.stats(Stage::Analyze).corrupt, 3);
 
         // a wrong-stage read of a valid entry is also rejected
         store.save(Stage::Analyze, 5, &String::from("report"));
@@ -1353,7 +1307,7 @@ mod tests {
         fs::create_dir_all(copy.parent().expect("has parent")).expect("mkdir");
         fs::copy(&path, &copy).expect("copies");
         assert_eq!(store.load::<String>(Stage::Design, 5), None);
-        assert_eq!(store.disk_stats(Stage::Design).corrupt, 1);
+        assert_eq!(store.stats(Stage::Design).corrupt, 1);
         fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1363,7 +1317,7 @@ mod tests {
         store.save(Stage::Compile, 9, &String::from("not a u64"));
         // framing is valid, the typed decode is not
         assert_eq!(store.load::<u64>(Stage::Compile, 9), None);
-        let stats = store.disk_stats(Stage::Compile);
+        let stats = store.stats(Stage::Compile);
         assert_eq!((stats.hits, stats.corrupt), (0, 1), "hit was demoted");
         assert!(
             !store.contains(Stage::Compile, 9),
@@ -1380,7 +1334,7 @@ mod tests {
         fs::write(&blocker, b"file, not dir").expect("temp writable");
         let store = ArtifactStore::open(blocker.join("store"));
         assert!(!store.save(Stage::Compile, 1, &1u64));
-        assert_eq!(store.disk_totals().writes, 0);
+        assert_eq!(store.totals().writes, 0);
         assert_eq!(store.load::<u64>(Stage::Compile, 1), None);
         // maintenance ops are equally unbothered
         assert_eq!(store.snapshot(), Manifest::default());
@@ -1393,8 +1347,17 @@ mod tests {
         let store = temp_store("reset");
         store.save(Stage::Compile, 3, &9u64);
         store.load::<u64>(Stage::Compile, 3);
+        // an undecodable entry counts one corrupt read and is removed
+        store.save(Stage::Compile, 4, &String::from("not a u64"));
+        assert_eq!(store.load::<u64>(Stage::Compile, 4), None);
+        assert_eq!(store.totals().corrupt, 1);
         store.reset_counters();
-        assert_eq!(store.disk_totals(), DiskStats::default());
+        let totals = store.totals();
+        assert_eq!(
+            (totals.hits, totals.misses, totals.writes, totals.corrupt),
+            (0, 0, 0, 0)
+        );
+        assert_eq!(totals.entries, 1, "occupancy is not a counter");
         assert_eq!(store.load::<u64>(Stage::Compile, 3), Some(9));
         fs::remove_dir_all(store.dir()).ok();
     }
@@ -1463,7 +1426,7 @@ mod tests {
         assert!(!store.contains(Stage::Compile, 1));
         assert!(!store.contains(Stage::Profile, 2));
         assert!(store.contains(Stage::Schedule, 3), "newest survives");
-        assert_eq!(store.gc_evictions(Stage::Compile), 1);
+        assert_eq!(store.gc_evictions(), 2);
 
         // the manifest was rewritten to the retained set
         let m = store.snapshot();

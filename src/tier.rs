@@ -92,6 +92,30 @@ impl TierStats {
     }
 }
 
+/// One mounted tier's [`TierStats`] for every stage, as
+/// [`CacheStats::tiers`](crate::CacheStats::tiers) reports them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TierReport {
+    /// The tier's [`ArtifactTier::name`].
+    pub name: &'static str,
+    /// Counters and occupancy per stage, indexed by `Stage as usize`.
+    pub stages: [TierStats; STAGE_COUNT],
+}
+
+impl TierReport {
+    /// One stage's counters.
+    pub fn stage(&self, stage: Stage) -> TierStats {
+        self.stages[stage as usize]
+    }
+
+    /// Counters and occupancy summed over every stage.
+    pub fn total(&self) -> TierStats {
+        self.stages
+            .iter()
+            .fold(TierStats::default(), |a, s| a.merge(*s))
+    }
+}
+
 /// The outcome of probing one tier for one entry.
 #[derive(Debug)]
 pub enum TierRead {
@@ -388,13 +412,6 @@ impl TierStack {
             Some(i) => self.tiers[i + 1..].iter().any(|t| t.persistent()),
             None => false,
         }
-    }
-
-    /// Per-stage stats summed across every tier.
-    pub fn stats(&self, stage: Stage) -> TierStats {
-        self.tiers
-            .iter()
-            .fold(TierStats::default(), |acc, t| acc.merge(t.stats(stage)))
     }
 
     /// Zero every tier's counters.

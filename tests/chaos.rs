@@ -557,7 +557,8 @@ fn poisoned_puts_are_counted_corrupt_and_recomputed() {
     let stats = fresh.cache_stats();
     assert_eq!(stats.total_remote_corrupt(), poisoned, "{stats}");
     for stage in [Stage::Analyze, Stage::Schedule] {
-        assert_eq!(stats.stage(stage).remote_corrupt, 3, "{stage}: {stats}");
+        let remote = stats.tier("remote").stage(stage);
+        assert_eq!(remote.corrupt, 3, "{stage}: {stats}");
     }
 
     let served = handle.shutdown();

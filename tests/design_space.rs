@@ -153,7 +153,7 @@ fn warm_sweep_replays_from_disk_with_zero_recomputes() {
     let stats = warm.cache_stats();
     assert_eq!(stats.total_misses(), 0, "zero recomputes: {stats}");
     assert!(
-        stats.design_space.disk_hits >= 1,
+        stats.tier("disk").stage(Stage::DesignSpace).hits >= 1,
         "served from disk: {stats}"
     );
     assert_eq!(spaced.space, cold_space, "decoded space round-trips");
@@ -186,7 +186,8 @@ fn warm_sweep_is_served_over_the_wire_with_zero_recomputes() {
         .expect("sweep served remotely");
     let stats = client.cache_stats();
     assert_eq!(stats.total_misses(), 0, "zero recomputes: {stats}");
-    assert!(stats.total_remote_hits() > 0, "served remotely: {stats}");
+    let remote = stats.tier("remote").total();
+    assert!(remote.hits > 0, "served remotely: {stats}");
     assert_eq!(stats.remote.errors, 0, "no wire failures: {stats}");
     assert_eq!(spaced.space, server_space);
     handle.shutdown();

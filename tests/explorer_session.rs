@@ -408,7 +408,8 @@ fn store_warm_session_runs_each_baseline_once() {
         session.profile(name).expect("profiles");
     }
     let stats = session.cache_stats();
-    assert_eq!(stats.profile.disk_hits, names.len() as u64);
+    let disk = stats.tier("disk").stage(Stage::Profile);
+    assert_eq!(disk.hits, names.len() as u64);
     assert!(baseline_checkouts(&session, &names).iter().all(|&n| n == 0));
     let small = DesignConstraints {
         area_budget: 1500.0,

@@ -149,3 +149,64 @@ proptest! {
         }
     }
 }
+
+/// Source that nests `depth` levels deep in one of four shapes: nested
+/// parentheses, repeated unary minus, nested `if`s, and a flat operator
+/// chain (parsed by a loop, but a left-deep tree for every later walk).
+fn deep_source(shape: &str, depth: usize) -> String {
+    let body = match shape {
+        "parens" => format!("x = {}1{};", "(".repeat(depth), ")".repeat(depth)),
+        "minus" => format!("x = {}1;", "- ".repeat(depth)),
+        "if" => format!("{}x = 1;", "if (x) ".repeat(depth)),
+        "chain" => format!("x = 1{};", "+1".repeat(depth)),
+        other => unreachable!("unknown shape {other}"),
+    };
+    format!("output int y[1]; void main() {{ int x = 0; {body} y[0] = x; }}")
+}
+
+/// No nesting depth aborts the process: on a 2 MiB thread stack every
+/// shape compiles below the limit and returns a typed
+/// `RecursionLimitExceeded` above it, from 10^2 up to 10^6 levels, and
+/// the limit bounds the height of the tree, not the parser's depth.
+#[test]
+fn deep_nesting_returns_a_typed_error_never_a_stack_overflow() {
+    use asip_explorer::frontend::{compile, parser::MAX_NESTING, FrontendError};
+    let worker = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            for shape in ["parens", "minus", "if", "chain"] {
+                for depth in [100, 1_000, 10_000, 100_000, 1_000_000] {
+                    let result = compile("deep", &deep_source(shape, depth));
+                    match result {
+                        Ok(_) => assert!(depth <= MAX_NESTING, "{shape} x{depth} compiled"),
+                        Err(FrontendError::RecursionLimitExceeded { limit, .. }) => {
+                            assert_eq!(limit, MAX_NESTING);
+                            assert!(depth > MAX_NESTING, "{shape} x{depth} rejected");
+                        }
+                        Err(e) => panic!("{shape} x{depth}: untyped failure {e}"),
+                    }
+                }
+            }
+            // the limit is on the tree: a chain exactly MAX_NESTING
+            // operators long compiles, one more is rejected
+            compile("widest", &deep_source("chain", MAX_NESTING)).expect("compiles at the limit");
+            assert!(matches!(
+                compile("too-wide", &deep_source("chain", MAX_NESTING + 1)),
+                Err(FrontendError::RecursionLimitExceeded { .. })
+            ));
+            // a staircase: parenthesis level j closes a chain of
+            // MAX_NESTING - j operators, so no single shape nears the
+            // limit but the left-deep tree is ~32 000 nodes tall
+            let mut stair = String::from("1");
+            for level in (1..250).rev() {
+                stair = format!("({stair}{})", "+1".repeat(MAX_NESTING - level));
+            }
+            let src = format!("output int y[1]; void main() {{ int x = {stair}; y[0] = x; }}");
+            assert!(matches!(
+                compile("staircase", &src),
+                Err(FrontendError::RecursionLimitExceeded { .. })
+            ));
+        })
+        .expect("spawns");
+    worker.join().expect("no depth aborts or panics");
+}

@@ -120,7 +120,7 @@ fn store_warm_corpus_explore_all_does_zero_recomputes() {
             "stage {stage} recomputed despite a warm store: {stats}"
         );
     }
-    assert!(stats.compile.disk_hits > 0, "{stats}");
+    assert!(stats.tier("disk").stage(Stage::Compile).hits > 0, "{stats}");
     for (a, b) in cold.iter().zip(warm.iter()) {
         assert_eq!(a.compiled.program, b.compiled.program);
         assert_eq!(a.evaluated.evaluation, b.evaluated.evaluation);
@@ -165,7 +165,8 @@ fn suite_tags_keep_store_keys_from_colliding() {
     regress.compile("twin").expect("compiles");
     let stats = regress.cache_stats();
     assert_eq!(
-        stats.compile.disk_hits, 0,
+        stats.tier("disk").stage(Stage::Compile).hits,
+        0,
         "different suites must never share artifacts: {stats}"
     );
     assert_eq!(stats.compile.misses, 1, "{stats}");
@@ -177,7 +178,7 @@ fn suite_tags_keep_store_keys_from_colliding() {
     replay.compile("twin").expect("compiles");
     let stats = replay.cache_stats();
     assert_eq!(stats.compile.misses, 0, "{stats}");
-    assert_eq!(stats.compile.disk_hits, 1, "{stats}");
+    assert_eq!(stats.tier("disk").stage(Stage::Compile).hits, 1, "{stats}");
     fs::remove_dir_all(&dir).ok();
 }
 

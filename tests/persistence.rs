@@ -55,9 +55,10 @@ fn second_session_serves_the_whole_pipeline_from_disk() {
     let run1 = first.explore("sewha").expect("pipeline runs");
     let stats1 = first.cache_stats();
     assert!(stats1.compile.misses > 0, "cold store computes");
-    assert_eq!(stats1.compile.disk_hits, 0, "nothing to hit yet");
+    let disk1 = stats1.tier("disk");
+    assert_eq!(disk1.stage(Stage::Compile).hits, 0, "nothing to hit yet");
     assert!(
-        stats1.total_disk_writes() >= 6,
+        disk1.total().writes >= 6,
         "every stage writes through: {stats1}"
     );
 
@@ -74,12 +75,13 @@ fn second_session_serves_the_whole_pipeline_from_disk() {
         Stage::Analyze,
     ] {
         assert!(
-            stats2.stage(stage).disk_hits > 0,
+            stats2.tier("disk").stage(stage).hits > 0,
             "stage {stage} should hit disk: {stats2}"
         );
     }
-    assert!(stats2.stage(Stage::Design).disk_hits > 0, "{stats2}");
-    assert!(stats2.stage(Stage::Evaluate).disk_hits > 0, "{stats2}");
+    let disk2 = stats2.tier("disk");
+    assert!(disk2.stage(Stage::Design).hits > 0, "{stats2}");
+    assert!(disk2.stage(Stage::Evaluate).hits > 0, "{stats2}");
     assert_eq!(stats2.total_disk_corrupt(), 0);
 
     // and the artifacts are *identical*, not merely equivalent
@@ -109,7 +111,8 @@ fn suite_stages_share_the_store_across_sessions() {
             DetectorConfig::default(),
         )
         .expect("suite evaluates");
-    assert!(first.cache_stats().design_suite.disk_writes > 0);
+    let disk = first.cache_stats().tier("disk");
+    assert!(disk.stage(Stage::DesignSuite).writes > 0);
 
     let second = Explorer::new().with_store(&dir);
     let suite2 = second
@@ -121,8 +124,9 @@ fn suite_stages_share_the_store_across_sessions() {
         .expect("suite replays");
     let stats = second.cache_stats();
     assert_no_recomputes(&stats);
-    assert!(stats.design_suite.disk_hits > 0, "{stats}");
-    assert!(stats.evaluate_suite.disk_hits > 0, "{stats}");
+    let disk = stats.tier("disk");
+    assert!(disk.stage(Stage::DesignSuite).hits > 0, "{stats}");
+    assert!(disk.stage(Stage::EvaluateSuite).hits > 0, "{stats}");
     assert_eq!(suite1.design, suite2.design);
     assert_eq!(suite1.evaluations, suite2.evaluations);
     assert_eq!(suite1.geomean_speedup(), suite2.geomean_speedup());
@@ -250,7 +254,7 @@ fn version_bump_invalidates_old_entries() {
         .expect("recomputes under version skew");
     let stats = second.cache_stats();
     assert_eq!(
-        stats.total_disk_hits(),
+        stats.tier("disk").total().hits,
         0,
         "no stale entry may be served: {stats}"
     );
@@ -299,19 +303,16 @@ fn entries_of_the_previous_format_are_stale_not_corrupt() {
     let second = Explorer::new().with_store(&dir);
     let recomputed = second.profile("sewha").expect("recomputes");
     let stats = second.cache_stats();
-    assert_eq!(stats.total_disk_hits(), 0, "{stats}");
-    assert_eq!(
-        stats.total_disk_corrupt(),
-        0,
-        "old keys are never read: {stats}"
-    );
-    assert!(stats.total_disk_writes() > 0, "{stats}");
+    let disk = stats.tier("disk").total();
+    assert_eq!(disk.hits, 0, "{stats}");
+    assert_eq!(disk.corrupt, 0, "old keys are never read: {stats}");
+    assert!(disk.writes > 0, "{stats}");
     assert_eq!(clean.profile, recomputed.profile);
 
     let report = second.store().expect("store attached").verify();
     assert_eq!(report.stale, files.len() as u64, "{report:?}");
     assert_eq!(report.corrupt, 0, "{report:?}");
-    assert_eq!(report.ok, stats.total_disk_writes(), "{report:?}");
+    assert_eq!(report.ok, disk.writes, "{report:?}");
 
     // a bit flip in a current entry's version field stays corrupt
     let current = entry_files(&dir)
@@ -354,10 +355,8 @@ fn sessions_without_a_store_never_touch_disk_counters() {
     let session = Explorer::new();
     session.analyze("sewha", OptLevel::None).expect("computes");
     let stats = session.cache_stats();
-    assert_eq!(stats.total_disk_hits(), 0);
-    assert_eq!(stats.total_disk_misses(), 0);
-    assert_eq!(stats.total_disk_writes(), 0);
-    assert_eq!(stats.total_disk_corrupt(), 0);
+    assert!(stats.tiers.is_empty(), "{stats}");
+    assert_eq!(stats.tier("disk").total(), TierStats::default());
     assert!(session.store().is_none());
 }
 

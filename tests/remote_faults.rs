@@ -44,7 +44,7 @@ fn absent_server_degrades_to_clean_recompute() {
     assert!(exploration.speedup() >= 1.0);
     let stats = session.cache_stats();
     assert!(stats.total_misses() > 0, "everything recomputed");
-    assert_eq!(stats.total_remote_hits(), 0);
+    assert_eq!(stats.tier("remote").total().hits, 0);
     assert!(
         stats.remote.errors >= 1,
         "connect failures counted: {stats}"

@@ -43,7 +43,8 @@ fn warm_server_serves_a_storeless_client_with_zero_recomputes() {
     assert!(exploration.speedup() >= 1.0);
     let stats = session.cache_stats();
     assert_eq!(stats.total_misses(), 0, "zero recomputes: {stats}");
-    assert!(stats.total_remote_hits() > 0, "served remotely: {stats}");
+    let remote = stats.tier("remote").total();
+    assert!(remote.hits > 0, "served remotely: {stats}");
     assert_eq!(stats.remote.errors, 0, "no wire failures: {stats}");
 
     // the server computed nothing extra on the client's behalf
@@ -65,14 +66,15 @@ fn cold_client_populates_the_daemon_for_the_next_client() {
     first.explore("bspline").expect("cold pipeline");
     let stats1 = first.cache_stats();
     assert!(stats1.total_misses() > 0, "client 1 computes");
-    assert!(stats1.total_remote_writes() > 0, "write-through: {stats1}");
+    let remote = stats1.tier("remote").total();
+    assert!(remote.writes > 0, "write-through: {stats1}");
 
     // client 2 is served entirely by what client 1 pushed
     let second = client(handle.endpoint());
     second.explore("bspline").expect("warm pipeline");
     let stats2 = second.cache_stats();
     assert_eq!(stats2.total_misses(), 0, "client 2 recomputes: {stats2}");
-    assert!(stats2.total_remote_hits() > 0);
+    assert!(stats2.tier("remote").total().hits > 0);
 
     // the daemon itself never ran a stage
     let final_stats = handle.shutdown();
@@ -202,9 +204,10 @@ fn client_with_local_store_prefers_the_remote_tier() {
     session.explore("fir").expect("pipeline");
     let stats = session.cache_stats();
     assert_eq!(stats.total_misses(), 0, "no recompute: {stats}");
-    assert!(stats.total_remote_hits() > 0, "remote answered first");
+    let remote = stats.tier("remote").total();
+    assert!(remote.hits > 0, "remote answered first");
     assert_eq!(
-        stats.total_disk_hits(),
+        stats.tier("disk").total().hits,
         0,
         "the local disk tier sits below the remote tier and is never reached: {stats}"
     );
@@ -262,7 +265,8 @@ fn replayed_entries_are_served_from_daemon_memory_after_the_store_is_deleted() {
     let again = second.explore("fir").expect("served from daemon memory");
     let stats = second.cache_stats();
     assert_eq!(stats.total_misses(), 0, "zero recomputes: {stats}");
-    assert!(stats.total_remote_hits() > 0, "served remotely: {stats}");
+    let remote = stats.tier("remote").total();
+    assert!(remote.hits > 0, "served remotely: {stats}");
     assert_eq!(again.speedup().to_bits(), replay.speedup().to_bits());
 
     let final_stats = handle.shutdown();

@@ -56,11 +56,8 @@ fn gc_bounds_a_config_sweep_and_the_next_run_recomputes_and_heals() {
     assert!(report.retained_bytes <= budget, "{report:?}");
     assert!(store.snapshot().total_bytes() <= budget);
     // and the eviction count surfaces through the session's CacheStats
-    assert_eq!(
-        baseline.cache_stats().total_gc_evictions(),
-        report.evicted_entries
-    );
-    assert!(baseline.cache_stats().total_disk_bytes() <= budget);
+    assert_eq!(baseline.cache_stats().gc_evictions, report.evicted_entries);
+    assert!(baseline.cache_stats().tier("disk").total().bytes <= budget);
 
     // a fresh session re-runs the sweep: partial recompute, identical
     // results, store healed
@@ -138,7 +135,7 @@ fn gc_racing_concurrent_readers_never_corrupts_a_hit() {
             });
         }
     });
-    let stats = store.disk_totals();
+    let stats = store.totals();
     assert_eq!(stats.corrupt, 0, "no torn reads: {stats:?}");
     fs::remove_dir_all(&dir).ok();
 }
@@ -164,7 +161,7 @@ fn warm_explore_all_prefetches_with_zero_recomputes() {
 
     let first = session();
     let cold = first.explore_all().expect("cold run");
-    assert!(first.cache_stats().total_disk_writes() > 0);
+    assert!(first.cache_stats().tier("disk").total().writes > 0);
     assert_eq!(
         first.cache_stats().total_prefetch_hits(),
         0,
@@ -190,7 +187,7 @@ fn warm_explore_all_prefetches_with_zero_recomputes() {
     }
     // prefetched requests skip the request-path disk read entirely:
     // every disk hit happened inside the parallel prefetcher
-    assert_eq!(stats.total_prefetch_hits(), stats.total_disk_hits());
+    assert_eq!(stats.total_prefetch_hits(), stats.tier("disk").total().hits);
     assert_eq!(cold.len(), replay.len());
     for (a, b) in cold.iter().zip(replay.iter()) {
         assert_eq!(a.evaluated.evaluation, b.evaluated.evaluation);
@@ -201,7 +198,10 @@ fn warm_explore_all_prefetches_with_zero_recomputes() {
     let before = warm.cache_stats();
     warm.explore_all().expect("memory-warm run");
     let after = warm.cache_stats();
-    assert_eq!(after.total_disk_hits(), before.total_disk_hits());
+    assert_eq!(
+        after.tier("disk").total().hits,
+        before.tier("disk").total().hits
+    );
     assert_eq!(after.total_prefetch_hits(), before.total_prefetch_hits());
     assert_eq!(after.total_misses(), 0);
 
@@ -252,12 +252,34 @@ fn a_custom_tier_is_a_drop_in_through_with_tier() {
     let computed = first.profile("sewha").expect("computes");
     assert!(remote.totals().writes > 0, "write-through reached the tier");
     assert!(first.cache_stats().profile.misses > 0);
+    // the mounted tier reports under its own name
+    let mounted = first.cache_stats().tier("remote-like");
+    assert_eq!(mounted.total().writes, remote.totals().writes);
 
     // a second session sharing the tier replays without recomputing
     let second = Explorer::new().with_tier(remote.clone());
     let replayed = second.profile("sewha").expect("served by the tier");
     assert_eq!(second.cache_stats().total_misses(), 0);
     assert_eq!(computed.profile, replayed.profile);
+    let mounted = second.cache_stats().tier("remote-like");
+    assert!(mounted.stage(Stage::Profile).hits > 0, "{mounted:?}");
+    assert!(mounted.total().hits > 0);
+
+    // a store mounted through `with_tier` reports exactly what the same
+    // store reports through `with_store`, cold and warm
+    let (built_in, mounted) = (store_dir("built-in"), store_dir("mounted"));
+    let run = |session: Explorer| {
+        session.explore("fir").expect("explores");
+        session.cache_stats().tier("disk")
+    };
+    for pass in ["cold", "warm"] {
+        let a = run(Explorer::new().with_store(&built_in));
+        let b = run(Explorer::new().with_tier(Arc::new(ArtifactStore::open(&mounted))));
+        assert!(a.total().hits + a.total().writes > 0, "{pass}: {a:?}");
+        assert_eq!(a, b, "{pass}");
+    }
+    fs::remove_dir_all(&built_in).ok();
+    fs::remove_dir_all(&mounted).ok();
 }
 
 #[test]
@@ -285,7 +307,7 @@ fn with_store_gc_enforces_a_standing_budget_at_attach_time() {
     );
     assert!(after.len() < before.len());
     assert!(
-        session.cache_stats().total_gc_evictions() > 0,
+        session.cache_stats().gc_evictions > 0,
         "attach-time evictions surface in CacheStats"
     );
 
@@ -298,7 +320,7 @@ fn with_store_gc_enforces_a_standing_budget_at_attach_time() {
     // an in-budget reattach is a no-op
     let calm =
         Explorer::new().with_store_gc(&dir, StoreGcConfig::default().with_max_bytes(u64::MAX));
-    assert_eq!(calm.cache_stats().total_gc_evictions(), 0);
+    assert_eq!(calm.cache_stats().gc_evictions, 0);
 
     fs::remove_dir_all(&dir).ok();
 }
