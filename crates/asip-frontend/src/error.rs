@@ -37,11 +37,21 @@ pub enum FrontendError {
     /// The source nests deeper than the front end accepts: statement
     /// bodies and the expression tree below them together may be at most
     /// `limit` levels high ([`crate::parser::MAX_NESTING`]), so no later
-    /// walk over the tree can overflow the stack.
+    /// walk over the tree can overflow the stack. The bound also holds
+    /// for a function with every call inlined.
     RecursionLimitExceeded {
         /// Where the limit was crossed.
         pos: Pos,
         /// The nesting limit.
+        limit: usize,
+    },
+    /// A function inlines more than `limit` calls, counting the calls
+    /// inside every body it inlines ([`crate::sema::MAX_INLINED_CALLS`]),
+    /// so lowering would emit too many bodies.
+    InliningLimitExceeded {
+        /// The function over the limit.
+        pos: Pos,
+        /// The inlined-call limit.
         limit: usize,
     },
     /// Semantic error (types, undeclared names, recursion, ...).
@@ -85,6 +95,12 @@ impl fmt::Display for FrontendError {
             FrontendError::Parse { pos, detail } => write!(f, "syntax error at {pos}: {detail}"),
             FrontendError::RecursionLimitExceeded { pos, limit } => {
                 write!(f, "nesting deeper than {limit} levels at {pos}")
+            }
+            FrontendError::InliningLimitExceeded { pos, limit } => {
+                write!(
+                    f,
+                    "more than {limit} inlined calls in the function at {pos}"
+                )
             }
             FrontendError::Sema { pos, detail } => write!(f, "semantic error at {pos}: {detail}"),
             FrontendError::Lowering(e) => write!(f, "internal lowering error: {e}"),

@@ -1,8 +1,17 @@
-//! Semantic analysis: name resolution, type checking, recursion rejection.
+//! Semantic analysis: name resolution, type checking, recursion
+//! rejection and the bounds on inlining.
 
 use crate::ast::*;
 use crate::error::{FrontendError, Pos};
+use crate::parser::MAX_NESTING;
 use std::collections::{HashMap, HashSet};
+
+/// The most calls one function may inline, counting the calls inside
+/// every body it inlines. Lowering emits one body per inlined call, so
+/// a chain of functions that each call the next twice doubles its cost
+/// per level; this bound rejects it with a typed error long before the
+/// work becomes noticeable.
+pub const MAX_INLINED_CALLS: usize = 256;
 
 /// Check a translation unit.
 ///
@@ -96,10 +105,12 @@ impl<'a> Checker<'a> {
             ));
         }
 
+        // the call graph first: a hostile one is rejected before any
+        // function body is type-checked
+        self.check_calls()?;
         for f in &self.unit.functions {
             self.check_function(f)?;
         }
-        self.check_no_recursion()?;
         Ok(())
     }
 
@@ -339,121 +350,168 @@ impl<'a> Checker<'a> {
         Ok(f.ret)
     }
 
-    fn check_no_recursion(&self) -> Result<(), FrontendError> {
-        // DFS over the call graph; any back edge = recursion (direct or mutual)
-        fn calls_in_expr<'e>(e: &'e Expr, out: &mut Vec<&'e str>) {
-            match e {
-                Expr::Call { name, args, .. } => {
-                    out.push(name);
-                    for a in args {
-                        calls_in_expr(a, out);
-                    }
-                }
-                Expr::Binary { lhs, rhs, .. } => {
-                    calls_in_expr(lhs, out);
-                    calls_in_expr(rhs, out);
-                }
-                Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => {
-                    calls_in_expr(operand, out)
-                }
-                Expr::Index { index, .. } => calls_in_expr(index, out),
-                _ => {}
-            }
+    /// Walk the call graph once, iteratively and in post-order (callees
+    /// before callers), rejecting recursion and bounding what lowering
+    /// builds when it inlines every call. For each function the walk
+    /// computes the *inlined height* — its tree's height, with every
+    /// call site's position plus the callee's inlined height in place of
+    /// the call — and the *inlined call count*, every call site plus the
+    /// callee's own count. Lowering recurses as deep as the inlined
+    /// height, so it is held to [`MAX_NESTING`] like a single tree, and
+    /// it emits one body per inlined call, so the count is held to
+    /// [`MAX_INLINED_CALLS`].
+    fn check_calls(&self) -> Result<(), FrontendError> {
+        let functions = &self.unit.functions;
+        let index: HashMap<&str, usize> = functions
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.name.as_str(), i))
+            .collect();
+        // per function: its tree's height and its call sites, each the
+        // callee and the position its inlined body starts at
+        let shapes: Vec<(usize, Vec<(usize, usize)>)> = functions
+            .iter()
+            .map(|f| {
+                let mut calls = Vec::new();
+                let height = f
+                    .body
+                    .iter()
+                    .map(|s| stmt_shape(s, 0, &mut calls))
+                    .fold(0, usize::max);
+                // intrinsics are not inlined
+                let sites = calls
+                    .into_iter()
+                    .filter_map(|(name, at)| Some((*index.get(name)?, at)))
+                    .collect();
+                (height, sites)
+            })
+            .collect();
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            New,
+            Open,
+            Done { height: usize, calls: usize },
         }
-        fn calls_in_stmt<'e>(s: &'e Stmt, out: &mut Vec<&'e str>) {
-            match s {
-                Stmt::Decl { init, .. } => {
-                    if let Some(i) = init {
-                        calls_in_expr(i, out);
-                    }
-                }
-                Stmt::Assign { value, .. } => calls_in_expr(value, out),
-                Stmt::AssignIndex { index, value, .. } => {
-                    calls_in_expr(index, out);
-                    calls_in_expr(value, out);
-                }
-                Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    calls_in_expr(cond, out);
-                    for s in then_body.iter().chain(else_body) {
-                        calls_in_stmt(s, out);
-                    }
-                }
-                Stmt::While { cond, body, .. } => {
-                    calls_in_expr(cond, out);
-                    for s in body {
-                        calls_in_stmt(s, out);
-                    }
-                }
-                Stmt::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                    ..
-                } => {
-                    calls_in_stmt(init, out);
-                    calls_in_expr(cond, out);
-                    calls_in_stmt(step, out);
-                    for s in body {
-                        calls_in_stmt(s, out);
-                    }
-                }
-                Stmt::Return { value, .. } => {
-                    if let Some(v) = value {
-                        calls_in_expr(v, out);
-                    }
-                }
-                Stmt::Expr(e) => calls_in_expr(e, out),
+        let mut marks = vec![Mark::New; functions.len()];
+        for root in 0..functions.len() {
+            if marks[root] != Mark::New {
+                continue;
             }
-        }
-
-        let mut edges: HashMap<&str, Vec<&str>> = HashMap::new();
-        for f in &self.unit.functions {
-            let mut out = Vec::new();
-            for s in &f.body {
-                calls_in_stmt(s, &mut out);
-            }
-            out.retain(|n| self.funcs.contains_key(n));
-            edges.insert(&f.name, out);
-        }
-        // colors: 0 = white, 1 = gray, 2 = black
-        let mut color: HashMap<&str, u8> = HashMap::new();
-        fn dfs<'x>(
-            n: &'x str,
-            edges: &HashMap<&'x str, Vec<&'x str>>,
-            color: &mut HashMap<&'x str, u8>,
-        ) -> bool {
-            match color.get(n) {
-                Some(1) => return false, // cycle
-                Some(2) => return true,
-                _ => {}
-            }
-            color.insert(n, 1);
-            for m in edges.get(n).into_iter().flatten() {
-                if !dfs(m, edges, color) {
-                    return false;
+            marks[root] = Mark::Open;
+            // each open function and the next call site to follow
+            let mut stack = vec![(root, 0)];
+            while let Some((f, next)) = stack.last_mut() {
+                let (f, (height, sites)) = (*f, &shapes[*f]);
+                if let Some(&(callee, _)) = sites.get(*next) {
+                    *next += 1;
+                    match marks[callee] {
+                        Mark::Open => {
+                            return Err(FrontendError::sema(
+                                functions[callee].pos,
+                                format!(
+                                "recursion involving `{}` is not supported (all calls are inlined)",
+                                functions[callee].name
+                            ),
+                            ))
+                        }
+                        Mark::New => {
+                            marks[callee] = Mark::Open;
+                            stack.push((callee, 0));
+                        }
+                        Mark::Done { .. } => {}
+                    }
+                    continue;
                 }
-            }
-            color.insert(n, 2);
-            true
-        }
-        for f in &self.unit.functions {
-            if !dfs(&f.name, &edges, &mut color) {
-                return Err(FrontendError::sema(
-                    f.pos,
-                    format!(
-                        "recursion involving `{}` is not supported (all calls are inlined)",
-                        f.name
-                    ),
-                ));
+                let (mut inlined_height, mut calls) = (*height, 0usize);
+                for &(callee, at) in sites {
+                    let Mark::Done { height, calls: c } = marks[callee] else {
+                        unreachable!("callees close before their callers");
+                    };
+                    inlined_height = inlined_height.max(at + height);
+                    calls = calls.saturating_add(c).saturating_add(1);
+                }
+                let pos = functions[f].pos;
+                if inlined_height > MAX_NESTING {
+                    return Err(FrontendError::RecursionLimitExceeded {
+                        pos,
+                        limit: MAX_NESTING,
+                    });
+                }
+                if calls > MAX_INLINED_CALLS {
+                    return Err(FrontendError::InliningLimitExceeded {
+                        pos,
+                        limit: MAX_INLINED_CALLS,
+                    });
+                }
+                marks[f] = Mark::Done {
+                    height: inlined_height,
+                    calls,
+                };
+                stack.pop();
             }
         }
         Ok(())
+    }
+}
+
+/// The height of statement `s` at position `at` (the statement nesting
+/// above it), counting one level per statement body and per expression
+/// node, as the parser does. Pushes every call, by name, with the
+/// position its callee's body takes once inlined. Recursion here is
+/// bounded by [`MAX_NESTING`], which the parser enforces.
+fn stmt_shape<'e>(s: &'e Stmt, at: usize, calls: &mut Vec<(&'e str, usize)>) -> usize {
+    let expr = |e: &'e Expr, calls: &mut Vec<_>| expr_shape(e, at, calls);
+    let body = |stmts: &'e [Stmt], calls: &mut Vec<_>| {
+        stmts
+            .iter()
+            .map(|s| stmt_shape(s, at + 1, calls))
+            .fold(at, usize::max)
+    };
+    match s {
+        Stmt::Decl { init, .. } => init.as_ref().map_or(at, |e| expr(e, calls)),
+        Stmt::Assign { value, .. } => expr(value, calls),
+        Stmt::AssignIndex { index, value, .. } => expr(index, calls).max(expr(value, calls)),
+        Stmt::If {
+            cond,
+            then_body,
+            else_body,
+            ..
+        } => expr(cond, calls)
+            .max(body(then_body, calls))
+            .max(body(else_body, calls)),
+        Stmt::While { cond, body: b, .. } => expr(cond, calls).max(body(b, calls)),
+        Stmt::For {
+            init,
+            cond,
+            step,
+            body: b,
+            ..
+        } => stmt_shape(init, at, calls)
+            .max(expr(cond, calls))
+            .max(stmt_shape(step, at, calls))
+            .max(body(b, calls)),
+        Stmt::Return { value, .. } => value.as_ref().map_or(at, |e| expr(e, calls)),
+        Stmt::Expr(e) => expr(e, calls),
+    }
+}
+
+/// The height of expression `e` at position `at`, as [`stmt_shape`].
+fn expr_shape<'e>(e: &'e Expr, at: usize, calls: &mut Vec<(&'e str, usize)>) -> usize {
+    match e {
+        Expr::Call { name, args, .. } => {
+            calls.push((name, at + 1));
+            args.iter()
+                .map(|a| expr_shape(a, at + 1, calls))
+                .fold(at, usize::max)
+        }
+        Expr::Binary { lhs, rhs, .. } => {
+            expr_shape(lhs, at + 1, calls).max(expr_shape(rhs, at + 1, calls))
+        }
+        Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => {
+            expr_shape(operand, at + 1, calls)
+        }
+        Expr::Index { index, .. } => expr_shape(index, at + 1, calls),
+        _ => at,
     }
 }
 

@@ -1,11 +1,11 @@
-//! Error types for IR construction, validation and parsing.
+//! Error types for IR construction and validation.
 
 use std::fmt;
 
 /// Convenience alias for IR results.
 pub type Result<T> = std::result::Result<T, IrError>;
 
-/// Errors produced while building, validating or parsing IR.
+/// Errors produced while building or validating IR.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IrError {
     /// A block reference points outside the program.
@@ -27,13 +27,6 @@ pub enum IrError {
         /// Human-readable explanation.
         detail: String,
     },
-    /// A parse error in the textual format.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// Human-readable explanation.
-        detail: String,
-    },
 }
 
 impl fmt::Display for IrError {
@@ -50,7 +43,6 @@ impl fmt::Display for IrError {
             IrError::TypeMismatch { inst, detail } => {
                 write!(f, "type mismatch at i{inst}: {detail}")
             }
-            IrError::Parse { line, detail } => write!(f, "parse error at line {line}: {detail}"),
         }
     }
 }
@@ -65,11 +57,6 @@ mod tests {
     fn display_is_lowercase_and_concise() {
         let e = IrError::UnknownBlock(3);
         assert_eq!(e.to_string(), "reference to unknown block bb3");
-        let e = IrError::Parse {
-            line: 7,
-            detail: "expected register".into(),
-        };
-        assert!(e.to_string().contains("line 7"));
         let e = IrError::TypeMismatch {
             inst: 2,
             detail: "int vs float".into(),

@@ -20,7 +20,7 @@
 //! - [`loops`] — natural-loop detection (for loop pipelining).
 //! - [`dataflow`] — def/use information and liveness.
 //! - [`deps`] — flow/anti/output dependence queries.
-//! - [`print`](mod@print) / [`parse`] — a stable textual format with round-tripping.
+//! - [`print`](mod@print) — a readable textual dump of programs.
 //!
 //! ## Example
 //!
@@ -53,7 +53,6 @@ pub mod error;
 pub mod inst;
 pub mod loops;
 pub mod op;
-pub mod parse;
 pub mod passes;
 pub mod print;
 pub mod program;
@@ -68,6 +67,5 @@ pub use error::{IrError, Result};
 pub use inst::{Inst, InstKind};
 pub use loops::{Loop, LoopForest};
 pub use op::{BinOp, MathFn, OpClass, UnOp};
-pub use parse::parse_program;
 pub use program::{ArrayDecl, ArrayKind, Program};
 pub use types::{ArrayId, BlockId, InstId, Operand, Reg, Ty, Value};

@@ -236,22 +236,6 @@ impl fmt::Display for UnOp {
     }
 }
 
-impl FromStr for UnOp {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Ok(match s {
-            "neg" => UnOp::Neg,
-            "not" => UnOp::Not,
-            "fneg" => UnOp::FNeg,
-            "mov" => UnOp::Mov,
-            "itof" => UnOp::IntToFloat,
-            "ftoi" => UnOp::FloatToInt,
-            other => UnOp::Math(other.parse()?),
-        })
-    }
-}
-
 /// Math intrinsics available to mini-C programs (the FFT benchmarks need
 /// `sin`/`cos`; `sqrt`/`fabs` appear in magnitude computations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -310,18 +294,6 @@ impl MathFn {
             MathFn::Log,
             MathFn::Floor,
         ]
-    }
-}
-
-impl FromStr for MathFn {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        MathFn::all()
-            .iter()
-            .copied()
-            .find(|m| m.name() == s)
-            .ok_or(())
     }
 }
 
@@ -455,24 +427,6 @@ mod tests {
             assert_eq!(parsed, op);
         }
         assert!("bogus".parse::<BinOp>().is_err());
-    }
-
-    #[test]
-    fn unop_mnemonics_round_trip() {
-        let ops = [
-            UnOp::Neg,
-            UnOp::Not,
-            UnOp::FNeg,
-            UnOp::Mov,
-            UnOp::IntToFloat,
-            UnOp::FloatToInt,
-            UnOp::Math(MathFn::Sin),
-            UnOp::Math(MathFn::Sqrt),
-        ];
-        for op in ops {
-            let parsed: UnOp = op.mnemonic().parse().expect("parses");
-            assert_eq!(parsed, op);
-        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Textual dump of programs (round-trips through [`crate::parse`]).
+//! Textual dump of programs: a readable rendering for humans and
+//! diffs, not a serialization format (nothing parses it back).
 
 use crate::inst::{Inst, InstKind};
 use crate::program::Program;

@@ -1109,8 +1109,8 @@ impl ArtifactCodec for ArrayDecl {
 impl ArtifactCodec for Program {
     /// Programs persist field by field: name, register types, array
     /// declarations, blocks (label and instructions; a block's id is
-    /// its position), entry and `next_inst_id`. Decode re-checks what
-    /// the textual IR parser checks: `next_inst_id` is raised past the
+    /// its position), entry and `next_inst_id`. Decode re-checks the
+    /// program: `next_inst_id` is raised past the
     /// largest instruction id, and the program must pass
     /// [`Program::validate`], so a tampered program is rejected rather
     /// than simulated.

@@ -9,7 +9,8 @@
 //! artifacts ([`Compiled`] → [`Profiled`] → [`Scheduled`] →
 //! [`Analyzed`] → [`Designed`] → [`Evaluated`], plus the suite-level
 //! [`DesignedSuite`] → [`EvaluatedSuite`] pair), per-stage memoization
-//! keyed by `(benchmark, configuration)` with single-flight computes
+//! keyed by each artifact's recipe key (a stable hash of the benchmark
+//! and every configuration it depends on) with single-flight computes
 //! and optional LRU bounds ([`Explorer::with_cache_capacity`]), a
 //! thread-pooled [`Explorer::explore_all`] over the whole Table-1
 //! registry, and one unified [`ExplorerError`].

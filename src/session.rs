@@ -5,8 +5,10 @@
 //! compiler driver: *permanent* state (the benchmark registry and the
 //! stage configurations, fixed by the builder) and *ephemeral* state
 //! (per-stage artifact caches plus hit/miss/eviction counters, dropped
-//! by [`Explorer::reset`]). Every stage method is memoized on
-//! `(benchmark, stage parameters)`, so a sweep that revisits a
+//! by [`Explorer::reset`]). Every stage method is memoized on its
+//! artifact's recipe key — a stable hash of the benchmark's content
+//! identity and every stage parameter, the same `u64` that files the
+//! artifact in every cache tier — so a sweep that revisits a
 //! benchmark under many detector or optimizer configurations compiles
 //! and simulates it exactly once — the expensive early stages are
 //! shared across the whole sweep, and [`Explorer::cache_stats`] proves
@@ -66,8 +68,8 @@
 //! ```
 
 use crate::artifact::{
-    Analyzed, ArtifactCodec, Compiled, DesignSpaced, Designed, DesignedSuite, Evaluated,
-    EvaluatedSuite, Exploration, Profiled, Scheduled, Stage,
+    Analyzed, Compiled, DesignSpaced, Designed, DesignedSuite, Evaluated, EvaluatedSuite,
+    Exploration, Profiled, Scheduled, Stage,
 };
 use crate::cache::{LruCache, MemoryTier};
 use crate::error::ExplorerError;
@@ -85,7 +87,6 @@ use asip_synth::{
 };
 use std::collections::BTreeSet;
 use std::fmt;
-use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -160,7 +161,7 @@ pub struct CacheStats {
     /// per-run bank allocations.
     pub run_state: RunStateStats,
     /// Coverage studies the session ran (the design stages' feedback,
-    /// memoized per `(benchmark, seed, level, optimizer, detector)`).
+    /// memoized per analyze key).
     pub coverage_studies: u64,
     /// Coverage-study requests served from the session's memo.
     pub coverage_reused: u64,
@@ -311,86 +312,6 @@ impl fmt::Display for CacheStats {
     }
 }
 
-// -- cache keys --------------------------------------------------------
-
-/// Hashable identity of an [`OptConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct OptKey {
-    unroll: usize,
-    merge_blocks: bool,
-    width: usize,
-    hoist_passes: usize,
-    if_convert_max_ops: usize,
-}
-
-impl From<OptConfig> for OptKey {
-    fn from(c: OptConfig) -> Self {
-        OptKey {
-            unroll: c.unroll,
-            merge_blocks: c.merge_blocks,
-            width: c.width,
-            hoist_passes: c.hoist_passes,
-            if_convert_max_ops: c.if_convert_max_ops,
-        }
-    }
-}
-
-/// Hashable identity of a [`DetectorConfig`] (the chainable-class
-/// policy hashes by function address).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct DetKey {
-    min_len: usize,
-    max_len: usize,
-    window: usize,
-    prune_floor_bits: u64,
-    chainable: usize,
-}
-
-impl From<DetectorConfig> for DetKey {
-    fn from(c: DetectorConfig) -> Self {
-        DetKey {
-            min_len: c.min_len,
-            max_len: c.max_len,
-            window: c.window,
-            prune_floor_bits: c.prune_floor.to_bits(),
-            chainable: c.chainable as usize,
-        }
-    }
-}
-
-/// Hashable identity of [`DesignConstraints`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ConsKey {
-    area_bits: u64,
-    clock_bits: u64,
-    max_extensions: usize,
-    opt_level: OptLevel,
-}
-
-impl From<DesignConstraints> for ConsKey {
-    fn from(c: DesignConstraints) -> Self {
-        ConsKey {
-            area_bits: c.area_budget.to_bits(),
-            clock_bits: c.clock_ns.to_bits(),
-            max_extensions: c.max_extensions,
-            opt_level: c.opt_level,
-        }
-    }
-}
-
-/// Cache key of the suite-level stages: the *sorted, deduplicated*
-/// member set plus every configuration that feeds the suite design.
-type SuiteKey = (Vec<String>, u64, ConsKey, DetKey, OptKey);
-
-/// Cache key of the design-space stage: the sorted member set plus the
-/// *canonicalized* (sorted, deduplicated) constraint grid and every
-/// configuration that feeds selection.
-type SpaceKey = (Vec<String>, u64, Vec<ConsKey>, DetKey, OptKey);
-
-/// Key of the coverage-study memo — the analyze stage's key: a study
-/// depends only on the schedule and the detector.
-type StudyKey = (String, u64, OptLevel, OptKey, DetKey);
-
 /// A design applied to one program: its rewritten engine, and the
 /// last successful measurement of that engine with the seed whose data
 /// it ran on (errors are never stored). The rewrite does not depend on
@@ -449,15 +370,15 @@ fn design_digest(design: &AsipDesign) -> u64 {
 /// byte-level tiers below them live in the session's [`TierStack`].
 #[derive(Debug, Default)]
 struct Caches {
-    compile: StageCache<String, Program>,
-    profile: StageCache<(String, u64), Profile>,
-    schedule: StageCache<(String, u64, OptLevel, OptKey), ScheduleGraph>,
-    analyze: StageCache<(String, u64, OptLevel, OptKey, DetKey), SequenceReport>,
-    design: StageCache<(String, u64, ConsKey, DetKey, OptKey), AsipDesign>,
-    evaluate: StageCache<(String, u64, ConsKey, DetKey, OptKey), Evaluation>,
-    design_suite: StageCache<SuiteKey, AsipDesign>,
-    evaluate_suite: StageCache<SuiteKey, Vec<(String, Evaluation)>>,
-    design_space: StageCache<SpaceKey, DesignSpace>,
+    compile: StageCache<Program>,
+    profile: StageCache<Profile>,
+    schedule: StageCache<ScheduleGraph>,
+    analyze: StageCache<SequenceReport>,
+    design: StageCache<AsipDesign>,
+    evaluate: StageCache<Evaluation>,
+    design_suite: StageCache<AsipDesign>,
+    evaluate_suite: StageCache<Vec<(String, Evaluation)>>,
+    design_space: StageCache<DesignSpace>,
 }
 
 impl Caches {
@@ -485,7 +406,7 @@ trait StageCacheOps {
     fn stats(&self) -> StageStats;
 }
 
-impl<K: Eq + Hash + Clone, V> StageCacheOps for StageCache<K, V> {
+impl<V> StageCacheOps for StageCache<V> {
     fn set_capacity(&self, capacity: Option<usize>) -> u64 {
         StageCache::set_capacity(self, capacity)
     }
@@ -522,24 +443,24 @@ pub struct Explorer {
     staging: Option<Arc<MemoryTier>>,
     tiers: TierStack,
     caches: Caches,
-    /// Decoded simulator engines, keyed by benchmark name. Not a stage
+    /// Decoded simulator engines, keyed by the compile key. Not a stage
     /// cache: engines are derived (never persisted) artifacts that the
     /// profile and evaluate stages share so one session decodes each
     /// program exactly once.
-    engines: Mutex<LruCache<String, Arc<Engine>>>,
-    /// Baseline output images, keyed like the profile cache by
-    /// `(benchmark, seed)`. The profile stage's own run captures each
-    /// one (when the profile came from a tier instead, the first
-    /// evaluation runs the baseline once), so an evaluation simulates
-    /// only the rewritten program. Derived state, like `engines`.
-    baselines: Mutex<LruCache<(String, u64), Arc<OutputImage>>>,
-    /// Coverage studies ([`asip_synth::coverage_report`]), keyed like
-    /// the analyze stage. Every design stage reads its feedback here,
-    /// so a sweep runs each `(benchmark, level)` study once however
-    /// many configs, suite designs and design spaces reach it. Derived
+    engines: Mutex<LruCache<u64, Arc<Engine>>>,
+    /// Baseline output images, keyed by the profile key. The profile
+    /// stage's own run captures each one (when the profile came from a
+    /// tier instead, the first evaluation runs the baseline once), so
+    /// an evaluation simulates only the rewritten program. Derived
     /// state, like `engines`.
-    coverage: Mutex<LruCache<StudyKey, Arc<SequenceReport>>>,
-    /// Rewritten designs, keyed by `(benchmark, design digest)`: the
+    baselines: Mutex<LruCache<u64, Arc<OutputImage>>>,
+    /// Coverage studies ([`asip_synth::coverage_report`]), keyed by the
+    /// analyze key. Every design stage reads its feedback here, so a
+    /// sweep runs each `(benchmark, level)` study once however many
+    /// configs, suite designs and design spaces reach it. Derived
+    /// state, like `engines`.
+    coverage: Mutex<LruCache<u64, Arc<SequenceReport>>>,
+    /// Rewritten designs, keyed by `(compile key, design digest)`: the
     /// [`PreparedDesign`] (rewritten and decoded once) and its
     /// measurement on the seeded data, tagged with the seed. Configs
     /// whose designs coincide — common in a constraint sweep — and the
@@ -547,7 +468,7 @@ pub struct Explorer {
     /// `(program, design)` pair is rewritten and decoded once per
     /// session and simulated once per seed. Derived state, like
     /// `engines`.
-    rewritten: Mutex<LruCache<(String, u64), Arc<Rewritten>>>,
+    rewritten: Mutex<LruCache<(u64, u64), Arc<Rewritten>>>,
     /// Run/reuse counters of `coverage` and of the measurements in
     /// `rewritten`.
     derived: DerivedCounters,
@@ -926,14 +847,12 @@ impl Explorer {
     /// Unknown benchmarks and front-end failures.
     pub fn compile(&self, name: &str) -> Result<Compiled, ExplorerError> {
         let benchmark = self.benchmark(name)?;
-        let disk = || self.key_compile(&benchmark);
-        let program = self.cached(
-            Stage::Compile,
-            &self.caches.compile,
-            name.to_string(),
-            disk,
-            || Ok(benchmark.compile()?),
-        )?;
+        let key = self.key_compile(&benchmark);
+        let program =
+            self.tiers
+                .get_or_compute(Stage::Compile, &self.caches.compile, key, || {
+                    Ok(benchmark.compile()?)
+                })?;
         Ok(Compiled { benchmark, program })
     }
 
@@ -950,14 +869,15 @@ impl Explorer {
     ///
     /// Compile-stage errors.
     pub fn engine(&self, name: &str) -> Result<Arc<Engine>, ExplorerError> {
-        if let Some(engine) = lock(&self.engines).get(&name.to_string()) {
+        let key = self.key_compile(&self.benchmark(name)?);
+        if let Some(engine) = lock(&self.engines).get(&key) {
             return Ok(Arc::clone(engine));
         }
         let compiled = self.compile(name)?;
         let engine = Arc::new(Engine::new(Arc::clone(&compiled.program)));
         // a concurrent decode of the same program is benign (decode is
         // cheap and pure); last writer wins
-        lock(&self.engines).insert(name.to_string(), Arc::clone(&engine));
+        lock(&self.engines).insert(key, Arc::clone(&engine));
         Ok(engine)
     }
 
@@ -982,7 +902,10 @@ impl Explorer {
     /// The session's [`Rewritten`] entry for a `(benchmark, design)`
     /// pair, prepared on first use.
     fn rewritten(&self, name: &str, design: &AsipDesign) -> Result<Arc<Rewritten>, ExplorerError> {
-        let key = (name.to_string(), design_digest(design));
+        let key = (
+            self.key_compile(&self.benchmark(name)?),
+            design_digest(design),
+        );
         if let Some(rewritten) = lock(&self.rewritten).get(&key) {
             return Ok(Arc::clone(rewritten));
         }
@@ -1007,13 +930,7 @@ impl Explorer {
         opt: OptConfig,
         detector: DetectorConfig,
     ) -> Result<Arc<SequenceReport>, ExplorerError> {
-        let key = (
-            name.to_string(),
-            self.seed,
-            level,
-            OptKey::from(opt),
-            DetKey::from(detector),
-        );
+        let key = self.key_analyze(&self.benchmark(name)?, level, opt, detector);
         if let Some(report) = lock(&self.coverage).get(&key) {
             self.derived.coverage_reused.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(report));
@@ -1033,11 +950,12 @@ impl Explorer {
     /// data: captured by the profile stage's run, or — when the profile
     /// came from a tier — computed here by one baseline run and cached.
     fn baseline(&self, name: &str) -> Result<Arc<OutputImage>, ExplorerError> {
-        let key = (name.to_string(), self.seed);
+        let benchmark = self.benchmark(name)?;
+        let key = self.key_profile(&benchmark);
         if let Some(image) = lock(&self.baselines).get(&key) {
             return Ok(Arc::clone(image));
         }
-        let data = self.benchmark(name)?.dataset_with_seed(self.seed);
+        let data = benchmark.dataset_with_seed(self.seed);
         let (_, image) = self
             .engine(name)?
             .run_output(&data)
@@ -1098,21 +1016,17 @@ impl Explorer {
     pub fn profile(&self, name: &str) -> Result<Profiled, ExplorerError> {
         let compiled = self.compile(name)?;
         let seed = self.seed;
-        let disk = || self.key_profile(&compiled.benchmark);
-        let profile = self.cached(
-            Stage::Profile,
-            &self.caches.profile,
-            (name.to_string(), seed),
-            disk,
-            || {
-                let data = compiled.benchmark.dataset_with_seed(seed);
-                // one pooled run yields the profile and the typed
-                // baseline output image every evaluation checks against
-                let (outcome, image) = self.engine(name)?.run_output(&data)?;
-                lock(&self.baselines).insert((name.to_string(), seed), Arc::new(image));
-                Ok(outcome.profile)
-            },
-        )?;
+        let key = self.key_profile(&compiled.benchmark);
+        let profile =
+            self.tiers
+                .get_or_compute(Stage::Profile, &self.caches.profile, key, || {
+                    let data = compiled.benchmark.dataset_with_seed(seed);
+                    // one pooled run yields the profile and the typed
+                    // baseline output image every evaluation checks against
+                    let (outcome, image) = self.engine(name)?.run_output(&data)?;
+                    lock(&self.baselines).insert(key, Arc::new(image));
+                    Ok(outcome.profile)
+                })?;
         Ok(Profiled {
             benchmark: compiled.benchmark,
             seed,
@@ -1143,13 +1057,14 @@ impl Explorer {
     ) -> Result<Scheduled, ExplorerError> {
         let profiled = self.profile(name)?;
         let compiled = self.compile(name)?;
-        let key = (name.to_string(), self.seed, level, OptKey::from(config));
-        let disk = || self.key_schedule(&compiled.benchmark, level, config);
-        let graph = self.cached(Stage::Schedule, &self.caches.schedule, key, disk, || {
-            Ok(Optimizer::new(level)
-                .with_config(config)
-                .run(&compiled.program, &profiled.profile))
-        })?;
+        let key = self.key_schedule(&compiled.benchmark, level, config);
+        let graph =
+            self.tiers
+                .get_or_compute(Stage::Schedule, &self.caches.schedule, key, || {
+                    Ok(Optimizer::new(level)
+                        .with_config(config)
+                        .run(&compiled.program, &profiled.profile))
+                })?;
         Ok(Scheduled {
             benchmark: compiled.benchmark,
             level,
@@ -1179,17 +1094,12 @@ impl Explorer {
         detector: DetectorConfig,
     ) -> Result<Analyzed, ExplorerError> {
         let scheduled = self.schedule_with(name, level, opt)?;
-        let key = (
-            name.to_string(),
-            self.seed,
-            level,
-            OptKey::from(opt),
-            DetKey::from(detector),
-        );
-        let disk = || self.key_analyze(&scheduled.benchmark, level, opt, detector);
-        let report = self.cached(Stage::Analyze, &self.caches.analyze, key, disk, || {
-            Ok(SequenceDetector::new(detector).analyze(&scheduled.graph))
-        })?;
+        let key = self.key_analyze(&scheduled.benchmark, level, opt, detector);
+        let report =
+            self.tiers
+                .get_or_compute(Stage::Analyze, &self.caches.analyze, key, || {
+                    Ok(SequenceDetector::new(detector).analyze(&scheduled.graph))
+                })?;
         Ok(Analyzed {
             benchmark: scheduled.benchmark,
             level,
@@ -1226,18 +1136,15 @@ impl Explorer {
         detector: DetectorConfig,
     ) -> Result<Designed, ExplorerError> {
         let compiled = self.compile(name)?;
-        let key = (
-            name.to_string(),
-            self.seed,
-            ConsKey::from(constraints),
-            DetKey::from(detector),
-            OptKey::from(self.opt_config),
-        );
-        let disk = || self.key_design(Stage::Design, &compiled.benchmark, constraints, detector);
-        let design = self.cached(Stage::Design, &self.caches.design, key, disk, || {
-            let report = self.coverage(name, constraints.opt_level, self.opt_config, detector)?;
-            Ok(AsipDesigner::new(constraints).design_from_reports(&[(&report, &compiled.program)]))
-        })?;
+        let key = self.key_design(Stage::Design, &compiled.benchmark, constraints, detector);
+        let design = self
+            .tiers
+            .get_or_compute(Stage::Design, &self.caches.design, key, || {
+                let report =
+                    self.coverage(name, constraints.opt_level, self.opt_config, detector)?;
+                Ok(AsipDesigner::new(constraints)
+                    .design_from_reports(&[(&report, &compiled.program)]))
+            })?;
         Ok(Designed {
             benchmark: compiled.benchmark,
             design,
@@ -1271,17 +1178,12 @@ impl Explorer {
     ) -> Result<Evaluated, ExplorerError> {
         let designed = self.design_with(name, constraints, detector)?;
         let compiled = self.compile(name)?;
-        let key = (
-            name.to_string(),
-            self.seed,
-            ConsKey::from(constraints),
-            DetKey::from(detector),
-            OptKey::from(self.opt_config),
-        );
-        let disk = || self.key_design(Stage::Evaluate, &compiled.benchmark, constraints, detector);
-        let evaluation = self.cached(Stage::Evaluate, &self.caches.evaluate, key, disk, || {
-            self.measure(name, &designed.design)
-        })?;
+        let key = self.key_design(Stage::Evaluate, &compiled.benchmark, constraints, detector);
+        let evaluation =
+            self.tiers
+                .get_or_compute(Stage::Evaluate, &self.caches.evaluate, key, || {
+                    self.measure(name, &designed.design)
+                })?;
         Ok(Evaluated {
             benchmark: compiled.benchmark,
             design: designed.design,
@@ -1324,23 +1226,17 @@ impl Explorer {
         detector: DetectorConfig,
     ) -> Result<DesignedSuite, ExplorerError> {
         let members = self.suite_members(names)?;
-        let key = self.suite_key(&members, constraints, detector);
+        let key = self.key_suite(Stage::DesignSuite, &members, constraints, detector);
         let opt = self.opt_config;
-        let disk = || {
-            self.disk_key(Stage::DesignSuite, |h| {
-                self.hash_suite(h, &members, constraints, detector)
-            })
-        };
-        let design = self.cached(
+        let design = self.tiers.get_or_compute(
             Stage::DesignSuite,
             &self.caches.design_suite,
             key,
-            disk,
             || {
                 // a warm-but-not-memoized suite reads its members'
                 // compile/profile/schedule artifacts from disk: stage
                 // them in parallel first (no-op without a store)
-                self.prefetch_keys(self.member_stage_keys(&members, constraints.opt_level, opt));
+                self.prefetch_members(&members, &[constraints.opt_level], opt);
                 let staged = self.map_slice(&members, |name| {
                     let report = self.coverage(name, constraints.opt_level, opt, detector)?;
                     Ok((report, self.compile(name)?))
@@ -1387,35 +1283,22 @@ impl Explorer {
         detector: DetectorConfig,
     ) -> Result<EvaluatedSuite, ExplorerError> {
         let designed = self.design_suite_with(names, constraints, detector)?;
-        let key = self.suite_key(&designed.benchmarks, constraints, detector);
+        let key = self.key_suite(
+            Stage::EvaluateSuite,
+            &designed.benchmarks,
+            constraints,
+            detector,
+        );
         let design = Arc::clone(&designed.design);
-        let disk = || {
-            self.disk_key(Stage::EvaluateSuite, |h| {
-                self.hash_suite(h, &designed.benchmarks, constraints, detector)
-            })
-        };
-        let evaluations = self.cached(
+        let evaluations = self.tiers.get_or_compute(
             Stage::EvaluateSuite,
             &self.caches.evaluate_suite,
             key,
-            disk,
             || {
                 // each member measurement starts from its compiled
                 // program and its profile: stage the not-yet-memoized
                 // reads in parallel
-                let mut keys = Vec::new();
-                for name in &designed.benchmarks {
-                    let Some(bench) = self.registry.find(name) else {
-                        continue;
-                    };
-                    if !self.caches.compile.contains_key(name) {
-                        keys.extend(self.key_compile(bench).map(|k| (Stage::Compile, k)));
-                    }
-                    if !self.caches.profile.contains_key(&(name.clone(), self.seed)) {
-                        keys.extend(self.key_profile(bench).map(|k| (Stage::Profile, k)));
-                    }
-                }
-                self.prefetch_keys(keys);
+                self.prefetch_members(&designed.benchmarks, &[], self.opt_config);
                 self.map_slice(&designed.benchmarks, |name| {
                     Ok((name.clone(), self.measure(name, &design)?))
                 })
@@ -1471,38 +1354,19 @@ impl Explorer {
             return Err(ExplorerError::EmptySuite);
         }
         let configs = asip_synth::frontier::canonicalize_configs(configs);
-        let key = (
-            members.clone(),
-            self.seed,
-            configs
-                .iter()
-                .map(|&c| ConsKey::from(c))
-                .collect::<Vec<_>>(),
-            DetKey::from(detector),
-            OptKey::from(self.opt_config),
-        );
         let opt = self.opt_config;
-        let disk = || {
-            self.disk_key(Stage::DesignSpace, |h| {
-                self.hash_design_space(h, &members, &configs, detector)
-            })
-        };
-        let space = self.cached(
+        let key = self.key_design_space(&members, &configs, detector);
+        let space = self.tiers.get_or_compute(
             Stage::DesignSpace,
             &self.caches.design_space,
             key,
-            disk,
             || {
                 // the grid needs one schedule per (member, distinct
                 // feedback level); stage the persisted ones in parallel
                 let mut levels: Vec<OptLevel> = configs.iter().map(|c| c.opt_level).collect();
                 levels.sort_by_key(|l| l.number());
                 levels.dedup();
-                let mut keys = Vec::new();
-                for &level in &levels {
-                    keys.extend(self.member_stage_keys(&members, level, opt));
-                }
-                self.prefetch_keys(keys);
+                self.prefetch_members(&members, &levels, opt);
                 let work: Vec<(OptLevel, String)> = levels
                     .iter()
                     .flat_map(|&level| members.iter().map(move |m| (level, m.clone())))
@@ -1531,75 +1395,6 @@ impl Explorer {
             benchmarks: members,
             space,
         })
-    }
-
-    /// The disk-tier key recipe of the design-space stage: member
-    /// content identities, the seed, the canonicalized constraint grid,
-    /// and every configuration that feeds selection.
-    fn hash_design_space(
-        &self,
-        h: &mut StableHasher,
-        members: &[String],
-        configs: &[DesignConstraints],
-        detector: DetectorConfig,
-    ) {
-        h.write_usize(members.len());
-        for name in members {
-            let bench = self
-                .registry
-                .find(name)
-                .expect("suite members are validated against the registry");
-            hash_benchmark(h, bench);
-        }
-        h.write_u64(self.seed);
-        h.write_usize(configs.len());
-        for &c in configs {
-            hash_constraints(h, c);
-        }
-        hash_detector(h, detector);
-        hash_opt_config(h, self.opt_config);
-    }
-
-    /// The one place a [`SuiteKey`] is built, so the design- and
-    /// evaluate-suite caches can never drift apart on which
-    /// configuration components distinguish entries.
-    fn suite_key(
-        &self,
-        members: &[String],
-        constraints: DesignConstraints,
-        detector: DetectorConfig,
-    ) -> SuiteKey {
-        (
-            members.to_vec(),
-            self.seed,
-            ConsKey::from(constraints),
-            DetKey::from(detector),
-            OptKey::from(self.opt_config),
-        )
-    }
-
-    /// The disk-tier analogue of [`Explorer::suite_key`]: feed the
-    /// content identity of every (already validated, sorted) member plus
-    /// the seed and every configuration that feeds suite selection.
-    fn hash_suite(
-        &self,
-        h: &mut StableHasher,
-        members: &[String],
-        constraints: DesignConstraints,
-        detector: DetectorConfig,
-    ) {
-        h.write_usize(members.len());
-        for name in members {
-            let bench = self
-                .registry
-                .find(name)
-                .expect("suite members are validated against the registry");
-            hash_benchmark(h, bench);
-        }
-        h.write_u64(self.seed);
-        hash_constraints(h, constraints);
-        hash_detector(h, detector);
-        hash_opt_config(h, self.opt_config);
     }
 
     /// Validate and canonicalize a suite member set: every name must
@@ -1720,44 +1515,14 @@ impl Explorer {
             .collect()
     }
 
-    // -- cache plumbing ------------------------------------------------
+    // -- recipe keys ---------------------------------------------------
 
-    /// Memoize one stage computation through the session's
-    /// [`TierStack`]: typed memory cache → staging byte tier → disk →
-    /// compute, single-flighted, with write-through of computed
-    /// artifacts to every persistent tier. `disk_key` stays a *closure*
-    /// so the source-bytes hash is only paid after a memory miss, not on
-    /// the hot hit path. See [`TierStack::get_or_compute`] for the full
-    /// semantics (this wrapper exists so stage methods read naturally).
-    fn cached<K, V, F, D>(
-        &self,
-        stage: Stage,
-        cache: &StageCache<K, V>,
-        key: K,
-        disk_key: D,
-        compute: F,
-    ) -> Result<Arc<V>, ExplorerError>
-    where
-        K: Eq + Hash + Clone,
-        V: ArtifactCodec,
-        F: FnOnce() -> Result<V, ExplorerError>,
-        D: FnOnce() -> Option<u64>,
-    {
-        self.tiers
-            .get_or_compute(stage, cache, key, disk_key, compute)
-    }
-
-    // -- tier-key derivation -------------------------------------------
-
-    /// Derive the stable cross-tier key for one stage request, or `None`
-    /// when the tier stack is empty (keys are only worth hashing if a
-    /// tier will consume them). The closure feeds every input the
-    /// artifact is a pure function of; the common prefix (format version
-    /// + stage name) is folded in here so no two stages can collide.
-    fn disk_key(&self, stage: Stage, feed: impl FnOnce(&mut StableHasher)) -> Option<u64> {
-        if self.tiers.is_empty() {
-            return None;
-        }
+    /// Derive one stage request's recipe key: the one identity of an
+    /// artifact, under which the typed cache, the derived memos and
+    /// every tier file it. The closure feeds every input the artifact is
+    /// a pure function of; the common prefix (format version + stage
+    /// name) is folded in here so no two stages can collide.
+    fn disk_key(&self, stage: Stage, feed: impl FnOnce(&mut StableHasher)) -> u64 {
         let mut h = StableHasher::new();
         h.write_u64(u64::from(crate::store::FORMAT_VERSION));
         // The crate version is part of every key: stage artifacts are
@@ -1768,28 +1533,27 @@ impl Explorer {
         h.write_str(env!("CARGO_PKG_VERSION"));
         h.write_str(stage.name());
         feed(&mut h);
-        Some(h.finish())
+        h.finish()
     }
 
     // -- per-stage key recipes -----------------------------------------
     //
-    // One function per stage, shared by the stage methods (lazily, after
-    // a memory miss) and the suite prefetcher (eagerly, to know what to
-    // stage) — so the two can never disagree on what identifies an
+    // One function per stage, shared by the stage methods, the memos and
+    // the prefetcher — so none can disagree on what identifies an
     // artifact.
 
-    fn key_compile(&self, b: &Benchmark) -> Option<u64> {
+    fn key_compile(&self, b: &Benchmark) -> u64 {
         self.disk_key(Stage::Compile, |h| hash_benchmark(h, b))
     }
 
-    fn key_profile(&self, b: &Benchmark) -> Option<u64> {
+    fn key_profile(&self, b: &Benchmark) -> u64 {
         self.disk_key(Stage::Profile, |h| {
             hash_benchmark(h, b);
             h.write_u64(self.seed);
         })
     }
 
-    fn key_schedule(&self, b: &Benchmark, level: OptLevel, config: OptConfig) -> Option<u64> {
+    fn key_schedule(&self, b: &Benchmark, level: OptLevel, config: OptConfig) -> u64 {
         self.disk_key(Stage::Schedule, |h| {
             hash_benchmark(h, b);
             h.write_u64(self.seed);
@@ -1804,7 +1568,7 @@ impl Explorer {
         level: OptLevel,
         opt: OptConfig,
         detector: DetectorConfig,
-    ) -> Option<u64> {
+    ) -> u64 {
         self.disk_key(Stage::Analyze, |h| {
             hash_benchmark(h, b);
             h.write_u64(self.seed);
@@ -1820,7 +1584,7 @@ impl Explorer {
         b: &Benchmark,
         constraints: DesignConstraints,
         detector: DetectorConfig,
-    ) -> Option<u64> {
+    ) -> u64 {
         debug_assert!(matches!(stage, Stage::Design | Stage::Evaluate));
         self.disk_key(stage, |h| {
             hash_benchmark(h, b);
@@ -1829,6 +1593,58 @@ impl Explorer {
             hash_detector(h, detector);
             hash_opt_config(h, self.opt_config);
         })
+    }
+
+    /// The key of a suite stage over (already validated, sorted)
+    /// `members`: every member's content identity, the seed and every
+    /// configuration that feeds suite selection.
+    fn key_suite(
+        &self,
+        stage: Stage,
+        members: &[String],
+        constraints: DesignConstraints,
+        detector: DetectorConfig,
+    ) -> u64 {
+        debug_assert!(matches!(stage, Stage::DesignSuite | Stage::EvaluateSuite));
+        self.disk_key(stage, |h| {
+            self.hash_members(h, members);
+            h.write_u64(self.seed);
+            hash_constraints(h, constraints);
+            hash_detector(h, detector);
+            hash_opt_config(h, self.opt_config);
+        })
+    }
+
+    /// The key of the design-space stage: the suite-stage inputs, with
+    /// the canonicalized constraint grid in place of one constraint set.
+    fn key_design_space(
+        &self,
+        members: &[String],
+        configs: &[DesignConstraints],
+        detector: DetectorConfig,
+    ) -> u64 {
+        self.disk_key(Stage::DesignSpace, |h| {
+            self.hash_members(h, members);
+            h.write_u64(self.seed);
+            h.write_usize(configs.len());
+            for &c in configs {
+                hash_constraints(h, c);
+            }
+            hash_detector(h, detector);
+            hash_opt_config(h, self.opt_config);
+        })
+    }
+
+    /// Feed the member count and every member's content identity.
+    fn hash_members(&self, h: &mut StableHasher, members: &[String]) {
+        h.write_usize(members.len());
+        for name in members {
+            let bench = self
+                .registry
+                .find(name)
+                .expect("suite members are validated against the registry");
+            hash_benchmark(h, bench);
+        }
     }
 
     // -- parallel suite prefetch ---------------------------------------
@@ -1863,95 +1679,59 @@ impl Explorer {
         if !self.tiers.can_stage() {
             return Ok(0);
         }
-        let opt_key = OptKey::from(self.opt_config);
-        let det_key = DetKey::from(self.detector);
-        let cons_key = ConsKey::from(self.constraints);
-        let mut keys: Vec<(Stage, u64)> = Vec::new();
+        // every configured level, plus the design stage's feedback level
+        // (which may not be in the configured list)
+        let mut levels: BTreeSet<OptLevel> = self.levels.iter().copied().collect();
+        levels.insert(self.constraints.opt_level);
+        let levels: Vec<OptLevel> = levels.into_iter().collect();
+        let (c, opt, det) = (&self.caches, self.opt_config, self.detector);
+        let mut keys = Vec::new();
         for bench in &benches {
-            let name = bench.name.to_string();
-            if !self.caches.compile.contains_key(&name) {
-                if let Some(k) = self.key_compile(bench) {
-                    keys.push((Stage::Compile, k));
-                }
-            }
-            if !self.caches.profile.contains_key(&(name.clone(), self.seed)) {
-                if let Some(k) = self.key_profile(bench) {
-                    keys.push((Stage::Profile, k));
-                }
-            }
-            // every configured level, plus the design stage's feedback
-            // level (which may not be in the configured list)
-            let mut levels: BTreeSet<OptLevel> = self.levels.iter().copied().collect();
-            levels.insert(self.constraints.opt_level);
-            for level in levels {
-                let typed = (name.clone(), self.seed, level, opt_key);
-                if !self.caches.schedule.contains_key(&typed) {
-                    if let Some(k) = self.key_schedule(bench, level, self.opt_config) {
-                        keys.push((Stage::Schedule, k));
-                    }
-                }
-            }
+            self.upstream_keys(bench, &levels, opt, &mut keys);
             for &level in &self.levels {
-                let typed = (name.clone(), self.seed, level, opt_key, det_key);
-                if !self.caches.analyze.contains_key(&typed) {
-                    if let Some(k) = self.key_analyze(bench, level, self.opt_config, self.detector)
-                    {
-                        keys.push((Stage::Analyze, k));
-                    }
-                }
+                let key = self.key_analyze(bench, level, opt, det);
+                want(&mut keys, &c.analyze, Stage::Analyze, key);
             }
-            let typed = (name.clone(), self.seed, cons_key, det_key, opt_key);
-            if !self.caches.design.contains_key(&typed) {
-                if let Some(k) =
-                    self.key_design(Stage::Design, bench, self.constraints, self.detector)
-                {
-                    keys.push((Stage::Design, k));
-                }
-            }
-            if !self.caches.evaluate.contains_key(&typed) {
-                if let Some(k) =
-                    self.key_design(Stage::Evaluate, bench, self.constraints, self.detector)
-                {
-                    keys.push((Stage::Evaluate, k));
-                }
-            }
+            let key = self.key_design(Stage::Design, bench, self.constraints, det);
+            want(&mut keys, &c.design, Stage::Design, key);
+            let key = self.key_design(Stage::Evaluate, bench, self.constraints, det);
+            want(&mut keys, &c.evaluate, Stage::Evaluate, key);
         }
         Ok(self.prefetch_keys(keys))
     }
 
-    /// The member-level keys a suite stage's computation will request
-    /// and cannot serve from the typed caches: compile, profile and the
-    /// feedback-level schedule for each (already validated) member.
-    fn member_stage_keys(
-        &self,
-        members: &[String],
-        level: OptLevel,
-        opt: OptConfig,
-    ) -> Vec<(Stage, u64)> {
-        let opt_key = OptKey::from(opt);
-        let mut keys = Vec::new();
-        for name in members {
-            let Some(bench) = self.registry.find(name) else {
-                continue;
-            };
-            if !self.caches.compile.contains_key(name) {
-                if let Some(k) = self.key_compile(bench) {
-                    keys.push((Stage::Compile, k));
-                }
-            }
-            if !self.caches.profile.contains_key(&(name.clone(), self.seed)) {
-                if let Some(k) = self.key_profile(bench) {
-                    keys.push((Stage::Profile, k));
-                }
-            }
-            let typed = (name.clone(), self.seed, level, opt_key);
-            if !self.caches.schedule.contains_key(&typed) {
-                if let Some(k) = self.key_schedule(bench, level, opt) {
-                    keys.push((Stage::Schedule, k));
-                }
-            }
+    /// Stage what a suite stage's computation will request of its
+    /// (already validated) `members` and cannot serve from the typed
+    /// caches: compile, profile and the schedules at `levels`. A no-op
+    /// when the session cannot stage.
+    fn prefetch_members(&self, members: &[String], levels: &[OptLevel], opt: OptConfig) {
+        if !self.tiers.can_stage() {
+            return;
         }
-        keys
+        let mut keys = Vec::new();
+        for bench in members.iter().filter_map(|name| self.registry.find(name)) {
+            self.upstream_keys(bench, levels, opt, &mut keys);
+        }
+        self.prefetch_keys(keys);
+    }
+
+    /// Push the keys of `bench`'s compile and profile artifacts and of
+    /// its schedules at `levels` under `opt` that the typed caches do
+    /// not hold.
+    fn upstream_keys(
+        &self,
+        bench: &Benchmark,
+        levels: &[OptLevel],
+        opt: OptConfig,
+        keys: &mut Vec<(Stage, u64)>,
+    ) {
+        let c = &self.caches;
+        want(keys, &c.compile, Stage::Compile, self.key_compile(bench));
+        want(keys, &c.profile, Stage::Profile, self.key_profile(bench));
+        for &level in levels {
+            let key = self.key_schedule(bench, level, opt);
+            want(keys, &c.schedule, Stage::Schedule, key);
+        }
     }
 
     /// Stage an explicit key set in parallel on the session thread
@@ -1978,6 +1758,13 @@ impl Explorer {
         });
         debug_assert!(result.is_ok(), "staging work is infallible");
         staged.into_inner()
+    }
+}
+
+/// Queue `(stage, key)` for prefetch unless `cache` already holds it.
+fn want<V>(keys: &mut Vec<(Stage, u64)>, cache: &StageCache<V>, stage: Stage, key: u64) {
+    if !cache.contains_key(key) {
+        keys.push((stage, key));
     }
 }
 
@@ -2201,8 +1988,6 @@ mod tests {
         let session = Explorer::new();
         assert!(session.tier_stack().is_empty());
         assert!(session.cache_stats().tiers.is_empty());
-        // and never pay key hashing
-        assert_eq!(session.disk_key(Stage::Compile, |_| {}), None);
     }
 
     #[test]

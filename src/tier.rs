@@ -48,7 +48,6 @@ use crate::cache::LruCache;
 use crate::error::ExplorerError;
 use std::collections::HashSet;
 use std::fmt;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -269,10 +268,11 @@ impl TierCounters {
 /// artifacts, the set of keys currently being computed (single-flight),
 /// and the stage's memory-tier counters. Sits *above* the byte-level
 /// tier stack — it is the only layer that shares decoded values by
-/// `Arc` instead of re-decoding payload bytes.
+/// `Arc` instead of re-decoding payload bytes. Entries are addressed by
+/// the artifact's recipe key, the same `u64` every tier files it under.
 #[derive(Debug)]
-pub(crate) struct StageCache<K, V> {
-    state: Mutex<CacheState<K, V>>,
+pub(crate) struct StageCache<V> {
+    state: Mutex<CacheState<V>>,
     ready: Condvar,
     pub(crate) hits: AtomicU64,
     pub(crate) misses: AtomicU64,
@@ -280,10 +280,13 @@ pub(crate) struct StageCache<K, V> {
     pub(crate) prefetch_hits: AtomicU64,
 }
 
-impl<K, V> Default for StageCache<K, V> {
+impl<V> Default for StageCache<V> {
     fn default() -> Self {
         StageCache {
-            state: Mutex::new(CacheState::default()),
+            state: Mutex::new(CacheState {
+                lru: LruCache::default(),
+                inflight: HashSet::new(),
+            }),
             ready: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -294,21 +297,12 @@ impl<K, V> Default for StageCache<K, V> {
 }
 
 #[derive(Debug)]
-struct CacheState<K, V> {
-    lru: LruCache<K, Arc<V>>,
-    inflight: HashSet<K>,
+struct CacheState<V> {
+    lru: LruCache<u64, Arc<V>>,
+    inflight: HashSet<u64>,
 }
 
-impl<K, V> Default for CacheState<K, V> {
-    fn default() -> Self {
-        CacheState {
-            lru: LruCache::default(),
-            inflight: HashSet::new(),
-        }
-    }
-}
-
-impl<K: Eq + Hash + Clone, V> StageCache<K, V> {
+impl<V> StageCache<V> {
     /// Bound (or unbound) the LRU, returning immediate evictions.
     pub(crate) fn set_capacity(&self, capacity: Option<usize>) -> u64 {
         let evicted = lock(&self.state).lru.set_capacity(capacity);
@@ -324,8 +318,8 @@ impl<K: Eq + Hash + Clone, V> StageCache<K, V> {
     /// Whether a finished artifact is resident under `key`, without
     /// refreshing recency (used by the prefetcher to skip disk reads
     /// for entries the typed cache will serve anyway).
-    pub(crate) fn contains_key(&self, key: &K) -> bool {
-        lock(&self.state).lru.contains_key(key)
+    pub(crate) fn contains_key(&self, key: u64) -> bool {
+        lock(&self.state).lru.contains_key(&key)
     }
 
     /// Drop every entry and zero the counters.
@@ -337,7 +331,7 @@ impl<K: Eq + Hash + Clone, V> StageCache<K, V> {
         self.prefetch_hits.store(0, Ordering::Relaxed);
     }
 
-    fn insert(&self, key: K, value: Arc<V>) {
+    fn insert(&self, key: u64, value: Arc<V>) {
         let evicted = lock(&self.state).lru.insert(key, value);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
@@ -345,12 +339,12 @@ impl<K: Eq + Hash + Clone, V> StageCache<K, V> {
 
 /// Releases a single-flight claim on drop (success, error, or panic)
 /// and wakes every thread waiting for the key.
-struct InflightClaim<'a, K: Eq + Hash + Clone, V> {
-    cache: &'a StageCache<K, V>,
-    key: K,
+struct InflightClaim<'a, V> {
+    cache: &'a StageCache<V>,
+    key: u64,
 }
 
-impl<K: Eq + Hash + Clone, V> Drop for InflightClaim<'_, K, V> {
+impl<V> Drop for InflightClaim<'_, V> {
     fn drop(&mut self) {
         lock(&self.cache.state).inflight.remove(&self.key);
         self.cache.ready.notify_all();
@@ -520,26 +514,22 @@ impl TierStack {
     /// `compute`, writing computed results through to every persistent
     /// tier.
     ///
-    /// `key_of` derives the stable cross-tier key and is a *closure* so
-    /// the (source-bytes) hash is only paid after a typed-cache miss,
-    /// never on the hot hit path; it returns `None` when the stack is
-    /// not in play for this request. A tier hit decodes the payload and
-    /// is **not** a miss — `cache.misses` counts exactly the times
-    /// `compute` ran. Hits served from a non-persistent (staging) tier
-    /// additionally count as `prefetch_hits`. If the computation fails
-    /// or panics, the in-flight claim is released so a waiter can retry.
-    pub(crate) fn get_or_compute<K, V, D, F>(
+    /// `key` is the artifact's recipe key: the typed cache and every
+    /// tier address the artifact by it, so a request hashes its recipe
+    /// once, hit or miss. A tier hit decodes the payload and is **not**
+    /// a miss — `cache.misses` counts exactly the times `compute` ran.
+    /// Hits served from a non-persistent (staging) tier additionally
+    /// count as `prefetch_hits`. If the computation fails or panics,
+    /// the in-flight claim is released so a waiter can retry.
+    pub(crate) fn get_or_compute<V, F>(
         &self,
         stage: Stage,
-        cache: &StageCache<K, V>,
-        key: K,
-        key_of: D,
+        cache: &StageCache<V>,
+        key: u64,
         compute: F,
     ) -> Result<Arc<V>, ExplorerError>
     where
-        K: Eq + Hash + Clone,
         V: ArtifactCodec,
-        D: FnOnce() -> Option<u64>,
         F: FnOnce() -> Result<V, ExplorerError>,
     {
         {
@@ -557,46 +547,38 @@ impl TierStack {
                     .wait(state)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
-            state.inflight.insert(key.clone());
+            state.inflight.insert(key);
         }
         // This thread owns the computation for `key`; the claim is
         // released (and waiters woken) on every exit path, panics
         // included, via the guard.
-        let claim = InflightClaim {
-            cache,
-            key: key.clone(),
-        };
-        let tier_key = key_of();
-        if let Some(h) = tier_key {
-            let mut start = 0;
-            while let Some((i, payload)) = self.read_from(start, stage, h) {
-                match V::from_bytes(&payload) {
-                    Ok(v) => {
-                        if !self.tiers[i].persistent() {
-                            cache.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let value = Arc::new(v);
-                        cache.insert(key, Arc::clone(&value));
-                        drop(claim);
-                        return Ok(value);
+        let claim = InflightClaim { cache, key };
+        let mut start = 0;
+        while let Some((i, payload)) = self.read_from(start, stage, key) {
+            match V::from_bytes(&payload) {
+                Ok(v) => {
+                    if !self.tiers[i].persistent() {
+                        cache.prefetch_hits.fetch_add(1, Ordering::Relaxed);
                     }
-                    Err(_) => {
-                        // The tier's own framing validated but the typed
-                        // decode rejected the payload (e.g. stage
-                        // semantics changed under one FORMAT_VERSION).
-                        // Tell the tier, then keep probing lower tiers.
-                        self.tiers[i].mark_corrupt(stage, h);
-                        start = i + 1;
-                    }
+                    let value = Arc::new(v);
+                    cache.insert(key, Arc::clone(&value));
+                    drop(claim);
+                    return Ok(value);
+                }
+                Err(_) => {
+                    // The tier's own framing validated but the typed
+                    // decode rejected the payload (e.g. stage semantics
+                    // changed under one FORMAT_VERSION). Tell the tier,
+                    // then keep probing lower tiers.
+                    self.tiers[i].mark_corrupt(stage, key);
+                    start = i + 1;
                 }
             }
         }
         cache.misses.fetch_add(1, Ordering::Relaxed);
         let value = Arc::new(compute()?);
-        if let Some(h) = tier_key {
-            if self.has_persistent() {
-                self.write_through(stage, h, &value.to_bytes());
-            }
+        if self.has_persistent() {
+            self.write_through(stage, key, &value.to_bytes());
         }
         cache.insert(key, Arc::clone(&value));
         drop(claim);
@@ -630,13 +612,13 @@ mod tests {
         let stack = TierStack::new();
         assert!(!stack.has_persistent());
         assert!(!stack.can_stage());
-        let cache: StageCache<u32, u64> = StageCache::default();
+        let cache: StageCache<u64> = StageCache::default();
         let v = stack
-            .get_or_compute(Stage::Compile, &cache, 1, || None, || Ok(7u64))
+            .get_or_compute(Stage::Compile, &cache, 1, || Ok(7u64))
             .expect("computes");
         assert_eq!(*v, 7);
         let again = stack
-            .get_or_compute(Stage::Compile, &cache, 1, || None, || panic!("cached"))
+            .get_or_compute(Stage::Compile, &cache, 1, || panic!("cached"))
             .expect("hits");
         assert!(Arc::ptr_eq(&v, &again));
         assert_eq!(cache.hits.load(Ordering::Relaxed), 1);
@@ -648,9 +630,9 @@ mod tests {
         let (stack, staging, disk) = stack("write-through");
         assert!(stack.has_persistent());
         assert!(stack.can_stage());
-        let cache: StageCache<u32, u64> = StageCache::default();
+        let cache: StageCache<u64> = StageCache::default();
         stack
-            .get_or_compute(Stage::Compile, &cache, 1, || Some(42), || Ok(9u64))
+            .get_or_compute(Stage::Compile, &cache, 42, || Ok(9u64))
             .expect("computes");
         assert_eq!(staging.totals().writes, 0, "staging is not written through");
         assert_eq!(disk.totals().writes, 1);
@@ -661,25 +643,19 @@ mod tests {
     #[test]
     fn staged_entries_serve_and_count_prefetch_hits() {
         let (stack, staging, disk) = stack("staged");
-        let cache: StageCache<u32, u64> = StageCache::default();
+        let cache: StageCache<u64> = StageCache::default();
         stack
-            .get_or_compute(Stage::Profile, &cache, 1, || Some(5), || Ok(11u64))
+            .get_or_compute(Stage::Profile, &cache, 5, || Ok(11u64))
             .expect("computes");
 
         // a fresh front cache (new "session") with the same stack:
         // prefetch stages the payload, the request decodes from memory
-        let cold: StageCache<u32, u64> = StageCache::default();
+        let cold: StageCache<u64> = StageCache::default();
         assert!(stack.stage_in(Stage::Profile, 5), "staged from disk");
         assert!(!stack.stage_in(Stage::Profile, 5), "already staged");
         assert!(staging.contains(Stage::Profile, 5));
         let v = stack
-            .get_or_compute(
-                Stage::Profile,
-                &cold,
-                1,
-                || Some(5),
-                || Err(ExplorerError::EmptySuite),
-            )
+            .get_or_compute(Stage::Profile, &cold, 5, || Err(ExplorerError::EmptySuite))
             .expect("served from staging");
         assert_eq!(*v, 11);
         assert_eq!(cold.prefetch_hits.load(Ordering::Relaxed), 1);
@@ -692,9 +668,9 @@ mod tests {
         let (stack, staging, disk) = stack("demote");
         // stage bytes that validate as framing but are not a u64 payload
         staging.put(Stage::Compile, 3, b"junk");
-        let cache: StageCache<u32, u64> = StageCache::default();
+        let cache: StageCache<u64> = StageCache::default();
         let v = stack
-            .get_or_compute(Stage::Compile, &cache, 1, || Some(3), || Ok(8u64))
+            .get_or_compute(Stage::Compile, &cache, 3, || Ok(8u64))
             .expect("recomputes");
         assert_eq!(*v, 8);
         assert_eq!(staging.totals().corrupt, 1, "demoted after typed decode");
@@ -706,19 +682,14 @@ mod tests {
     #[test]
     fn failed_compute_releases_the_inflight_claim() {
         let stack = TierStack::new();
-        let cache: StageCache<u32, u32> = StageCache::default();
-        let err = stack.get_or_compute(
-            Stage::Compile,
-            &cache,
-            7,
-            || None,
-            || Err(ExplorerError::EmptySuite),
-        );
+        let cache: StageCache<u32> = StageCache::default();
+        let err =
+            stack.get_or_compute(Stage::Compile, &cache, 7, || Err(ExplorerError::EmptySuite));
         assert!(err.is_err());
         // the claim is gone: a retry computes (it would deadlock or
         // panic otherwise) and succeeds
         let v = stack
-            .get_or_compute(Stage::Compile, &cache, 7, || None, || Ok(99))
+            .get_or_compute(Stage::Compile, &cache, 7, || Ok(99))
             .expect("retry succeeds");
         assert_eq!(*v, 99);
         assert!(lock(&cache.state).inflight.is_empty());

@@ -297,7 +297,7 @@ fn design_respects_the_session_opt_config() {
     );
 
     // same session, config changed through the builder mid-flight: the
-    // OptKey in the design/evaluate cache keys must force a recompute
+    // OptConfig in the design/evaluate recipe keys must force a recompute
     // rather than serve the other config's entry
     let session = Explorer::new();
     let before = session.design("fir").expect("designs");
@@ -549,4 +549,278 @@ fn reseeded_session_measures_a_reached_design_again() {
     let back = session.evaluate("fir").expect("evaluates");
     assert_eq!(*back.evaluation, *base.evaluation);
     assert_eq!(*back.evaluation, *fresh(first).evaluation);
+}
+
+/// Every recipe input of one request, so a variation changes exactly
+/// one of them.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    bench: &'static str,
+    seed: u64,
+    level: OptLevel,
+    opt: OptConfig,
+    det: DetectorConfig,
+    cons: DesignConstraints,
+    members: &'static [&'static str],
+    grid: [DesignConstraints; 2],
+}
+
+/// What a request is checked against: a stage's typed cache, or one of
+/// the session's derived memos.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    Stage(Stage),
+    /// The coverage-study memo, reached through a design-stage miss.
+    Coverage,
+    /// The rewritten-design measurement memo, reached through an
+    /// evaluate-stage miss.
+    Measurement,
+}
+
+impl Target {
+    /// `(misses, hits)` of the target's own counters.
+    fn counters(self, stats: &CacheStats) -> (u64, u64) {
+        match self {
+            Target::Stage(stage) => {
+                let s = stats.stage(stage);
+                (s.misses, s.hits)
+            }
+            Target::Coverage => (stats.coverage_studies, stats.coverage_reused),
+            Target::Measurement => (stats.measurements, stats.measurements_reused),
+        }
+    }
+
+    /// The target's benchmark and the one its benchmark variation asks
+    /// for instead. The memos get programs of their own: the stage
+    /// targets' requests already reached fir's and sewha's studies and
+    /// designs.
+    fn benchmarks(self) -> (&'static str, &'static str) {
+        match self {
+            Target::Stage(_) => ("fir", "sewha"),
+            Target::Coverage => ("feowf", "iir"),
+            Target::Measurement => ("feowf", "edge"),
+        }
+    }
+}
+
+/// Issue `r` for `target` on `session` with `r`'s seed and optimizer
+/// config as the session's own (both are recipe inputs of every stage
+/// past compile). Memo requests use a constraint set no earlier request
+/// used, so the stage above the memo misses and the memo is consulted.
+fn ask(session: Explorer, target: Target, r: &Request, fresh: &mut f64) -> Explorer {
+    let s = session.with_seed(r.seed).with_opt_config(r.opt);
+    let mut unique = |cons: DesignConstraints| {
+        *fresh += 1e-6;
+        DesignConstraints {
+            area_budget: cons.area_budget + *fresh,
+            ..cons
+        }
+    };
+    let asked = match target {
+        Target::Stage(Stage::Compile) => s.compile(r.bench).map(drop),
+        Target::Stage(Stage::Profile) => s.profile(r.bench).map(drop),
+        Target::Stage(Stage::Schedule) => s.schedule_with(r.bench, r.level, r.opt).map(drop),
+        Target::Stage(Stage::Analyze) => s.analyze_with(r.bench, r.level, r.opt, r.det).map(drop),
+        Target::Stage(Stage::Design) => s.design_with(r.bench, r.cons, r.det).map(drop),
+        Target::Stage(Stage::Evaluate) => s.evaluate_with(r.bench, r.cons, r.det).map(drop),
+        Target::Stage(Stage::DesignSuite) => {
+            s.design_suite_with(r.members, r.cons, r.det).map(drop)
+        }
+        Target::Stage(Stage::EvaluateSuite) => {
+            s.evaluate_suite_with(r.members, r.cons, r.det).map(drop)
+        }
+        Target::Stage(Stage::DesignSpace) => {
+            s.design_space_with(r.members, &r.grid, r.det).map(drop)
+        }
+        Target::Coverage => {
+            let cons = unique(DesignConstraints {
+                opt_level: r.level,
+                ..r.cons
+            });
+            s.design_with(r.bench, cons, r.det).map(drop)
+        }
+        Target::Measurement => s.evaluate_with(r.bench, unique(r.cons), r.det).map(drop),
+    };
+    asked.unwrap_or_else(|e| panic!("{target:?} {r:?}: {e}"));
+    s
+}
+
+/// Another chainable-class policy: the default one without loads.
+fn no_loads(class: OpClass) -> bool {
+    class != OpClass::Load && asip_explorer::chains::default_chainable(class)
+}
+
+/// The default chainable-class policy's truth table, written as a
+/// different function.
+fn default_by_exclusion(class: OpClass) -> bool {
+    !matches!(
+        class,
+        OpClass::Move | OpClass::Convert | OpClass::Math | OpClass::Branch | OpClass::Chained
+    )
+}
+
+/// The variations of `base` a target's recipe covers, one input each.
+fn variations(target: Target, base: Request) -> Vec<(&'static str, Request)> {
+    let mut out = Vec::new();
+    let mut vary = |label, f: &dyn Fn(&mut Request)| {
+        let mut r = base;
+        f(&mut r);
+        out.push((label, r));
+    };
+    let stage = match target {
+        Target::Stage(stage) => Some(stage),
+        Target::Coverage | Target::Measurement => None,
+    };
+    let per_program = !matches!(
+        stage,
+        Some(Stage::DesignSuite | Stage::EvaluateSuite | Stage::DesignSpace)
+    );
+    if per_program {
+        vary("benchmark", &|r| r.bench = target.benchmarks().1);
+    } else {
+        vary("member set", &|r| r.members = &["fir", "sewha", "bspline"]);
+    }
+    if matches!(target, Target::Stage(Stage::Compile)) {
+        return out;
+    }
+    if !matches!(target, Target::Measurement) {
+        // a measurement entry keeps the last seed's run (see
+        // `reseeded_session_measures_a_reached_design_again`)
+        vary("seed", &|r| r.seed = 7);
+    }
+    if matches!(target, Target::Stage(Stage::Profile)) {
+        return out;
+    }
+    if matches!(target, Target::Measurement) {
+        // feowf's design under this budget is empty, not its one
+        // multiply-add
+        vary("design", &|r| r.cons.area_budget = 1000.0);
+        return out;
+    }
+    let levelled = matches!(
+        target,
+        Target::Coverage | Target::Stage(Stage::Schedule | Stage::Analyze)
+    );
+    if levelled {
+        vary("level", &|r| r.level = OptLevel::PipelinedRenamed);
+    }
+    vary("opt.unroll", &|r| r.opt.unroll = 3);
+    vary("opt.merge_blocks", &|r| r.opt.merge_blocks = false);
+    vary("opt.width", &|r| r.opt.width = 2);
+    vary("opt.hoist_passes", &|r| r.opt.hoist_passes = 1);
+    vary("opt.if_convert_max_ops", &|r| r.opt.if_convert_max_ops = 3);
+    if matches!(target, Target::Stage(Stage::Schedule)) {
+        return out;
+    }
+    vary("det.min_len", &|r| r.det.min_len = 3);
+    vary("det.max_len", &|r| r.det.max_len = 4);
+    vary("det.window", &|r| r.det.window = 0);
+    vary("det.prune_floor", &|r| r.det.prune_floor = 1.0);
+    vary("det.chainable", &|r| r.det.chainable = no_loads);
+    if levelled {
+        return out;
+    }
+    if matches!(stage, Some(Stage::DesignSpace)) {
+        vary("grid", &|r| r.grid[1].clock_ns = 30.0);
+        return out;
+    }
+    vary("cons.area_budget", &|r| r.cons.area_budget = 3000.0);
+    vary("cons.clock_ns", &|r| r.cons.clock_ns = 30.0);
+    vary("cons.max_extensions", &|r| r.cons.max_extensions = 2);
+    vary("cons.opt_level", &|r| {
+        r.cons.opt_level = OptLevel::PipelinedRenamed
+    });
+    out
+}
+
+/// The recipe key is the only identity of an artifact in memory: on one
+/// storeless session, changing any one recipe input of any stage adds
+/// exactly one miss to that stage's cache (or to the coverage or
+/// measurement memo), and the original request still hits afterwards.
+#[test]
+fn every_recipe_input_separates_memory_entries() {
+    let common = Request {
+        bench: "fir",
+        seed: 1995,
+        level: OptLevel::Pipelined,
+        opt: OptConfig::default(),
+        det: DetectorConfig::default(),
+        cons: DesignConstraints::default(),
+        members: &["fir", "sewha"],
+        grid: [
+            DesignConstraints::default(),
+            DesignConstraints {
+                area_budget: 3000.0,
+                ..DesignConstraints::default()
+            },
+        ],
+    };
+    let targets = Stage::all()
+        .map(Target::Stage)
+        .into_iter()
+        .chain([Target::Coverage, Target::Measurement]);
+    let mut session = Explorer::new().with_threads(1);
+    let mut fresh = 0.0;
+    let mut checked = 0;
+    for target in targets {
+        let base = Request {
+            bench: target.benchmarks().0,
+            ..common
+        };
+        session = ask(session, target, &base, &mut fresh);
+        for (label, varied) in variations(target, base) {
+            let (misses, _) = target.counters(&session.cache_stats());
+            session = ask(session, target, &varied, &mut fresh);
+            let (after, hits) = target.counters(&session.cache_stats());
+            assert_eq!(after, misses + 1, "{target:?}: varying {label} misses once");
+            session = ask(session, target, &base, &mut fresh);
+            assert_eq!(
+                target.counters(&session.cache_stats()),
+                (after, hits + 1),
+                "{target:?}: the original still hits after varying {label}"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 116, "every variation was checked");
+}
+
+/// The chainable policy is identified by its truth table over every
+/// `OpClass`, in memory as in the tiers: a different function with the
+/// default's truth table reads the default's entries.
+#[test]
+fn a_chainable_policy_with_the_same_truth_table_is_a_typed_hit() {
+    let default = DetectorConfig::default();
+    let same_policy: fn(OpClass) -> bool = default_by_exclusion;
+    assert!(
+        !std::ptr::fn_addr_eq(default.chainable, same_policy),
+        "two distinct functions"
+    );
+    for &class in OpClass::all() {
+        assert_eq!((default.chainable)(class), default_by_exclusion(class));
+    }
+    let same = DetectorConfig {
+        chainable: same_policy,
+        ..default
+    };
+    let session = Explorer::new().with_threads(1);
+    let cons = DesignConstraints::default();
+    let level = OptLevel::Pipelined;
+    let a = session
+        .analyze_with("fir", level, OptConfig::default(), default)
+        .expect("analyzes");
+    let d = session
+        .evaluate_with("fir", cons, default)
+        .expect("evaluates");
+    let before = session.cache_stats();
+    let b = session
+        .analyze_with("fir", level, OptConfig::default(), same)
+        .expect("analyzes");
+    let e = session.evaluate_with("fir", cons, same).expect("evaluates");
+    let after = session.cache_stats();
+    assert!(Arc::ptr_eq(&a.report, &b.report));
+    assert!(Arc::ptr_eq(&d.evaluation, &e.evaluation));
+    assert_eq!(after.total_misses(), before.total_misses(), "no new misses");
+    assert_eq!(after.analyze.hits, before.analyze.hits + 1);
+    assert_eq!(after.evaluate.hits, before.evaluate.hits + 1);
 }

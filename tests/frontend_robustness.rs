@@ -210,3 +210,77 @@ fn deep_nesting_returns_a_typed_error_never_a_stack_overflow() {
         .expect("spawns");
     worker.join().expect("no depth aborts or panics");
 }
+
+/// `n` functions, each returning its predecessor's call under `prefix`
+/// (`int f3(int a) { return <prefix>f2(a); }`), and a `main` that
+/// calls the last.
+fn call_chain(n: usize, prefix: &str) -> String {
+    let mut src = String::from("output int y[1]; int f0(int a) { return a + 1; }\n");
+    for i in 1..n {
+        src += &format!("int f{i}(int a) {{ return {prefix}f{}(a); }}\n", i - 1);
+    }
+    src + &format!("void main() {{ y[0] = f{}(1); }}\n", n - 1)
+}
+
+/// `levels` functions, each calling its predecessor twice, so inlining
+/// `main` builds 2^levels bodies.
+fn doubling_chain(levels: usize) -> String {
+    let mut src = String::from("output int y[1]; int f0(int a) { return a + 1; }\n");
+    for i in 1..levels {
+        let p = i - 1;
+        src += &format!("int f{i}(int a) {{ return f{p}(a) + f{p}(a); }}\n");
+    }
+    src + &format!("void main() {{ y[0] = f{}(1); }}\n", levels - 1)
+}
+
+/// No call graph aborts or hangs `compile`: on a 2 MiB thread stack,
+/// chains of 10^2 to 10^5 functions, chains that double the inlined
+/// work per level, and chains whose every call sits just under the
+/// nesting limit each return `Ok` or a typed error within a second.
+/// What lowering builds is bounded by the height of the tree with every
+/// call inlined (`MAX_NESTING`) and by the inlined call count
+/// (`MAX_INLINED_CALLS`), not by the call depth.
+#[test]
+fn call_graphs_return_a_typed_error_never_an_abort_or_a_hang() {
+    use asip_explorer::frontend::sema::MAX_INLINED_CALLS;
+    use asip_explorer::frontend::{compile, parser::MAX_NESTING, FrontendError};
+    use std::time::{Duration, Instant};
+    let worker = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let under_the_limit = "- ".repeat(MAX_NESTING - 2);
+            // each case, and whether it compiles or which bound rejects it
+            let mut cases = Vec::new();
+            // a chain of n functions inlines n + 1 levels high into main
+            for n in [100, MAX_NESTING - 1, MAX_NESTING, 1_000, 10_000, 100_000] {
+                let fits = n < MAX_NESTING;
+                cases.push((format!("chain x{n}"), call_chain(n, ""), fits, "nesting"));
+            }
+            for levels in [10, 20, 64] {
+                let src = doubling_chain(levels);
+                cases.push((format!("doubling x{levels}"), src, false, "inlining"));
+            }
+            for n in [2, 100] {
+                let src = call_chain(n, &under_the_limit);
+                cases.push((format!("nested chain x{n}"), src, false, "nesting"));
+            }
+            for (label, src, fits, bound) in cases {
+                let start = Instant::now();
+                let result = compile("calls", &src);
+                let took = start.elapsed();
+                assert!(took < Duration::from_secs(1), "{label} took {took:?}");
+                match (result, bound) {
+                    (Ok(_), _) if fits => {}
+                    (Err(FrontendError::RecursionLimitExceeded { limit, .. }), "nesting") => {
+                        assert!(!fits && limit == MAX_NESTING, "{label}")
+                    }
+                    (Err(FrontendError::InliningLimitExceeded { limit, .. }), "inlining") => {
+                        assert!(!fits && limit == MAX_INLINED_CALLS, "{label}")
+                    }
+                    (other, _) => panic!("{label}: unexpected {other:?}"),
+                }
+            }
+        })
+        .expect("spawns");
+    worker.join().expect("no call graph aborts or panics");
+}

@@ -119,14 +119,3 @@ fn chainable_weight_is_conserved_by_optimization() {
         );
     }
 }
-
-#[test]
-fn textual_ir_round_trips_for_all_benchmarks() {
-    for bench in registry().iter() {
-        let program = bench.compile().expect("compiles");
-        let text = program.to_string();
-        let parsed = asip_explorer::ir::parse_program(&text)
-            .unwrap_or_else(|e| panic!("{} failed to re-parse: {e}", bench.name));
-        assert_eq!(program, parsed, "{} round-trip mismatch", bench.name);
-    }
-}

@@ -11,7 +11,7 @@
 //! builder.
 
 use asip_explorer::gen::{generate, GenConfig, GenTy, GeneratedProgram, OpMix};
-use asip_explorer::ir::{parse_program, Program};
+use asip_explorer::ir::Program;
 use asip_explorer::opt::{OptLevel, Optimizer};
 use asip_explorer::sim::{DataGen, DataSet, Engine, ReferenceSimulator, Simulator};
 use asip_explorer::synth::rewrite::is_fusable_signature;
@@ -86,14 +86,6 @@ proptest! {
         prop_assert!(p.validate().is_ok());
         let exec = Simulator::new(&p).run(&dataset(&prog)).expect("runs");
         prop_assert!(exec.profile.total_ops() > 0);
-    }
-
-    #[test]
-    fn textual_format_round_trips(seed in any::<u64>(), config in gen_config()) {
-        let p = compile(&generate(seed, &config));
-        let text = p.to_string();
-        let q = parse_program(&text).expect("printed programs parse");
-        prop_assert_eq!(p, q);
     }
 
     #[test]
