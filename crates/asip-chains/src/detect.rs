@@ -1,23 +1,14 @@
 //! The branch-and-bound sequence detector.
 
 use crate::signature::Signature;
-use asip_opt::{NodeId, ScheduleGraph};
+use asip_opt::{NodeId, OpId, ScheduleGraph};
 use std::collections::HashSet;
-
-/// A reference to one scheduled op instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OpRef {
-    /// Containing node.
-    pub node: NodeId,
-    /// Index within the node's op list.
-    pub index: usize,
-}
 
 /// One concrete occurrence of a chainable sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Occurrence {
     /// The chained op instances, head first.
-    pub ops: Vec<OpRef>,
+    pub ops: Vec<OpId>,
     /// The signature (op classes of the ops).
     pub signature: Signature,
     /// The limiting dynamic count: the minimum weight along the chain
@@ -173,12 +164,9 @@ pub(crate) fn select_non_overlapping<'a>(
     (freq, selected)
 }
 
-/// A set of one graph's ops, kept as a mark per op in flat order (node
-/// order, then index within the node). A mark counts only when it
-/// equals the current generation, so clearing is one increment.
+/// A set of one graph's ops, kept as a mark per op. A mark counts only
+/// when it equals the current generation, so clearing is one increment.
 pub(crate) struct OpSet {
-    /// Flat position of each node's first op.
-    node_start: Vec<u32>,
     marks: Vec<u32>,
     generation: u32,
 }
@@ -186,31 +174,18 @@ pub(crate) struct OpSet {
 impl OpSet {
     /// An empty set over `graph`'s ops.
     pub(crate) fn new(graph: &ScheduleGraph) -> Self {
-        let mut node_start = Vec::with_capacity(graph.nodes.len());
-        let mut ops = 0u32;
-        for node in &graph.nodes {
-            node_start.push(ops);
-            ops += node.ops.len() as u32;
-        }
         OpSet {
-            node_start,
-            marks: vec![0; ops as usize],
+            marks: vec![0; graph.ops.len()],
             generation: 1,
         }
     }
 
-    /// The flat position of `r`.
-    fn slot(&self, r: OpRef) -> usize {
-        self.node_start[r.node.index()] as usize + r.index
+    pub(crate) fn contains(&self, r: OpId) -> bool {
+        self.marks[r.index()] == self.generation
     }
 
-    pub(crate) fn contains(&self, r: OpRef) -> bool {
-        self.marks[self.slot(r)] == self.generation
-    }
-
-    pub(crate) fn insert(&mut self, r: OpRef) {
-        let slot = self.slot(r);
-        self.marks[slot] = self.generation;
+    pub(crate) fn insert(&mut self, r: OpId) {
+        self.marks[r.index()] = self.generation;
     }
 
     pub(crate) fn clear(&mut self) {
@@ -225,8 +200,8 @@ impl OpSet {
 /// window, depth-first up to `max_len`, pruning partial chains that can
 /// no longer reach `prune_floor` (branch and bound, as in the paper's
 /// Section 5). Each enumeration first computes every chainable op's
-/// flow-successor list once, into flat per-graph tables, so the
-/// depth-first search itself never rescans the schedule.
+/// flow-successor list once, into tables indexed like the graph's ops,
+/// so the depth-first search itself never rescans the schedule.
 #[derive(Debug, Clone, Copy)]
 pub struct SequenceDetector {
     config: DetectorConfig,
@@ -255,18 +230,12 @@ impl SequenceDetector {
         let index = FlowIndex::build(self, graph);
         let mut out = Vec::new();
         let mut chain: Vec<u32> = Vec::with_capacity(self.config.max_len);
-        for head in 0..index.refs.len() as u32 {
-            if !index.chainable[head as usize] {
+        for (head, op) in graph.ops.iter().enumerate() {
+            if !index.chainable[head] {
                 continue;
             }
-            chain.push(head);
-            self.extend(
-                graph,
-                &index,
-                &mut chain,
-                index.weights[head as usize],
-                &mut out,
-            );
+            chain.push(head as u32);
+            self.extend(graph, &index, &mut chain, op.weight, &mut out);
             chain.pop();
         }
         out
@@ -282,7 +251,7 @@ impl SequenceDetector {
     ) {
         if chain.len() >= self.config.min_len {
             out.push(Occurrence {
-                ops: chain.iter().map(|&i| index.refs[i as usize]).collect(),
+                ops: chain.iter().map(|&i| OpId(i)).collect(),
                 signature: Signature::new(
                     chain.iter().map(|&i| index.classes[i as usize]).collect(),
                 ),
@@ -307,7 +276,7 @@ impl SequenceDetector {
                 continue;
             }
             chain.push(succ);
-            let weight = min_weight.min(index.weights[succ as usize]);
+            let weight = min_weight.min(graph.ops[succ as usize].weight);
             self.extend(graph, index, chain, weight, out);
             chain.pop();
         }
@@ -323,9 +292,9 @@ impl SequenceDetector {
     /// consumer qualifies ("search a much broader set of possibilities");
     /// across region boundaries — and everywhere in a sequential graph —
     /// consumers must lie within `window` schedule edges.
-    pub fn flow_succs(&self, graph: &ScheduleGraph, from: OpRef) -> Vec<OpRef> {
-        let mut found: Vec<OpRef> = Vec::new();
-        let mut seen: HashSet<OpRef> = HashSet::new();
+    pub fn flow_succs(&self, graph: &ScheduleGraph, from: OpId) -> Vec<OpId> {
+        let mut found: Vec<OpId> = Vec::new();
+        let mut seen: HashSet<OpId> = HashSet::new();
         self.scan_flow_succs(graph, from, |r| {
             if seen.insert(r) {
                 found.push(r);
@@ -337,38 +306,33 @@ impl SequenceDetector {
     /// Visit every flow successor of `from` in [`SequenceDetector::flow_succs`]
     /// order; an op reachable along several paths is visited once per
     /// path, so callers deduplicate.
-    fn scan_flow_succs(&self, graph: &ScheduleGraph, from: OpRef, mut visit: impl FnMut(OpRef)) {
-        let src = &graph.node(from.node).ops[from.index];
-        let Some(d) = src.inst.dst() else {
+    fn scan_flow_succs(&self, graph: &ScheduleGraph, from: OpId, mut visit: impl FnMut(OpId)) {
+        let Some(d) = graph.ops[from.index()].inst.dst() else {
             return;
         };
+        let from_node = graph.node_of(from);
+        // every op of node n that reads d, but `from` itself
+        let mut visit_readers = |n: NodeId| {
+            for j in graph.op_range(n) {
+                if j != from.index() && graph.ops[j].inst.reads(d) {
+                    visit(OpId(j as u32));
+                }
+            }
+        };
+        let kills = |n: NodeId| graph.node(n).ops.iter().any(|op| op.inst.dst() == Some(d));
 
         // same node: same issue cycle, direct forwarding
-        for (i, op) in graph.node(from.node).ops.iter().enumerate() {
-            if i != from.index && op.inst.reads(d) {
-                visit(OpRef {
-                    node: from.node,
-                    index: i,
-                });
-            }
-        }
+        visit_readers(from_node);
 
         // region chaining: walk the rest of this block's node sequence
         // (a block's nodes are consecutive by construction); stop past a
         // node that redefines d
         if graph.region_chaining {
-            let block = graph.node(from.node).block;
-            let mut n = from.node.index() + 1;
-            while n < graph.nodes.len() && graph.nodes[n].block == block {
-                for (i, op) in graph.nodes[n].ops.iter().enumerate() {
-                    if op.inst.reads(d) {
-                        visit(OpRef {
-                            node: NodeId(n as u32),
-                            index: i,
-                        });
-                    }
-                }
-                if graph.nodes[n].ops.iter().any(|op| op.inst.dst() == Some(d)) {
+            let block = graph.node_block[from_node.index()];
+            let mut n = from_node.index() + 1;
+            while graph.node_block.get(n) == Some(&block) {
+                visit_readers(NodeId(n as u32));
+                if kills(NodeId(n as u32)) {
                     break;
                 }
                 n += 1;
@@ -377,22 +341,17 @@ impl SequenceDetector {
 
         // nodes within `window` edges, via DFS over node paths; a path is
         // cut when some op on an intermediate node redefines `d`
-        let mut stack: Vec<(NodeId, usize)> = vec![(from.node, 0)];
+        let mut stack: Vec<(NodeId, usize)> = vec![(from_node, 0)];
         let mut visited_at: Vec<(NodeId, usize)> = Vec::new();
         while let Some((n, depth)) = stack.pop() {
             if depth >= self.config.window {
                 continue;
             }
-            for &s in &graph.node(n).succs {
+            for &s in graph.node(n).succs {
                 // collect consumers in s
-                for (i, op) in graph.node(s).ops.iter().enumerate() {
-                    if (s != from.node || i != from.index) && op.inst.reads(d) {
-                        visit(OpRef { node: s, index: i });
-                    }
-                }
+                visit_readers(s);
                 // extend the path unless s redefines d (value killed past s)
-                let kills = graph.node(s).ops.iter().any(|op| op.inst.dst() == Some(d));
-                if !kills && !visited_at.contains(&(s, depth + 1)) {
+                if !kills(s) && !visited_at.contains(&(s, depth + 1)) {
                     visited_at.push((s, depth + 1));
                     stack.push((s, depth + 1));
                 }
@@ -401,19 +360,15 @@ impl SequenceDetector {
     }
 }
 
-/// The per-graph tables one enumeration runs on, with every op numbered
-/// by its flat position (node order, then index within the node).
+/// The per-graph tables one enumeration runs on, indexed like the
+/// graph's ops.
 ///
 /// Each chainable op's successor list holds exactly the chainable
 /// entries of [`SequenceDetector::flow_succs`], in its order, so the
 /// depth-first search visits chains exactly as a per-step rescan would.
 struct FlowIndex {
-    /// The op at each flat position.
-    refs: Vec<OpRef>,
-    /// Op classes by flat position.
+    /// Op classes.
     classes: Vec<asip_ir::OpClass>,
-    /// Profile weights by flat position.
-    weights: Vec<f64>,
     /// Whether each op's class is a chain candidate.
     chainable: Vec<bool>,
     /// `succs[succ_start[i]..succ_start[i + 1]]` are op `i`'s chainable
@@ -425,48 +380,34 @@ struct FlowIndex {
 
 impl FlowIndex {
     fn build(detector: &SequenceDetector, graph: &ScheduleGraph) -> Self {
-        let mut refs = Vec::new();
-        let mut classes = Vec::new();
-        let mut weights = Vec::new();
-        for (ni, node) in graph.nodes.iter().enumerate() {
-            for (oi, op) in node.ops.iter().enumerate() {
-                refs.push(OpRef {
-                    node: NodeId(ni as u32),
-                    index: oi,
-                });
-                classes.push(graph.class_of(op));
-                weights.push(op.weight);
-            }
-        }
+        let classes: Vec<asip_ir::OpClass> =
+            graph.ops.iter().map(|op| graph.class_of(op)).collect();
         let chainable: Vec<bool> = classes
             .iter()
             .map(|&c| (detector.config.chainable)(c))
             .collect();
 
         let mut seen = OpSet::new(graph);
-        let mut succ_start: Vec<u32> = Vec::with_capacity(refs.len() + 1);
+        let mut succ_start: Vec<u32> = Vec::with_capacity(classes.len() + 1);
         let mut succs: Vec<u32> = Vec::new();
-        for (i, &from) in refs.iter().enumerate() {
+        for (i, &is_chainable) in chainable.iter().enumerate() {
             succ_start.push(succs.len() as u32);
-            if !chainable[i] {
+            if !is_chainable {
                 continue;
             }
             seen.clear();
-            detector.scan_flow_succs(graph, from, |r| {
+            detector.scan_flow_succs(graph, OpId(i as u32), |r| {
                 if !seen.contains(r) {
                     seen.insert(r);
-                    let j = seen.slot(r);
-                    if chainable[j] {
-                        succs.push(j as u32);
+                    if chainable[r.index()] {
+                        succs.push(r.0);
                     }
                 }
             });
         }
         succ_start.push(succs.len() as u32);
         FlowIndex {
-            refs,
             classes,
-            weights,
             chainable,
             succ_start,
             succs,
@@ -740,16 +681,16 @@ mod tests {
         // address math); their in-entry chains are fine, but none may
         // reach the loop's deep adds
         for o in &cross {
-            let head_block = graph.node(o.ops[0].node).block;
-            let tail_block = graph.node(o.ops[1].node).block;
+            let head_node = graph.node_of(o.ops[0]);
+            let head_block = graph.node(head_node).block;
+            let tail_block = graph.node(graph.node_of(o.ops[1])).block;
             if head_block != tail_block {
                 // cross-region chains must respect the window: head must
                 // be in the last node of its region
-                let head_node = o.ops[0].node;
                 let next_same_block = graph
-                    .nodes
+                    .node_block
                     .get(head_node.index() + 1)
-                    .map(|n| n.block == head_block)
+                    .map(|&b| b == head_block)
                     .unwrap_or(false);
                 assert!(
                     !next_same_block,
@@ -762,16 +703,7 @@ mod tests {
     #[test]
     fn occurrence_frequency_formula() {
         let occ = Occurrence {
-            ops: vec![
-                OpRef {
-                    node: NodeId(0),
-                    index: 0,
-                },
-                OpRef {
-                    node: NodeId(1),
-                    index: 0,
-                },
-            ],
+            ops: vec![OpId(0), OpId(1)],
             signature: "multiply-add".parse().expect("ok"),
             min_weight: 10.0,
         };

@@ -9,7 +9,8 @@
 //! within the chaining window of the schedule. Each detected sequence
 //! type ("signature", e.g. `multiply-add`) is reported with its dynamic
 //! frequency: the percentage of the benchmark's execution time its
-//! occurrences account for.
+//! occurrences account for. Ops are named by their position in the
+//! graph's flat op array ([`asip_opt::OpId`]).
 //!
 //! Three analyses reproduce the paper's results:
 //!
@@ -56,6 +57,6 @@ pub mod signature;
 
 pub use combine::{combine, combine_pooled, CombinedReport};
 pub use coverage::{CoverageAnalyzer, CoverageEntry, CoverageReport};
-pub use detect::{default_chainable, DetectorConfig, Occurrence, OpRef, SequenceDetector};
+pub use detect::{default_chainable, DetectorConfig, Occurrence, SequenceDetector};
 pub use report::{SeqStats, SequenceReport};
 pub use signature::Signature;

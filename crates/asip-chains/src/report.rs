@@ -141,8 +141,8 @@ impl SequenceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::{OpRef, SequenceDetector};
-    use asip_opt::{NodeId, OptLevel, Optimizer};
+    use crate::detect::SequenceDetector;
+    use asip_opt::{OptLevel, Optimizer};
     use asip_sim::{DataSet, Simulator};
 
     fn mac_report(level: OptLevel) -> SequenceReport {
@@ -270,9 +270,5 @@ mod tests {
             100,
         );
         assert_eq!(r.entries()[0].0, b);
-        let _ = OpRef {
-            node: NodeId(0),
-            index: 0,
-        };
     }
 }

@@ -11,11 +11,11 @@
 //! generated corpus and 200 fresh generator seeds, at every level.
 
 use asip_chains::{
-    CoverageAnalyzer, CoverageEntry, CoverageReport, DetectorConfig, Occurrence, OpRef,
-    SequenceDetector, Signature,
+    CoverageAnalyzer, CoverageEntry, CoverageReport, DetectorConfig, Occurrence, SequenceDetector,
+    Signature,
 };
 use asip_gen::{generate, GenConfig, GenTy};
-use asip_opt::{NodeId, OptLevel, Optimizer, ScheduleGraph};
+use asip_opt::{OpId, OptLevel, Optimizer, ScheduleGraph};
 use asip_sim::{DataGen, DataSet, Simulator};
 use std::collections::{BTreeMap, HashSet};
 
@@ -23,32 +23,27 @@ use std::collections::{BTreeMap, HashSet};
 fn reference_occurrences(
     graph: &ScheduleGraph,
     config: DetectorConfig,
-    consumed: &HashSet<OpRef>,
+    consumed: &HashSet<OpId>,
 ) -> Vec<Occurrence> {
     let detector = SequenceDetector::new(config);
     let mut out = Vec::new();
-    for (ni, node) in graph.nodes.iter().enumerate() {
-        for (oi, op) in node.ops.iter().enumerate() {
-            let head = OpRef {
-                node: NodeId(ni as u32),
-                index: oi,
-            };
-            let class = graph.class_of(op);
-            if consumed.contains(&head) || !(config.chainable)(class) {
-                continue;
-            }
-            let mut chain = vec![head];
-            let mut classes = vec![class];
-            extend(
-                graph,
-                &detector,
-                &mut chain,
-                &mut classes,
-                op.weight,
-                consumed,
-                &mut out,
-            );
+    for (i, op) in graph.ops.iter().enumerate() {
+        let head = OpId(i as u32);
+        let class = graph.class_of(op);
+        if consumed.contains(&head) || !(config.chainable)(class) {
+            continue;
         }
+        let mut chain = vec![head];
+        let mut classes = vec![class];
+        extend(
+            graph,
+            &detector,
+            &mut chain,
+            &mut classes,
+            op.weight,
+            consumed,
+            &mut out,
+        );
     }
     out
 }
@@ -56,10 +51,10 @@ fn reference_occurrences(
 fn extend(
     graph: &ScheduleGraph,
     detector: &SequenceDetector,
-    chain: &mut Vec<OpRef>,
+    chain: &mut Vec<OpId>,
     classes: &mut Vec<asip_ir::OpClass>,
     min_weight: f64,
-    consumed: &HashSet<OpRef>,
+    consumed: &HashSet<OpId>,
     out: &mut Vec<Occurrence>,
 ) {
     let config = detector.config();
@@ -84,7 +79,7 @@ fn extend(
         if chain.contains(&succ) || consumed.contains(&succ) {
             continue;
         }
-        let op = &graph.node(succ.node).ops[succ.index];
+        let op = &graph.ops[succ.index()];
         let class = graph.class_of(op);
         if !(config.chainable)(class) {
             continue;
@@ -112,7 +107,7 @@ fn reference_coverage(
     floor: f64,
     max_sequences: usize,
 ) -> CoverageReport {
-    let mut consumed: HashSet<OpRef> = HashSet::new();
+    let mut consumed: HashSet<OpId> = HashSet::new();
     let mut entries: Vec<CoverageEntry> = Vec::new();
     for _round in 0..max_sequences {
         let occurrences = reference_occurrences(graph, config, &consumed);
@@ -130,7 +125,7 @@ fn reference_coverage(
                     .expect("finite")
                     .then_with(|| a.ops.cmp(&b.ops))
             });
-            let mut taken: HashSet<OpRef> = HashSet::new();
+            let mut taken: HashSet<OpId> = HashSet::new();
             let mut freq = 0.0;
             let mut selected = Vec::new();
             for o in occs {

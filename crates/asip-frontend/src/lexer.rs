@@ -3,30 +3,22 @@
 use crate::error::{FrontendError, Pos};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 
-/// Tokenize mini-C source.
-///
+/// The mini-C tokenizer, run on demand by the parser: it reads the
+/// source in place and allocates only the text of identifier tokens.
 /// Supports `//` line comments and `/* ... */` block comments.
-///
-/// # Errors
-///
-/// Returns [`FrontendError::Lex`] on unknown characters or malformed
-/// numeric literals.
-pub fn lex(source: &str) -> Result<Vec<Token>, FrontendError> {
-    Lexer::new(source).run()
-}
-
-struct Lexer<'a> {
-    chars: Vec<char>,
+#[derive(Debug)]
+pub struct Lexer<'a> {
     src: &'a str,
+    /// Byte offset of the next character.
     i: usize,
     line: usize,
     col: usize,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
         Lexer {
-            chars: src.chars().collect(),
             src,
             i: 0,
             line: 1,
@@ -42,16 +34,16 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.i).copied()
+        self.src[self.i..].chars().next()
     }
 
     fn peek2(&self) -> Option<char> {
-        self.chars.get(self.i + 1).copied()
+        self.src[self.i..].chars().nth(1)
     }
 
     fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
-        self.i += 1;
+        self.i += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.col = 1;
@@ -61,27 +53,23 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
-    fn run(mut self) -> Result<Vec<Token>, FrontendError> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_trivia()?;
-            let pos = self.pos();
-            let Some(c) = self.peek() else {
-                out.push(Token {
-                    kind: TokenKind::Eof,
-                    pos,
-                });
-                return Ok(out);
-            };
-            let kind = if c.is_ascii_alphabetic() || c == '_' {
-                self.ident()
-            } else if c.is_ascii_digit() {
-                self.number(pos)?
-            } else {
-                self.punct(pos)?
-            };
-            out.push(Token { kind, pos });
-        }
+    /// The next token; at the end of the source, [`TokenKind::Eof`] on
+    /// every call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrontendError::Lex`] on an unknown character, a
+    /// malformed numeric literal or an unterminated block comment.
+    pub fn next_token(&mut self) -> Result<Token, FrontendError> {
+        self.skip_trivia()?;
+        let pos = self.pos();
+        let kind = match self.peek() {
+            None => TokenKind::Eof,
+            Some(c) if c.is_ascii_alphabetic() || c == '_' => self.ident(),
+            Some(c) if c.is_ascii_digit() => self.number(pos)?,
+            Some(_) => self.punct(pos)?,
+        };
+        Ok(Token { kind, pos })
     }
 
     fn skip_trivia(&mut self) -> Result<(), FrontendError> {
@@ -127,10 +115,10 @@ impl<'a> Lexer<'a> {
         while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
             self.bump();
         }
-        let s: String = self.chars[start..self.i].iter().collect();
-        match Keyword::from_str(&s) {
+        let s = &self.src[start..self.i];
+        match Keyword::from_str(s) {
             Some(k) => TokenKind::Keyword(k),
-            None => TokenKind::Ident(s),
+            None => TokenKind::Ident(s.to_string()),
         }
     }
 
@@ -166,7 +154,7 @@ impl<'a> Lexer<'a> {
                 self.col = save.2;
             }
         }
-        let text: String = self.chars[start..self.i].iter().collect();
+        let text = &self.src[start..self.i];
         if is_float {
             text.parse::<f64>()
                 .map(TokenKind::FloatLit)
@@ -226,16 +214,22 @@ impl<'a> Lexer<'a> {
     }
 }
 
-// keep `src` around for potential future span slicing without changing the API
-impl std::fmt::Debug for Lexer<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Lexer(at {} of {} chars)", self.i, self.src.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lex(source: &str) -> Result<Vec<Token>, FrontendError> {
+        let mut lexer = Lexer::new(source);
+        let mut out = Vec::new();
+        loop {
+            let token = lexer.next_token()?;
+            let eof = token.kind == TokenKind::Eof;
+            out.push(token);
+            if eof {
+                return Ok(out);
+            }
+        }
+    }
 
     fn kinds(src: &str) -> Vec<TokenKind> {
         lex(src)

@@ -67,8 +67,7 @@ use asip_ir::Program;
 /// Returns a [`FrontendError`] describing the first lexical, syntactic or
 /// semantic problem found, with source position.
 pub fn compile(name: &str, source: &str) -> Result<Program, FrontendError> {
-    let tokens = lexer::lex(source)?;
-    let unit = parser::parse(&tokens)?;
+    let unit = parser::parse(source)?;
     sema::check(&unit)?;
     let mut program = lower::lower(name, &unit)?;
     // standard front-end cleanup: the "3-address code" the paper's

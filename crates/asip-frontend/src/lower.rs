@@ -698,10 +698,10 @@ impl<'a> Lowerer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{lexer::lex, parser::parse, sema};
+    use crate::{parser::parse, sema};
 
     fn compile(src: &str) -> Program {
-        let unit = parse(&lex(src).expect("lex")).expect("parse");
+        let unit = parse(src).expect("parse");
         sema::check(&unit).expect("sema");
         lower("test", &unit).expect("lower")
     }

@@ -2,6 +2,7 @@
 
 use crate::ast::*;
 use crate::error::{FrontendError, Pos};
+use crate::lexer::Lexer;
 use crate::token::{Keyword, Punct, Token, TokenKind};
 
 /// The deepest nesting the parser accepts. Every statement body, unary
@@ -12,49 +13,64 @@ use crate::token::{Keyword, Punct, Token, TokenKind};
 /// which walk it recursively, so both fit a 2 MiB thread stack.
 pub const MAX_NESTING: usize = 256;
 
-/// Parse a token stream into a [`Unit`].
+/// Parse mini-C source into a [`Unit`], lexing it on demand: the
+/// parser holds at most two tokens, so a source it rejects early is never
+/// tokenized past that point.
 ///
 /// # Errors
 ///
-/// Returns [`FrontendError::Parse`] with the position of the offending
-/// token, or [`FrontendError::RecursionLimitExceeded`] when the source
-/// nests deeper than [`MAX_NESTING`].
-pub fn parse(tokens: &[Token]) -> Result<Unit, FrontendError> {
+/// Returns [`FrontendError::Lex`] on the first malformed token,
+/// [`FrontendError::Parse`] with the position of the offending token, or
+/// [`FrontendError::RecursionLimitExceeded`] when the source nests deeper
+/// than [`MAX_NESTING`].
+pub fn parse(source: &str) -> Result<Unit, FrontendError> {
+    let mut lexer = Lexer::new(source);
+    let tok = lexer.next_token()?;
     Parser {
-        tokens,
-        i: 0,
+        lexer,
+        tok,
+        ahead: None,
         depth: 0,
     }
     .unit()
 }
 
 struct Parser<'a> {
-    tokens: &'a [Token],
-    i: usize,
+    lexer: Lexer<'a>,
+    /// The current token.
+    tok: Token,
+    /// The token after it, once something has looked that far.
+    ahead: Option<Token>,
     /// Nesting levels open above the node being parsed (see
     /// [`MAX_NESTING`]).
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.i.min(self.tokens.len() - 1)]
+    fn peek_kind(&self) -> &TokenKind {
+        &self.tok.kind
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
+    /// The kind of the token after the current one.
+    fn peek2_kind(&mut self) -> Result<&TokenKind, FrontendError> {
+        if self.ahead.is_none() {
+            self.ahead = Some(self.lexer.next_token()?);
+        }
+        Ok(&self.ahead.as_ref().expect("filled above").kind)
     }
 
     fn pos(&self) -> Pos {
-        self.peek().pos
+        self.tok.pos
     }
 
-    fn bump(&mut self) -> &Token {
-        let t = &self.tokens[self.i.min(self.tokens.len() - 1)];
-        if self.i < self.tokens.len() - 1 {
-            self.i += 1;
-        }
-        t
+    /// Advance, returning the token moved past. At the end of input the
+    /// current token stays `Eof`.
+    fn bump(&mut self) -> Result<Token, FrontendError> {
+        let next = match self.ahead.take() {
+            Some(t) => t,
+            None => self.lexer.next_token()?,
+        };
+        Ok(std::mem::replace(&mut self.tok, next))
     }
 
     fn err(&self, detail: impl Into<String>) -> FrontendError {
@@ -88,44 +104,39 @@ impl<'a> Parser<'a> {
     fn eat_punct(&mut self, p: Punct) -> Result<(), FrontendError> {
         match self.peek_kind() {
             TokenKind::Punct(q) if *q == p => {
-                self.bump();
+                self.bump()?;
                 Ok(())
             }
             other => Err(self.err(format!("expected `{p}`, found {other}"))),
         }
     }
 
-    fn try_punct(&mut self, p: Punct) -> bool {
-        if matches!(self.peek_kind(), TokenKind::Punct(q) if *q == p) {
-            self.bump();
-            true
-        } else {
-            false
+    fn try_punct(&mut self, p: Punct) -> Result<bool, FrontendError> {
+        let found = matches!(self.peek_kind(), TokenKind::Punct(q) if *q == p);
+        if found {
+            self.bump()?;
         }
+        Ok(found)
     }
 
     fn eat_ident(&mut self) -> Result<String, FrontendError> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
+        match self.peek_kind() {
+            TokenKind::Ident(_) => match self.bump()?.kind {
+                TokenKind::Ident(s) => Ok(s),
+                _ => unreachable!("peeked an identifier"),
+            },
             other => Err(self.err(format!("expected identifier, found {other}"))),
         }
     }
 
-    fn try_scalar_ty(&mut self) -> Option<ScalarTy> {
-        match self.peek_kind() {
-            TokenKind::Keyword(Keyword::Int) => {
-                self.bump();
-                Some(ScalarTy::Int)
-            }
-            TokenKind::Keyword(Keyword::Float) => {
-                self.bump();
-                Some(ScalarTy::Float)
-            }
-            _ => None,
-        }
+    fn try_scalar_ty(&mut self) -> Result<Option<ScalarTy>, FrontendError> {
+        let ty = match self.peek_kind() {
+            TokenKind::Keyword(Keyword::Int) => ScalarTy::Int,
+            TokenKind::Keyword(Keyword::Float) => ScalarTy::Float,
+            _ => return Ok(None),
+        };
+        self.bump()?;
+        Ok(Some(ty))
     }
 
     fn unit(mut self) -> Result<Unit, FrontendError> {
@@ -134,22 +145,22 @@ impl<'a> Parser<'a> {
             match self.peek_kind() {
                 TokenKind::Eof => return Ok(unit),
                 TokenKind::Keyword(Keyword::Input) => {
-                    self.bump();
+                    self.bump()?;
                     unit.arrays.push(self.array_def(Storage::Input)?);
                 }
                 TokenKind::Keyword(Keyword::Output) => {
-                    self.bump();
+                    self.bump()?;
                     unit.arrays.push(self.array_def(Storage::Output)?);
                 }
                 TokenKind::Keyword(Keyword::Void) => {
                     let pos = self.pos();
-                    self.bump();
+                    self.bump()?;
                     let name = self.eat_ident()?;
                     unit.functions.push(self.func_def(name, None, pos)?);
                 }
                 TokenKind::Keyword(Keyword::Int | Keyword::Float) => {
                     let pos = self.pos();
-                    let ty = self.try_scalar_ty().expect("peeked");
+                    let ty = self.try_scalar_ty()?.expect("peeked");
                     let name = self.eat_ident()?;
                     match self.peek_kind() {
                         TokenKind::Punct(Punct::LParen) => {
@@ -164,7 +175,7 @@ impl<'a> Parser<'a> {
                             )?);
                         }
                         TokenKind::Punct(Punct::Semi) => {
-                            self.bump();
+                            self.bump()?;
                             unit.globals.push(GlobalDef { name, ty, pos });
                         }
                         other => {
@@ -182,7 +193,7 @@ impl<'a> Parser<'a> {
     fn array_def(&mut self, storage: Storage) -> Result<ArrayDef, FrontendError> {
         let pos = self.pos();
         let ty = self
-            .try_scalar_ty()
+            .try_scalar_ty()?
             .ok_or_else(|| self.err("expected element type"))?;
         let name = self.eat_ident()?;
         self.array_def_named(name, ty, storage, pos)
@@ -199,7 +210,7 @@ impl<'a> Parser<'a> {
         let len = match self.peek_kind() {
             TokenKind::IntLit(v) if *v > 0 => {
                 let v = *v as usize;
-                self.bump();
+                self.bump()?;
                 v
             }
             other => return Err(self.err(format!("expected positive array length, found {other}"))),
@@ -223,14 +234,14 @@ impl<'a> Parser<'a> {
     ) -> Result<FuncDef, FrontendError> {
         self.eat_punct(Punct::LParen)?;
         let mut params = Vec::new();
-        if !self.try_punct(Punct::RParen) {
+        if !self.try_punct(Punct::RParen)? {
             loop {
                 let ty = self
-                    .try_scalar_ty()
+                    .try_scalar_ty()?
                     .ok_or_else(|| self.err("expected parameter type"))?;
                 let pname = self.eat_ident()?;
                 params.push((pname, ty));
-                if self.try_punct(Punct::RParen) {
+                if self.try_punct(Punct::RParen)? {
                     break;
                 }
                 self.eat_punct(Punct::Comma)?;
@@ -249,7 +260,7 @@ impl<'a> Parser<'a> {
     fn block(&mut self) -> Result<Vec<Stmt>, FrontendError> {
         self.eat_punct(Punct::LBrace)?;
         let mut stmts = Vec::new();
-        while !self.try_punct(Punct::RBrace) {
+        while !self.try_punct(Punct::RBrace)? {
             if matches!(self.peek_kind(), TokenKind::Eof) {
                 return Err(self.err("unexpected end of input in block"));
             }
@@ -283,9 +294,9 @@ impl<'a> Parser<'a> {
         let pos = self.pos();
         match self.peek_kind() {
             TokenKind::Keyword(Keyword::Int | Keyword::Float) => {
-                let ty = self.try_scalar_ty().expect("peeked");
+                let ty = self.try_scalar_ty()?.expect("peeked");
                 let name = self.eat_ident()?;
-                let init = if self.try_punct(Punct::Assign) {
+                let init = if self.try_punct(Punct::Assign)? {
                     Some(self.expr()?)
                 } else {
                     None
@@ -299,13 +310,13 @@ impl<'a> Parser<'a> {
                 })
             }
             TokenKind::Keyword(Keyword::If) => {
-                self.bump();
+                self.bump()?;
                 self.eat_punct(Punct::LParen)?;
                 let cond = self.expr()?;
                 self.eat_punct(Punct::RParen)?;
                 let then_body = self.stmt_or_block()?;
                 let else_body = if matches!(self.peek_kind(), TokenKind::Keyword(Keyword::Else)) {
-                    self.bump();
+                    self.bump()?;
                     self.stmt_or_block()?
                 } else {
                     Vec::new()
@@ -318,7 +329,7 @@ impl<'a> Parser<'a> {
                 })
             }
             TokenKind::Keyword(Keyword::While) => {
-                self.bump();
+                self.bump()?;
                 self.eat_punct(Punct::LParen)?;
                 let cond = self.expr()?;
                 self.eat_punct(Punct::RParen)?;
@@ -326,7 +337,7 @@ impl<'a> Parser<'a> {
                 Ok(Stmt::While { cond, body, pos })
             }
             TokenKind::Keyword(Keyword::For) => {
-                self.bump();
+                self.bump()?;
                 self.eat_punct(Punct::LParen)?;
                 let init = Box::new(self.simple_assign()?);
                 self.eat_punct(Punct::Semi)?;
@@ -344,8 +355,8 @@ impl<'a> Parser<'a> {
                 })
             }
             TokenKind::Keyword(Keyword::Return) => {
-                self.bump();
-                let value = if self.try_punct(Punct::Semi) {
+                self.bump()?;
+                let value = if self.try_punct(Punct::Semi)? {
                     None
                 } else {
                     let e = self.expr()?;
@@ -355,12 +366,12 @@ impl<'a> Parser<'a> {
                 Ok(Stmt::Return { value, pos })
             }
             TokenKind::Ident(_) => {
-                // assignment or expression statement; try assignment first
-                let save = self.i;
+                // assignment or expression statement: both start with the
+                // identifier, and an indexed target with `x[i]` too
                 let name = self.eat_ident()?;
                 if let Some(op) = self.peek_compound_assign() {
                     // `x op= e` desugars to `x = x op e`
-                    self.bump();
+                    self.bump()?;
                     let rhs = self.expr()?;
                     self.eat_punct(Punct::Semi)?;
                     return Ok(Stmt::Assign {
@@ -376,20 +387,20 @@ impl<'a> Parser<'a> {
                 }
                 match self.peek_kind() {
                     TokenKind::Punct(Punct::Assign) => {
-                        self.bump();
+                        self.bump()?;
                         let value = self.expr()?;
                         self.eat_punct(Punct::Semi)?;
                         Ok(Stmt::Assign { name, value, pos })
                     }
                     TokenKind::Punct(Punct::LBracket) => {
-                        self.bump();
-                        let index = self.expr()?;
+                        self.bump()?;
+                        let (index, index_height) = self.binary_expr(0)?;
                         self.eat_punct(Punct::RBracket)?;
                         if let Some(op) = self.peek_compound_assign() {
                             // `x[i] op= e` desugars to `x[i] = x[i] op e`
                             // (the index expression is pure, so double
                             // evaluation is observationally equivalent)
-                            self.bump();
+                            self.bump()?;
                             let rhs = self.expr()?;
                             self.eat_punct(Punct::Semi)?;
                             return Ok(Stmt::AssignIndex {
@@ -408,7 +419,7 @@ impl<'a> Parser<'a> {
                                 pos,
                             });
                         }
-                        if self.try_punct(Punct::Assign) {
+                        if self.try_punct(Punct::Assign)? {
                             let value = self.expr()?;
                             self.eat_punct(Punct::Semi)?;
                             Ok(Stmt::AssignIndex {
@@ -418,18 +429,21 @@ impl<'a> Parser<'a> {
                                 pos,
                             })
                         } else {
-                            // `x[i]` as an expression statement — re-parse
-                            self.i = save;
-                            let e = self.expr()?;
-                            self.eat_punct(Punct::Semi)?;
-                            Ok(Stmt::Expr(e))
+                            // `x[i]` opens an expression statement; the
+                            // index sits one level below it
+                            let height = index_height + 1;
+                            self.check_height(height)?;
+                            let e = Expr::Index {
+                                name,
+                                index: Box::new(index),
+                                pos,
+                            };
+                            self.expr_stmt((e, height))
                         }
                     }
                     _ => {
-                        self.i = save;
-                        let e = self.expr()?;
-                        self.eat_punct(Punct::Semi)?;
-                        Ok(Stmt::Expr(e))
+                        let primary = self.ident_primary(name, pos)?;
+                        self.expr_stmt(primary)
                     }
                 }
             }
@@ -443,7 +457,7 @@ impl<'a> Parser<'a> {
         let pos = self.pos();
         let name = self.eat_ident()?;
         if let Some(op) = self.peek_compound_assign() {
-            self.bump();
+            self.bump()?;
             let rhs = self.expr()?;
             return Ok(Stmt::Assign {
                 value: Expr::Binary {
@@ -456,7 +470,7 @@ impl<'a> Parser<'a> {
                 pos,
             });
         }
-        if self.try_punct(Punct::LBracket) {
+        if self.try_punct(Punct::LBracket)? {
             let index = self.expr()?;
             self.eat_punct(Punct::RBracket)?;
             self.eat_punct(Punct::Assign)?;
@@ -474,6 +488,14 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The rest of an expression statement whose first primary, with its
+    /// height, is already parsed.
+    fn expr_stmt(&mut self, primary: (Expr, usize)) -> Result<Stmt, FrontendError> {
+        let (e, _) = self.binary_rest(primary, 0)?;
+        self.eat_punct(Punct::Semi)?;
+        Ok(Stmt::Expr(e))
+    }
+
     // --- expressions, precedence climbing -------------------------------
 
     fn expr(&mut self) -> Result<Expr, FrontendError> {
@@ -487,7 +509,16 @@ impl<'a> Parser<'a> {
     /// level down: the chain's height, not the parser's depth, is what
     /// is checked against [`MAX_NESTING`].
     fn binary_expr(&mut self, min_prec: u8) -> Result<(Expr, usize), FrontendError> {
-        let (mut lhs, mut height) = self.unary_expr()?;
+        let lhs = self.unary_expr()?;
+        self.binary_rest(lhs, min_prec)
+    }
+
+    /// [`Parser::binary_expr`] continued from its parsed left operand.
+    fn binary_rest(
+        &mut self,
+        (mut lhs, mut height): (Expr, usize),
+        min_prec: u8,
+    ) -> Result<(Expr, usize), FrontendError> {
         loop {
             let Some((op, prec)) = self.peek_binop() else {
                 return Ok((lhs, height));
@@ -496,7 +527,7 @@ impl<'a> Parser<'a> {
                 return Ok((lhs, height));
             }
             let pos = self.pos();
-            self.bump();
+            self.bump()?;
             let (rhs, rhs_height) = self.nested(|p| p.binary_expr(prec + 1))?;
             height = 1 + height.max(rhs_height);
             self.check_height(height)?;
@@ -540,7 +571,7 @@ impl<'a> Parser<'a> {
         let pos = self.pos();
         match self.peek_kind() {
             TokenKind::Punct(Punct::Minus) => {
-                self.bump();
+                self.bump()?;
                 let (operand, height) = self.nested(Self::unary_expr)?;
                 let e = Expr::Unary {
                     op: UnaryOp::Neg,
@@ -550,7 +581,7 @@ impl<'a> Parser<'a> {
                 Ok((e, height + 1))
             }
             TokenKind::Punct(Punct::Bang) => {
-                self.bump();
+                self.bump()?;
                 let (operand, height) = self.nested(Self::unary_expr)?;
                 let e = Expr::Unary {
                     op: UnaryOp::Not,
@@ -561,17 +592,15 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Punct(Punct::LParen) => {
                 // cast `(int) e` / `(float) e`, or parenthesized expression
-                if let TokenKind::Keyword(k @ (Keyword::Int | Keyword::Float)) =
-                    self.tokens[self.i + 1].kind
-                {
-                    self.bump(); // (
-                    self.bump(); // type
+                let cast = match self.peek2_kind()? {
+                    TokenKind::Keyword(Keyword::Int) => Some(ScalarTy::Int),
+                    TokenKind::Keyword(Keyword::Float) => Some(ScalarTy::Float),
+                    _ => None,
+                };
+                if let Some(to) = cast {
+                    self.bump()?; // (
+                    self.bump()?; // type
                     self.eat_punct(Punct::RParen)?;
-                    let to = if k == Keyword::Int {
-                        ScalarTy::Int
-                    } else {
-                        ScalarTy::Float
-                    };
                     let (operand, height) = self.nested(Self::unary_expr)?;
                     let e = Expr::Cast {
                         to,
@@ -580,7 +609,7 @@ impl<'a> Parser<'a> {
                     };
                     return Ok((e, height + 1));
                 }
-                self.bump();
+                self.bump()?;
                 let (e, height) = self.nested(|p| p.binary_expr(0))?;
                 self.eat_punct(Punct::RParen)?;
                 Ok((e, height + 1))
@@ -591,46 +620,52 @@ impl<'a> Parser<'a> {
 
     fn primary(&mut self) -> Result<(Expr, usize), FrontendError> {
         let pos = self.pos();
-        match self.peek_kind().clone() {
-            TokenKind::IntLit(v) => {
-                self.bump();
+        match self.peek_kind() {
+            &TokenKind::IntLit(v) => {
+                self.bump()?;
                 Ok((Expr::IntLit(v, pos), 0))
             }
-            TokenKind::FloatLit(v) => {
-                self.bump();
+            &TokenKind::FloatLit(v) => {
+                self.bump()?;
                 Ok((Expr::FloatLit(v, pos), 0))
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if self.try_punct(Punct::LBracket) {
-                    let (index, height) = self.nested(|p| p.binary_expr(0))?;
-                    self.eat_punct(Punct::RBracket)?;
-                    let e = Expr::Index {
-                        name,
-                        index: Box::new(index),
-                        pos,
-                    };
-                    Ok((e, height + 1))
-                } else if self.try_punct(Punct::LParen) {
-                    let mut args = Vec::new();
-                    let mut height = 0;
-                    if !self.try_punct(Punct::RParen) {
-                        loop {
-                            let (arg, arg_height) = self.nested(|p| p.binary_expr(0))?;
-                            args.push(arg);
-                            height = height.max(arg_height);
-                            if self.try_punct(Punct::RParen) {
-                                break;
-                            }
-                            self.eat_punct(Punct::Comma)?;
-                        }
-                    }
-                    Ok((Expr::Call { name, args, pos }, height + 1))
-                } else {
-                    Ok((Expr::Var(name, pos), 0))
-                }
+            TokenKind::Ident(_) => {
+                let name = self.eat_ident()?;
+                self.ident_primary(name, pos)
             }
             other => Err(self.err(format!("expected expression, found {other}"))),
+        }
+    }
+
+    /// The primary an identifier at `pos` opens: an index `name[e]`, a
+    /// call `name(args)` or the variable itself.
+    fn ident_primary(&mut self, name: String, pos: Pos) -> Result<(Expr, usize), FrontendError> {
+        if self.try_punct(Punct::LBracket)? {
+            let (index, height) = self.nested(|p| p.binary_expr(0))?;
+            self.eat_punct(Punct::RBracket)?;
+            let e = Expr::Index {
+                name,
+                index: Box::new(index),
+                pos,
+            };
+            Ok((e, height + 1))
+        } else if self.try_punct(Punct::LParen)? {
+            let mut args = Vec::new();
+            let mut height = 0;
+            if !self.try_punct(Punct::RParen)? {
+                loop {
+                    let (arg, arg_height) = self.nested(|p| p.binary_expr(0))?;
+                    args.push(arg);
+                    height = height.max(arg_height);
+                    if self.try_punct(Punct::RParen)? {
+                        break;
+                    }
+                    self.eat_punct(Punct::Comma)?;
+                }
+            }
+            Ok((Expr::Call { name, args, pos }, height + 1))
+        } else {
+            Ok((Expr::Var(name, pos), 0))
         }
     }
 }
@@ -638,10 +673,9 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     fn parse_src(src: &str) -> Unit {
-        parse(&lex(src).expect("lexes")).expect("parses")
+        parse(src).expect("parses")
     }
 
     #[test]
@@ -793,12 +827,9 @@ mod tests {
 
     #[test]
     fn rejects_bad_syntax() {
-        let toks = lex("void main() { int; }").expect("lexes");
-        assert!(parse(&toks).is_err());
-        let toks = lex("void main() {").expect("lexes");
-        assert!(parse(&toks).is_err());
-        let toks = lex("int x[0];").expect("lexes");
-        assert!(parse(&toks).is_err(), "zero-length array rejected");
+        assert!(parse("void main() { int; }").is_err());
+        assert!(parse("void main() {").is_err());
+        assert!(parse("int x[0];").is_err(), "zero-length array rejected");
     }
 
     #[test]

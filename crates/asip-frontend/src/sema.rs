@@ -518,11 +518,10 @@ fn expr_shape<'e>(e: &'e Expr, at: usize, calls: &mut Vec<(&'e str, usize)>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
     use crate::parser::parse;
 
     fn check_src(src: &str) -> Result<(), FrontendError> {
-        check(&parse(&lex(src).expect("lexes")).expect("parses"))
+        check(&parse(src).expect("parses"))
     }
 
     #[test]

@@ -186,58 +186,74 @@ pub fn remove_unreachable_blocks(program: &mut Program) -> usize {
 ///
 /// This is what makes lowered assignments like `i = i + 1` occupy one
 /// 3-address instruction, as a real compiler front end would emit.
+///
+/// One forward scan, with def/use counts and def sites kept up to date,
+/// finds the coalesces a rescan after each one would, in order: a mov it
+/// passed never qualifies later. Sites index a block as it was until the
+/// scan leaves it and drops the coalesced movs.
 pub fn coalesce_copies(program: &mut Program) -> usize {
-    use crate::dataflow::DefUse;
-    let mut total = 0;
-    loop {
-        let du = DefUse::new(program);
-        let mut applied = false;
-        'blocks: for bi in 0..program.blocks.len() {
-            let n = program.blocks[bi].insts.len();
-            'movs: for mov_idx in 0..n {
-                let (d, t) = match &program.blocks[bi].insts[mov_idx].kind {
-                    InstKind::Unary {
-                        op: UnOp::Mov,
-                        dst,
-                        src: Operand::Reg(s),
-                    } if dst != s => (*dst, *s),
-                    _ => continue,
-                };
-                if program.reg_types[d.index()] != program.reg_types[t.index()] {
-                    continue;
-                }
-                // t must have exactly one def and one use (this mov)
-                let defs = du.defs_of(t);
-                let uses = du.uses_of(t);
-                if defs.len() != 1 || uses.len() != 1 {
-                    continue;
-                }
-                let def_loc = du.loc(defs[0]).expect("indexed");
-                if def_loc.block != program.blocks[bi].id || def_loc.index >= mov_idx {
-                    continue;
-                }
-                let def_inst = &program.blocks[bi].insts[def_loc.index];
-                if def_inst.dst() != Some(t) || def_inst.has_side_effects() {
-                    continue;
-                }
-                // d untouched between the def and the mov
-                for mid in def_loc.index + 1..mov_idx {
-                    let inst = &program.blocks[bi].insts[mid];
-                    if inst.dst() == Some(d) || inst.reads(d) {
-                        continue 'movs;
-                    }
-                }
-                program.blocks[bi].insts[def_loc.index].set_dst(d);
-                program.blocks[bi].insts.remove(mov_idx);
-                total += 1;
-                applied = true;
-                break 'blocks;
+    let regs = program.reg_types.len();
+    let mut defs = vec![0u32; regs];
+    let mut uses = vec![0u32; regs];
+    // each register's last def: its only one, if it has one
+    let mut site = vec![(BlockId(u32::MAX), 0usize); regs];
+    for block in &program.blocks {
+        for (index, inst) in block.insts.iter().enumerate() {
+            if let Some(d) = inst.dst() {
+                defs[d.index()] += 1;
+                site[d.index()] = (block.id, index);
             }
-        }
-        if !applied {
-            return total;
+            inst.for_each_use(|u| uses[u.index()] += 1);
         }
     }
+    let mut total = 0;
+    let mut removed: Vec<bool> = Vec::new();
+    for block in &mut program.blocks {
+        let insts = &mut block.insts;
+        removed.clear();
+        removed.resize(insts.len(), false);
+        'movs: for mov_idx in 0..insts.len() {
+            let (d, t) = match &insts[mov_idx].kind {
+                InstKind::Unary {
+                    op: UnOp::Mov,
+                    dst,
+                    src: Operand::Reg(s),
+                } if dst != s => (*dst, *s),
+                _ => continue,
+            };
+            if program.reg_types[d.index()] != program.reg_types[t.index()] {
+                continue;
+            }
+            // t must have exactly one def and one use (this mov)
+            if defs[t.index()] != 1 || uses[t.index()] != 1 {
+                continue;
+            }
+            let (def_block, def_idx) = site[t.index()];
+            if def_block != block.id || def_idx >= mov_idx {
+                continue;
+            }
+            let def_inst = &insts[def_idx];
+            if def_inst.dst() != Some(t) || def_inst.has_side_effects() {
+                continue;
+            }
+            // d untouched between the def and the mov
+            for mid in def_idx + 1..mov_idx {
+                let inst = &insts[mid];
+                if !removed[mid] && (inst.dst() == Some(d) || inst.reads(d)) {
+                    continue 'movs;
+                }
+            }
+            insts[def_idx].set_dst(d);
+            removed[mov_idx] = true;
+            defs[t.index()] = 0;
+            uses[t.index()] = 0;
+            site[d.index()] = (block.id, def_idx);
+            total += 1;
+        }
+        let mut keep = removed.iter().map(|r| !r);
+        insts.retain(|_| keep.next().expect("mask sized to insts"));
+    }
+    total
 }
 
 /// Fold instructions whose operands are all immediate, rewriting them

@@ -93,11 +93,6 @@ pub fn compact_block(wb: &WorkBlock, width: usize) -> Vec<Vec<ScheduledOp>> {
     layers
 }
 
-/// The sequential (no-optimization) layout: one node per op.
-pub fn sequential_block(wb: &WorkBlock) -> Vec<Vec<ScheduledOp>> {
-    wb.ops.iter().map(|o| vec![o.clone()]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,20 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_layout_is_one_op_per_node() {
-        let wb = block(vec![
-            add(0, 0, Operand::imm_int(1), Operand::imm_int(2)),
-            sop(1, InstKind::Ret { value: None }),
-        ]);
-        let layers = sequential_block(&wb);
-        assert_eq!(layers.len(), 2);
-        assert!(layers.iter().all(|l| l.len() == 1));
-    }
-
-    #[test]
     fn empty_block_compacts_to_nothing() {
         let wb = block(vec![]);
         assert!(compact_block(&wb, 4).is_empty());
-        assert!(sequential_block(&wb).is_empty());
     }
 }

@@ -7,7 +7,9 @@
 //! The output of optimization is a [`ScheduleGraph`] — a CFG whose nodes
 //! are *wide instructions* (sets of operations issued in the same cycle),
 //! exactly the "optimized program graph" the paper's sequence detection
-//! analyzer consumes. Three optimization levels mirror the paper:
+//! analyzer consumes, kept as flat op-indexed arrays ([`OpId`]) that
+//! every level builds in one place. Three optimization levels mirror
+//! the paper:
 //!
 //! | Level | Paper name | Passes |
 //! |---|---|---|
@@ -63,6 +65,6 @@ pub mod pipeline;
 pub mod rename;
 pub mod work;
 
-pub use graph::{NodeId, SchedNode, ScheduleGraph, ScheduledOp};
+pub use graph::{NodeId, OpId, SchedNode, ScheduleGraph, ScheduledOp};
 pub use ilp::{characterize, IlpPoint, IlpReport};
 pub use optimizer::{OptConfig, OptLevel, Optimizer};

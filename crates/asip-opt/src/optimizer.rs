@@ -1,6 +1,6 @@
 //! The optimization driver: levels 0/1/2 of the paper.
 
-use crate::compact::{compact_block, sequential_block};
+use crate::compact::compact_block;
 use crate::graph::ScheduleGraph;
 use crate::hoist::hoist_upward;
 use crate::ifconv::if_convert;
@@ -155,18 +155,6 @@ impl Optimizer {
             }
         }
     }
-
-    /// The level-0 graph regardless of configured level (convenience for
-    /// before/after comparisons).
-    pub fn sequential(program: &Program, profile: &Profile) -> ScheduleGraph {
-        ScheduleGraph::sequential(program, profile)
-    }
-}
-
-/// Layout helper: the sequential layout as a standalone function (used by
-/// tests and the ablation benches).
-pub fn sequential_layout(work: Work) -> ScheduleGraph {
-    work.into_graph(sequential_block)
 }
 
 #[cfg(test)]
@@ -287,8 +275,8 @@ mod tests {
                 ..OptConfig::default()
             })
             .run(&p, &profile);
-        let ops2: usize = g2.nodes.iter().map(|n| n.ops.len()).sum();
-        let ops4: usize = g4.nodes.iter().map(|n| n.ops.len()).sum();
+        let ops2: usize = g2.nodes().map(|n| n.ops.len()).sum();
+        let ops4: usize = g4.nodes().map(|n| n.ops.len()).sum();
         assert!(ops4 > ops2, "larger kernels hold more op copies");
     }
 

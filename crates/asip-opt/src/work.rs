@@ -1,7 +1,7 @@
 //! The optimizer's working representation: per-block op lists with CFG
 //! edges and profile-derived weights, mutable by the passes.
 
-use crate::graph::{NodeId, SchedNode, ScheduleGraph, ScheduledOp};
+use crate::graph::{ScheduleGraph, ScheduledOp};
 use asip_ir::{BlockId, Cfg, Liveness, Program, Reg, Ty};
 use asip_sim::Profile;
 use std::collections::HashSet;
@@ -162,58 +162,19 @@ impl Work {
         self,
         mut layout: impl FnMut(&WorkBlock) -> Vec<Vec<ScheduledOp>>,
     ) -> ScheduleGraph {
-        let mut nodes: Vec<SchedNode> = Vec::new();
-        let mut block_first: Vec<Option<NodeId>> = vec![None; self.blocks.len()];
-        let mut block_last: Vec<Option<NodeId>> = vec![None; self.blocks.len()];
-
-        for wb in &self.blocks {
-            if wb.ops.is_empty() {
-                continue;
-            }
-            let node_layers = layout(wb);
-            let mut prev: Option<NodeId> = None;
-            for ops in node_layers {
-                if ops.is_empty() {
-                    continue;
-                }
-                let id = NodeId(nodes.len() as u32);
-                nodes.push(SchedNode {
-                    ops,
-                    succs: Vec::new(),
-                    preds: Vec::new(),
-                    block: wb.id,
-                });
-                if let Some(p) = prev {
-                    nodes[p.index()].succs.push(id);
-                    nodes[id.index()].preds.push(p);
-                }
-                if block_first[wb.id.index()].is_none() {
-                    block_first[wb.id.index()] = Some(id);
-                }
-                block_last[wb.id.index()] = Some(id);
-                prev = Some(id);
-            }
-        }
-        for wb in &self.blocks {
-            let Some(last) = block_last[wb.id.index()] else {
-                continue;
-            };
-            for &s in &wb.succs {
-                if let Some(first) = block_first[s.index()] {
-                    nodes[last.index()].succs.push(first);
-                    nodes[first.index()].preds.push(last);
-                }
-            }
-        }
-        let entry = block_first[self.entry.index()].unwrap_or(NodeId(0));
-        ScheduleGraph {
-            name: self.name,
-            nodes,
-            entry,
-            arrays_float: self.arrays_float,
-            total_profile_ops: self.total_profile_ops,
-            region_chaining: false,
-        }
+        let blocks = &self.blocks;
+        ScheduleGraph::assemble(
+            self.name,
+            blocks.len(),
+            blocks
+                .iter()
+                .filter(|wb| !wb.ops.is_empty())
+                .map(|wb| (wb.id, layout(wb))),
+            |b| blocks[b.index()].succs.iter().copied(),
+            self.entry,
+            self.arrays_float,
+            self.total_profile_ops,
+        )
     }
 }
 

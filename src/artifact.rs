@@ -226,67 +226,6 @@ pub fn geomean(speedups: impl IntoIterator<Item = f64>) -> Option<f64> {
     Some((log_sum / f64::from(count)).exp())
 }
 
-/// A stage result at the API boundary: any artifact, tagged by stage.
-///
-/// Stage methods on [`Explorer`](crate::Explorer) return the concrete
-/// artifact types above; this enum is for callers that treat the
-/// pipeline uniformly (progress reporting, artifact stores, servers).
-#[derive(Debug, Clone)]
-pub enum Artifact {
-    /// Compile-stage result.
-    Compiled(Compiled),
-    /// Profile-stage result.
-    Profiled(Profiled),
-    /// Schedule-stage result.
-    Scheduled(Scheduled),
-    /// Analyze-stage result.
-    Analyzed(Analyzed),
-    /// Design-stage result.
-    Designed(Designed),
-    /// Evaluate-stage result.
-    Evaluated(Evaluated),
-    /// Suite-design-stage result.
-    DesignedSuite(DesignedSuite),
-    /// Suite-evaluate-stage result.
-    EvaluatedSuite(EvaluatedSuite),
-    /// Design-space-stage result.
-    DesignSpaced(DesignSpaced),
-}
-
-impl Artifact {
-    /// Which stage produced this artifact.
-    pub fn stage(&self) -> Stage {
-        match self {
-            Artifact::Compiled(_) => Stage::Compile,
-            Artifact::Profiled(_) => Stage::Profile,
-            Artifact::Scheduled(_) => Stage::Schedule,
-            Artifact::Analyzed(_) => Stage::Analyze,
-            Artifact::Designed(_) => Stage::Design,
-            Artifact::Evaluated(_) => Stage::Evaluate,
-            Artifact::DesignedSuite(_) => Stage::DesignSuite,
-            Artifact::EvaluatedSuite(_) => Stage::EvaluateSuite,
-            Artifact::DesignSpaced(_) => Stage::DesignSpace,
-        }
-    }
-
-    /// The benchmark the artifact belongs to, for the per-benchmark
-    /// stages. Suite-level artifacts span many benchmarks and return
-    /// `None` — their members are in their `benchmarks` field.
-    pub fn benchmark(&self) -> Option<&Benchmark> {
-        match self {
-            Artifact::Compiled(a) => Some(&a.benchmark),
-            Artifact::Profiled(a) => Some(&a.benchmark),
-            Artifact::Scheduled(a) => Some(&a.benchmark),
-            Artifact::Analyzed(a) => Some(&a.benchmark),
-            Artifact::Designed(a) => Some(&a.benchmark),
-            Artifact::Evaluated(a) => Some(&a.benchmark),
-            Artifact::DesignedSuite(_)
-            | Artifact::EvaluatedSuite(_)
-            | Artifact::DesignSpaced(_) => None,
-        }
-    }
-}
-
 /// The complete result of exploring one benchmark: every stage artifact
 /// the session's configuration asked for.
 #[derive(Debug, Clone)]
@@ -608,6 +547,22 @@ impl<'a> Decoder<'a> {
             return Err(CodecError::Truncated { at });
         }
         Ok(len)
+    }
+
+    /// Read a sequence into a vector allocated once. Each element takes
+    /// at least `min_len` bytes, so a count the bytes left cannot hold is
+    /// [`CodecError::Truncated`] before anything is allocated.
+    pub fn elems<T: ArtifactCodec>(&mut self, min_len: usize) -> Result<Vec<T>, CodecError> {
+        let at = self.pos;
+        let len = self.seq()?;
+        if len.saturating_mul(min_len) > self.bytes.len() - self.pos {
+            return Err(CodecError::Truncated { at });
+        }
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(T::decode(self)?);
+        }
+        Ok(out)
     }
 
     /// Read an optional value.
@@ -1196,27 +1151,14 @@ impl ArtifactCodec for asip_opt::ScheduledOp {
     }
 }
 
-impl ArtifactCodec for asip_opt::SchedNode {
-    fn encode(&self, enc: &mut Encoder) {
-        self.ops.encode(enc);
-        self.succs.encode(enc);
-        self.preds.encode(enc);
-        self.block.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(asip_opt::SchedNode {
-            ops: Vec::decode(dec)?,
-            succs: Vec::decode(dec)?,
-            preds: Vec::decode(dec)?,
-            block: asip_ir::BlockId::decode(dec)?,
-        })
-    }
-}
-
 impl ArtifactCodec for ScheduleGraph {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_str(&self.name);
-        self.nodes.encode(enc);
+        enc.put_elems(&self.ops);
+        enc.put_elems(&self.node_start);
+        enc.put_elems(&self.succ_start);
+        enc.put_elems(&self.succs);
+        enc.put_elems(&self.node_block);
         self.entry.encode(enc);
         self.arrays_float.encode(enc);
         enc.put_u64(self.total_profile_ops);
@@ -1225,14 +1167,19 @@ impl ArtifactCodec for ScheduleGraph {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let graph = ScheduleGraph {
             name: dec.str()?,
-            nodes: Vec::decode(dec)?,
+            // id, variant and operand, original id, 8-byte weight
+            ops: dec.elems(12)?,
+            node_start: dec.elems(1)?,
+            succ_start: dec.elems(1)?,
+            succs: dec.elems(1)?,
+            node_block: dec.elems(1)?,
             entry: NodeId::decode(dec)?,
-            arrays_float: Vec::decode(dec)?,
+            arrays_float: dec.elems(1)?,
             total_profile_ops: dec.u64()?,
             region_chaining: dec.bool()?,
         };
         // Re-validate structure: a decoded graph feeds the detector and
-        // the design stage, which index nodes unchecked.
+        // the design stage, which index its ranges unchecked.
         graph.check_invariants().map_err(invalid)?;
         Ok(graph)
     }
@@ -1720,8 +1667,9 @@ mod tests {
         let program = bench.compile().expect("compiles");
         let profile = bench.profile(&program).expect("profiles");
         let mut graph = ScheduleGraph::sequential(&program, &profile);
-        // break edge symmetry, encode, and watch decode reject it
-        graph.nodes[0].succs.push(asip_opt::NodeId(2));
+        // add an edge no successor range covers, encode, and watch
+        // decode reject it
+        graph.succs.push(asip_opt::NodeId(2));
         let bytes = graph.to_bytes();
         assert!(matches!(
             ScheduleGraph::from_bytes(&bytes),

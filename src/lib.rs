@@ -133,8 +133,8 @@ pub mod store;
 pub mod tier;
 
 pub use artifact::{
-    geomean, Analyzed, Artifact, ArtifactCodec, Compiled, DesignSpaced, Designed, DesignedSuite,
-    Evaluated, EvaluatedSuite, Exploration, Profiled, Scheduled, Stage, STAGE_COUNT,
+    geomean, Analyzed, ArtifactCodec, Compiled, DesignSpaced, Designed, DesignedSuite, Evaluated,
+    EvaluatedSuite, Exploration, Profiled, Scheduled, Stage, STAGE_COUNT,
 };
 pub use cache::MemoryTier;
 pub use error::{CodecError, ExplorerError, RemoteError};
@@ -147,8 +147,8 @@ pub use tier::{ArtifactTier, TierRead, TierReport, TierStack, TierStats};
 /// Convenience re-exports for the common exploration flow.
 pub mod prelude {
     pub use crate::artifact::{
-        Analyzed, Artifact, Compiled, DesignSpaced, Designed, DesignedSuite, Evaluated,
-        EvaluatedSuite, Exploration, Profiled, Scheduled, Stage,
+        Analyzed, Compiled, DesignSpaced, Designed, DesignedSuite, Evaluated, EvaluatedSuite,
+        Exploration, Profiled, Scheduled, Stage,
     };
     pub use crate::error::ExplorerError;
     pub use crate::remote::{RemoteTier, RemoteTotals, RetryPolicy};

@@ -135,7 +135,13 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// payload length, so a damaged header field fails the checksum. Payloads
 /// and the codec are unchanged; v5 entries miss under the new keys and
 /// recompute, and `verify` reports them as stale.
-pub const FORMAT_VERSION: u32 = 6;
+/// v7 — a schedule-graph payload is the graph's flat arrays (every op,
+/// the per-node op ranges, the per-node successor ranges, the
+/// successors, the per-node blocks) instead of one record per node, and
+/// predecessor lists are no longer stored. Other payloads are
+/// unchanged; v6 entries miss under the new keys and recompute, and
+/// `verify` reports them as stale.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Magic bytes opening every artifact file.
 const MAGIC: [u8; 8] = *b"ASIPART\n";
@@ -1094,7 +1100,7 @@ fn entry_checksum(version: u32, fields: &[u8], payload: &[u8]) -> Option<u64> {
             Some(fnv.finish())
         }
         4 | 5 => Some(checksum(payload)),
-        FORMAT_VERSION => {
+        6..=FORMAT_VERSION => {
             // the fields take at most 4 + 1 + 255 + 8 bytes (the name
             // length is one byte), so they and the payload's sum fit
             // on the stack

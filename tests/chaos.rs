@@ -528,12 +528,8 @@ fn poisoned_puts_are_counted_corrupt_and_recomputed() {
     }
     for key in stage_keys(&dir, Stage::Schedule) {
         let mut graph: ScheduleGraph = reader.load(Stage::Schedule, key).expect("valid entry");
-        let node = graph
-            .nodes
-            .iter_mut()
-            .find(|n| !n.ops.is_empty())
-            .expect("a node with ops");
-        node.ops[0].weight = f64::NAN;
+        let op = graph.ops.first_mut().expect("a graph with ops");
+        op.weight = f64::NAN;
         let poison = graph.to_bytes();
         assert!(
             matches!(

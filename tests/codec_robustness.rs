@@ -11,8 +11,11 @@
 //!   daemon stores client `Put` payloads without decoding them, so the
 //!   decoder must hold on its own);
 //! - **typed rejection** — overlong varints, bool and option bytes
-//!   other than 0 or 1, unknown op codes and non-finite frequencies are
-//!   each a `CodecError`.
+//!   other than 0 or 1, unknown op codes, non-finite frequencies and
+//!   schedule graphs whose flat ranges do not fit their arrays are each
+//!   a `CodecError`;
+//! - **flat decode** — a schedule graph decodes in the same number of
+//!   allocations whatever its size.
 //!
 //! The CI `chaos` job also runs this file in release mode, where
 //! integer overflow wraps instead of trapping.
@@ -20,11 +23,17 @@
 use asip_explorer::artifact::{ArtifactCodec, Decoder, Encoder};
 use asip_explorer::chains::SeqStats;
 use asip_explorer::ir::{BinOp, Inst, Operand, UnOp};
+use asip_explorer::opt::NodeId;
 use asip_explorer::prelude::*;
 use asip_explorer::synth::{AsipDesign, Evaluation, Rewriter};
 use asip_explorer::CodecError;
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+mod common;
+
+#[global_allocator]
+static ALLOC: common::CountingAlloc = common::CountingAlloc;
 
 /// Encode `value`, decode it back and re-encode: the decoded value must
 /// equal the original and the bytes must repeat exactly.
@@ -299,4 +308,79 @@ fn decoded_programs_are_revalidated_and_renumbered() {
     let mut empty = program;
     empty.blocks.clear();
     assert_invalid::<Program>(&empty.to_bytes(), "empty program");
+}
+
+/// A level-1 schedule of `fir`, whose nodes hold several ops each.
+fn fir_schedule() -> ScheduleGraph {
+    let session = Explorer::new().with_threads(1);
+    let scheduled = session
+        .schedule("fir", OptLevel::Pipelined)
+        .expect("schedules");
+    ScheduleGraph::clone(&scheduled.graph)
+}
+
+#[test]
+fn flat_graphs_whose_ranges_do_not_fit_are_invalid() {
+    let graph = fir_schedule();
+    assert!(graph.node_count() > 2 && graph.max_width() > 1);
+    assert_eq!(
+        ScheduleGraph::from_bytes(&graph.to_bytes()),
+        Ok(graph.clone())
+    );
+
+    let mut bad = graph.clone();
+    bad.node_start.swap(1, 2);
+    assert_invalid::<ScheduleGraph>(&bad.to_bytes(), "non-monotone op ranges");
+    let mut bad = graph.clone();
+    bad.node_start.pop();
+    assert_invalid::<ScheduleGraph>(&bad.to_bytes(), "op ranges short of the ops");
+    let mut bad = graph.clone();
+    bad.node_start.clear();
+    assert_invalid::<ScheduleGraph>(&bad.to_bytes(), "no op ranges");
+    let mut bad = graph.clone();
+    bad.node_start[0] = 1;
+    assert_invalid::<ScheduleGraph>(&bad.to_bytes(), "op ranges not from 0");
+    let mut bad = graph.clone();
+    bad.succ_start.pop();
+    assert_invalid::<ScheduleGraph>(&bad.to_bytes(), "a node without successor range");
+    let mut bad = graph.clone();
+    bad.succ_start.swap(1, 2);
+    if bad.succ_start != graph.succ_start {
+        assert_invalid::<ScheduleGraph>(&bad.to_bytes(), "non-monotone successor ranges");
+    }
+    let mut bad = graph.clone();
+    bad.succs[0] = NodeId(graph.node_count() as u32);
+    assert_invalid::<ScheduleGraph>(&bad.to_bytes(), "successor out of range");
+    let mut bad = graph.clone();
+    bad.node_block.pop();
+    assert_invalid::<ScheduleGraph>(&bad.to_bytes(), "too few node blocks");
+    let mut bad = graph.clone();
+    bad.node_block.push(bad.node_block[0]);
+    assert_invalid::<ScheduleGraph>(&bad.to_bytes(), "too many node blocks");
+    let mut bad = graph.clone();
+    bad.entry = NodeId(graph.node_count() as u32);
+    assert_invalid::<ScheduleGraph>(&bad.to_bytes(), "entry out of range");
+}
+
+#[test]
+fn schedule_graphs_decode_in_a_fixed_number_of_allocations() {
+    let session = Explorer::new()
+        .with_registry(full_registry())
+        .with_threads(1);
+    let mut graphs = Vec::new();
+    for b in session.registry().iter() {
+        for level in OptLevel::all() {
+            graphs.push(session.schedule(b.name, level).expect("schedules").graph);
+        }
+    }
+    let smallest = graphs.iter().min_by_key(|g| g.ops.len()).expect("graphs");
+    let largest = graphs.iter().max_by_key(|g| g.ops.len()).expect("graphs");
+    assert!(largest.ops.len() > 10 * smallest.ops.len());
+    let allocations = |graph: &ScheduleGraph| {
+        let bytes = graph.to_bytes();
+        let (decoded, usage) = common::measure(|| ScheduleGraph::from_bytes(&bytes));
+        assert_eq!(decoded.as_ref(), Ok(graph));
+        usage.allocations
+    };
+    assert_eq!(allocations(smallest), allocations(largest));
 }

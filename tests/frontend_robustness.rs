@@ -4,6 +4,11 @@
 
 use proptest::prelude::*;
 
+mod common;
+
+#[global_allocator]
+static ALLOC: common::CountingAlloc = common::CountingAlloc;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -167,7 +172,9 @@ fn deep_source(shape: &str, depth: usize) -> String {
 /// No nesting depth aborts the process: on a 2 MiB thread stack every
 /// shape compiles below the limit and returns a typed
 /// `RecursionLimitExceeded` above it, from 10^2 up to 10^6 levels, and
-/// the limit bounds the height of the tree, not the parser's depth.
+/// the limit bounds the height of the tree, not the parser's depth. The
+/// source is lexed only as far as the parser reads, so rejecting 10^6
+/// levels holds under 1 MiB of heap at any time.
 #[test]
 fn deep_nesting_returns_a_typed_error_never_a_stack_overflow() {
     use asip_explorer::frontend::{compile, parser::MAX_NESTING, FrontendError};
@@ -176,7 +183,15 @@ fn deep_nesting_returns_a_typed_error_never_a_stack_overflow() {
         .spawn(|| {
             for shape in ["parens", "minus", "if", "chain"] {
                 for depth in [100, 1_000, 10_000, 100_000, 1_000_000] {
-                    let result = compile("deep", &deep_source(shape, depth));
+                    let src = deep_source(shape, depth);
+                    let (result, usage) = common::measure(|| compile("deep", &src));
+                    if depth == 1_000_000 {
+                        assert!(
+                            usage.peak_bytes < 1 << 20,
+                            "{shape} x{depth} peaked at {} bytes",
+                            usage.peak_bytes
+                        );
+                    }
                     match result {
                         Ok(_) => assert!(depth <= MAX_NESTING, "{shape} x{depth} compiled"),
                         Err(FrontendError::RecursionLimitExceeded { limit, .. }) => {
@@ -283,4 +298,93 @@ fn call_graphs_return_a_typed_error_never_an_abort_or_a_hang() {
         })
         .expect("spawns");
     worker.join().expect("no call graph aborts or panics");
+}
+
+/// The recorded digest of [`compiled_programs_match_the_recorded_digest`].
+const COMPILE_GOLDEN: u64 = 0x6225_f039_65e6_15a0;
+
+/// What `compile` emits is pinned: the codec bytes of every
+/// `full_registry()` program, of 200 generated programs over four
+/// generator configs, and of doubling call chains of 1 to 7 levels fold
+/// into one digest. A change to the front end or the cleanup passes
+/// that moves one instruction, register or block shows up here.
+#[test]
+fn compiled_programs_match_the_recorded_digest() {
+    use asip_explorer::artifact::ArtifactCodec;
+    use asip_explorer::benchmarks::full_registry;
+    use asip_explorer::gen::{generate, GenConfig};
+    use asip_explorer::store::StableHasher;
+    let mut h = StableHasher::new();
+    let mut fold = |program: &asip_explorer::ir::Program| {
+        for b in program.to_bytes() {
+            h.write_u64(u64::from(b));
+        }
+    };
+    for bench in full_registry().iter() {
+        fold(&bench.compile().expect("built-ins compile"));
+    }
+    let small = GenConfig::small();
+    let configs = [
+        GenConfig::default(),
+        small,
+        GenConfig {
+            loop_depth: 0,
+            float_share: 60,
+            ..small
+        },
+        GenConfig {
+            loop_depth: 3,
+            array_len: 32,
+            statements: 20,
+            ..small
+        },
+    ];
+    for seed in 0..200u64 {
+        let prog = generate(seed, &configs[seed as usize % configs.len()]);
+        let program = asip_explorer::frontend::compile(&prog.name, &prog.source)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        fold(&program);
+    }
+    for levels in 1..=7 {
+        let program = asip_explorer::frontend::compile("doubling", &doubling_chain(levels))
+            .expect("compiles");
+        fold(&program);
+    }
+    assert_eq!(
+        h.finish(),
+        COMPILE_GOLDEN,
+        "compiled programs changed: got {:#018x}",
+        h.finish()
+    );
+}
+
+/// [`doubling_chain`] with `statements` updates of one variable in
+/// `main` before the call: one block of about two instructions per
+/// statement, plus the inlined copies.
+fn long_body(statements: usize, levels: usize) -> String {
+    let call = format!("y[0] = f{}(", levels - 1);
+    let body = format!(
+        "int a = 0;\n{}{call}a",
+        "a = a * 3 + 1;\n".repeat(statements)
+    );
+    doubling_chain(levels).replace(&format!("{call}1"), &body)
+}
+
+/// Cleanup stays linear in the size of the program: 40 000 statements
+/// and 127 inlined calls (about 80 000 instructions) compile within a
+/// second in release builds.
+#[test]
+fn a_long_body_compiles_in_linear_time() {
+    use std::time::{Duration, Instant};
+    let src = long_body(40_000, 7);
+    let start = Instant::now();
+    let program = asip_explorer::frontend::compile("long", &src).expect("compiles");
+    let took = start.elapsed();
+    assert!(
+        program.inst_count() > 80_000,
+        "{} insts",
+        program.inst_count()
+    );
+    let bound = if cfg!(debug_assertions) { 5 } else { 1 };
+    assert!(took < Duration::from_secs(bound), "took {took:?}");
 }

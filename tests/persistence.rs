@@ -265,19 +265,20 @@ fn version_bump_invalidates_old_entries() {
 }
 
 /// Rewrite a current entry file as the previous format wrote it:
-/// version field `FORMAT_VERSION - 1` and that version's checksum, an
-/// XXH64 over the payload alone (the current checksum also covers the
-/// header fields). Header: magic (8), version (4), stage-name length
+/// version field `FORMAT_VERSION - 1` and that version's checksum, which
+/// like the current one is an XXH64 over the header fields (version,
+/// stage-name length and name, payload length) followed by the
+/// payload's XXH64. Header: magic (8), version (4), stage-name length
 /// (1) and name, payload length (8), checksum (8), payload. The payload
-/// is left as it is, so it still decodes today: only the framing marks
-/// the entry stale.
+/// is left as it is, so only the framing marks the entry stale.
 fn forge_previous_format(bytes: &[u8]) -> Vec<u8> {
     let name_len = usize::from(bytes[12]);
     let sum_at = 13 + name_len + 8;
-    let sum = checksum(&bytes[sum_at + 8..]);
     let mut old = bytes.to_vec();
     old[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
-    old[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+    let mut covered = old[8..sum_at].to_vec();
+    covered.extend_from_slice(&checksum(&old[sum_at + 8..]).to_le_bytes());
+    old[sum_at..sum_at + 8].copy_from_slice(&checksum(&covered).to_le_bytes());
     old
 }
 
@@ -417,18 +418,18 @@ fn stage_keys_are_pinned() {
         only(&dir, Stage::Design),
         only(&dir, Stage::Evaluate),
     ];
-    // Recorded at format v6. These move only with a deliberate recipe
+    // Recorded at format v7. These move only with a deliberate recipe
     // change, which also needs a FORMAT_VERSION bump (or a release:
     // the crate version is in every key), and then new constants here.
     assert_eq!(
         keys.map(|k| format!("{k:016x}")),
         [
-            "815023dc01671bae",
-            "d8fbc963818d550b",
-            "f94196212b01ce32",
-            "3637e8c1cb0e7663",
-            "8fd21e56f687c091",
-            "d727d8a3cff60ada",
+            "c7858ffa000af249",
+            "a2bdbaa8c8c02d58",
+            "27dde56cfed4d97d",
+            "817f509e6ab71f32",
+            "72443228bcecb41e",
+            "f88016f17a8769b5",
         ],
         "compile, profile, level-1 schedule, level-1 analyze, design, evaluate"
     );
