@@ -14,8 +14,8 @@
 //! full `explore_all` pass unless `--no-warm` is given, binds `--addr`
 //! (default `127.0.0.1:4995`; `host:0` picks an ephemeral port and
 //! prints it) and serves until a client sends the `shutdown` op
-//! (`serve --stop ADDR`). Shutdown drains in-flight connections and
-//! flushes the store manifest.
+//! (`serve --stop ADDR`). Shutdown drains in-flight connections; every
+//! entry a client wrote is already a file in the store.
 //!
 //! **Check mode** (`--check ADDR`) is the CI smoke path: it runs
 //! `explore_all` on two consecutive *storeless* client sessions against

@@ -17,12 +17,12 @@
 //! server's version triple (exit code 2 when unreachable), `stats`
 //! prints the daemon's request counters and tier totals.
 //!
-//! - `stats` prints the per-stage entry/byte accounting from the
-//!   manifest-backed snapshot (rebuilding the index by scan when the
-//!   manifest is missing or damaged).
-//! - `gc` evicts oldest-written entries first until the given byte
-//!   and/or age budgets hold, rewrites the manifest atomically, and
-//!   prints a report. With no budget it only refreshes the manifest.
+//! - `stats` prints the per-stage entry/byte accounting from a scan of
+//!   the store directory.
+//! - `gc` evicts oldest-written entries first (by file mtime) until the
+//!   given byte and/or age budgets hold, sweeps temp files orphaned by
+//!   crashed writers, and prints a report. With no budget it only
+//!   sweeps.
 //! - `verify` walks every entry and validates it end to end (header,
 //!   checksum, full typed decode); exit code 2 when anything is
 //!   corrupt, so CI can gate on store health. Corrupt entries are left
@@ -204,14 +204,6 @@ fn main() -> ExitCode {
                 manifest.len(),
                 asip_bench::human_bytes(manifest.total_bytes())
             );
-            println!(
-                "manifest: {}",
-                if store.manifest_path().is_file() {
-                    "present"
-                } else {
-                    "absent (index rebuilt by scan)"
-                }
-            );
             ExitCode::SUCCESS
         }
         "gc" => {
@@ -233,10 +225,11 @@ fn main() -> ExitCode {
                 }
             }
             println!(
-                "retained {} entries, {} (manifest rewritten)",
+                "retained {} entries, {}",
                 report.retained_entries,
                 asip_bench::human_bytes(report.retained_bytes)
             );
+            println!("swept    {} orphaned temp files", report.swept_tmp_files);
             ExitCode::SUCCESS
         }
         "verify" => {

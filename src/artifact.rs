@@ -71,8 +71,8 @@ impl Stage {
         ]
     }
 
-    /// Stable lowercase name (used in stats displays, store directory
-    /// names and the store manifest).
+    /// Stable lowercase name (used in stats displays, in store
+    /// directory names and in the header of every store entry).
     pub fn name(self) -> &'static str {
         match self {
             Stage::Compile => "compile",
@@ -85,13 +85,6 @@ impl Stage {
             Stage::EvaluateSuite => "evaluate-suite",
             Stage::DesignSpace => "design-space",
         }
-    }
-
-    /// The inverse of [`Stage::name`], for parsers of on-disk state
-    /// (store manifests, stage directory names). Unknown names are
-    /// `None`, never a panic — on-disk state is untrusted input.
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::all().into_iter().find(|s| s.name() == name)
     }
 }
 
@@ -1390,7 +1383,6 @@ mod tests {
         assert_eq!(all[6].to_string(), "design-suite");
         assert_eq!(all[7].to_string(), "evaluate-suite");
         assert_eq!(all[8].to_string(), "design-space");
-        assert_eq!(Stage::from_name("design-space"), Some(Stage::DesignSpace));
     }
 
     #[test]

@@ -264,8 +264,9 @@ impl MemoryTier {
 
     /// A staging tier bounded to at most `budget` payload bytes;
     /// least-recently-used entries are evicted first when an insert
-    /// overflows the budget. A budget of 0 keeps nothing (every `put`
-    /// inserts, then immediately evicts back under budget).
+    /// overflows the budget. A payload larger than the whole budget is
+    /// refused (`put` returns `false`), so a budget of 0 keeps only
+    /// empty payloads.
     pub fn with_budget(budget: u64) -> Self {
         MemoryTier {
             state: Mutex::new(MemoryState::default()),
@@ -308,6 +309,10 @@ impl ArtifactTier for MemoryTier {
     }
 
     fn put(&self, stage: Stage, key: u64, payload: &[u8]) -> bool {
+        // inserting it would evict every entry, then the payload itself
+        if payload.len() as u64 > self.budget {
+            return false;
+        }
         let mut state = crate::tier::lock(&self.state);
         state.insert(stage, key, payload, self.budget);
         self.counters.count_write(stage);
@@ -471,5 +476,19 @@ mod tests {
         let tier = MemoryTier::with_budget(0);
         tier.put(Stage::Compile, 1, b"z");
         assert_eq!(tier.totals().entries, 0, "zero budget keeps nothing");
+    }
+
+    #[test]
+    fn memory_tier_refuses_a_payload_larger_than_its_budget() {
+        let tier = MemoryTier::with_budget(8);
+        assert!(tier.put(Stage::Compile, 1, b"aaaa"));
+        assert!(
+            !tier.put(Stage::Profile, 2, &[0; 16]),
+            "oversize is refused"
+        );
+        assert!(tier.contains(Stage::Compile, 1), "nothing was evicted");
+        assert!(!tier.contains(Stage::Profile, 2));
+        let totals = tier.totals();
+        assert_eq!((totals.entries, totals.bytes, totals.writes), (1, 4, 1));
     }
 }

@@ -10,7 +10,7 @@
 //! full fault taxonomy:
 //!
 //! - **disk** — read I/O errors, write I/O errors, torn/partial writes
-//!   at a plan-chosen byte offset, manifest corruption;
+//!   at a plan-chosen byte offset;
 //! - **remote** — connection refusal, drop-mid-frame, timeouts,
 //!   garbage frames, checksum tampering.
 //!
@@ -96,8 +96,6 @@ pub enum FaultSite {
     /// A disk write tears: a truncated prefix of the entry reaches the
     /// final path, as if the process died mid-write.
     TornWrite,
-    /// The store manifest is written corrupted (truncated + scribbled).
-    ManifestCorrupt,
     /// A remote connect is refused before dialing.
     ConnectRefused,
     /// A remote connection dies mid-frame (partial write, or EOF
@@ -113,7 +111,7 @@ pub enum FaultSite {
 }
 
 /// Number of [`FaultSite`] variants (length of per-site arrays).
-pub const FAULT_SITE_COUNT: usize = 9;
+pub const FAULT_SITE_COUNT: usize = 8;
 
 impl FaultSite {
     /// All sites, in counter order.
@@ -122,7 +120,6 @@ impl FaultSite {
             FaultSite::DiskRead,
             FaultSite::DiskWrite,
             FaultSite::TornWrite,
-            FaultSite::ManifestCorrupt,
             FaultSite::ConnectRefused,
             FaultSite::DropMidFrame,
             FaultSite::Timeout,
@@ -136,12 +133,11 @@ impl FaultSite {
             FaultSite::DiskRead => 0,
             FaultSite::DiskWrite => 1,
             FaultSite::TornWrite => 2,
-            FaultSite::ManifestCorrupt => 3,
-            FaultSite::ConnectRefused => 4,
-            FaultSite::DropMidFrame => 5,
-            FaultSite::Timeout => 6,
-            FaultSite::GarbageFrame => 7,
-            FaultSite::ChecksumTamper => 8,
+            FaultSite::ConnectRefused => 3,
+            FaultSite::DropMidFrame => 4,
+            FaultSite::Timeout => 5,
+            FaultSite::GarbageFrame => 6,
+            FaultSite::ChecksumTamper => 7,
         }
     }
 }
@@ -157,8 +153,6 @@ pub struct FaultConfig {
     pub disk_write_error: u8,
     /// Torn (partial) disk write rate.
     pub torn_write: u8,
-    /// Manifest corruption rate (per manifest flush).
-    pub manifest_corruption: u8,
     /// Remote connect refusal rate.
     pub connect_refused: u8,
     /// Drop-mid-frame rate (per connection).
@@ -178,7 +172,6 @@ impl FaultConfig {
             disk_read_error: rate,
             disk_write_error: rate,
             torn_write: rate,
-            manifest_corruption: rate,
             ..FaultConfig::default()
         }
     }
@@ -201,7 +194,6 @@ impl FaultConfig {
             disk_read_error: rate,
             disk_write_error: rate,
             torn_write: rate,
-            manifest_corruption: rate,
             connect_refused: rate,
             drop_mid_frame: rate,
             timeout: rate,
@@ -216,7 +208,6 @@ impl FaultConfig {
             FaultSite::DiskRead => self.disk_read_error,
             FaultSite::DiskWrite => self.disk_write_error,
             FaultSite::TornWrite => self.torn_write,
-            FaultSite::ManifestCorrupt => self.manifest_corruption,
             FaultSite::ConnectRefused => self.connect_refused,
             FaultSite::DropMidFrame => self.drop_mid_frame,
             FaultSite::Timeout => self.timeout,
@@ -238,8 +229,6 @@ pub struct FaultCounts {
     pub disk_write_errors: u64,
     /// Injected torn writes.
     pub torn_writes: u64,
-    /// Injected manifest corruptions.
-    pub manifest_corruptions: u64,
     /// Injected connect refusals.
     pub connects_refused: u64,
     /// Injected mid-frame drops.
@@ -255,11 +244,7 @@ pub struct FaultCounts {
 impl FaultCounts {
     /// Total injected faults across all sites.
     pub fn total(&self) -> u64 {
-        self.disk_read_errors
-            + self.disk_write_errors
-            + self.torn_writes
-            + self.manifest_corruptions
-            + self.remote_total()
+        self.disk_read_errors + self.disk_write_errors + self.torn_writes + self.remote_total()
     }
 
     /// Total injected remote-transport faults.
@@ -346,7 +331,6 @@ impl FaultPlan {
             disk_read_errors: self.fired(FaultSite::DiskRead),
             disk_write_errors: self.fired(FaultSite::DiskWrite),
             torn_writes: self.fired(FaultSite::TornWrite),
-            manifest_corruptions: self.fired(FaultSite::ManifestCorrupt),
             connects_refused: self.fired(FaultSite::ConnectRefused),
             drops_mid_frame: self.fired(FaultSite::DropMidFrame),
             timeouts: self.fired(FaultSite::Timeout),
@@ -518,7 +502,7 @@ mod tests {
             }
         }
         assert_eq!(a.counts(), b.counts());
-        assert!(a.counts().total() > 0, "30% over 1800 rolls must fire");
+        assert!(a.counts().total() > 0, "30% over 1600 rolls must fire");
 
         let c = FaultPlan::new(43, FaultConfig::uniform(30));
         let mut diverged = false;

@@ -283,7 +283,7 @@ impl RemoteTier {
     }
 
     /// Ask the daemon to shut down cleanly (stop accepting, drain
-    /// connections, flush its store manifest).
+    /// connections).
     ///
     /// # Errors
     ///

@@ -143,8 +143,8 @@ pub enum Request {
     /// Request the server's counters and tier totals; answered with
     /// [`Response::Stats`].
     Stats,
-    /// Ask the daemon to stop accepting, drain connections and flush
-    /// its store manifest; answered with [`Response::Closing`].
+    /// Ask the daemon to stop accepting and drain its connections;
+    /// answered with [`Response::Closing`].
     Shutdown,
 }
 

@@ -20,8 +20,9 @@
 //! [`ServerHandle::request_shutdown`] or dropping the handle) sets the
 //! stop flag, releases parked workers and wakes the accept loop with one
 //! connection to the daemon's own endpoint; joining then waits bounded
-//! for in-flight connections to drain and flushes the store manifest so
-//! a later cold start sees every entry.
+//! for in-flight connections to drain. Every entry is already a file in
+//! the store directory when its `put` is answered, so there is nothing
+//! to flush.
 //!
 //! A `get` that a persistent tier answers also lands in the session's
 //! staging memory tier, so the next client reads it from memory instead
@@ -34,7 +35,7 @@ use crate::remote::proto::{
 };
 use crate::remote::transport::{Conn, Endpoint, Listener, Waker};
 use crate::session::Explorer;
-use crate::store::{StoreGcConfig, FORMAT_VERSION};
+use crate::store::FORMAT_VERSION;
 use crate::tier::TierRead;
 use std::collections::VecDeque;
 use std::io;
@@ -469,15 +470,11 @@ impl Shared {
         }
     }
 
-    /// Wait (bounded) for connection threads to exit, then flush the
-    /// manifest so a cold restart sees every entry written this run.
+    /// Wait (bounded) for connection threads to exit.
     fn drain(&self) {
         let deadline = Instant::now() + DRAIN_BOUND;
         while self.workers.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(self.options.poll_interval);
-        }
-        if let Some(store) = self.session.store() {
-            store.gc(&StoreGcConfig::default());
         }
     }
 
@@ -655,7 +652,7 @@ impl ServerHandle {
     /// exit, the accept loop is woken and stops accepting, and idle
     /// connections close within one poll interval. Use
     /// [`ServerHandle::join`] (or [`ServerHandle::shutdown`]) to wait
-    /// for the drain and the manifest flush.
+    /// for the drain.
     pub fn request_shutdown(&self) {
         self.shared.request_stop();
     }
@@ -667,9 +664,8 @@ impl ServerHandle {
     }
 
     /// Wait for the daemon to exit (after a stop was requested locally
-    /// or over the wire): the accept loop ends, connection threads drain
-    /// (bounded) and the store manifest is flushed. Returns the final
-    /// statistics snapshot.
+    /// or over the wire): the accept loop ends and connection threads
+    /// drain (bounded). Returns the final statistics snapshot.
     pub fn join(mut self) -> ServeStats {
         self.finish();
         self.shared.stats()

@@ -74,7 +74,7 @@ use crate::artifact::{
 use crate::cache::{LruCache, MemoryTier};
 use crate::error::ExplorerError;
 use crate::remote::{Endpoint, RemoteTier, RemoteTotals, RetryPolicy};
-use crate::store::{ArtifactStore, StableHasher, StoreGcConfig};
+use crate::store::{ArtifactStore, StableHasher};
 use crate::tier::{lock, ArtifactTier, StageCache, TierReport, TierStack};
 use asip_benchmarks::{Benchmark, DataSpec, Registry, DEFAULT_SEED};
 use asip_chains::{DetectorConfig, SequenceDetector, SequenceReport};
@@ -146,7 +146,7 @@ pub struct CacheStats {
     /// for a storeless session.
     pub tiers: Vec<TierReport>,
     /// Store entries evicted by this session's [`ArtifactStore::gc`]
-    /// passes (see [`Explorer::with_store_gc`]).
+    /// passes (run one through [`Explorer::store`]).
     pub gc_evictions: u64,
     /// Wire-level counters of the remote tier
     /// ([`Explorer::with_remote`]): requests, errors, retries,
@@ -609,21 +609,6 @@ impl Explorer {
         self.store = Some(Arc::new(ArtifactStore::open(dir)));
         self.rebuild_tiers();
         self
-    }
-
-    /// As [`Explorer::with_store`], plus one budgeted
-    /// [`ArtifactStore::gc`] pass at attach time, so long-lived hosts
-    /// (bench machines, services) keep the shared store inside a
-    /// standing budget without a manual `store gc` invocation. The
-    /// evictions are counted in [`CacheStats::gc_evictions`] like any
-    /// other GC pass; an empty or fresh store makes the pass a cheap
-    /// no-op.
-    pub fn with_store_gc(self, dir: impl Into<PathBuf>, config: StoreGcConfig) -> Self {
-        let session = self.with_store(dir);
-        if let Some(store) = &session.store {
-            store.gc(&config);
-        }
-        session
     }
 
     /// Attach a [`RemoteTier`] speaking to a running `serve` daemon at

@@ -12,11 +12,9 @@
 //!
 //! # Layout
 //!
-//! One file per artifact, addressed entirely by content identity, plus
-//! a manifest index at the root:
+//! One file per artifact, addressed entirely by content identity:
 //!
 //! ```text
-//! <dir>/manifest.tsv
 //! <dir>/<stage-name>/<16-hex-digit key>.art
 //! ```
 //!
@@ -26,11 +24,11 @@
 //! configuration and [`FORMAT_VERSION`]. Each file carries a
 //! self-describing header (magic, version, stage, payload length, and an
 //! XXH64 checksum over the header fields and the payload) ahead of an
-//! [`ArtifactCodec`] payload. The manifest is an *index cache*
-//! over the entry files (per-stage byte/entry accounting and precise
-//! write times); the directory is always the authority, and a missing or
-//! damaged manifest is rebuilt by scan. The full specification lives in
-//! `docs/persistence.md`.
+//! [`ArtifactCodec`] payload. The directory is the store's only index:
+//! [`ArtifactStore::snapshot`] lists it by scan (file sizes and
+//! filesystem mtimes), and files it does not recognise — a
+//! `manifest.tsv` left at the root by an older build included — are
+//! ignored. The full specification lives in `docs/persistence.md`.
 //!
 //! # Garbage collection
 //!
@@ -108,9 +106,6 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// the crate version are both hashed into every key), so stale artifacts
 /// degrade to recomputes instead of decoding wrongly.
 ///
-/// The manifest is *not* covered by this version: it is an index cache,
-/// rebuilt by scan whenever unreadable (it carries its own header line).
-///
 /// History: v2 — design-stage semantics changed (occurrence-aware
 /// coverage reports; selection may improve on the greedy pick via the
 /// frontier search) and the design-space stage was added.
@@ -145,9 +140,6 @@ pub const FORMAT_VERSION: u32 = 7;
 
 /// Magic bytes opening every artifact file.
 const MAGIC: [u8; 8] = *b"ASIPART\n";
-
-/// Header line opening every manifest file.
-const MANIFEST_HEADER: &str = "asip-manifest v1";
 
 /// Temp files older than this are assumed orphaned by a crashed writer
 /// and are swept by [`ArtifactStore::gc`]. Generous: a live writer holds
@@ -223,11 +215,10 @@ impl StableHasher {
     }
 }
 
-// -- the manifest ------------------------------------------------------
+// -- the listing -------------------------------------------------------
 
-/// One store entry as recorded in the [`Manifest`]: its address, its
-/// on-disk file size, and its write time (nanoseconds since the Unix
-/// epoch).
+/// One store entry as listed by [`ArtifactStore::snapshot`]: its
+/// address, its on-disk file size, and its filesystem write time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// The pipeline stage the entry belongs to.
@@ -236,63 +227,24 @@ pub struct ManifestEntry {
     pub key: u64,
     /// Whole-file size in bytes (header + payload).
     pub bytes: u64,
-    /// Write time in nanoseconds since the Unix epoch. GC evicts
+    /// The file's mtime in nanoseconds since the Unix epoch. GC evicts
     /// entries in ascending `mtime_ns` order (LRU by write time).
     pub mtime_ns: u128,
 }
 
-impl ManifestEntry {
-    fn render(&self) -> String {
-        format!(
-            "{}\t{:016x}\t{}\t{}\n",
-            self.stage.name(),
-            self.key,
-            self.bytes,
-            self.mtime_ns
-        )
-    }
-
-    fn parse(line: &str) -> Option<ManifestEntry> {
-        let mut fields = line.split('\t');
-        let stage = Stage::from_name(fields.next()?)?;
-        let key = u64::from_str_radix(fields.next()?, 16).ok()?;
-        let bytes = fields.next()?.parse().ok()?;
-        let mtime_ns = fields.next()?.parse().ok()?;
-        if fields.next().is_some() {
-            return None;
-        }
-        Some(ManifestEntry {
-            stage,
-            key,
-            bytes,
-            mtime_ns,
-        })
-    }
-}
-
-/// An index of every entry in a store directory: per-stage byte and
-/// entry accounting plus an mtime-ordered view for GC.
-///
-/// A manifest is obtained from [`ArtifactStore::snapshot`] (directory
-/// scan reconciled with the persisted index — see the [module
-/// docs](self)) and persisted at `<dir>/manifest.tsv` by GC. It is an
-/// index *cache*: the entry files are authoritative, and a missing,
-/// stale or corrupted manifest file is silently rebuilt by scan.
+/// A listing of every entry in a store directory, taken by
+/// [`ArtifactStore::snapshot`]: per-stage byte and entry accounting
+/// plus an mtime-ordered view for GC.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
-    /// Every entry, sorted oldest-write-first (then by stage name and
-    /// key, so ordering is total and deterministic under mtime ties).
+    /// Every entry, sorted oldest-write-first, then by stage name and
+    /// key: a filesystem's mtime may be as coarse as the kernel's timer
+    /// tick, so entries can tie and the order must still be total and
+    /// deterministic.
     pub entries: Vec<ManifestEntry>,
 }
 
 impl Manifest {
-    /// Sort entries into the canonical eviction order.
-    fn canonicalize(&mut self) {
-        self.entries.sort_by(|a, b| {
-            (a.mtime_ns, a.stage.name(), a.key).cmp(&(b.mtime_ns, b.stage.name(), b.key))
-        });
-    }
-
     /// Total on-disk bytes across every entry.
     pub fn total_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.bytes).sum()
@@ -314,34 +266,6 @@ impl Manifest {
             .iter()
             .filter(|e| e.stage == stage)
             .fold((0, 0), |(n, b), e| (n + 1, b + e.bytes))
-    }
-
-    /// Serialize to the manifest file format.
-    fn render(&self) -> String {
-        let mut out = String::with_capacity(32 + self.entries.len() * 48);
-        out.push_str(MANIFEST_HEADER);
-        out.push('\n');
-        for e in &self.entries {
-            out.push_str(&e.render());
-        }
-        out
-    }
-
-    /// Parse a manifest file. Any anomaly — wrong header, malformed
-    /// line, trailing fields — rejects the whole manifest (`None`), and
-    /// the caller rebuilds by scan.
-    fn parse(text: &str) -> Option<Manifest> {
-        let mut lines = text.lines();
-        if lines.next()? != MANIFEST_HEADER {
-            return None;
-        }
-        let mut entries = Vec::new();
-        for line in lines {
-            entries.push(ManifestEntry::parse(line)?);
-        }
-        let mut m = Manifest { entries };
-        m.canonicalize();
-        Some(m)
     }
 }
 
@@ -417,14 +341,6 @@ pub struct VerifyReport {
     pub corrupt_per_stage: [u64; STAGE_COUNT],
 }
 
-/// Session-local knowledge of one on-disk entry (size and precise write
-/// time), backing the cheap per-stage occupancy stats.
-#[derive(Debug, Clone, Copy)]
-struct EntryMeta {
-    bytes: u64,
-    mtime_ns: u128,
-}
-
 /// A persistent, content-addressed artifact store rooted at one
 /// directory. See the [module docs](self) for layout, GC and fallback
 /// semantics, and [`Explorer::with_store`](crate::Explorer::with_store)
@@ -439,11 +355,11 @@ pub struct ArtifactStore {
     dir: PathBuf,
     counters: TierCounters,
     gc_evicted: AtomicU64,
-    /// Lazy session-local index of the directory (sizes + precise write
-    /// times), populated by the first occupancy query and kept in sync
-    /// by this session's saves and GC passes. Other processes' writes
-    /// only appear after the next [`ArtifactStore::snapshot`].
-    index: Mutex<Option<HashMap<(Stage, u64), EntryMeta>>>,
+    /// Lazy session-local index of entry sizes, backing the cheap
+    /// per-stage occupancy stats: populated by the first occupancy query
+    /// and kept in sync by this session's saves and GC passes. Other
+    /// processes' writes only appear after this session's next GC pass.
+    index: Mutex<Option<HashMap<(Stage, u64), u64>>>,
     /// Fast-path guard for the fault-injection seam: checked with one
     /// relaxed load before touching the plan mutex, so an unarmed store
     /// pays a single predictable branch per operation.
@@ -466,10 +382,9 @@ impl ArtifactStore {
         }
     }
 
-    /// Arm a [`FaultPlan`]: subsequent reads, writes and manifest
-    /// flushes consult the plan and may fail deliberately (see
-    /// [`crate::fault`]). Chaos-testing seam — never armed in
-    /// production.
+    /// Arm a [`FaultPlan`]: subsequent reads and writes consult the
+    /// plan and may fail deliberately (see [`crate::fault`]).
+    /// Chaos-testing seam — never armed in production.
     pub fn arm_faults(&self, plan: Arc<FaultPlan>) {
         *crate::tier::lock(&self.faults) = Some(plan);
         self.faults_armed.store(true, Ordering::Release);
@@ -492,11 +407,6 @@ impl ArtifactStore {
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The manifest index file (`<dir>/manifest.tsv`).
-    pub fn manifest_path(&self) -> PathBuf {
-        self.dir.join("manifest.tsv")
     }
 
     /// The file an artifact lives in: `<dir>/<stage>/<key as 16 hex
@@ -541,53 +451,12 @@ impl ArtifactStore {
         self.gc_evicted.load(Ordering::Relaxed)
     }
 
-    // -- manifest, GC, verify ------------------------------------------
+    // -- snapshot, GC, verify ------------------------------------------
 
-    /// Index the store: scan the stage directories (the authority on
-    /// which entries exist and how big they are), then reconcile write
-    /// times against the persisted manifest and this session's own
-    /// writes, which both record sub-filesystem-granularity timestamps.
-    /// A missing or corrupted manifest file degrades to the pure scan.
+    /// List the store by scanning the stage directories: every `.art`
+    /// entry with its file size and filesystem mtime, in the canonical
+    /// order of [`Manifest::entries`]. Unknown files are ignored.
     pub fn snapshot(&self) -> Manifest {
-        let mut scan = self.scan();
-        let persisted: HashMap<(Stage, u64), ManifestEntry> =
-            fs::read_to_string(self.manifest_path())
-                .ok()
-                .and_then(|text| Manifest::parse(&text))
-                .map(|m| {
-                    m.entries
-                        .into_iter()
-                        .map(|e| ((e.stage, e.key), e))
-                        .collect()
-                })
-                .unwrap_or_default();
-        {
-            let index = crate::tier::lock(&self.index);
-            for e in &mut scan.entries {
-                // Prefer this session's own record, then the manifest —
-                // but only while the file size still matches (a size
-                // change means another process rewrote the entry).
-                if let Some(meta) = index
-                    .as_ref()
-                    .and_then(|ix| ix.get(&(e.stage, e.key)))
-                    .filter(|m| m.bytes == e.bytes)
-                {
-                    e.mtime_ns = meta.mtime_ns;
-                } else if let Some(p) = persisted
-                    .get(&(e.stage, e.key))
-                    .filter(|p| p.bytes == e.bytes)
-                {
-                    e.mtime_ns = p.mtime_ns;
-                }
-            }
-        }
-        scan.canonicalize();
-        scan
-    }
-
-    /// Rebuild the index purely from the directory (file sizes and
-    /// filesystem mtimes). Unknown files are ignored.
-    fn scan(&self) -> Manifest {
         let mut entries = Vec::new();
         for stage in Stage::all() {
             let Ok(dir) = fs::read_dir(self.dir.join(stage.name())) else {
@@ -612,60 +481,19 @@ impl ArtifactStore {
                     stage,
                     key,
                     bytes: meta.len(),
-                    mtime_ns: meta
-                        .modified()
-                        .ok()
-                        .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                        .map(|d| d.as_nanos())
-                        .unwrap_or(0),
+                    mtime_ns: meta.modified().map_or(0, unix_ns),
                 });
             }
         }
-        let mut m = Manifest { entries };
-        m.canonicalize();
-        m
-    }
-
-    /// Persist a manifest atomically (temp file + rename). Failures are
-    /// swallowed: the manifest is an index cache, and the next reader
-    /// rebuilds by scan.
-    fn write_manifest(&self, manifest: &Manifest) -> bool {
-        let path = self.manifest_path();
-        if fs::create_dir_all(&self.dir).is_err() {
-            return false;
-        }
-        if let Some(plan) = self.fault_plan() {
-            // An injected manifest corruption writes a torn + scribbled
-            // rendering; the next reader must reject it wholesale and
-            // rebuild by scan.
-            if plan.roll(FaultSite::ManifestCorrupt) {
-                let mut text = manifest.render().into_bytes();
-                let cut = plan.draw(FaultSite::ManifestCorrupt, text.len() as u64 + 1) as usize;
-                text.truncate(cut);
-                text.extend_from_slice(b"\xff\xfegarbage\tnot a manifest line");
-                let tmp = unique_tmp(&path);
-                if fs::write(&tmp, &text).is_err() || fs::rename(&tmp, &path).is_err() {
-                    fs::remove_file(&tmp).ok();
-                }
-                return false;
-            }
-        }
-        let tmp = unique_tmp(&path);
-        if fs::write(&tmp, manifest.render()).is_err() {
-            fs::remove_file(&tmp).ok();
-            return false;
-        }
-        if fs::rename(&tmp, &path).is_err() {
-            fs::remove_file(&tmp).ok();
-            return false;
-        }
-        true
+        entries.sort_by(|a, b| {
+            (a.mtime_ns, a.stage.name(), a.key).cmp(&(b.mtime_ns, b.stage.name(), b.key))
+        });
+        Manifest { entries }
     }
 
     /// Garbage-collect the store against `config`: evict every entry
     /// older than `max_age`, then least-recently-written entries until
-    /// at most `max_bytes` remain, and atomically rewrite the manifest
-    /// to the retained set.
+    /// at most `max_bytes` remain, then sweep stale temp files.
     ///
     /// GC never blocks or corrupts concurrent readers — a removed entry
     /// degrades to a miss (or a checksum rejection) and is recomputed —
@@ -678,10 +506,7 @@ impl ArtifactStore {
             scanned_bytes: manifest.total_bytes(),
             ..GcReport::default()
         };
-        let now_ns = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0);
+        let now_ns = unix_ns(SystemTime::now());
         let cutoff_ns = config
             .max_age
             .map(|age| now_ns.saturating_sub(age.as_nanos()));
@@ -702,29 +527,20 @@ impl ArtifactStore {
                 report.evicted_per_stage[e.stage as usize] += 1;
                 self.gc_evicted.fetch_add(1, Ordering::Relaxed);
             } else {
-                retained.push(*e);
+                retained.push(e);
             }
         }
-        let mut retained = Manifest { entries: retained };
-        retained.canonicalize();
         report.retained_entries = retained.len() as u64;
-        report.retained_bytes = retained.total_bytes();
+        report.retained_bytes = remaining_bytes;
         report.swept_tmp_files = self.sweep_stale_tmp_files(now_ns);
-        self.write_manifest(&retained);
         // Reconcile the session-local index by *removing* the evicted
         // keys rather than replacing it wholesale — a save landing on
         // another thread between our snapshot and here must keep its
-        // (newer) record.
-        {
-            let mut index = crate::tier::lock(&self.index);
-            if let Some(ix) = index.as_mut() {
-                ix.retain(|&(stage, key), _| self.entry_path(stage, key).is_file());
-                for e in &retained.entries {
-                    ix.entry((e.stage, e.key)).or_insert(EntryMeta {
-                        bytes: e.bytes,
-                        mtime_ns: e.mtime_ns,
-                    });
-                }
+        // record.
+        if let Some(ix) = crate::tier::lock(&self.index).as_mut() {
+            ix.retain(|&(stage, key), _| self.entry_path(stage, key).is_file());
+            for e in retained {
+                ix.entry((e.stage, e.key)).or_insert(e.bytes);
             }
         }
         report
@@ -735,16 +551,11 @@ impl ArtifactStore {
     /// anything older than [`STALE_TMP_MAX_AGE`] is a leftover from a
     /// process that died mid-put; without this sweep a crash-looping
     /// writer leaks unreferenced files forever (they are invisible to
-    /// [`ArtifactStore::snapshot`], which only indexes `.art` files).
+    /// [`ArtifactStore::snapshot`], which only lists `.art` files).
     fn sweep_stale_tmp_files(&self, now_ns: u128) -> u64 {
         let mut swept = 0;
-        let mut dirs: Vec<PathBuf> = Stage::all()
-            .into_iter()
-            .map(|s| self.dir.join(s.name()))
-            .collect();
-        dirs.push(self.dir.clone());
-        for dir in dirs {
-            let Ok(entries) = fs::read_dir(&dir) else {
+        for stage in Stage::all() {
+            let Ok(entries) = fs::read_dir(self.dir.join(stage.name())) else {
                 continue;
             };
             for file in entries.flatten() {
@@ -758,11 +569,8 @@ impl ArtifactStore {
                 }
                 let age_ns = file
                     .metadata()
-                    .ok()
-                    .and_then(|m| m.modified().ok())
-                    .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                    .map(|d| now_ns.saturating_sub(d.as_nanos()))
-                    .unwrap_or(0);
+                    .and_then(|m| m.modified())
+                    .map_or(0, |t| now_ns.saturating_sub(unix_ns(t)));
                 if age_ns > STALE_TMP_MAX_AGE.as_nanos() && fs::remove_file(&path).is_ok() {
                     swept += 1;
                 }
@@ -822,53 +630,33 @@ impl ArtifactStore {
     }
 
     fn index_insert(&self, stage: Stage, key: u64, bytes: u64) {
-        let mut index = crate::tier::lock(&self.index);
-        if let Some(ix) = index.as_mut() {
-            let mtime_ns = SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0);
-            ix.insert((stage, key), EntryMeta { bytes, mtime_ns });
+        if let Some(ix) = crate::tier::lock(&self.index).as_mut() {
+            ix.insert((stage, key), bytes);
         }
     }
 
     fn index_remove(&self, stage: Stage, key: u64) {
-        let mut index = crate::tier::lock(&self.index);
-        if let Some(ix) = index.as_mut() {
+        if let Some(ix) = crate::tier::lock(&self.index).as_mut() {
             ix.remove(&(stage, key));
         }
     }
 
     /// Per-stage `(entries, bytes)` from the session-local index,
-    /// populating it by snapshot on first use. The snapshot happens
-    /// outside the index lock (snapshot itself consults the index for
-    /// mtime overlay), so a racing initializer just discards its scan.
+    /// populating it by snapshot on first use. The snapshot runs under
+    /// the index lock, so a save racing the first query either lands in
+    /// the scan or waits to record itself in the installed index.
     fn stage_usage(&self, stage: Stage) -> (u64, u64) {
-        if crate::tier::lock(&self.index).is_none() {
-            let snapshot = self.snapshot();
-            let fresh: HashMap<(Stage, u64), EntryMeta> = snapshot
+        let mut index = crate::tier::lock(&self.index);
+        let ix = index.get_or_insert_with(|| {
+            self.snapshot()
                 .entries
                 .iter()
-                .map(|e| {
-                    (
-                        (e.stage, e.key),
-                        EntryMeta {
-                            bytes: e.bytes,
-                            mtime_ns: e.mtime_ns,
-                        },
-                    )
-                })
-                .collect();
-            crate::tier::lock(&self.index).get_or_insert(fresh);
-        }
-        crate::tier::lock(&self.index)
-            .as_ref()
-            .map(|ix| {
-                ix.iter()
-                    .filter(|((s, _), _)| *s == stage)
-                    .fold((0, 0), |(n, b), (_, m)| (n + 1, b + m.bytes))
-            })
-            .unwrap_or((0, 0))
+                .map(|e| ((e.stage, e.key), e.bytes))
+                .collect()
+        });
+        ix.iter()
+            .filter(|((s, _), _)| *s == stage)
+            .fold((0, 0), |(n, b), (_, bytes)| (n + 1, b + bytes))
     }
 }
 
@@ -987,6 +775,12 @@ fn unique_tmp(path: &Path) -> PathBuf {
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+/// A filesystem timestamp as nanoseconds since the Unix epoch (0 for a
+/// time before it).
+fn unix_ns(time: SystemTime) -> u128 {
+    time.duration_since(UNIX_EPOCH).map_or(0, |d| d.as_nanos())
 }
 
 /// XXH64 (seed 0): the integrity checksum of every store entry and
@@ -1369,45 +1163,6 @@ mod tests {
     }
 
     #[test]
-    fn manifest_round_trips_and_rejects_damage() {
-        let m = Manifest {
-            entries: vec![
-                ManifestEntry {
-                    stage: Stage::Profile,
-                    key: 0xdead_beef,
-                    bytes: 128,
-                    mtime_ns: 1_000,
-                },
-                ManifestEntry {
-                    stage: Stage::Compile,
-                    key: 1,
-                    bytes: 64,
-                    mtime_ns: 500,
-                },
-            ],
-        };
-        let parsed = Manifest::parse(&m.render()).expect("round-trips");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(
-            parsed.entries[0].stage,
-            Stage::Compile,
-            "parse canonicalizes oldest-first"
-        );
-        assert_eq!(parsed.total_bytes(), 192);
-        assert_eq!(parsed.stage_usage(Stage::Profile), (1, 128));
-
-        assert!(Manifest::parse("wrong header\n").is_none());
-        assert!(
-            Manifest::parse("asip-manifest v1\ncompile\tzz\t1\t2\n").is_none(),
-            "malformed key rejects the manifest"
-        );
-        assert!(
-            Manifest::parse("asip-manifest v1\nnot-a-stage\t0\t1\t2\n").is_none(),
-            "unknown stage rejects the manifest"
-        );
-    }
-
-    #[test]
     fn snapshot_scans_and_gc_respects_byte_budget_oldest_first() {
         let store = temp_store("gc-bytes");
         store.save(Stage::Compile, 1, &1u64);
@@ -1434,7 +1189,7 @@ mod tests {
         assert!(store.contains(Stage::Schedule, 3), "newest survives");
         assert_eq!(store.gc_evictions(), 2);
 
-        // the manifest was rewritten to the retained set
+        // a fresh scan lists the retained set
         let m = store.snapshot();
         assert_eq!(m.len(), 1);
         assert_eq!(m.entries[0].key, 3);
@@ -1463,23 +1218,58 @@ mod tests {
     }
 
     #[test]
-    fn manifest_loss_or_damage_rebuilds_by_scan() {
-        let store = temp_store("manifest-loss");
+    fn gc_sweeps_stale_tmp_files_in_stage_directories() {
+        let store = temp_store("gc-tmp");
         store.save(Stage::Compile, 1, &1u64);
-        store.save(Stage::Profile, 2, &2u64);
-        store.gc(&StoreGcConfig::default()); // writes the manifest
-        assert!(store.manifest_path().is_file());
-
-        // delete the manifest: snapshot still sees both entries
-        fs::remove_file(store.manifest_path()).expect("removable");
-        assert_eq!(store.snapshot().len(), 2);
-
-        // corrupt the manifest: ignored, rebuilt by scan
-        fs::write(store.manifest_path(), b"garbage\nmore garbage").expect("writable");
-        assert_eq!(store.snapshot().len(), 2);
-        let report = store.gc(&StoreGcConfig::default().with_max_bytes(0));
-        assert_eq!(report.evicted_entries, 2);
+        let hour_ago = SystemTime::now() - STALE_TMP_MAX_AGE - Duration::from_secs(60);
+        let stale = unique_tmp(&store.entry_path(Stage::Compile, 2));
+        let fresh = unique_tmp(&store.entry_path(Stage::Compile, 3));
+        for path in [&stale, &fresh] {
+            fs::write(path, b"half an entry").expect("writable");
+        }
+        fs::File::options()
+            .write(true)
+            .open(&stale)
+            .and_then(|f| f.set_modified(hour_ago))
+            .expect("backdates");
+        let report = store.gc(&StoreGcConfig::default());
+        assert_eq!(report.swept_tmp_files, 1);
+        assert!(!stale.exists(), "an orphaned temp file is swept");
+        assert!(fresh.exists(), "a live writer's temp file is kept");
+        assert_eq!(report.retained_entries, 1, "temp files are not entries");
         fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn the_first_stats_query_never_loses_a_racing_save() {
+        for round in 0..20 {
+            let store = temp_store(&format!("index-race-{round}"));
+            for key in 0..32 {
+                store.save(Stage::Compile, key, &key);
+            }
+            // the savers and the first stats query start together, so
+            // saves land before, during and after its scan
+            let start = std::sync::Barrier::new(5);
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let (store, start) = (&store, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for key in 0..16 {
+                            store.save(Stage::Profile, t * 100 + key, &key);
+                        }
+                    });
+                }
+                start.wait();
+                store.totals();
+            });
+            assert_eq!(
+                store.totals().entries,
+                store.snapshot().len() as u64,
+                "round {round}"
+            );
+            fs::remove_dir_all(store.dir()).ok();
+        }
     }
 
     #[test]
@@ -1503,6 +1293,14 @@ mod tests {
                 extension_area: 0.0,
             },
         );
+        // a manifest.tsv left at the root by an older build is an
+        // unknown file: snapshot, gc and verify all ignore it
+        let leftover = store.dir().join("manifest.tsv");
+        let old_index = b"asip-manifest v1\ncompile\t1\t1\t1\n";
+        fs::write(&leftover, old_index).expect("writable");
+        assert_eq!(store.snapshot().len(), 2);
+        assert_eq!(store.gc(&StoreGcConfig::default()).retained_entries, 2);
+        assert_eq!(fs::read(&leftover).expect("left in place"), old_index);
         let clean = store.verify();
         assert_eq!((clean.ok, clean.corrupt), (2, 0));
         assert_eq!(clean.ok_per_stage[Stage::Compile as usize], 1);

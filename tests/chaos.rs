@@ -22,8 +22,7 @@ use asip_explorer::prelude::{ScheduleGraph, SequenceReport, Stage};
 use asip_explorer::remote::{serve, Endpoint, RemoteTier, RetryPolicy, ServeOptions};
 use asip_explorer::tier::ArtifactTier;
 use asip_explorer::{
-    ArtifactStore, CodecError, Exploration, Explorer, FaultConfig, FaultPlan, FaultTier,
-    MemoryTier, StoreGcConfig,
+    ArtifactStore, CodecError, Exploration, Explorer, FaultConfig, FaultPlan, FaultTier, MemoryTier,
 };
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -101,16 +100,13 @@ fn disk_fault_sweep_is_byte_identical_and_reconciles() {
         let plan = Arc::new(FaultPlan::new(seed, FaultConfig::disk(20)));
 
         // session 1 computes everything under injected read errors,
-        // dropped writes, torn writes and manifest corruption
+        // dropped writes and torn writes
         {
             let session = Explorer::new().with_store(&dir);
             let store = session.store().expect("store attached");
             store.arm_faults(Arc::clone(&plan));
             let explorations = session.explore_all().expect("faulted session completes");
             assert_eq!(digest(&explorations), expected, "disk seed {seed:#x}");
-            // flush the manifest under fault: ManifestCorrupt may tear
-            // it; the next open must rebuild by scan
-            store.gc(&StoreGcConfig::default());
             store.disarm_faults();
         }
 
@@ -330,15 +326,11 @@ fn interesting_offsets(len: usize) -> Vec<usize> {
 
 #[test]
 fn crash_truncation_sweep_always_recovers_and_heals() {
-    // seed a pristine single-benchmark store with a flushed manifest
+    // seed a pristine single-benchmark store
     let pristine = store_dir("crash-pristine");
     let expected = {
         let session = Explorer::new().with_store(&pristine);
         let run = session.explore("fir").expect("seeds the store");
-        session
-            .store()
-            .expect("store")
-            .gc(&StoreGcConfig::default());
         format!("{run:?}")
     };
     let entries = entry_files(&pristine);
@@ -386,72 +378,6 @@ fn crash_truncation_sweep_always_recovers_and_heals() {
         cases >= 60,
         "the sweep must cover many crash points: {cases}"
     );
-    fs::remove_dir_all(&scratch).ok();
-    fs::remove_dir_all(&pristine).ok();
-}
-
-#[test]
-fn crash_torn_manifest_always_recovers_and_is_rewritten_valid() {
-    let pristine = store_dir("crash-manifest");
-    let expected = {
-        let session = Explorer::new().with_store(&pristine);
-        let run = session.explore("fir").expect("seeds the store");
-        session
-            .store()
-            .expect("store")
-            .gc(&StoreGcConfig::default());
-        format!("{run:?}")
-    };
-    let manifest_path = {
-        let session = Explorer::new().with_store(&pristine);
-        session.store().expect("store").manifest_path()
-    };
-    let pristine_manifest = fs::read(&manifest_path).expect("manifest flushed");
-
-    let scratch = store_dir("crash-manifest-scratch");
-    let mut mutations: Vec<Vec<u8>> = interesting_offsets(pristine_manifest.len())
-        .into_iter()
-        .map(|o| pristine_manifest[..o].to_vec())
-        .collect();
-    // scribbled tail, wrong header, binary garbage
-    let mut scribbled = pristine_manifest.clone();
-    scribbled.extend_from_slice(b"\xff\xfegarbage\tnot a manifest line\n");
-    mutations.push(scribbled);
-    mutations.push(b"not-a-manifest v999\n".to_vec());
-    mutations.push(vec![0xFF; 64]);
-
-    for (i, bytes) in mutations.iter().enumerate() {
-        fs::remove_dir_all(&scratch).ok();
-        copy_dir(&pristine, &scratch);
-        let target = {
-            let session = Explorer::new().with_store(&scratch);
-            session.store().expect("store").manifest_path()
-        };
-        fs::write(&target, bytes).expect("damages manifest");
-
-        // a damaged manifest must degrade to rebuild-by-scan: full
-        // disk reuse, identical results, zero recomputes
-        let session = Explorer::new().with_store(&scratch);
-        let run = session.explore("fir").expect("recovers from torn manifest");
-        assert_eq!(format!("{run:?}"), expected, "manifest mutation {i}");
-        let stats = session.cache_stats();
-        assert_eq!(
-            stats.total_misses(),
-            0,
-            "manifest damage must not cost recomputes: {stats}"
-        );
-
-        // the next flush rewrites a parseable manifest
-        session
-            .store()
-            .expect("store")
-            .gc(&StoreGcConfig::default());
-        let rewritten = fs::read_to_string(&target).expect("manifest rewritten");
-        assert!(
-            rewritten.starts_with("asip-manifest v1"),
-            "manifest mutation {i}: flush must restore a valid manifest"
-        );
-    }
     fs::remove_dir_all(&scratch).ok();
     fs::remove_dir_all(&pristine).ok();
 }

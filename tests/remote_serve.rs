@@ -155,10 +155,8 @@ fn wire_shutdown_op_stops_and_drains_the_daemon() {
     let final_stats = handle.join();
     assert_eq!(final_stats.puts, 1);
 
-    // the daemon flushed its manifest on the way out: a cold store
-    // snapshot (no rescan) already indexes the entry
+    // the entry the daemon took is in its store directory
     let store = ArtifactStore::open(&dir);
-    assert!(store.manifest_path().is_file(), "manifest flushed");
     assert_eq!(store.snapshot().len(), 1);
 
     // and the endpoint is really closed

@@ -295,11 +295,12 @@ fn with_store_gc_enforces_a_standing_budget_at_attach_time() {
     let budget = before.total_bytes() / 3;
     drop(warm);
 
-    // a long-lived host reattaches with a standing budget: the attach
-    // itself runs one budgeted GC pass, counted like any other
-    let session =
-        Explorer::new().with_store_gc(&dir, StoreGcConfig::default().with_max_bytes(budget));
-    let after = session.store().expect("attached").snapshot();
+    // a long-lived host reattaches and runs one budgeted GC pass,
+    // counted like any other
+    let session = Explorer::new().with_store(&dir);
+    let store = session.store().expect("attached");
+    store.gc(&StoreGcConfig::default().with_max_bytes(budget));
+    let after = store.snapshot();
     assert!(
         after.total_bytes() <= budget,
         "attach-time GC enforced the budget ({} > {budget})",
@@ -318,8 +319,10 @@ fn with_store_gc_enforces_a_standing_budget_at_attach_time() {
         .expect("recomputes what GC dropped");
 
     // an in-budget reattach is a no-op
-    let calm =
-        Explorer::new().with_store_gc(&dir, StoreGcConfig::default().with_max_bytes(u64::MAX));
+    let calm = Explorer::new().with_store(&dir);
+    calm.store()
+        .expect("attached")
+        .gc(&StoreGcConfig::default().with_max_bytes(u64::MAX));
     assert_eq!(calm.cache_stats().gc_evictions, 0);
 
     fs::remove_dir_all(&dir).ok();
