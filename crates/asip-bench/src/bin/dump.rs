@@ -6,14 +6,27 @@
 //! cargo run -p asip-bench --bin dump -- fir --level 1  # schedule graph
 //! cargo run -p asip-bench --bin dump -- fir --mix      # dynamic class mix
 //! ```
+//!
+//! `--level` takes 0, 1 or 2; any other value exits 2. The class mix
+//! folds the session's cached profile over the program's instructions
+//! (`Profile::class_mix`), so it costs no extra simulation.
 
 use asip_explorer::{Explorer, ExplorerError};
 use asip_opt::OptLevel;
-use asip_sim::{ClassMix, Simulator};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let name = args.get(1).map(String::as_str).unwrap_or("fir");
+    let level = args.iter().position(|a| a == "--level").map(|i| {
+        let value = args.get(i + 1).map(String::as_str).unwrap_or("");
+        OptLevel::all()
+            .into_iter()
+            .find(|l| value == l.number().to_string())
+            .unwrap_or_else(|| {
+                eprintln!("invalid --level `{value}`; valid levels: 0, 1, 2");
+                std::process::exit(2);
+            })
+    });
     let session = asip_bench::with_shared_store(Explorer::new());
     let compiled = match session.compile(name) {
         Ok(c) => c,
@@ -33,35 +46,25 @@ fn main() {
     };
 
     if args.iter().any(|a| a == "--mix") {
-        let mut mix = ClassMix::for_program(&compiled.program);
-        Simulator::new(&compiled.program)
-            .run_traced(&compiled.benchmark.dataset(), &mut mix)
-            .expect("built-ins simulate");
-        let total: u64 = mix.counts().values().sum();
+        let profiled = session.profile(name).expect("built-ins simulate");
+        let total = profiled.profile.total_ops();
         println!("dynamic op-class mix for {name} ({total} ops):");
-        let mut rows: Vec<_> = mix.counts().iter().collect();
-        rows.sort_by_key(|(_, &c)| std::cmp::Reverse(c));
+        let mix = profiled.profile.class_mix(&compiled.program);
+        let mut rows: Vec<_> = mix.iter().map(|(c, &n)| (c.to_string(), n)).collect();
+        // most executed first, ties by class name
+        rows.sort_by(|(a, m), (b, n)| n.cmp(m).then_with(|| a.cmp(b)));
         for (class, count) in rows {
             println!(
                 "  {class:12} {count:>10}  ({:5.2}%)",
-                100.0 * *count as f64 / total as f64
+                100.0 * count as f64 / total as f64
             );
         }
         return;
     }
 
-    let level = args
-        .windows(2)
-        .find(|w| w[0] == "--level")
-        .and_then(|w| w[1].parse::<u8>().ok());
     match level {
         None => print!("{}", compiled.program),
-        Some(n) => {
-            let level = match n {
-                0 => OptLevel::None,
-                1 => OptLevel::Pipelined,
-                _ => OptLevel::PipelinedRenamed,
-            };
+        Some(level) => {
             let scheduled = session.schedule(name, level).expect("built-ins schedule");
             print!("{}", scheduled.graph);
         }

@@ -49,44 +49,6 @@ pub fn combine<R: Borrow<SequenceReport>>(reports: &[R]) -> CombinedReport {
     )
 }
 
-/// Combine by pooling dynamic weight instead: a signature's combined
-/// frequency is its covered dynamic ops across the suite divided by the
-/// suite's total dynamic ops, as if the benchmarks were one long
-/// program. Long-running kernels dominate; exposed for the ablation
-/// benches.
-///
-/// # Panics
-///
-/// Panics if `reports` is empty.
-pub fn combine_pooled(reports: &[SequenceReport]) -> CombinedReport {
-    assert!(!reports.is_empty(), "cannot combine zero reports");
-    let suite_total: u64 = reports.iter().map(|r| r.total_profile_ops).sum();
-    let mut pooled: BTreeMap<Signature, SeqStats> = BTreeMap::new();
-    for r in reports {
-        for (sig, stats) in r.entries() {
-            let ops = stats.frequency / 100.0 * r.total_profile_ops as f64;
-            let e = match pooled.get_mut(sig) {
-                Some(e) => e,
-                None => pooled.entry(sig.clone()).or_insert(SeqStats {
-                    frequency: 0.0,
-                    occurrences: 0,
-                }),
-            };
-            e.frequency += if suite_total == 0 {
-                0.0
-            } else {
-                100.0 * ops / suite_total as f64
-            };
-            e.occurrences += stats.occurrences;
-        }
-    }
-    SequenceReport::from_parts(
-        "combined-pooled".to_string(),
-        pooled.into_iter().collect(),
-        suite_total,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,20 +81,6 @@ mod tests {
         let c = combine(&[a, b]);
         let mac: Signature = "multiply-add".parse().expect("ok");
         assert!((c.frequency_of(&mac) - 5.5).abs() < 1e-9);
-        assert_eq!(c.total_profile_ops, 10000);
-        assert_eq!(c.entries()[0].1.occurrences, 8);
-    }
-
-    #[test]
-    fn pooling_weights_by_benchmark_size() {
-        // bench A: 10% multiply-add over 1000 ops = 100 ops
-        // bench B: 1% multiply-add over 9000 ops = 90 ops
-        // pooled: 190 / 10000 = 1.9%
-        let a = report("a", 1000, vec![("multiply-add", 10.0, 5)]);
-        let b = report("b", 9000, vec![("multiply-add", 1.0, 3)]);
-        let c = combine_pooled(&[a, b]);
-        let mac: Signature = "multiply-add".parse().expect("ok");
-        assert!((c.frequency_of(&mac) - 1.9).abs() < 1e-9);
         assert_eq!(c.total_profile_ops, 10000);
         assert_eq!(c.entries()[0].1.occurrences, 8);
     }

@@ -55,7 +55,7 @@ pub mod detect;
 pub mod report;
 pub mod signature;
 
-pub use combine::{combine, combine_pooled, CombinedReport};
+pub use combine::{combine, CombinedReport};
 pub use coverage::{CoverageAnalyzer, CoverageEntry, CoverageReport};
 pub use detect::{default_chainable, DetectorConfig, Occurrence, SequenceDetector};
 pub use report::{SeqStats, SequenceReport};

@@ -56,11 +56,6 @@
 //! array name for an [`SimError::OutOfBounds`] message is rebuilt from
 //! the decode-time array plan at error time.
 //!
-//! Traced runs ([`Engine::run_traced`]) use a separate specialized loop
-//! so the untraced hot path carries no `Option<sink>` check; the trace
-//! loop rebuilds each event's `&Inst` from a decoded-index origin
-//! table.
-//!
 //! ## Decode-time validation vs run-time checks
 //!
 //! Decoding assumes a structurally *and type* valid program (the
@@ -106,7 +101,6 @@ use crate::data::DataSet;
 use crate::error::{Result, SimError};
 use crate::machine::Execution;
 use crate::profile::Profile;
-use crate::trace::{TraceEvent, TraceSink};
 use asip_ir::{ArrayKind, BinOp, InstKind, Operand, Program, Ty, UnOp, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -489,9 +483,6 @@ impl RunStateStats {
 #[derive(Debug)]
 pub struct DecodedProgram {
     insts: Vec<DecodedInst>,
-    /// `(block index, position in block)` per decoded index, for
-    /// rebuilding trace events and error context from a decoded index.
-    origins: Vec<(u32, u32)>,
     blocks: Vec<BlockPlan>,
     /// Per-block profile slots (instruction ids), flattened; indexed by
     /// the same ranges as `insts` minus sentinels via `profile_ranges`.
@@ -784,19 +775,18 @@ impl DecodedProgram {
 
         // -- instruction lowering -------------------------------------
         let mut insts = Vec::with_capacity(program.inst_count() + 1);
-        let mut origins = Vec::with_capacity(insts.capacity());
         let mut blocks = Vec::with_capacity(program.blocks.len());
         let mut profile_slots = Vec::with_capacity(program.inst_count());
         let mut profile_ranges = Vec::with_capacity(program.blocks.len());
         let mut chain_steps: Vec<ChainStep> = Vec::new();
         let mut max_id = 0usize;
 
-        for (bi, block) in program.blocks.iter().enumerate() {
+        for block in &program.blocks {
             let start = insts.len() as u32;
             let pstart = profile_slots.len() as u32;
             let mut terminated = false;
             let mut source_steps = 0u32;
-            for (pos, inst) in block.insts.iter().enumerate() {
+            for inst in &block.insts {
                 let decoded = match &inst.kind {
                     InstKind::Binary { op, dst, lhs, rhs } => {
                         if !op.is_float() {
@@ -1115,22 +1105,6 @@ impl DecodedProgram {
                     }
                     other => other,
                 };
-                // a fused pair keeps the *producer's* origin so the
-                // trace loop can re-derive both source instructions
-                if matches!(
-                    decoded,
-                    DecodedInst::IntBinBranch { .. }
-                        | DecodedInst::FloatCmpBranch { .. }
-                        | DecodedInst::IntBinMov { .. }
-                        | DecodedInst::FloatBinMov { .. }
-                        | DecodedInst::IntBinLoadInt { .. }
-                        | DecodedInst::IntBinLoadFloat { .. }
-                ) {
-                    origins.pop();
-                    origins.push((bi as u32, pos as u32 - 1));
-                } else {
-                    origins.push((bi as u32, pos as u32));
-                }
                 insts.push(decoded);
                 profile_slots.push(inst.id.0);
                 source_steps += 1;
@@ -1142,7 +1116,6 @@ impl DecodedProgram {
             }
             if !terminated {
                 insts.push(DecodedInst::Unterminated);
-                origins.push((bi as u32, block.insts.len() as u32));
             }
             blocks.push(BlockPlan {
                 start,
@@ -1159,7 +1132,6 @@ impl DecodedProgram {
 
         DecodedProgram {
             insts,
-            origins,
             blocks,
             profile_slots,
             profile_ranges,
@@ -1360,8 +1332,8 @@ impl DecodedProgram {
         (i, f)
     }
 
-    /// Execute one decoded instruction. Shared by the fast block loop,
-    /// the careful near-limit loop and the trace loop.
+    /// Execute one decoded instruction. Shared by the fast block loop
+    /// and the careful near-limit loop.
     #[inline(always)]
     fn exec(&self, inst: &DecodedInst, m: &mut RunState) -> Step {
         match *inst {
@@ -1608,60 +1580,6 @@ impl DecodedProgram {
         }
     }
 
-    /// The value a fused pair's producer computes, evaluated on the
-    /// state *before* the pair runs (its consumer may overwrite the
-    /// producer's register); `None` for every other instruction. Trace
-    /// events only.
-    fn produced(&self, inst: &DecodedInst, m: &RunState) -> Option<Value> {
-        match *inst {
-            DecodedInst::IntBinBranch { op, lhs, rhs, .. }
-            | DecodedInst::IntBinMov { op, lhs, rhs, .. }
-            | DecodedInst::IntBinLoadInt { op, lhs, rhs, .. }
-            | DecodedInst::IntBinLoadFloat { op, lhs, rhs, .. } => Some(Value::Int(eval_int_bin(
-                op,
-                m.ints[lhs as usize],
-                m.ints[rhs as usize],
-            ))),
-            DecodedInst::FloatCmpBranch { op, lhs, rhs, .. } => Some(Value::Int(eval_float_cmp(
-                op,
-                m.floats[lhs as usize],
-                m.floats[rhs as usize],
-            ))),
-            DecodedInst::FloatBinMov { op, lhs, rhs, .. } => Some(Value::Float(eval_float_bin(
-                op,
-                m.floats[lhs as usize],
-                m.floats[rhs as usize],
-            ))),
-            _ => None,
-        }
-    }
-
-    /// The value an instruction (for a fused pair: its consumer) wrote
-    /// to its destination register, if any. Trace events only.
-    fn wrote(&self, inst: &DecodedInst, m: &RunState) -> Option<Value> {
-        match *inst {
-            DecodedInst::IntBin { dst, .. }
-            | DecodedInst::FloatCmp { dst, .. }
-            | DecodedInst::IntBinMov { dst2: dst, .. }
-            | DecodedInst::IntBinLoadInt { ld: dst, .. }
-            | DecodedInst::IntUn { dst, .. }
-            | DecodedInst::FloatToInt { dst, .. }
-            | DecodedInst::LoadInt { dst, .. }
-            | DecodedInst::LoadIntAddr { dst, .. }
-            | DecodedInst::ChainedInt { dst, .. }
-            | DecodedInst::IntChain { dst, .. } => Some(Value::Int(m.ints[dst as usize])),
-            DecodedInst::FloatBin { dst, .. }
-            | DecodedInst::FloatBinMov { dst2: dst, .. }
-            | DecodedInst::IntBinLoadFloat { ld: dst, .. }
-            | DecodedInst::FloatUn { dst, .. }
-            | DecodedInst::IntToFloat { dst, .. }
-            | DecodedInst::LoadFloat { dst, .. }
-            | DecodedInst::LoadFloatAddr { dst, .. }
-            | DecodedInst::ChainedFloat { dst, .. } => Some(Value::Float(m.floats[dst as usize])),
-            _ => None,
-        }
-    }
-
     /// Derive the per-instruction profile from the block entry counters
     /// (every instruction in a block runs once per entry), reproducing
     /// the reference interpreter's on-demand slot growth exactly.
@@ -1774,82 +1692,6 @@ impl DecodedProgram {
             memory: self.materialize_memory(&state),
             result: out.result,
         })
-    }
-
-    /// Run with a per-step trace observer: the specialized slow loop.
-    /// `program` must be the program this decode was built from (the
-    /// trace borrows its instructions).
-    pub(crate) fn execute_traced(
-        &self,
-        program: &Program,
-        data: &DataSet,
-        limit: u64,
-        sink: &mut dyn TraceSink,
-    ) -> Result<Execution> {
-        let inputs = self.bind(data)?;
-        let mut m = self.new_state();
-        self.reset_into(&mut m, &inputs);
-        let mut steps: u64 = 0;
-        let mut block = self.entry as usize;
-
-        'outer: loop {
-            m.block_counts[block] += 1;
-            let plan = self.blocks[block];
-            for pc in plan.start as usize..plan.end as usize {
-                let inst = &self.insts[pc];
-                let (ob, opos) = self.origins[pc];
-                // a fused pair re-expands into its two source events
-                // with the reference's exact ordering: no event if the
-                // producer's step crosses the limit; the producer's
-                // event but not the consumer's if the consumer's step
-                // crosses, which beats a fused load's out-of-bounds
-                let fused = step_weight(inst) == 2;
-                let produced = self.produced(inst, &m);
-                steps += step_weight(inst).min(1);
-                if steps > limit {
-                    return Err(SimError::StepLimit { limit });
-                }
-                let step = self.exec(inst, &mut m);
-                let source = &program.blocks[ob as usize].insts;
-                if fused {
-                    sink.event(&TraceEvent {
-                        step: steps,
-                        block: asip_ir::BlockId(ob),
-                        inst: &source[opos as usize],
-                        wrote: produced,
-                    });
-                    steps += 1;
-                    if steps > limit {
-                        return Err(SimError::StepLimit { limit });
-                    }
-                }
-                if let Step::Oob { decl, addr } = step {
-                    return Err(self.oob(decl, addr));
-                }
-                sink.event(&TraceEvent {
-                    step: steps,
-                    block: asip_ir::BlockId(ob),
-                    inst: &source[opos as usize + fused as usize],
-                    wrote: self.wrote(inst, &m),
-                });
-                match step {
-                    Step::Next => {}
-                    Step::Goto(b) => {
-                        block = b as usize;
-                        continue 'outer;
-                    }
-                    Step::Halt(result) => {
-                        return Ok(Execution {
-                            profile: self.derive_profile(&m.block_counts, steps),
-                            memory: self.materialize_memory(&m),
-                            result,
-                        })
-                    }
-                    Step::Oob { .. } => unreachable!("returned above"),
-                }
-            }
-            unreachable!("block fell through without terminator");
-        }
     }
 }
 
@@ -2085,18 +1927,6 @@ impl Engine {
             });
         self.checkin(state);
         finished
-    }
-
-    /// Run with an execution-trace observer (see [`crate::trace`]).
-    /// Tracing is the diagnostic slow path: it uses a fresh state, not
-    /// the pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run`].
-    pub fn run_traced(&self, data: &DataSet, sink: &mut dyn TraceSink) -> Result<Execution> {
-        self.code
-            .execute_traced(&self.program, data, self.step_limit, sink)
     }
 
     /// This engine's run-state pool counters (sessions aggregate them
@@ -2375,8 +2205,8 @@ mod tests {
         // an add feeding a direct load fuses (IntBinLoadInt /
         // IntBinLoadFloat), as does a bin-op result mov'd onward
         // (IntBinMov / FloatBinMov), as does a compare feeding the
-        // branch; everything observable, traces included, must stay
-        // byte-identical to the reference interpreter
+        // branch; everything observable must stay byte-identical to
+        // the reference interpreter
         let mut b = ProgramBuilder::new("fused");
         let x = b.input_array("x", Ty::Int, 4);
         let f = b.input_array("f", Ty::Float, 4);
@@ -2419,28 +2249,20 @@ mod tests {
         assert_eq!(decoded.profile, reference.profile);
         assert_eq!(decoded.memory, reference.memory);
         assert_eq!(decoded.result, reference.result);
-        // and step-limit parity holds across every fused boundary, in
-        // the plain and the traced loop, event for event
+        // and step-limit parity holds across every fused boundary
         let total = decoded.profile.total_ops();
         for limit in 0..=total {
-            let mut ref_trace = crate::trace::RingTrace::new(64);
-            let mut eng_trace = crate::trace::RingTrace::new(64);
             let r = crate::reference::ReferenceSimulator::new(&p)
                 .with_step_limit(limit)
-                .run_traced(&d, &mut ref_trace);
-            let engine = Engine::new(Arc::new(p.clone())).with_step_limit(limit);
-            let traced = engine.run_traced(&d, &mut eng_trace);
-            for e in [engine.run(&d), traced] {
-                match (&r, e) {
-                    (Ok(a), Ok(b)) => assert_eq!(a.profile, b.profile),
-                    (Err(a), Err(b)) => assert_eq!(*a, b, "at limit {limit}"),
-                    (a, b) => panic!("diverged at limit {limit}: {a:?} vs {b:?}"),
-                }
+                .run(&d);
+            let e = Engine::new(Arc::new(p.clone()))
+                .with_step_limit(limit)
+                .run(&d);
+            match (r, e) {
+                (Ok(a), Ok(b)) => assert_eq!(a.profile, b.profile),
+                (Err(a), Err(b)) => assert_eq!(a, b, "at limit {limit}"),
+                (a, b) => panic!("diverged at limit {limit}: {a:?} vs {b:?}"),
             }
-            assert!(
-                ref_trace.events().eq(eng_trace.events()),
-                "at limit {limit}"
-            );
         }
     }
 
@@ -2469,22 +2291,15 @@ mod tests {
                 ..
             })
         ));
-        // a step limit between the pair's halves beats the OOB, in the
-        // traced loop too, after the producer's event
+        // a step limit between the pair's halves beats the OOB
         for limit in 0..3 {
-            let mut ref_trace = crate::trace::RingTrace::new(8);
-            let mut eng_trace = crate::trace::RingTrace::new(8);
             let r = crate::reference::ReferenceSimulator::new(&p)
                 .with_step_limit(limit)
-                .run_traced(&d, &mut ref_trace);
+                .run(&d);
             let e = Engine::new(Arc::new(p.clone()))
                 .with_step_limit(limit)
-                .run_traced(&d, &mut eng_trace);
+                .run(&d);
             assert_eq!(r, e, "at limit {limit}");
-            assert!(
-                ref_trace.events().eq(eng_trace.events()),
-                "at limit {limit}"
-            );
         }
     }
 
@@ -2598,16 +2413,14 @@ mod tests {
         // int-only and float-only chains, an fcmp feeding an int tail,
         // zero-filled heads, div/rem by zero, shifts of 64 and more,
         // wrapping overflow, NaN and -0.0 outputs and every bank
-        // crossing, through the plain and the traced loop
+        // crossing
         let data = chain_data();
         for spec in CHAINS {
             let p = chain_program(spec);
             let reference = crate::reference::ReferenceSimulator::new(&p).run(&data);
             let engine = Engine::new(Arc::new(p));
-            let traced = engine.run_traced(&data, &mut crate::trace::RingTrace::new(4));
             let want = observe(&reference.expect("runs"));
             assert_eq!(observe(&engine.run(&data).expect("runs")), want, "{spec}");
-            assert_eq!(observe(&traced.expect("runs")), want, "{spec}");
         }
     }
 

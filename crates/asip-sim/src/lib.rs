@@ -20,6 +20,10 @@
 //! [`mod@reference`] as the executable specification the differential
 //! tests compare against.
 //!
+//! A run observes nothing per step: its [`Profile`] is the record of
+//! what executed, and [`Profile::class_mix`] folds it into a dynamic
+//! op-class mix.
+//!
 //! ## Example
 //!
 //! ```
@@ -55,7 +59,6 @@ pub mod error;
 pub mod machine;
 pub mod profile;
 pub mod reference;
-pub mod trace;
 
 pub use data::{DataGen, DataSet};
 pub use decode::{DecodedProgram, Engine, OutputImage, RunOutcome, RunStateStats};
@@ -63,4 +66,3 @@ pub use error::{Result, SimError};
 pub use machine::{Execution, Simulator};
 pub use profile::Profile;
 pub use reference::ReferenceSimulator;
-pub use trace::{ClassMix, RingTrace, TraceEvent, TraceSink};

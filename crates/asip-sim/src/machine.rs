@@ -3,7 +3,7 @@
 //! [`Simulator`] keeps the original borrowing one-shot API but now
 //! executes through the pre-decoded engine (see [`crate::decode`]): a
 //! `run` lowers the program once into a [`crate::DecodedProgram`] and
-//! drives the tight slot-indexed loop instead of walking the IR per
+//! drives the engine's slot-indexed loop instead of walking the IR per
 //! dynamic operation. Callers that run the same program repeatedly
 //! should hold a [`crate::Engine`] (decode once, run many); the
 //! original per-instruction interpreter survives as
@@ -87,24 +87,6 @@ impl<'p> Simulator<'p> {
     /// - [`crate::SimError::StepLimit`] if execution runs away.
     pub fn run(&self, data: &DataSet) -> Result<Execution> {
         DecodedProgram::decode(self.program).execute(data, self.step_limit)
-    }
-
-    /// Run with an execution-trace observer (see [`crate::trace`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run`].
-    pub fn run_traced(
-        &self,
-        data: &DataSet,
-        sink: &mut dyn crate::trace::TraceSink,
-    ) -> Result<Execution> {
-        DecodedProgram::decode(self.program).execute_traced(
-            self.program,
-            data,
-            self.step_limit,
-            sink,
-        )
     }
 }
 

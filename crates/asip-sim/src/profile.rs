@@ -1,7 +1,8 @@
 //! Dynamic execution profiles.
 
-use asip_ir::{BlockId, InstId};
+use asip_ir::{BlockId, InstId, OpClass, Program};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Per-instruction and per-block dynamic execution counts for one run.
 ///
@@ -71,6 +72,20 @@ impl Profile {
             .map(|(i, &c)| (InstId(i as u32), c))
     }
 
+    /// Dynamic count per op class: this profile folded over the
+    /// instructions of `program`, the program it was taken from.
+    /// Classes that never executed are absent.
+    pub fn class_mix(&self, program: &Program) -> BTreeMap<OpClass, u64> {
+        let mut mix = BTreeMap::new();
+        for (_, inst) in program.insts() {
+            let count = self.count(inst.id);
+            if count > 0 {
+                *mix.entry(program.class_of(inst)).or_insert(0) += count;
+            }
+        }
+        mix
+    }
+
     /// The raw per-instruction counts, indexed by [`InstId`]. Together
     /// with [`Profile::block_counts`] and [`Profile::total_ops`] this is
     /// the profile's complete state, exposed so artifact stores can
@@ -114,6 +129,31 @@ mod tests {
         assert_eq!(p.total_ops(), 3);
         let executed: Vec<_> = p.executed_insts().collect();
         assert_eq!(executed, vec![(InstId(1), 2), (InstId(3), 1)]);
+    }
+
+    #[test]
+    fn class_mix_counts_dynamic_classes() {
+        use crate::{DataSet, Simulator};
+        use asip_ir::{BinOp, Operand, ProgramBuilder, Ty};
+        let mut b = ProgramBuilder::new("t");
+        let x = b.input_array("x", Ty::Int, 4);
+        let e = b.entry_block();
+        b.select_block(e);
+        let v = b.load(x, Operand::imm_int(0));
+        let w = b.binary(BinOp::Mul, v.into(), Operand::imm_int(3));
+        b.ret(Some(w.into()));
+        let p = b.finish().expect("valid");
+        let mut d = DataSet::new();
+        d.bind_ints("x", vec![7, 0, 0, 0]);
+        let mix = Simulator::new(&p)
+            .run(&d)
+            .expect("runs")
+            .profile
+            .class_mix(&p);
+        assert_eq!(mix.get(&OpClass::Load), Some(&1));
+        assert_eq!(mix.get(&OpClass::Mul), Some(&1));
+        assert_eq!(mix.get(&OpClass::Branch), Some(&1)); // the ret
+        assert_eq!(mix.len(), 3, "classes that never ran are absent");
     }
 
     #[test]

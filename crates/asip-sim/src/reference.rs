@@ -5,8 +5,8 @@
 //! is kept as the *executable specification* of the machine model: the
 //! differential test suite asserts that [`crate::Simulator`] (now a
 //! facade over the decoded engine) produces byte-identical profiles,
-//! memories, results and trace streams for every Table-1 benchmark and
-//! for randomly generated programs.
+//! memories, results and errors for every Table-1 benchmark and for
+//! randomly generated programs.
 //!
 //! It is deliberately boring: one `match` per executed instruction,
 //! straight off the IR, with per-step limit checks and bump-per-
@@ -50,27 +50,6 @@ impl<'p> ReferenceSimulator<'p> {
     ///
     /// Exactly as [`crate::Simulator::run`].
     pub fn run(&self, data: &DataSet) -> Result<Execution> {
-        self.run_inner(data, None)
-    }
-
-    /// Run with an execution-trace observer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ReferenceSimulator::run`].
-    pub fn run_traced(
-        &self,
-        data: &DataSet,
-        sink: &mut dyn crate::trace::TraceSink,
-    ) -> Result<Execution> {
-        self.run_inner(data, Some(sink))
-    }
-
-    fn run_inner(
-        &self,
-        data: &DataSet,
-        mut sink: Option<&mut dyn crate::trace::TraceSink>,
-    ) -> Result<Execution> {
         let program = self.program;
         let mut memory: Vec<Vec<Value>> = Vec::with_capacity(program.arrays.len());
         for decl in &program.arrays {
@@ -115,16 +94,7 @@ impl<'p> ReferenceSimulator<'p> {
                     });
                 }
                 profile.bump_inst(inst.id);
-                let flow = self.step(inst, &mut regs, &mut memory)?;
-                if let Some(sink) = sink.as_deref_mut() {
-                    sink.event(&crate::trace::TraceEvent {
-                        step: steps,
-                        block,
-                        inst,
-                        wrote: inst.dst().map(|d| regs[d.index()]),
-                    });
-                }
-                match flow {
+                match self.step(inst, &mut regs, &mut memory)? {
                     Flow::Next => {}
                     Flow::Goto(b) => {
                         block = b;

@@ -362,6 +362,10 @@ impl Shared {
                 for tier in self.session.tier_stack().tiers() {
                     if tier.persistent() {
                         landed |= tier.put(stage, key, &payload);
+                    } else if tier.contains(stage, key) {
+                        // a copy `find` promoted must not outlive the
+                        // entry it was read from
+                        tier.put(stage, key, &payload);
                     }
                 }
                 Response::Done(landed)
@@ -1152,6 +1156,27 @@ mod tests {
         assert_eq!(totals["disk"].corrupt, 1, "{totals:?}");
         assert_eq!(totals["disk"].hits, 1, "{totals:?}");
         assert_eq!(totals["memory"].hits, 1, "{totals:?}");
+        let _ = handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_put_replaces_the_promoted_copy() {
+        use crate::artifact::Stage;
+        use crate::tier::TierRead;
+        let dir = temp_dir("replace");
+        let session = Arc::new(Explorer::new().with_store(&dir));
+        let handle =
+            serve(Arc::clone(&session), &loopback(), ServeOptions::default()).expect("binds");
+        let tier = RemoteTier::new(handle.endpoint().clone(), RetryPolicy::default());
+        assert!(tier.put(Stage::Profile, 1, b"old"));
+        assert!(matches!(tier.get(Stage::Profile, 1), TierRead::Hit(p) if p == b"old"));
+        assert!(session.tier_stack().tiers()[0].contains(Stage::Profile, 1));
+        assert!(tier.put(Stage::Profile, 1, b"new"));
+        assert!(
+            matches!(tier.get(Stage::Profile, 1), TierRead::Hit(p) if p == b"new"),
+            "the overwritten entry is not served from memory"
+        );
         let _ = handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -18,6 +18,7 @@
 //! `ASIP_GEN_SWEEP_SEEDS` convention of the generator sweep.
 
 use asip_explorer::artifact::{ArtifactCodec, Encoder};
+use asip_explorer::ir::{BlockId, Program};
 use asip_explorer::prelude::{ScheduleGraph, SequenceReport, Stage};
 use asip_explorer::remote::{serve, Endpoint, RemoteTier, RetryPolicy, ServeOptions};
 use asip_explorer::tier::ArtifactTier;
@@ -417,8 +418,9 @@ fn nan_report_bytes(report: &SequenceReport) -> Vec<u8> {
 
 /// The daemon stores `Put` payloads without decoding them, so a client
 /// can plant framed, correctly checksummed payloads that no reader may
-/// accept: a NaN frequency (which the report's sort cannot order) and a
-/// NaN schedule weight. A fresh client must count each as corrupt,
+/// accept: a NaN frequency (which the report's sort cannot order), a
+/// NaN schedule weight, a truncated program and a program whose entry
+/// block is out of range. A fresh client must count each as corrupt,
 /// recompute byte-identical results, and never panic.
 #[test]
 fn poisoned_puts_are_counted_corrupt_and_recomputed() {
@@ -482,6 +484,45 @@ fn poisoned_puts_are_counted_corrupt_and_recomputed() {
         let remote = stats.tier("remote").stage(stage);
         assert_eq!(remote.corrupt, 3, "{stage}: {stats}");
     }
+
+    // then the compile entry, twice over, each read by a fresh client:
+    // truncated bytes, and a program that decodes field by field but
+    // fails `Program::validate`
+    let [key] = stage_keys(&dir, Stage::Compile)[..] else {
+        panic!("one compile entry for fir")
+    };
+    let mut program: Program = reader.load(Stage::Compile, key).expect("valid entry");
+    let valid = program.to_bytes();
+    let truncated = valid[..valid.len() / 2].to_vec();
+    assert!(
+        Program::from_bytes(&truncated).is_err(),
+        "truncation is rejected"
+    );
+    program.entry = BlockId(program.blocks.len() as u32);
+    let out_of_range = program.to_bytes();
+    assert!(
+        matches!(
+            Program::from_bytes(&out_of_range),
+            Err(CodecError::Invalid { detail }) if detail.contains("program rejected")
+        ),
+        "the poison is rejected by validation"
+    );
+    for (seed, poison) in [(4, truncated), (5, out_of_range)] {
+        assert!(hostile.put(Stage::Compile, key, &poison), "put lands");
+        poisoned += 1;
+        let fresh = Explorer::new()
+            .with_remote(&addr, chaos_policy(seed))
+            .expect("daemon endpoint parses");
+        let run = fresh
+            .explore("fir")
+            .expect("a poisoned program costs a recompile");
+        assert_eq!(format!("{run:?}"), expected, "byte-identical results");
+        let stats = fresh.cache_stats();
+        let remote = stats.tier("remote");
+        assert_eq!(remote.stage(Stage::Compile).corrupt, 1, "{stats}");
+        assert_eq!(remote.total().corrupt, 1, "only the program: {stats}");
+    }
+    assert_eq!(poisoned, 8, "six stage entries and two programs");
 
     let served = handle.shutdown();
     assert_eq!(served.panics, 0);
