@@ -17,22 +17,26 @@
 //! server's version triple (exit code 2 when unreachable), `stats`
 //! prints the daemon's request counters and tier totals.
 //!
-//! - `stats` prints the per-stage entry/byte accounting from a scan of
-//!   the store directory.
-//! - `gc` evicts oldest-written entries first (by file mtime) until the
-//!   given byte and/or age budgets hold, sweeps temp files orphaned by
-//!   crashed writers, and prints a report. With no budget it only
-//!   sweeps.
-//! - `verify` walks every entry and validates it end to end (header,
-//!   checksum, full typed decode); exit code 2 when anything is
-//!   corrupt, so CI can gate on store health. Corrupt entries are left
-//!   in place — sessions heal them on the next request — but `gc` or
-//!   plain `rm` can be used to drop them eagerly. Entries from an older
-//!   format version are counted as `stale`, not corrupt: a version bump
-//!   leaves them unread under old keys, and `gc` reclaims their space.
+//! The store is a directory of append-only segment files; every command
+//! reads it through a scan of their record headers.
+//!
+//! - `stats` prints the per-stage entry/byte accounting of the live
+//!   records.
+//! - `gc` evicts the oldest-written records first (by segment, then
+//!   position in it) until the given byte and/or age budgets hold,
+//!   copies the rest into one new segment, unlinks the old ones and
+//!   prints a report. With no budget it only compacts: superseded,
+//!   torn, corrupt and stale records go.
+//! - `verify` validates every live record end to end (header, checksum,
+//!   full typed decode); exit code 2 when anything is corrupt, so CI
+//!   can gate on store health. Corrupt records are left in place —
+//!   sessions supersede them on the next request — but `gc` drops them
+//!   eagerly. Records from an older format version are counted as
+//!   `stale`, not corrupt: a version bump leaves them unread under old
+//!   keys, and `gc` drops them.
 //!
 //! Every operation is safe against concurrent sessions: readers of a
-//! GC'd entry degrade to a recompute, never to a wrong result.
+//! GC'd record degrade to a recompute, never to a wrong result.
 
 use asip_explorer::artifact::Stage;
 use asip_explorer::remote::{Endpoint, RemoteTier, RetryPolicy};
@@ -124,15 +128,16 @@ fn remote_command(addr: &str, command: &str) -> ExitCode {
     }
 }
 
-/// Parse `N`, `NK`, `NM` or `NG` (binary units) into bytes.
+/// Parse `N`, `NK`, `NM` or `NG` (binary units) into bytes; `None`
+/// when it is malformed or does not fit in 64 bits.
 fn parse_bytes(s: &str) -> Option<u64> {
-    let (digits, shift) = match s.chars().last()? {
-        'K' | 'k' => (&s[..s.len() - 1], 10),
-        'M' | 'm' => (&s[..s.len() - 1], 20),
-        'G' | 'g' => (&s[..s.len() - 1], 30),
-        _ => (s, 0),
+    let (digits, unit) = match s.chars().last()? {
+        'K' | 'k' => (&s[..s.len() - 1], 1 << 10),
+        'M' | 'm' => (&s[..s.len() - 1], 1 << 20),
+        'G' | 'g' => (&s[..s.len() - 1], 1 << 30),
+        _ => (s, 1),
     };
-    digits.parse::<u64>().ok()?.checked_shl(shift)
+    digits.parse::<u64>().ok()?.checked_mul(unit)
 }
 
 fn main() -> ExitCode {
@@ -189,7 +194,8 @@ fn main() -> ExitCode {
             let manifest = store.snapshot();
             println!("{:>15} {:>8} {:>12}", "stage", "entries", "bytes");
             for stage in Stage::all() {
-                let (entries, bytes) = manifest.stage_usage(stage);
+                let (entries, bytes) = (manifest.iter().filter(|e| e.stage == stage))
+                    .fold((0, 0), |(n, b), e| (n + 1, b + e.bytes));
                 if entries > 0 {
                     println!(
                         "{:>15} {entries:>8} {:>12}",
@@ -202,7 +208,7 @@ fn main() -> ExitCode {
                 "{:>15} {:>8} {:>12}",
                 "total",
                 manifest.len(),
-                asip_bench::human_bytes(manifest.total_bytes())
+                asip_bench::human_bytes(manifest.iter().map(|e| e.bytes).sum())
             );
             ExitCode::SUCCESS
         }
@@ -229,7 +235,6 @@ fn main() -> ExitCode {
                 report.retained_entries,
                 asip_bench::human_bytes(report.retained_bytes)
             );
-            println!("swept    {} orphaned temp files", report.swept_tmp_files);
             ExitCode::SUCCESS
         }
         "verify" => {
@@ -251,7 +256,7 @@ fn main() -> ExitCode {
             if report.stale > 0 {
                 println!(
                     "stale entries are from an older format version and are never read; \
-                     `store gc --max-age SECS` reclaims their space"
+                     `store gc` drops them"
                 );
             }
             if report.corrupt > 0 {
@@ -262,5 +267,22 @@ fn main() -> ExitCode {
             }
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_bytes;
+
+    #[test]
+    fn byte_budgets_parse_and_overflow_is_refused() {
+        assert_eq!(parse_bytes("1K"), Some(1024));
+        assert_eq!(parse_bytes("1G"), Some(1 << 30));
+        assert_eq!(parse_bytes("0"), Some(0));
+        // 17179869184 << 30 wraps to exactly 0: a budget that would
+        // evict the whole store
+        assert_eq!(parse_bytes("17179869184G"), None);
+        assert_eq!(parse_bytes(&format!("{}K", u64::MAX)), None);
+        assert_eq!(parse_bytes("12Q"), None);
     }
 }

@@ -71,8 +71,8 @@ impl Stage {
         ]
     }
 
-    /// Stable lowercase name (used in stats displays, in store
-    /// directory names and in the header of every store entry).
+    /// Stable lowercase name (used in stats displays and in the header
+    /// of every store record).
     pub fn name(self) -> &'static str {
         match self {
             Stage::Compile => "compile",

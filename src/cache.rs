@@ -193,9 +193,7 @@ struct MemoryState {
 
 impl MemoryState {
     fn insert(&mut self, stage: Stage, key: u64, payload: &[u8], budget: u64) {
-        if let Some(old) = self.lru.remove(&(stage, key)) {
-            self.forget(stage, old.len() as u64);
-        }
+        self.remove(stage, key);
         self.lru.insert((stage, key), payload.to_vec());
         self.bytes += payload.len() as u64;
         self.stage_entries[stage as usize] += 1;
@@ -205,6 +203,12 @@ impl MemoryState {
                 break;
             };
             self.forget(s, evicted.len() as u64);
+        }
+    }
+
+    fn remove(&mut self, stage: Stage, key: u64) {
+        if let Some(old) = self.lru.remove(&(stage, key)) {
+            self.forget(stage, old.len() as u64);
         }
     }
 
@@ -309,11 +313,14 @@ impl ArtifactTier for MemoryTier {
     }
 
     fn put(&self, stage: Stage, key: u64, payload: &[u8]) -> bool {
-        // inserting it would evict every entry, then the payload itself
+        let mut state = crate::tier::lock(&self.state);
+        // inserting it would evict every entry, then the payload itself;
+        // a refused put still replaces the key's older copy, which must
+        // not go on being served
         if payload.len() as u64 > self.budget {
+            state.remove(stage, key);
             return false;
         }
-        let mut state = crate::tier::lock(&self.state);
         state.insert(stage, key, payload, self.budget);
         self.counters.count_write(stage);
         true
@@ -345,10 +352,7 @@ impl ArtifactTier for MemoryTier {
     }
 
     fn mark_corrupt(&self, stage: Stage, key: u64) {
-        let mut state = crate::tier::lock(&self.state);
-        if let Some(old) = state.lru.remove(&(stage, key)) {
-            state.forget(stage, old.len() as u64);
-        }
+        crate::tier::lock(&self.state).remove(stage, key);
         self.counters.demote_hit(stage);
     }
 
@@ -490,5 +494,15 @@ mod tests {
         assert!(!tier.contains(Stage::Profile, 2));
         let totals = tier.totals();
         assert_eq!((totals.entries, totals.bytes, totals.writes), (1, 4, 1));
+    }
+
+    #[test]
+    fn a_refused_put_stops_serving_the_keys_older_copy() {
+        let tier = MemoryTier::with_budget(8);
+        assert!(tier.put(Stage::Compile, 1, b"old"));
+        assert!(!tier.put(Stage::Compile, 1, &[0; 9]), "oversize is refused");
+        assert!(matches!(tier.get(Stage::Compile, 1), TierRead::Miss));
+        let totals = tier.totals();
+        assert_eq!((totals.entries, totals.bytes), (0, 0));
     }
 }

@@ -229,6 +229,10 @@ pub struct FaultCounts {
     pub disk_write_errors: u64,
     /// Injected torn writes.
     pub torn_writes: u64,
+    /// Of `torn_writes`, those cut before the record's key ended: no
+    /// reader can tell which entry they held, so they read as absent
+    /// rather than as corrupt.
+    pub torn_unattributable: u64,
     /// Injected connect refusals.
     pub connects_refused: u64,
     /// Injected mid-frame drops.
@@ -269,6 +273,7 @@ pub struct FaultPlan {
     config: FaultConfig,
     streams: [Mutex<FaultRng>; FAULT_SITE_COUNT],
     counts: [AtomicU64; FAULT_SITE_COUNT],
+    torn_unattributable: AtomicU64,
 }
 
 impl FaultPlan {
@@ -285,6 +290,7 @@ impl FaultPlan {
             config,
             streams,
             counts,
+            torn_unattributable: AtomicU64::new(0),
         }
     }
 
@@ -320,6 +326,12 @@ impl FaultPlan {
         crate::tier::lock(&self.streams[site.index()]).below(bound)
     }
 
+    /// Record that a torn write stopped before the record's key ended
+    /// ([`FaultCounts::torn_unattributable`]).
+    pub fn note_unattributable_tear(&self) {
+        self.torn_unattributable.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// How many times `site` has fired so far.
     pub fn fired(&self, site: FaultSite) -> u64 {
         self.counts[site.index()].load(Ordering::Relaxed)
@@ -331,6 +343,7 @@ impl FaultPlan {
             disk_read_errors: self.fired(FaultSite::DiskRead),
             disk_write_errors: self.fired(FaultSite::DiskWrite),
             torn_writes: self.fired(FaultSite::TornWrite),
+            torn_unattributable: self.torn_unattributable.load(Ordering::Relaxed),
             connects_refused: self.fired(FaultSite::ConnectRefused),
             drops_mid_frame: self.fired(FaultSite::DropMidFrame),
             timeouts: self.fired(FaultSite::Timeout),

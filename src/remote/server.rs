@@ -20,9 +20,9 @@
 //! [`ServerHandle::request_shutdown`] or dropping the handle) sets the
 //! stop flag, releases parked workers and wakes the accept loop with one
 //! connection to the daemon's own endpoint; joining then waits bounded
-//! for in-flight connections to drain. Every entry is already a file in
-//! the store directory when its `put` is answered, so there is nothing
-//! to flush.
+//! for in-flight connections to drain. Every entry is already appended
+//! to the store's segment when its `put` is answered, so there is
+//! nothing to flush.
 //!
 //! A `get` that a persistent tier answers also lands in the session's
 //! staging memory tier, so the next client reads it from memory instead
@@ -1126,10 +1126,11 @@ mod tests {
         assert!(tier.put(Stage::Profile, 1, b"good"));
         assert!(tier.put(Stage::Profile, 2, b"damaged"));
         let store = session.store().expect("store attached");
-        let path = store.entry_path(Stage::Profile, 2);
-        let mut bytes = std::fs::read(&path).expect("readable");
-        *bytes.last_mut().expect("nonempty") ^= 0xFF;
-        std::fs::write(&path, &bytes).expect("writable");
+        let snapshot = store.snapshot();
+        let e = snapshot.iter().find(|e| e.key == 2).expect("a record");
+        let mut bytes = std::fs::read(&e.segment).expect("readable");
+        bytes[(e.offset + e.bytes - 1) as usize] ^= 0xFF;
+        std::fs::write(&e.segment, &bytes).expect("writable");
 
         let staging = &session.tier_stack().tiers()[0];
         assert!(!staging.persistent(), "the staging memory tier");

@@ -49,7 +49,7 @@
 //! - **Parallel warm starts.** [`Explorer::explore_all`] and the suite
 //!   stages [`prefetch`](Explorer::prefetch) their persisted artifacts
 //!   on the session thread pool before fan-out, so a warm run performs
-//!   its disk reads concurrently instead of one file at a time
+//!   its disk reads concurrently instead of one at a time
 //!   (`prefetch_hits` in [`CacheStats`] shows the effect).
 //!
 //! ```

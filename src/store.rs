@@ -2,54 +2,38 @@
 //! [tier stack](crate::tier) under the [`Explorer`](crate::Explorer)
 //! session caches.
 //!
-//! The in-memory stage caches die with the process, so each of the
-//! paper-reproduction binaries would otherwise recompile, re-profile
-//! and re-schedule the same twelve benchmarks from scratch.
 //! [`ArtifactStore`] serializes stage artifacts to disk keyed by a
-//! stable content hash, turning a full reproduction run (many binaries,
-//! one pipeline) from N× pipeline cost into ~1×: the first binary
-//! populates the store, every later one reads it.
+//! stable content hash, so a full reproduction run (many binaries, one
+//! pipeline) costs one pipeline: the first binary populates the store,
+//! every later one reads it.
 //!
 //! # Layout
 //!
-//! One file per artifact, addressed entirely by content identity:
+//! An append-only log of segment files
+//! (`<dir>/<16-hex-digit creation time>-<8-hex-digit pid>.seg`), one per
+//! writing store handle, created by its first put. Each put appends one
+//! record: magic, version, stage, key, payload length, and an XXH64
+//! checksum over those fields and the payload, ahead of an
+//! [`ArtifactCodec`] payload. The key is a [`StableHasher`] (FNV-1a 64)
+//! digest of everything the artifact is a pure function of, including
+//! [`FORMAT_VERSION`]. Each handle indexes the records by a sequential
+//! scan of their headers, and a miss catches up with what other handles
+//! wrote since. The latest record of a key, in segment-name then offset
+//! order, is live. Files that are not segments (a v7 store's stage
+//! directories) are ignored. `docs/persistence.md` has the full format.
 //!
-//! ```text
-//! <dir>/<stage-name>/<16-hex-digit key>.art
-//! ```
+//! # Garbage collection and fallback
 //!
-//! The key is a [`StableHasher`] (FNV-1a 64) digest of everything the
-//! artifact is a pure function of — the benchmark source's XXH64 digest
-//! (not just the name), data spec, seed, stage name, every relevant
-//! configuration and [`FORMAT_VERSION`]. Each file carries a
-//! self-describing header (magic, version, stage, payload length, and an
-//! XXH64 checksum over the header fields and the payload) ahead of an
-//! [`ArtifactCodec`] payload. The directory is the store's only index:
-//! [`ArtifactStore::snapshot`] lists it by scan (file sizes and
-//! filesystem mtimes), and files it does not recognise — a
-//! `manifest.tsv` left at the root by an older build included — are
-//! ignored. The full specification lives in `docs/persistence.md`.
-//!
-//! # Garbage collection
-//!
-//! Config sweeps accrete entries forever without a bound, so the store
-//! garbage-collects on request: [`ArtifactStore::gc`] takes a
-//! [`StoreGcConfig`] byte and/or age budget and evicts
-//! least-recently-*written* entries first (LRU by mtime) until the
-//! store fits. GC is safe against concurrent readers — an entry deleted
-//! mid-read degrades to a miss or a checksum rejection, never a wrong
-//! hit — and a post-GC run simply recomputes and heals whatever it
-//! needs. The `asip-bench` `store` binary (`store gc|stats|verify`)
-//! exposes this as a maintenance CLI.
-//!
-//! # Fallback semantics
-//!
-//! The store **never fails a session request**. A missing entry is a
-//! miss; a truncated, corrupted or version-skewed entry is counted as
-//! `corrupt` and treated as a miss; an unwritable directory silently
-//! disables write-back. The worst possible outcome of deleting or
-//! damaging store files is recomputation — `rm -rf` of the store
-//! directory is always safe, including while sessions are running.
+//! [`ArtifactStore::gc`] takes a [`StoreGcConfig`] byte and/or age
+//! budget, copies the newest live records that fit into a new segment
+//! and unlinks the old segments; the `asip-bench` `store` binary
+//! (`store gc|stats|verify`) is its maintenance CLI. The store **never
+//! fails a session request**: a missing record is a miss; a torn,
+//! corrupted or version-skewed record is counted as `corrupt` and
+//! treated as a miss; an unwritable directory silently disables
+//! write-back. The worst outcome of deleting or damaging store files —
+//! `rm -rf` of the store while sessions run, or a GC under a reader —
+//! is recomputation.
 //!
 //! ```
 //! use asip_explorer::artifact::Stage;
@@ -82,70 +66,56 @@
 //! // a zero byte budget evicts everything; the next run recomputes
 //! let report = store.gc(&StoreGcConfig::default().with_max_bytes(0));
 //! assert_eq!(report.evicted_entries, 1);
-//! assert_eq!(store.snapshot().total_bytes(), 0);
+//! assert!(store.snapshot().is_empty());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
 use crate::artifact::{ArtifactCodec, Stage, STAGE_COUNT};
 use crate::fault::{FaultPlan, FaultSite};
-use crate::tier::{ArtifactTier, TierCounters, TierRead, TierStats};
-use std::collections::HashMap;
-use std::fs;
+use crate::tier::{lock, ArtifactTier, TierCounters, TierRead, TierStats};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::fs::{self, File};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Version of the on-disk artifact format. Bump on **any** change to the
-/// codec encodings, the file header, the key derivation, *or the
+/// codec encodings, the record header, the key derivation, *or the
 /// semantics of a pipeline stage* (optimizer heuristics, simulator
 /// costs, detector rules, …) — cached artifacts are functions of the
 /// stage algorithms, not just their inputs, and a warm store must never
-/// replay an old algorithm's output as current. On a bump, old entries
+/// replay an old algorithm's output as current. On a bump, old records
 /// fail the header check (and new keys diverge, since the version and
 /// the crate version are both hashed into every key), so stale artifacts
 /// degrade to recomputes instead of decoding wrongly.
 ///
 /// History: v2 — design-stage semantics changed (occurrence-aware
-/// coverage reports; selection may improve on the greedy pick via the
-/// frontier search) and the design-space stage was added.
-/// v3 — key derivation changed: the benchmark's suite tag
+/// coverage reports, frontier-search selection) and the design-space
+/// stage was added. v3 — the benchmark's suite tag
 /// ([`asip_benchmarks::Suite`]) is folded into every benchmark-keyed
-/// hash, so generated-corpus artifacts can never collide with Table-1
-/// names.
-/// v4 — the header's payload checksum changed from FNV-1a 64 to XXH64
-/// (seed 0), which checks replayed bytes at memory speed. Payloads,
-/// the codec and key recipes are unchanged; v3 entries miss under the
-/// new keys and recompute, and `verify` reports them as stale.
-/// v5 — the payload codec became untagged: integers, lengths and
-/// variants are LEB128 varints, op codes and op classes are indices
-/// into the IR's `all()` tables, and a `Program` is written field by
-/// field instead of as textual IR. Payloads shrink about 5×; v4 entries
-/// miss under the new keys and recompute, and `verify` reports them as
-/// stale.
-/// v6 — key derivation changed: benchmark identity hashes the source's
-/// XXH64 digest ([`checksum`]) instead of the source bytes, so a key
-/// costs a few dozen bytes of FNV-1a instead of the whole source. The
-/// entry checksum now also covers the header's version, stage name and
-/// payload length, so a damaged header field fails the checksum. Payloads
-/// and the codec are unchanged; v5 entries miss under the new keys and
-/// recompute, and `verify` reports them as stale.
-/// v7 — a schedule-graph payload is the graph's flat arrays (every op,
-/// the per-node op ranges, the per-node successor ranges, the
-/// successors, the per-node blocks) instead of one record per node, and
-/// predecessor lists are no longer stored. Other payloads are
-/// unchanged; v6 entries miss under the new keys and recompute, and
-/// `verify` reports them as stale.
-pub const FORMAT_VERSION: u32 = 7;
+/// hash. v4 — the payload checksum changed from FNV-1a 64 to XXH64.
+/// v5 — the payload codec became untagged (LEB128 varints, op codes as
+/// table indices, a `Program` field by field); payloads shrink about 5×.
+/// v6 — benchmark identity hashes the source's XXH64 digest
+/// ([`checksum`]), and the checksum also covers the header fields.
+/// v7 — a schedule-graph payload is the graph's flat arrays, without
+/// predecessor lists.
+/// v8 — the store is a log of append-only segment files instead of one
+/// `<stage>/<key>.art` file per entry, and each record carries its key,
+/// covered by the checksum, so a damaged key can never serve another
+/// key's payload. Payloads and the codec are unchanged. A v7 store's
+/// stage directories are not segments: they read as absent.
+pub const FORMAT_VERSION: u32 = 8;
 
-/// Magic bytes opening every artifact file.
+/// Magic bytes opening every record.
 const MAGIC: [u8; 8] = *b"ASIPART\n";
 
-/// Temp files older than this are assumed orphaned by a crashed writer
-/// and are swept by [`ArtifactStore::gc`]. Generous: a live writer holds
-/// its temp file for the instant between `write` and `rename`, never an
-/// hour, so the sweep can never race a healthy put.
-const STALE_TMP_MAX_AGE: Duration = Duration::from_secs(3600);
+/// The extension that marks a file of the store directory as a segment.
+const SEGMENT_EXT: &str = "seg";
 
 /// A stable (cross-process, cross-platform) FNV-1a 64-bit hasher for
 /// deriving store keys.
@@ -217,57 +187,26 @@ impl StableHasher {
 
 // -- the listing -------------------------------------------------------
 
-/// One store entry as listed by [`ArtifactStore::snapshot`]: its
-/// address, its on-disk file size, and its filesystem write time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One live record as listed by [`ArtifactStore::snapshot`]: its
+/// address, its size and where it lives.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// The pipeline stage the entry belongs to.
     pub stage: Stage,
-    /// The content-hash key (the file name without extension).
+    /// The content-hash key.
     pub key: u64,
-    /// Whole-file size in bytes (header + payload).
+    /// Whole-record size in bytes (header + payload).
     pub bytes: u64,
-    /// The file's mtime in nanoseconds since the Unix epoch. GC evicts
-    /// entries in ascending `mtime_ns` order (LRU by write time).
-    pub mtime_ns: u128,
+    /// The segment file holding the record.
+    pub segment: PathBuf,
+    /// The byte offset of the record in its segment.
+    pub offset: u64,
 }
 
-/// A listing of every entry in a store directory, taken by
-/// [`ArtifactStore::snapshot`]: per-stage byte and entry accounting
-/// plus an mtime-ordered view for GC.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Manifest {
-    /// Every entry, sorted oldest-write-first, then by stage name and
-    /// key: a filesystem's mtime may be as coarse as the kernel's timer
-    /// tick, so entries can tie and the order must still be total and
-    /// deterministic.
-    pub entries: Vec<ManifestEntry>,
-}
-
-impl Manifest {
-    /// Total on-disk bytes across every entry.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.bytes).sum()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the store holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `(entry count, byte total)` for one stage.
-    pub fn stage_usage(&self, stage: Stage) -> (u64, u64) {
-        self.entries
-            .iter()
-            .filter(|e| e.stage == stage)
-            .fold((0, 0), |(n, b), e| (n + 1, b + e.bytes))
-    }
-}
+/// Every live record of a store directory as [`ArtifactStore::snapshot`]
+/// lists them, oldest-written first: by segment (whose name leads with
+/// its creation time), then by offset.
+pub type Manifest = Vec<ManifestEntry>;
 
 // -- GC ----------------------------------------------------------------
 
@@ -275,10 +214,11 @@ impl Manifest {
 /// the default config evicts nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreGcConfig {
-    /// Keep at most this many on-disk bytes (whole files, headers
-    /// included), evicting least-recently-written entries first.
+    /// Keep at most this many bytes of records (headers included),
+    /// evicting the oldest-written first.
     pub max_bytes: Option<u64>,
-    /// Evict every entry written longer than this ago.
+    /// Evict every record whose segment was last written longer than
+    /// this ago.
     pub max_age: Option<Duration>,
 }
 
@@ -299,22 +239,20 @@ impl StoreGcConfig {
 /// What one [`ArtifactStore::gc`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Entries found by the pre-GC snapshot.
+    /// Live records found by the pre-GC scan.
     pub scanned_entries: u64,
-    /// Their total on-disk bytes.
+    /// Their total bytes.
     pub scanned_bytes: u64,
-    /// Entries evicted (files removed).
+    /// Records evicted: over a budget, or failing validation.
     pub evicted_entries: u64,
-    /// Bytes those entries occupied.
+    /// Bytes those records occupied.
     pub evicted_bytes: u64,
-    /// Entries surviving the pass.
+    /// Records copied into the new segment.
     pub retained_entries: u64,
     /// Bytes they occupy.
     pub retained_bytes: u64,
     /// Evicted-entry counts per stage, indexed by `Stage as usize`.
     pub evicted_per_stage: [u64; STAGE_COUNT],
-    /// Orphaned temp files (crashed writers) swept by this pass.
-    pub swept_tmp_files: u64,
 }
 
 /// What an [`ArtifactStore::verify`] walk found.
@@ -324,14 +262,11 @@ pub struct VerifyReport {
     pub ok: u64,
     /// Entries rejected at any validation step, stale ones aside.
     pub corrupt: u64,
-    /// Intact entries from an older format: the version field is in
-    /// `1..FORMAT_VERSION` and the entry frames under that version's
-    /// checksum rule, whether or not its payload decodes today. A
-    /// version bump leaves these behind under keys no current recipe
-    /// derives; they are dead weight for `gc`, not damage. (A current
-    /// entry whose version field took a bit flip fails the checksum,
-    /// which covers the version, so it counts as `corrupt`, whichever
-    /// older version the flip lands on.)
+    /// Intact records from an older format: the version field is in
+    /// `1..FORMAT_VERSION` and the checksum holds. A version bump leaves
+    /// them under keys no current recipe derives: dead weight for `gc`,
+    /// not damage. (A bit flip in a current record's version field fails
+    /// the checksum, which covers it, so it counts as `corrupt`.)
     pub stale: u64,
     /// Bytes across every inspected entry.
     pub bytes: u64,
@@ -341,6 +276,220 @@ pub struct VerifyReport {
     pub corrupt_per_stage: [u64; STAGE_COUNT],
 }
 
+// -- segments and the index --------------------------------------------
+
+/// One segment file, open for reading (and for appending, in the handle
+/// that created it).
+#[derive(Debug)]
+struct Segment {
+    path: PathBuf,
+    file: File,
+}
+
+/// Where one record lives: `len` bytes at `offset` of `seg`. A torn
+/// record's `len` stops at the end of its segment.
+#[derive(Debug, Clone)]
+struct Loc {
+    seg: Arc<Segment>,
+    offset: u64,
+    len: u64,
+}
+
+impl Loc {
+    fn new(seg: &Arc<Segment>, offset: u64, len: u64) -> Loc {
+        let seg = Arc::clone(seg);
+        Loc { seg, offset, len }
+    }
+
+    /// Write order: a later segment, or later in the same segment.
+    fn order(&self) -> (&Path, u64) {
+        (&self.seg.path, self.offset)
+    }
+}
+
+/// How far one handle has indexed one segment: `next` is where the next
+/// scan starts (past the last whole record), `seen` the segment's
+/// length at the last scan.
+#[derive(Debug)]
+struct Scanned {
+    seg: Arc<Segment>,
+    next: u64,
+    seen: u64,
+}
+
+impl Scanned {
+    /// `seg`, indexed up to `end`.
+    fn upto(seg: &Arc<Segment>, end: u64) -> Scanned {
+        let (seg, next, seen) = (Arc::clone(seg), end, end);
+        Scanned { seg, next, seen }
+    }
+}
+
+/// A handle's index: the segments it has scanned, the live record of
+/// every key it has seen, and the segment it appends to, created by its
+/// first put. No record bytes are held.
+#[derive(Debug, Default)]
+struct Index {
+    segments: BTreeMap<PathBuf, Scanned>,
+    live: HashMap<(Stage, u64), Loc>,
+    own: Option<Arc<Segment>>,
+}
+
+impl Index {
+    /// Catch up with the directory: forget segments that are gone,
+    /// index new segments and the bytes appended past each scan. A
+    /// segment is read only from where its last scan stopped.
+    fn refresh(&mut self, dir: &Path) {
+        // an unlistable directory stays as indexed; a missing one is empty
+        let entries = match fs::read_dir(dir) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return,
+            entries => entries.into_iter().flatten(),
+        };
+        let mut listed: Vec<(PathBuf, u64)> = entries
+            .flatten()
+            .filter_map(|entry| {
+                let path = entry.path();
+                if path.extension()? != SEGMENT_EXT {
+                    return None;
+                }
+                Some((path, entry.metadata().ok()?.len()))
+            })
+            .collect();
+        listed.sort_unstable();
+        let Index { segments, live, .. } = self;
+        let known = segments.len();
+        segments.retain(|path, _| listed.binary_search_by(|(p, _)| p.cmp(path)).is_ok());
+        if segments.len() < known {
+            live.retain(|_, loc| segments.contains_key(&loc.seg.path));
+        }
+        for (path, len) in listed {
+            let scan = match segments.entry(path) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    let Ok(file) = File::open(e.key()) else {
+                        continue;
+                    };
+                    let path = e.key().clone();
+                    e.insert(Scanned::upto(&Arc::new(Segment { file, path }), 0))
+                }
+            };
+            if len != scan.seen {
+                scan.seen = len;
+                scan.next = scan_segment(&scan.seg, scan.next, len, live);
+            }
+        }
+    }
+
+    /// Index the record at `loc` for `(stage, key)` unless a later
+    /// record of the key is already indexed.
+    fn offer(live: &mut HashMap<(Stage, u64), Loc>, stage: Stage, key: u64, loc: Loc) {
+        let slot = live.entry((stage, key)).or_insert_with(|| loc.clone());
+        if slot.order() < loc.order() {
+            *slot = loc;
+        }
+    }
+
+    /// Every live record, oldest-written first.
+    fn records(&self) -> Vec<((Stage, u64), Loc)> {
+        let mut records: Vec<_> = self
+            .live
+            .iter()
+            .map(|(&id, loc)| (id, loc.clone()))
+            .collect();
+        records.sort_by(|(_, a), (_, b)| a.order().cmp(&b.order()));
+        records
+    }
+}
+
+/// Offer the records of `seg` between `from` and `len` to `live`, by a
+/// buffered sequential read of their headers (payloads are skipped, not
+/// read). Returns where the next scan starts: the end of the last whole
+/// record. The scan stops at a damaged header, and at a torn record —
+/// one cut off by the end of the segment. A torn record whose key is
+/// readable is offered for its remaining bytes, so reading it fails
+/// validation and counts as corrupt; one cut inside its key cannot be
+/// attributed and reads as absent.
+fn scan_segment(
+    seg: &Arc<Segment>,
+    from: u64,
+    len: u64,
+    live: &mut HashMap<(Stage, u64), Loc>,
+) -> u64 {
+    let mut reader = BufReader::new(&seg.file);
+    if reader.seek(SeekFrom::Start(from)).is_err() {
+        return from;
+    }
+    let mut at = from;
+    // magic, version, stage-name length; the name, key, payload length
+    // and checksum
+    let (mut fixed, mut rest) = ([0u8; 13], [0u8; 255 + 24]);
+    while at + fixed.len() as u64 <= len {
+        if reader.read_exact(&mut fixed).is_err() || fixed[..8] != MAGIC {
+            break;
+        }
+        let name_len = usize::from(fixed[12]);
+        let available = (len - at - 13).min(name_len as u64 + 24) as usize;
+        if available < name_len + 8 || reader.read_exact(&mut rest[..available]).is_err() {
+            break;
+        }
+        let name = &rest[..name_len];
+        let stage = Stage::all()
+            .into_iter()
+            .find(|s| s.name().as_bytes() == name);
+        let key = u64::from_le_bytes(rest[name_len..name_len + 8].try_into().expect("8 bytes"));
+        let payload_len = split_u64(&rest[name_len + 8..available]).map(|(n, _)| n);
+        let record_len = payload_len
+            .filter(|_| available == name_len + 24)
+            .and_then(|n| n.checked_add(13 + available as u64))
+            .filter(|&n| n <= len - at);
+        if let Some(stage) = stage {
+            let len = record_len.unwrap_or(len - at);
+            let loc = Loc::new(seg, at, len);
+            Index::offer(live, stage, key, loc);
+        }
+        let Some(record_len) = record_len else {
+            break;
+        };
+        at += record_len;
+        let skip = record_len - 13 - available as u64;
+        if reader.seek_relative(skip as i64).is_err() {
+            break;
+        }
+    }
+    at
+}
+
+/// A new segment's path: the creation time in nanoseconds, strictly
+/// increasing within the process so two handles never share a name,
+/// then the process id. Names sort in creation order.
+fn new_segment_path(dir: &Path) -> PathBuf {
+    static LAST: AtomicU64 = AtomicU64::new(0);
+    let now = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    let mut stamp = now;
+    let _ = LAST.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |last| {
+        stamp = (last + 1).max(now);
+        Some(stamp)
+    });
+    dir.join(format!(
+        "{stamp:016x}-{:08x}.{SEGMENT_EXT}",
+        std::process::id()
+    ))
+}
+
+/// Create a new segment in `dir`, open for reading and appending.
+fn create_segment(dir: &Path) -> Option<Arc<Segment>> {
+    fs::create_dir_all(dir).ok()?;
+    let path = new_segment_path(dir);
+    let mut options = File::options();
+    let file = options.read(true).append(true).create_new(true);
+    Some(Arc::new(Segment {
+        file: file.open(&path).ok()?,
+        path,
+    }))
+}
+
 /// A persistent, content-addressed artifact store rooted at one
 /// directory. See the [module docs](self) for layout, GC and fallback
 /// semantics, and [`Explorer::with_store`](crate::Explorer::with_store)
@@ -348,18 +497,14 @@ pub struct VerifyReport {
 /// the canonical persistent [`ArtifactTier`] (`name() == "disk"`).
 ///
 /// Multiple stores (in one process or many) may share a directory:
-/// writes are atomic (temp file + rename), and since keys are content
-/// hashes, concurrent writers of the same key write identical bytes.
+/// each appends only to a segment of its own, and sees the others'
+/// records after a miss.
 #[derive(Debug)]
 pub struct ArtifactStore {
     dir: PathBuf,
     counters: TierCounters,
     gc_evicted: AtomicU64,
-    /// Lazy session-local index of entry sizes, backing the cheap
-    /// per-stage occupancy stats: populated by the first occupancy query
-    /// and kept in sync by this session's saves and GC passes. Other
-    /// processes' writes only appear after this session's next GC pass.
-    index: Mutex<Option<HashMap<(Stage, u64), u64>>>,
+    index: Mutex<Index>,
     /// Fast-path guard for the fault-injection seam: checked with one
     /// relaxed load before touching the plan mutex, so an unarmed store
     /// pays a single predictable branch per operation.
@@ -368,15 +513,15 @@ pub struct ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// A store rooted at `dir`. No I/O happens here: the directory is
-    /// created lazily on first write, and a missing directory simply
-    /// means every load misses.
+    /// A store rooted at `dir`. No I/O happens here: the directory and
+    /// this handle's segment are created lazily on the first write, and
+    /// a missing directory simply means every load misses.
     pub fn open(dir: impl Into<PathBuf>) -> Self {
         ArtifactStore {
             dir: dir.into(),
             counters: TierCounters::default(),
             gc_evicted: AtomicU64::new(0),
-            index: Mutex::new(None),
+            index: Mutex::new(Index::default()),
             faults_armed: AtomicBool::new(false),
             faults: Mutex::new(None),
         }
@@ -386,7 +531,7 @@ impl ArtifactStore {
     /// plan and may fail deliberately (see [`crate::fault`]).
     /// Chaos-testing seam — never armed in production.
     pub fn arm_faults(&self, plan: Arc<FaultPlan>) {
-        *crate::tier::lock(&self.faults) = Some(plan);
+        *lock(&self.faults) = Some(plan);
         self.faults_armed.store(true, Ordering::Release);
     }
 
@@ -394,14 +539,14 @@ impl ArtifactStore {
     /// operation.
     pub fn disarm_faults(&self) {
         self.faults_armed.store(false, Ordering::Release);
-        *crate::tier::lock(&self.faults) = None;
+        *lock(&self.faults) = None;
     }
 
     fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         if !self.faults_armed.load(Ordering::Acquire) {
             return None;
         }
-        crate::tier::lock(&self.faults).clone()
+        lock(&self.faults).clone()
     }
 
     /// The store's root directory.
@@ -409,19 +554,12 @@ impl ArtifactStore {
         &self.dir
     }
 
-    /// The file an artifact lives in: `<dir>/<stage>/<key as 16 hex
-    /// digits>.art`. Exposed for inspection and tests; entries may be
-    /// deleted (or the whole directory removed) at any time.
-    pub fn entry_path(&self, stage: Stage, key: u64) -> PathBuf {
-        self.dir.join(stage.name()).join(format!("{key:016x}.art"))
-    }
-
     /// Read and decode the artifact stored under `(stage, key)`.
     ///
-    /// Returns `None` — counting a miss — when no entry file exists, and
-    /// `None` — counting `corrupt` — when a file exists but fails any
-    /// validation step (magic, version, stage, length, checksum, codec
-    /// decode). Never errors and never panics on hostile bytes.
+    /// Returns `None` — counting a miss — when no record exists, and
+    /// `None` — counting `corrupt` — when the live record fails any
+    /// validation step (magic, version, stage, key, length, checksum,
+    /// codec decode). Never errors and never panics on hostile bytes.
     pub fn load<V: ArtifactCodec>(&self, stage: Stage, key: u64) -> Option<V> {
         match self.get(stage, key) {
             TierRead::Hit(payload) => match V::from_bytes(&payload) {
@@ -435,8 +573,8 @@ impl ArtifactStore {
         }
     }
 
-    /// Encode `value` and write it under `(stage, key)`, atomically
-    /// (temp file + rename, so readers never observe a partial entry).
+    /// Encode `value` and append it under `(stage, key)` to this
+    /// handle's segment.
     ///
     /// Returns whether the write landed; failures (unwritable directory,
     /// disk full) are swallowed — persistence is an optimization, never
@@ -453,210 +591,141 @@ impl ArtifactStore {
 
     // -- snapshot, GC, verify ------------------------------------------
 
-    /// List the store by scanning the stage directories: every `.art`
-    /// entry with its file size and filesystem mtime, in the canonical
-    /// order of [`Manifest::entries`]. Unknown files are ignored.
-    pub fn snapshot(&self) -> Manifest {
-        let mut entries = Vec::new();
-        for stage in Stage::all() {
-            let Ok(dir) = fs::read_dir(self.dir.join(stage.name())) else {
-                continue;
-            };
-            for file in dir.flatten() {
-                let path = file.path();
-                if path.extension().is_none_or(|e| e != "art") {
-                    continue;
-                }
-                let Some(key) = path
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                else {
-                    continue;
-                };
-                let Ok(meta) = file.metadata() else {
-                    continue;
-                };
-                entries.push(ManifestEntry {
-                    stage,
-                    key,
-                    bytes: meta.len(),
-                    mtime_ns: meta.modified().map_or(0, unix_ns),
-                });
-            }
-        }
-        entries.sort_by(|a, b| {
-            (a.mtime_ns, a.stage.name(), a.key).cmp(&(b.mtime_ns, b.stage.name(), b.key))
-        });
-        Manifest { entries }
+    /// Every live record, after catching up with the directory, in the
+    /// canonical order of a [`Manifest`].
+    fn records(&self) -> Vec<((Stage, u64), Loc)> {
+        let mut index = lock(&self.index);
+        index.refresh(&self.dir);
+        index.records()
     }
 
-    /// Garbage-collect the store against `config`: evict every entry
-    /// older than `max_age`, then least-recently-written entries until
-    /// at most `max_bytes` remain, then sweep stale temp files.
+    /// List the store's live records.
+    pub fn snapshot(&self) -> Manifest {
+        let entry = |((stage, key), loc): ((Stage, u64), Loc)| ManifestEntry {
+            stage,
+            key,
+            bytes: loc.len,
+            segment: loc.seg.path.clone(),
+            offset: loc.offset,
+        };
+        self.records().into_iter().map(entry).collect()
+    }
+
+    /// Garbage-collect the store against `config`: walk the live
+    /// records oldest-written first, evicting every one in a segment
+    /// last written before `max_age` and every one while more than
+    /// `max_bytes` remain; copy the rest, if they validate, into a new
+    /// segment that keeps the latest write time of its sources, and
+    /// unlink every old segment.
     ///
-    /// GC never blocks or corrupts concurrent readers — a removed entry
-    /// degrades to a miss (or a checksum rejection) and is recomputed —
-    /// and like every store operation it cannot fail: undeletable files
-    /// are simply retained.
+    /// A reader of an unlinked record still reads it whole, or misses
+    /// and recomputes; a record another handle appends to an old segment
+    /// during GC goes with it. GC cannot fail: if the new segment cannot
+    /// be written, nothing is evicted and the report is empty.
     pub fn gc(&self, config: &StoreGcConfig) -> GcReport {
-        let manifest = self.snapshot();
+        let mut index = lock(&self.index);
+        index.refresh(&self.dir);
+        let records = index.records();
         let mut report = GcReport {
-            scanned_entries: manifest.len() as u64,
-            scanned_bytes: manifest.total_bytes(),
+            scanned_entries: records.len() as u64,
+            scanned_bytes: records.iter().map(|(_, loc)| loc.len).sum(),
             ..GcReport::default()
         };
-        let now_ns = unix_ns(SystemTime::now());
-        let cutoff_ns = config
+        let cutoff = config
             .max_age
-            .map(|age| now_ns.saturating_sub(age.as_nanos()));
-
-        let mut remaining_bytes = report.scanned_bytes;
-        let mut retained = Vec::with_capacity(manifest.len());
-        // entries are canonically sorted oldest-first: walk them in
-        // order, evicting while a budget is still exceeded — the oldest
-        // entries go first, and eviction stops the moment the remainder
-        // fits
-        for e in &manifest.entries {
-            let too_old = cutoff_ns.is_some_and(|cut| e.mtime_ns < cut);
-            let over_budget = config.max_bytes.is_some_and(|max| remaining_bytes > max);
-            if (too_old || over_budget) && self.evict_entry(e) {
-                remaining_bytes -= e.bytes;
+            .map(|age| SystemTime::now().checked_sub(age).unwrap_or(UNIX_EPOCH));
+        let mut out: Option<Arc<Segment>> = None;
+        let (mut kept, mut buf, mut newest) = (Vec::new(), Vec::new(), UNIX_EPOCH);
+        for ((stage, key), loc) in records {
+            let written = loc.seg.file.metadata().and_then(|m| m.modified());
+            let too_old = cutoff.is_some_and(|cut| written.as_ref().map_or(true, |t| *t < cut));
+            let remaining = report.scanned_bytes - report.evicted_bytes;
+            let over_budget = config.max_bytes.is_some_and(|max| remaining > max);
+            buf.resize(loc.len as usize, 0);
+            let keep = !too_old
+                && !over_budget
+                && loc.seg.file.read_exact_at(&mut buf, loc.offset).is_ok()
+                && validate_record(&buf, stage, key).is_some();
+            if !keep {
                 report.evicted_entries += 1;
-                report.evicted_bytes += e.bytes;
-                report.evicted_per_stage[e.stage as usize] += 1;
-                self.gc_evicted.fetch_add(1, Ordering::Relaxed);
-            } else {
-                retained.push(e);
+                report.evicted_bytes += loc.len;
+                report.evicted_per_stage[stage as usize] += 1;
+                continue;
             }
-        }
-        report.retained_entries = retained.len() as u64;
-        report.retained_bytes = remaining_bytes;
-        report.swept_tmp_files = self.sweep_stale_tmp_files(now_ns);
-        // Reconcile the session-local index by *removing* the evicted
-        // keys rather than replacing it wholesale — a save landing on
-        // another thread between our snapshot and here must keep its
-        // record.
-        if let Some(ix) = crate::tier::lock(&self.index).as_mut() {
-            ix.retain(|&(stage, key), _| self.entry_path(stage, key).is_file());
-            for e in retained {
-                ix.entry((e.stage, e.key)).or_insert(e.bytes);
+            if out.is_none() {
+                out = create_segment(&self.dir);
             }
+            let Some(seg) = out
+                .as_ref()
+                .filter(|seg| (&seg.file).write_all(&buf).is_ok())
+            else {
+                if let Some(seg) = out {
+                    fs::remove_file(&seg.path).ok();
+                }
+                return GcReport::default();
+            };
+            kept.push(((stage, key), Loc::new(seg, report.retained_bytes, loc.len)));
+            report.retained_entries += 1;
+            report.retained_bytes += loc.len;
+            newest = newest.max(written.unwrap_or(UNIX_EPOCH));
         }
+
+        for path in index.segments.keys() {
+            fs::remove_file(path).ok();
+        }
+        *index = Index::default();
+        if let Some(seg) = out {
+            seg.file.set_modified(newest).ok();
+            let scan = Scanned::upto(&seg, report.retained_bytes);
+            index.segments.insert(seg.path.clone(), scan);
+            index.live.extend(kept);
+        }
+        self.gc_evicted
+            .fetch_add(report.evicted_entries, Ordering::Relaxed);
         report
     }
 
-    /// Remove temp files orphaned by crashed writers. Live writers hold
-    /// their temp file only for the instant between write and rename, so
-    /// anything older than [`STALE_TMP_MAX_AGE`] is a leftover from a
-    /// process that died mid-put; without this sweep a crash-looping
-    /// writer leaks unreferenced files forever (they are invisible to
-    /// [`ArtifactStore::snapshot`], which only lists `.art` files).
-    fn sweep_stale_tmp_files(&self, now_ns: u128) -> u64 {
-        let mut swept = 0;
-        for stage in Stage::all() {
-            let Ok(entries) = fs::read_dir(self.dir.join(stage.name())) else {
-                continue;
-            };
-            for file in entries.flatten() {
-                let path = file.path();
-                let is_tmp = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.contains(".tmp."));
-                if !is_tmp {
-                    continue;
-                }
-                let age_ns = file
-                    .metadata()
-                    .and_then(|m| m.modified())
-                    .map_or(0, |t| now_ns.saturating_sub(unix_ns(t)));
-                if age_ns > STALE_TMP_MAX_AGE.as_nanos() && fs::remove_file(&path).is_ok() {
-                    swept += 1;
-                }
-            }
-        }
-        swept
-    }
-
-    fn evict_entry(&self, e: &ManifestEntry) -> bool {
-        match fs::remove_file(self.entry_path(e.stage, e.key)) {
-            Ok(()) => true,
-            // Already gone (another GC raced us): the bytes are freed
-            // either way, so treat it as evicted.
-            Err(err) => err.kind() == std::io::ErrorKind::NotFound,
-        }
-    }
-
-    /// Walk every entry and validate it end to end: header, checksum,
-    /// and a full typed decode of the payload against its stage's
-    /// artifact type. Entries written under an older
+    /// Walk every live record and validate it end to end: header,
+    /// checksum, and a full typed decode of the payload against its
+    /// stage's artifact type. Records written under an older
     /// [`FORMAT_VERSION`] are reported as [`VerifyReport::stale`], not
-    /// as corrupt. Counters are untouched — this is a maintenance
-    /// walk, not the request path — and nothing is deleted; pair with
-    /// [`ArtifactStore::gc`] or plain `rm` to act on the report.
-    ///
-    /// An entry that disappears between the snapshot and its read was
-    /// deleted by a concurrent session (GC, healing) — that is normal
-    /// operation, not corruption, and is skipped entirely.
+    /// as corrupt; a torn record is corrupt. Counters are untouched —
+    /// this is a maintenance walk, not the request path — and nothing
+    /// is deleted; pair with [`ArtifactStore::gc`] or plain `rm` to act
+    /// on the report.
     pub fn verify(&self) -> VerifyReport {
-        let manifest = self.snapshot();
         let mut report = VerifyReport::default();
-        for e in &manifest.entries {
-            let bytes = match fs::read(self.entry_path(e.stage, e.key)) {
-                Ok(bytes) => bytes,
-                Err(err) if err.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(_) => {
-                    report.corrupt += 1;
-                    report.corrupt_per_stage[e.stage as usize] += 1;
-                    report.bytes += e.bytes;
-                    continue;
-                }
-            };
-            report.bytes += bytes.len() as u64;
-            let valid = validate_entry(&bytes, e.stage)
-                .is_some_and(|payload| decode_stage_payload(e.stage, payload));
+        let mut buf = Vec::new();
+        for ((stage, key), loc) in self.records() {
+            buf.resize(loc.len as usize, 0);
+            report.bytes += loc.len;
+            let read = loc.seg.file.read_exact_at(&mut buf, loc.offset).is_ok();
+            let valid = read
+                && validate_record(&buf, stage, key)
+                    .is_some_and(|payload| decode_stage_payload(stage, payload));
             if valid {
                 report.ok += 1;
-                report.ok_per_stage[e.stage as usize] += 1;
-            } else if is_stale_entry(&bytes, e.stage) {
+                report.ok_per_stage[stage as usize] += 1;
+            } else if read
+                && parse_record(&buf, stage, key).is_some_and(|(v, _)| v < FORMAT_VERSION && v > 0)
+            {
                 report.stale += 1;
             } else {
                 report.corrupt += 1;
-                report.corrupt_per_stage[e.stage as usize] += 1;
+                report.corrupt_per_stage[stage as usize] += 1;
             }
         }
         report
     }
 
-    fn index_insert(&self, stage: Stage, key: u64, bytes: u64) {
-        if let Some(ix) = crate::tier::lock(&self.index).as_mut() {
-            ix.insert((stage, key), bytes);
+    /// The live record of `(stage, key)`, catching up with the
+    /// directory first when this handle has none.
+    fn locate(&self, stage: Stage, key: u64) -> Option<Loc> {
+        let mut index = lock(&self.index);
+        if !index.live.contains_key(&(stage, key)) {
+            index.refresh(&self.dir);
         }
-    }
-
-    fn index_remove(&self, stage: Stage, key: u64) {
-        if let Some(ix) = crate::tier::lock(&self.index).as_mut() {
-            ix.remove(&(stage, key));
-        }
-    }
-
-    /// Per-stage `(entries, bytes)` from the session-local index,
-    /// populating it by snapshot on first use. The snapshot runs under
-    /// the index lock, so a save racing the first query either lands in
-    /// the scan or waits to record itself in the installed index.
-    fn stage_usage(&self, stage: Stage) -> (u64, u64) {
-        let mut index = crate::tier::lock(&self.index);
-        let ix = index.get_or_insert_with(|| {
-            self.snapshot()
-                .entries
-                .iter()
-                .map(|e| ((e.stage, e.key), e.bytes))
-                .collect()
-        });
-        ix.iter()
-            .filter(|((s, _), _)| *s == stage)
-            .fold((0, 0), |(n, b), (_, bytes)| (n + 1, b + bytes))
+        index.live.get(&(stage, key)).cloned()
     }
 }
 
@@ -667,80 +736,90 @@ impl ArtifactTier for ArtifactStore {
 
     fn get(&self, stage: Stage, key: u64) -> TierRead {
         if let Some(plan) = self.fault_plan() {
-            // An injected read I/O error degrades exactly like a real
-            // one below: a counted miss.
+            // An injected read I/O error degrades like a missing
+            // record: a counted miss.
             if plan.roll(FaultSite::DiskRead) {
                 self.counters.count_miss(stage);
                 return TierRead::Miss;
             }
         }
-        let bytes = match fs::read(self.entry_path(stage, key)) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                self.counters.count_miss(stage);
-                return TierRead::Miss;
-            }
+        let Some(loc) = self.locate(stage, key) else {
+            self.counters.count_miss(stage);
+            return TierRead::Miss;
         };
-        match validate_entry(&bytes, stage) {
-            Some(payload) => {
+        let mut bytes = vec![0; loc.len as usize];
+        let payload_len = match loc.seg.file.read_exact_at(&mut bytes, loc.offset) {
+            Ok(()) => validate_record(&bytes, stage, key).map(<[u8]>::len),
+            Err(_) => None,
+        };
+        match payload_len {
+            Some(n) => {
                 self.counters.count_hit(stage);
-                TierRead::Hit(payload.to_vec())
+                bytes.drain(..bytes.len() - n);
+                TierRead::Hit(bytes)
             }
             None => {
+                // a rejected record is not read again (unless the index
+                // has since moved on), and the healing put replaces it
                 self.counters.count_corrupt(stage);
+                let mut index = lock(&self.index);
+                if index.live.get(&(stage, key)).map(Loc::order) == Some(loc.order()) {
+                    index.live.remove(&(stage, key));
+                }
                 TierRead::Corrupt
             }
         }
     }
 
     fn put(&self, stage: Stage, key: u64, payload: &[u8]) -> bool {
-        let path = self.entry_path(stage, key);
-        let Some(parent) = path.parent() else {
-            return false;
-        };
-        if fs::create_dir_all(parent).is_err() {
-            return false;
-        }
-        let bytes = frame_entry(FORMAT_VERSION, stage, payload);
-
+        let record = frame_record(FORMAT_VERSION, stage, key, payload);
+        let mut landed = record.len();
         if let Some(plan) = self.fault_plan() {
             // An injected write error fails before any byte lands.
             if plan.roll(FaultSite::DiskWrite) {
                 return false;
             }
-            // A torn write lands a truncated prefix of the entry at the
-            // final path — the on-disk state a crash mid-write leaves
-            // behind. Readers must reject it (checksum/length) and heal.
+            // A torn write appends a prefix of the record — the tail a
+            // crash mid-append leaves — and the writer, like a
+            // restarted process, moves on to a new segment.
             if plan.roll(FaultSite::TornWrite) {
-                let cut = plan.draw(FaultSite::TornWrite, bytes.len() as u64) as usize;
-                let tmp = unique_tmp(&path);
-                if fs::write(&tmp, &bytes[..cut]).is_err() || fs::rename(&tmp, &path).is_err() {
-                    fs::remove_file(&tmp).ok();
+                landed = plan.draw(FaultSite::TornWrite, record.len() as u64) as usize;
+                if landed < MAGIC.len() + 4 + 1 + stage.name().len() + 8 {
+                    plan.note_unattributable_tear();
                 }
-                return false;
             }
         }
-
-        let tmp = unique_tmp(&path);
-        if fs::write(&tmp, &bytes).is_err() {
-            fs::remove_file(&tmp).ok();
+        let mut index = lock(&self.index);
+        // a segment whose file is gone (`rm -rf`, another handle's GC)
+        // is replaced, so a put never lands in an unlinked file
+        let own = (index.own.take())
+            .filter(|seg| seg.path.exists() && index.segments.contains_key(&seg.path));
+        let Some(seg) = own.or_else(|| create_segment(&self.dir)) else {
+            return false;
+        };
+        let scan = (index.segments.entry(seg.path.clone())).or_insert(Scanned::upto(&seg, 0));
+        let offset = scan.next;
+        if (&seg.file).write_all(&record[..landed]).is_err() || landed < record.len() {
+            // later records must not follow a torn tail: leave `own` unset
             return false;
         }
-        if fs::rename(&tmp, &path).is_err() {
-            fs::remove_file(&tmp).ok();
-            return false;
-        }
+        (scan.next, scan.seen) = (offset + landed as u64, offset + landed as u64);
+        let loc = Loc::new(&seg, offset, landed as u64);
+        index.live.insert((stage, key), loc);
+        index.own = Some(seg);
         self.counters.count_write(stage);
-        self.index_insert(stage, key, bytes.len() as u64);
         true
     }
 
     fn contains(&self, stage: Stage, key: u64) -> bool {
-        self.entry_path(stage, key).is_file()
+        self.locate(stage, key).is_some()
     }
 
     fn stats(&self, stage: Stage) -> TierStats {
-        let (entries, bytes) = self.stage_usage(stage);
+        let mut index = lock(&self.index);
+        index.refresh(&self.dir);
+        let (entries, bytes) = (index.live.iter().filter(|((s, _), _)| *s == stage))
+            .fold((0, 0), |(n, b), (_, loc)| (n + 1, b + loc.len));
         TierStats {
             entries,
             bytes,
@@ -754,33 +833,13 @@ impl ArtifactTier for ArtifactStore {
 
     fn mark_corrupt(&self, stage: Stage, key: u64) {
         self.counters.demote_hit(stage);
-        fs::remove_file(self.entry_path(stage, key)).ok();
-        self.index_remove(stage, key);
+        lock(&self.index).live.remove(&(stage, key));
     }
 
     fn reset_counters(&self) {
         self.counters.reset();
         self.gc_evicted.store(0, Ordering::Relaxed);
     }
-}
-
-/// A process-unique temp path next to `path`. The pid alone is not
-/// enough, because two sessions (or threads) in one process may race on
-/// the same key — a shared tmp path would let one writer rename the
-/// other's half-written file into place.
-fn unique_tmp(path: &Path) -> PathBuf {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// A filesystem timestamp as nanoseconds since the Unix epoch (0 for a
-/// time before it).
-fn unix_ns(time: SystemTime) -> u128 {
-    time.duration_since(UNIX_EPOCH).map_or(0, |d| d.as_nanos())
 }
 
 /// XXH64 (seed 0): the integrity checksum of every store entry and
@@ -862,97 +921,68 @@ pub fn checksum(payload: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// A complete entry file: the header (magic, `version`, stage name,
-/// payload length, checksum) followed by the payload, checksummed by
-/// `version`'s rule ([`entry_checksum`]).
-fn frame_entry(version: u32, stage: Stage, payload: &[u8]) -> Vec<u8> {
+/// A complete record: the header (magic, `version`, stage name, key,
+/// payload length, checksum) followed by the payload.
+fn frame_record(version: u32, stage: Stage, key: u64, payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(payload.len() + 64);
     bytes.extend_from_slice(&MAGIC);
     bytes.extend_from_slice(&version.to_le_bytes());
     let stage_name = stage.name().as_bytes();
     bytes.push(stage_name.len() as u8);
     bytes.extend_from_slice(stage_name);
+    bytes.extend_from_slice(&key.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    let sum = entry_checksum(version, &bytes[MAGIC.len()..], payload)
-        .expect("entries are framed under a known version");
+    let sum = record_checksum(&bytes[MAGIC.len()..], payload);
     bytes.extend_from_slice(&sum.to_le_bytes());
     bytes.extend_from_slice(payload);
     bytes
 }
 
-/// The checksum an entry of `version` carries, given its header fields
-/// between the magic and the checksum (version, stage-name length and
-/// name, payload length) and its payload. From v6 it covers both: XXH64
-/// over the fields followed by the payload's XXH64. v4 and v5 summed
-/// the payload alone with XXH64, and v1–v3 with FNV-1a 64. `None` for a
-/// version no build has written.
-fn entry_checksum(version: u32, fields: &[u8], payload: &[u8]) -> Option<u64> {
-    match version {
-        1..=3 => {
-            let mut fnv = StableHasher::new();
-            fnv.write(payload);
-            Some(fnv.finish())
-        }
-        4 | 5 => Some(checksum(payload)),
-        6..=FORMAT_VERSION => {
-            // the fields take at most 4 + 1 + 255 + 8 bytes (the name
-            // length is one byte), so they and the payload's sum fit
-            // on the stack
-            let mut covered = [0u8; 276];
-            let (head, sum) = covered.split_at_mut(fields.len());
-            head.copy_from_slice(fields);
-            sum[..8].copy_from_slice(&checksum(payload).to_le_bytes());
-            Some(checksum(&covered[..fields.len() + 8]))
-        }
-        _ => None,
-    }
+/// The checksum a record carries, given its header fields between the
+/// magic and the checksum (version, stage-name length and name, key,
+/// payload length) and its payload: XXH64 over the fields followed by
+/// the payload's XXH64.
+fn record_checksum(fields: &[u8], payload: &[u8]) -> u64 {
+    // the fields take at most 4 + 1 + 255 + 8 + 8 bytes (the name
+    // length is one byte), so they and the payload's sum fit on the
+    // stack
+    let mut covered = [0u8; 284];
+    let (head, sum) = covered.split_at_mut(fields.len());
+    head.copy_from_slice(fields);
+    sum[..8].copy_from_slice(&checksum(payload).to_le_bytes());
+    checksum(&covered[..fields.len() + 8])
 }
 
-/// Validate a complete entry file's framing — magic, version, stage
-/// name, payload length, checksum — and return the payload slice. Any
-/// failure returns `None`; the caller counts it as `corrupt`. Typed
-/// payload decoding is the next layer up (the tier stack or
+/// Validate a whole record's framing — magic, version, stage name, key,
+/// payload length, checksum — and return the payload slice. Any failure
+/// returns `None`; the caller counts it as `corrupt`. Typed payload
+/// decoding is the next layer up (the tier stack or
 /// [`ArtifactStore::load`]).
-fn validate_entry(bytes: &[u8], stage: Stage) -> Option<&[u8]> {
-    match parse_entry(bytes, stage)? {
+fn validate_record(bytes: &[u8], stage: Stage, key: u64) -> Option<&[u8]> {
+    match parse_record(bytes, stage, key)? {
         (FORMAT_VERSION, payload) => Some(payload),
         _ => None,
     }
 }
 
-/// [`validate_entry`] without the version check: the version field and
-/// the payload, checksum-validated under that version's rule.
-fn parse_entry(bytes: &[u8], stage: Stage) -> Option<(u32, &[u8])> {
+/// [`validate_record`] without the version check: the version field and
+/// the payload, checksum-validated. A record of an older version that
+/// passes is stale, not damaged: a bit flip in a current record's
+/// version field fails the checksum, which covers it.
+fn parse_record(bytes: &[u8], stage: Stage, key: u64) -> Option<(u32, &[u8])> {
     let header = bytes.strip_prefix(&MAGIC)?;
     let (version, rest) = split_u32(header)?;
     let (&name_len, rest) = rest.split_first()?;
-    let name_len = usize::from(name_len);
-    if rest.len() < name_len {
-        return None;
-    }
-    let (name, rest) = rest.split_at(name_len);
-    if name != stage.name().as_bytes() {
-        return None;
-    }
+    let (name, rest) = rest.split_at_checked(usize::from(name_len))?;
+    let (record_key, rest) = split_u64(rest)?;
     let (payload_len, rest) = split_u64(rest)?;
     let fields = &header[..header.len() - rest.len()];
     let (expected_sum, payload) = split_u64(rest)?;
-    if payload.len() as u64 != payload_len
-        || entry_checksum(version, fields, payload) != Some(expected_sum)
-    {
-        return None;
-    }
-    Some((version, payload))
-}
-
-/// Whether a file that failed [`validate_entry`] is an entry from an
-/// older format version rather than a damaged one: it frames under its
-/// own older version's checksum rule, whether or not its payload would
-/// decode today. A current entry whose version field took a bit flip
-/// fails that rule (its checksum covers the version), so it stays
-/// corrupt.
-fn is_stale_entry(bytes: &[u8], stage: Stage) -> bool {
-    parse_entry(bytes, stage).is_some_and(|(version, _)| version < FORMAT_VERSION)
+    let valid = name == stage.name().as_bytes()
+        && record_key == key
+        && payload.len() as u64 == payload_len
+        && record_checksum(fields, payload) == expected_sum;
+    valid.then_some((version, payload))
 }
 
 /// Typed-decode one validated payload against the artifact type of
@@ -992,6 +1022,27 @@ mod tests {
             std::env::temp_dir().join(format!("asip-store-unit-{tag}-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
         ArtifactStore::open(dir)
+    }
+
+    /// The live record of `(stage, key)`.
+    fn record_of(store: &ArtifactStore, stage: Stage, key: u64) -> ManifestEntry {
+        let mut entries = store.snapshot().into_iter();
+        let found = entries.find(|e| (e.stage, e.key) == (stage, key));
+        found.expect("a live record")
+    }
+
+    /// Overwrite bytes of a segment in place.
+    fn patch(path: &Path, at: u64, bytes: &[u8]) {
+        let file = File::options().write(true).open(path).expect("segment");
+        file.write_all_at(bytes, at).expect("writable");
+    }
+
+    /// Replace every segment of the store by one holding `records`.
+    fn rewrite_store(store: &ArtifactStore, records: &[Vec<u8>]) {
+        for entry in fs::read_dir(store.dir()).expect("store dir").flatten() {
+            fs::remove_file(entry.path()).expect("removable");
+        }
+        fs::write(new_segment_path(store.dir()), records.concat()).expect("writable");
     }
 
     #[test]
@@ -1073,41 +1124,50 @@ mod tests {
         assert_eq!(store.load::<u64>(Stage::Compile, 7), Some(1));
         assert_eq!(store.load::<u64>(Stage::Compile, 8), Some(2));
         assert_eq!(store.load::<u64>(Stage::Profile, 7), Some(3));
+        // the latest record of a key wins
+        store.save(Stage::Compile, 7, &4u64);
+        assert_eq!(store.load::<u64>(Stage::Compile, 7), Some(4));
+        let fresh = ArtifactStore::open(store.dir());
+        assert_eq!(fresh.load::<u64>(Stage::Compile, 7), Some(4));
+        assert_eq!(fresh.snapshot().len(), 3);
         fs::remove_dir_all(store.dir()).ok();
     }
 
     #[test]
     fn corrupted_entries_count_corrupt_and_miss_to_none() {
         let store = temp_store("corrupt");
-        store.save(Stage::Analyze, 5, &String::from("report"));
-        let path = store.entry_path(Stage::Analyze, 5);
+        let report = String::from("report");
 
         // flip a payload byte: checksum rejects
-        let mut bytes = fs::read(&path).expect("entry exists");
-        *bytes.last_mut().expect("nonempty") ^= 0xFF;
-        fs::write(&path, &bytes).expect("writable");
+        store.save(Stage::Analyze, 5, &report);
+        let e = record_of(&store, Stage::Analyze, 5);
+        patch(&e.segment, e.offset + e.bytes - 1, b"\0");
         assert_eq!(store.load::<String>(Stage::Analyze, 5), None);
         assert_eq!(store.stats(Stage::Analyze).corrupt, 1);
 
         // truncate mid-header
-        fs::write(&path, &bytes[..10]).expect("writable");
+        store.save(Stage::Analyze, 5, &report);
+        let e = record_of(&store, Stage::Analyze, 5);
+        let file = File::options()
+            .write(true)
+            .open(&e.segment)
+            .expect("segment");
+        file.set_len(e.offset + 10).expect("truncates");
         assert_eq!(store.load::<String>(Stage::Analyze, 5), None);
 
         // version skew (bytes 8..12) rejects even with a valid payload
-        store.save(Stage::Analyze, 5, &String::from("report"));
-        let mut bytes = fs::read(&path).expect("entry exists");
-        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        fs::write(&path, &bytes).expect("writable");
+        store.save(Stage::Analyze, 5, &report);
+        let e = record_of(&store, Stage::Analyze, 5);
+        patch(&e.segment, e.offset + 8, &u32::MAX.to_le_bytes());
         assert_eq!(store.load::<String>(Stage::Analyze, 5), None);
         assert_eq!(store.stats(Stage::Analyze).corrupt, 3);
 
-        // a wrong-stage read of a valid entry is also rejected
-        store.save(Stage::Analyze, 5, &String::from("report"));
-        let copy = store.entry_path(Stage::Design, 5);
-        fs::create_dir_all(copy.parent().expect("has parent")).expect("mkdir");
-        fs::copy(&path, &copy).expect("copies");
-        assert_eq!(store.load::<String>(Stage::Design, 5), None);
-        assert_eq!(store.stats(Stage::Design).corrupt, 1);
+        // a valid record read as another stage or key is rejected
+        let record = frame_record(FORMAT_VERSION, Stage::Analyze, 5, &report.to_bytes());
+        assert!(validate_record(&record, Stage::Analyze, 5).is_some());
+        assert!(validate_record(&record, Stage::Design, 5).is_none());
+        assert!(validate_record(&record, Stage::Analyze, 4).is_none());
+
         fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1121,8 +1181,10 @@ mod tests {
         assert_eq!((stats.hits, stats.corrupt), (0, 1), "hit was demoted");
         assert!(
             !store.contains(Stage::Compile, 9),
-            "undecodable entry removed so the rewrite is not shadowed"
+            "undecodable entry dropped so the rewrite is not shadowed"
         );
+        store.save(Stage::Compile, 9, &9u64);
+        assert_eq!(store.load::<u64>(Stage::Compile, 9), Some(9));
         fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1147,7 +1209,7 @@ mod tests {
         let store = temp_store("reset");
         store.save(Stage::Compile, 3, &9u64);
         store.load::<u64>(Stage::Compile, 3);
-        // an undecodable entry counts one corrupt read and is removed
+        // an undecodable entry counts one corrupt read and is dropped
         store.save(Stage::Compile, 4, &String::from("not a u64"));
         assert_eq!(store.load::<u64>(Stage::Compile, 4), None);
         assert_eq!(store.totals().corrupt, 1);
@@ -1166,16 +1228,14 @@ mod tests {
     fn snapshot_scans_and_gc_respects_byte_budget_oldest_first() {
         let store = temp_store("gc-bytes");
         store.save(Stage::Compile, 1, &1u64);
-        std::thread::sleep(std::time::Duration::from_millis(30));
         store.save(Stage::Profile, 2, &2u64);
-        std::thread::sleep(std::time::Duration::from_millis(30));
         store.save(Stage::Schedule, 3, &3u64);
 
         let m = store.snapshot();
         assert_eq!(m.len(), 3);
-        assert_eq!(m.entries[0].key, 1, "snapshot is mtime-ordered");
+        assert_eq!(m[0].key, 1, "snapshot is write-ordered");
         // budget for exactly the newest entry: the two oldest go
-        let entry_bytes = m.entries[2].bytes;
+        let entry_bytes = m[2].bytes;
         assert!(entry_bytes > 0);
         let report = store.gc(&StoreGcConfig::default().with_max_bytes(entry_bytes));
         assert_eq!(report.scanned_entries, 3);
@@ -1189,10 +1249,15 @@ mod tests {
         assert!(store.contains(Stage::Schedule, 3), "newest survives");
         assert_eq!(store.gc_evictions(), 2);
 
-        // a fresh scan lists the retained set
-        let m = store.snapshot();
+        // a fresh scan lists the retained set, all in one segment
+        let m = ArtifactStore::open(store.dir()).snapshot();
         assert_eq!(m.len(), 1);
-        assert_eq!(m.entries[0].key, 3);
+        assert_eq!(m[0].key, 3);
+        assert_eq!(fs::read_dir(store.dir()).expect("dir").count(), 1);
+        // and the handle appends on to a new segment
+        assert!(store.save(Stage::Compile, 1, &1u64));
+        assert_eq!(store.load::<u64>(Stage::Schedule, 3), Some(3));
+        assert_eq!(ArtifactStore::open(store.dir()).snapshot().len(), 2);
         fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1203,7 +1268,7 @@ mod tests {
         let unbounded = store.gc(&StoreGcConfig::default());
         assert_eq!(unbounded.evicted_entries, 0, "no budgets, no evictions");
 
-        // everything is older than a zero age budget
+        // everything is older than a zero age budget, copies included
         std::thread::sleep(std::time::Duration::from_millis(5));
         let report = store.gc(&StoreGcConfig::default().with_max_age(Duration::ZERO));
         assert_eq!(report.evicted_entries, 1);
@@ -1215,61 +1280,6 @@ mod tests {
         assert_eq!(report.evicted_entries, 0);
         assert_eq!(report.retained_entries, 1);
         fs::remove_dir_all(store.dir()).ok();
-    }
-
-    #[test]
-    fn gc_sweeps_stale_tmp_files_in_stage_directories() {
-        let store = temp_store("gc-tmp");
-        store.save(Stage::Compile, 1, &1u64);
-        let hour_ago = SystemTime::now() - STALE_TMP_MAX_AGE - Duration::from_secs(60);
-        let stale = unique_tmp(&store.entry_path(Stage::Compile, 2));
-        let fresh = unique_tmp(&store.entry_path(Stage::Compile, 3));
-        for path in [&stale, &fresh] {
-            fs::write(path, b"half an entry").expect("writable");
-        }
-        fs::File::options()
-            .write(true)
-            .open(&stale)
-            .and_then(|f| f.set_modified(hour_ago))
-            .expect("backdates");
-        let report = store.gc(&StoreGcConfig::default());
-        assert_eq!(report.swept_tmp_files, 1);
-        assert!(!stale.exists(), "an orphaned temp file is swept");
-        assert!(fresh.exists(), "a live writer's temp file is kept");
-        assert_eq!(report.retained_entries, 1, "temp files are not entries");
-        fs::remove_dir_all(store.dir()).ok();
-    }
-
-    #[test]
-    fn the_first_stats_query_never_loses_a_racing_save() {
-        for round in 0..20 {
-            let store = temp_store(&format!("index-race-{round}"));
-            for key in 0..32 {
-                store.save(Stage::Compile, key, &key);
-            }
-            // the savers and the first stats query start together, so
-            // saves land before, during and after its scan
-            let start = std::sync::Barrier::new(5);
-            std::thread::scope(|scope| {
-                for t in 0..4u64 {
-                    let (store, start) = (&store, &start);
-                    scope.spawn(move || {
-                        start.wait();
-                        for key in 0..16 {
-                            store.save(Stage::Profile, t * 100 + key, &key);
-                        }
-                    });
-                }
-                start.wait();
-                store.totals();
-            });
-            assert_eq!(
-                store.totals().entries,
-                store.snapshot().len() as u64,
-                "round {round}"
-            );
-            fs::remove_dir_all(store.dir()).ok();
-        }
     }
 
     #[test]
@@ -1293,8 +1303,8 @@ mod tests {
                 extension_area: 0.0,
             },
         );
-        // a manifest.tsv left at the root by an older build is an
-        // unknown file: snapshot, gc and verify all ignore it
+        // a manifest.tsv left at the root by an older build is not a
+        // segment: snapshot, gc and verify all ignore it
         let leftover = store.dir().join("manifest.tsv");
         let old_index = b"asip-manifest v1\ncompile\t1\t1\t1\n";
         fs::write(&leftover, old_index).expect("writable");
@@ -1307,11 +1317,9 @@ mod tests {
         assert!(clean.bytes > 0);
 
         // payload damage and type confusion are both caught
-        let path = store.entry_path(Stage::Compile, 1);
-        let mut bytes = fs::read(&path).expect("readable");
-        *bytes.last_mut().expect("nonempty") ^= 0xFF;
-        fs::write(&path, &bytes).expect("writable");
-        // a structurally valid file holding the wrong payload type
+        let e = record_of(&store, Stage::Compile, 1);
+        patch(&e.segment, e.offset + e.bytes - 1, b"\xff");
+        // a structurally valid record holding the wrong payload type
         store.save(Stage::Profile, 3, &String::from("not a profile"));
         let dirty = store.verify();
         assert_eq!((dirty.ok, dirty.corrupt), (1, 2));
@@ -1329,8 +1337,8 @@ mod tests {
             fused_chains: 3,
             extension_area: 512.0,
         };
-        // the same evaluation as format v4 wrote it: the same header
-        // and checksum, over the tagged fixed-width payload encoding
+        // the same evaluation as format v4 encoded it: the tagged
+        // fixed-width payload, in a record of version 4
         let mut v4_payload = Vec::new();
         for (tag, bits) in [
             (0x01u8, 200u64),
@@ -1343,23 +1351,17 @@ mod tests {
             v4_payload.extend_from_slice(&bits.to_le_bytes());
         }
         store.save(Stage::Evaluate, 1, &evaluation);
-        fs::write(
-            store.entry_path(Stage::Evaluate, 1),
-            frame_entry(4, Stage::Evaluate, &v4_payload),
-        )
-        .expect("writable");
+        rewrite_store(&store, &[frame_record(4, Stage::Evaluate, 1, &v4_payload)]);
         let report = store.verify();
         assert_eq!((report.ok, report.stale, report.corrupt), (0, 1, 0));
 
-        // a current entry stays corrupt under every single-bit flip of
+        // a current record stays corrupt under every single-bit flip of
         // its version field, including flips onto an older version
-        store.save(Stage::Evaluate, 1, &evaluation);
-        let path = store.entry_path(Stage::Evaluate, 1);
-        let current = fs::read(&path).expect("readable");
+        let current = frame_record(FORMAT_VERSION, Stage::Evaluate, 1, &evaluation.to_bytes());
         for bit in 0..32 {
             let mut bytes = current.clone();
             bytes[8 + bit / 8] ^= 1 << (bit % 8);
-            fs::write(&path, &bytes).expect("writable");
+            rewrite_store(&store, &[bytes]);
             let report = store.verify();
             assert_eq!(
                 (report.ok, report.stale, report.corrupt),
@@ -1372,8 +1374,8 @@ mod tests {
 
     #[test]
     fn a_previous_version_entry_with_a_current_payload_is_stale() {
-        // v5 and v6 share the codec, so a genuine v5 entry's payload
-        // decodes today: only its framing tells it apart
+        // consecutive versions may share the codec, so a genuine older
+        // record's payload decodes today: only its framing tells it apart
         let store = temp_store("stale-same-codec");
         let evaluation = asip_synth::Evaluation {
             base_cycles: 200,
@@ -1383,11 +1385,9 @@ mod tests {
             extension_area: 512.0,
         };
         store.save(Stage::Evaluate, 1, &evaluation);
-        let path = store.entry_path(Stage::Evaluate, 1);
-        let current = fs::read(&path).expect("readable");
         let payload = evaluation.to_bytes();
-        assert!(current.ends_with(&payload));
-        fs::write(&path, frame_entry(5, Stage::Evaluate, &payload)).expect("writable");
+        let previous = frame_record(FORMAT_VERSION - 1, Stage::Evaluate, 1, &payload);
+        rewrite_store(&store, &[previous]);
         let report = store.verify();
         assert_eq!((report.ok, report.stale, report.corrupt), (0, 1, 0));
         assert_eq!(

@@ -57,7 +57,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// `writes` counts landed [`ArtifactTier::put`]s, and
 /// `entries`/`bytes` describe what the tier currently holds for the
 /// stage. `bytes` is the tier's *own* footprint accounting — encoded
-/// payload bytes for the in-memory tier, whole entry files (framing
+/// payload bytes for the in-memory tier, whole live records (framing
 /// included) for the disk store — so compare byte totals within one
 /// tier, not across tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,8 +1,8 @@
 //! Seeded chaos sweeps: many deterministic [`FaultPlan`]s driven
 //! through full `explore_all` sessions — store-backed, remote-backed,
 //! and multi-client against one serve daemon — plus a simulated-crash
-//! truncation sweep over every on-disk artifact and poisoned payloads
-//! planted through the daemon's `Put`.
+//! truncation sweep over every record of a store segment and poisoned
+//! payloads planted through the daemon's `Put`.
 //!
 //! The invariants are absolute, not statistical:
 //!
@@ -112,8 +112,7 @@ fn disk_fault_sweep_is_byte_identical_and_reconciles() {
         }
 
         // session 2, fault-free, over the survivors: every injected
-        // write fault must resurface as exactly one recompute, every
-        // torn write as exactly one rejected (then healed) entry
+        // write fault must resurface as exactly one recompute
         let counts = plan.counts();
         let clean = Explorer::new().with_store(&dir);
         let explorations = clean.explore_all().expect("clean session completes");
@@ -124,14 +123,16 @@ fn disk_fault_sweep_is_byte_identical_and_reconciles() {
             counts.disk_write_errors + counts.torn_writes,
             "disk seed {seed:#x}: dropped/torn writes vs recomputes: {stats} vs {counts:?}"
         );
-        // every torn entry is rejected as corrupt on read — once via
-        // the prefetch batch probe and once again on the direct get
-        // before the recompute, so the count lands in [torn, 2*torn];
-        // and corrupt reads come from *nowhere else*
-        let corrupt = stats.total_disk_corrupt();
-        assert!(
-            corrupt >= counts.torn_writes && corrupt <= 2 * counts.torn_writes,
-            "disk seed {seed:#x}: torn writes vs corrupt reads: {stats} vs {counts:?}"
+        // every torn record a reader can attribute to its key (one cut
+        // after the key) is rejected as corrupt on its first read and
+        // not read again, so a recompute replaces it; one cut inside
+        // its key reads as absent. Corrupt reads come from *nowhere
+        // else*
+        let attributable = counts.torn_writes - counts.torn_unattributable;
+        assert_eq!(
+            stats.total_disk_corrupt(),
+            attributable,
+            "disk seed {seed:#x}: attributable torn writes vs corrupt reads: {stats} vs {counts:?}"
         );
         // the healed store verifies clean
         let report = clean.store().expect("store attached").verify();
@@ -280,41 +281,19 @@ fn overloaded_daemon_sheds_typed_and_clients_degrade_correctly() {
 
 // -- simulated-crash consistency sweep ---------------------------------
 
-fn copy_dir(src: &Path, dst: &Path) {
-    fs::create_dir_all(dst).expect("scratch dir");
-    for entry in fs::read_dir(src).expect("readable").flatten() {
-        let from = entry.path();
-        let to = dst.join(entry.file_name());
-        if from.is_dir() {
-            copy_dir(&from, &to);
-        } else {
-            fs::copy(&from, &to).expect("copies");
-        }
-    }
+/// The store's only segment file.
+fn only_segment(dir: &Path) -> PathBuf {
+    let files: Vec<PathBuf> = fs::read_dir(dir)
+        .expect("readable")
+        .flatten()
+        .map(|e| e.path())
+        .collect();
+    assert_eq!(files.len(), 1, "one segment: {files:?}");
+    files.into_iter().next().expect("one file")
 }
 
-/// Every `.art` entry file in the store, at any stage.
-fn entry_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    let Ok(stages) = fs::read_dir(dir) else {
-        return files;
-    };
-    for stage in stages.flatten() {
-        let Ok(entries) = fs::read_dir(stage.path()) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            if entry.path().extension().is_some_and(|e| e == "art") {
-                files.push(entry.path());
-            }
-        }
-    }
-    files.sort();
-    files
-}
-
-/// The offsets worth tearing a file at: both edges, the store-entry
-/// header boundaries, and the middle.
+/// The offsets worth tearing a record at: both edges, the record header
+/// boundaries, and the middle.
 fn interesting_offsets(len: usize) -> Vec<usize> {
     let mut offsets: Vec<usize> = [0, 1, 8, 12, 13, 21, 29, 37, len / 2, len.saturating_sub(1)]
         .into_iter()
@@ -327,51 +306,46 @@ fn interesting_offsets(len: usize) -> Vec<usize> {
 
 #[test]
 fn crash_truncation_sweep_always_recovers_and_heals() {
-    // seed a pristine single-benchmark store
+    // seed a pristine single-benchmark store: one segment
     let pristine = store_dir("crash-pristine");
     let expected = {
         let session = Explorer::new().with_store(&pristine);
         let run = session.explore("fir").expect("seeds the store");
         format!("{run:?}")
     };
-    let entries = entry_files(&pristine);
-    assert!(entries.len() >= 6, "fir writes every stage: {entries:?}");
+    let records = ArtifactStore::open(&pristine).snapshot();
+    assert!(records.len() >= 6, "fir writes every stage: {records:?}");
+    let segment = only_segment(&pristine);
+    let pristine_bytes = fs::read(&segment).expect("segment readable");
+    let name = segment.file_name().expect("a file name");
 
     let scratch = store_dir("crash-scratch");
     let mut cases = 0u32;
-    for file in &entries {
-        let pristine_bytes = fs::read(file).expect("entry readable");
-        let rel = file.strip_prefix(&pristine).expect("under store");
-        for offset in interesting_offsets(pristine_bytes.len()) {
-            // crash mid-write: a strict prefix landed at the final path
+    for record in &records {
+        let (start, len) = (record.offset as usize, record.bytes as usize);
+        let at = |offset| format!("{} {:x} at {offset}", record.stage, record.key);
+        for offset in interesting_offsets(len) {
+            // crash mid-append: the segment ends inside this record
             fs::remove_dir_all(&scratch).ok();
-            copy_dir(&pristine, &scratch);
-            fs::write(scratch.join(rel), &pristine_bytes[..offset]).expect("tears");
+            fs::create_dir_all(&scratch).expect("scratch dir");
+            fs::write(scratch.join(name), &pristine_bytes[..start + offset]).expect("tears");
             let session = Explorer::new().with_store(&scratch);
-            let run = session.explore("fir").expect("recovers from torn entry");
-            assert_eq!(
-                format!("{run:?}"),
-                expected,
-                "torn {} at {offset}",
-                rel.display()
-            );
-            // the recompute healed the entry in place
+            let run = session.explore("fir").expect("recovers from torn record");
+            assert_eq!(format!("{run:?}"), expected, "torn {}", at(offset));
+            // the recompute healed the record
             let report = session.store().expect("store").verify();
-            assert_eq!(report.corrupt, 0, "torn {} at {offset}", rel.display());
+            assert_eq!(report.corrupt, 0, "torn {}", at(offset));
             cases += 1;
 
             // bit rot: the same offset flipped instead of truncated
+            fs::remove_dir_all(&scratch).ok();
+            fs::create_dir_all(&scratch).expect("scratch dir");
             let mut flipped = pristine_bytes.clone();
-            flipped[offset] ^= 0xFF;
-            fs::write(scratch.join(rel), &flipped).expect("flips");
+            flipped[start + offset] ^= 0xFF;
+            fs::write(scratch.join(name), &flipped).expect("flips");
             let session = Explorer::new().with_store(&scratch);
             let run = session.explore("fir").expect("recovers from bit rot");
-            assert_eq!(
-                format!("{run:?}"),
-                expected,
-                "flipped {} at {offset}",
-                rel.display()
-            );
+            assert_eq!(format!("{run:?}"), expected, "flipped {}", at(offset));
             cases += 1;
         }
     }
@@ -385,16 +359,13 @@ fn crash_truncation_sweep_always_recovers_and_heals() {
 
 // -- poisoned puts -----------------------------------------------------
 
-/// The keys of every entry file a store directory holds at `stage`.
+/// The keys of every live record a store directory holds at `stage`.
 fn stage_keys(dir: &Path, stage: Stage) -> Vec<u64> {
-    let mut keys: Vec<u64> = fs::read_dir(dir.join(stage.name()))
-        .expect("stage directory")
-        .flatten()
-        .filter_map(|e| {
-            let path = e.path();
-            let stem = path.file_stem()?.to_str()?;
-            (path.extension()? == "art").then(|| u64::from_str_radix(stem, 16).ok())?
-        })
+    let mut keys: Vec<u64> = ArtifactStore::open(dir)
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.stage == stage)
+        .map(|e| e.key)
         .collect();
     keys.sort_unstable();
     keys

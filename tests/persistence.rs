@@ -4,7 +4,7 @@
 //! degrade to a clean recompute — never an error, never a wrong result.
 
 use asip_explorer::prelude::*;
-use asip_explorer::store::{checksum, FORMAT_VERSION};
+use asip_explorer::store::{checksum, ManifestEntry, FORMAT_VERSION};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -17,23 +17,37 @@ fn store_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every `.art` entry file in the store, at any stage.
-fn entry_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    let Ok(stages) = fs::read_dir(dir) else {
-        return files;
-    };
-    for stage in stages.flatten() {
-        let Ok(entries) = fs::read_dir(stage.path()) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            if entry.path().extension().is_some_and(|e| e == "art") {
-                files.push(entry.path());
-            }
-        }
+/// Every live record in the store, oldest-written first.
+fn records(dir: &Path) -> Vec<ManifestEntry> {
+    ArtifactStore::open(dir).snapshot()
+}
+
+/// Apply `damage` to every live record of the store and put each
+/// result in a segment of its own (so a shortened record is a torn
+/// segment tail), in place of the store's segments. Returns how many
+/// records were rewritten.
+fn rewrite_records(dir: &Path, mut damage: impl FnMut(&mut Vec<u8>)) -> usize {
+    let entries = records(dir);
+    let mut rewritten = Vec::new();
+    for e in &entries {
+        let segment = fs::read(&e.segment).expect("readable");
+        let mut bytes = segment[e.offset as usize..(e.offset + e.bytes) as usize].to_vec();
+        damage(&mut bytes);
+        rewritten.push(bytes);
     }
-    files
+    for entry in fs::read_dir(dir).expect("store dir").flatten() {
+        fs::remove_file(entry.path()).expect("removable");
+    }
+    for (i, bytes) in rewritten.iter().enumerate() {
+        fs::write(dir.join(format!("{i:016x}-00000000.seg")), bytes).expect("writable");
+    }
+    entries.len()
+}
+
+/// The byte offset of a record's key: after the magic (8), the version
+/// (4), the stage-name length (1) and the name.
+fn key_at(record: &[u8]) -> usize {
+    13 + usize::from(record[12])
 }
 
 fn assert_no_recomputes(stats: &CacheStats) {
@@ -179,12 +193,16 @@ fn corrupted_entries_recompute_cleanly_and_heal_the_store() {
     let first = Explorer::new().with_store(&dir);
     let clean = first.evaluate("sewha").expect("computes");
 
-    // scribble garbage over every entry (checksum/decode failures)
-    let files = entry_files(&dir);
-    assert!(!files.is_empty(), "store was populated");
-    for f in &files {
-        fs::write(f, b"not an artifact at all").expect("overwrite");
-    }
+    // scribble garbage over every entry after its key (checksum/decode
+    // failures)
+    let scribbled = rewrite_records(&dir, |record| {
+        let garbage = b"not an artifact at all".iter().cycle();
+        let key_end = key_at(record) + 8;
+        for (byte, junk) in record[key_end..].iter_mut().zip(garbage) {
+            *byte = *junk;
+        }
+    });
+    assert!(scribbled > 0, "store was populated");
 
     let second = Explorer::new().with_store(&dir);
     let healed = second
@@ -218,10 +236,7 @@ fn truncated_entries_recompute_cleanly() {
     let clean = first.evaluate("sewha").expect("computes");
 
     // keep only a prefix of every entry: valid magic, missing tail
-    for f in entry_files(&dir) {
-        let bytes = fs::read(&f).expect("readable");
-        fs::write(&f, &bytes[..bytes.len() / 2]).expect("truncate");
-    }
+    rewrite_records(&dir, |record| record.truncate(record.len() / 2));
 
     let second = Explorer::new().with_store(&dir);
     let healed = second
@@ -240,13 +255,12 @@ fn version_bump_invalidates_old_entries() {
     let first = Explorer::new().with_store(&dir);
     let clean = first.profile("sewha").expect("computes");
 
-    // forge a future format version into every file header (bytes 8..12,
-    // straight after the 8-byte magic); payloads stay byte-identical
-    for f in entry_files(&dir) {
-        let mut bytes = fs::read(&f).expect("readable");
-        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        fs::write(&f, &bytes).expect("rewrite");
-    }
+    // forge a future format version into every record header (bytes
+    // 8..12, straight after the 8-byte magic); payloads stay
+    // byte-identical
+    rewrite_records(&dir, |record| {
+        record[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    });
 
     let second = Explorer::new().with_store(&dir);
     let recomputed = second
@@ -264,22 +278,25 @@ fn version_bump_invalidates_old_entries() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Rewrite a current entry file as the previous format wrote it:
-/// version field `FORMAT_VERSION - 1` and that version's checksum, which
-/// like the current one is an XXH64 over the header fields (version,
-/// stage-name length and name, payload length) followed by the
+/// Rewrite a current record as the previous format would have written
+/// it: version field `FORMAT_VERSION - 1`, a key no current recipe
+/// derives (old keys hashed the old version) and a checksum by the same
+/// rule as the current one, an XXH64 over the header fields (version,
+/// stage-name length and name, key, payload length) followed by the
 /// payload's XXH64. Header: magic (8), version (4), stage-name length
-/// (1) and name, payload length (8), checksum (8), payload. The payload
-/// is left as it is, so only the framing marks the entry stale.
-fn forge_previous_format(bytes: &[u8]) -> Vec<u8> {
-    let name_len = usize::from(bytes[12]);
-    let sum_at = 13 + name_len + 8;
-    let mut old = bytes.to_vec();
-    old[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
-    let mut covered = old[8..sum_at].to_vec();
-    covered.extend_from_slice(&checksum(&old[sum_at + 8..]).to_le_bytes());
-    old[sum_at..sum_at + 8].copy_from_slice(&checksum(&covered).to_le_bytes());
-    old
+/// (1) and name, key (8), payload length (8), checksum (8), payload.
+/// The payload is left as it is, so only the framing marks the entry
+/// stale.
+fn forge_previous_format(record: &mut [u8]) {
+    let key_at = key_at(record);
+    let sum_at = key_at + 16;
+    record[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+    for byte in &mut record[key_at..key_at + 8] {
+        *byte ^= 0x5e;
+    }
+    let mut covered = record[8..sum_at].to_vec();
+    covered.extend_from_slice(&checksum(&record[sum_at + 8..]).to_le_bytes());
+    record[sum_at..sum_at + 8].copy_from_slice(&checksum(&covered).to_le_bytes());
 }
 
 #[test]
@@ -289,17 +306,8 @@ fn entries_of_the_previous_format_are_stale_not_corrupt() {
     let clean = first.profile("sewha").expect("computes");
 
     // Turn the store into one the previous format wrote: every entry
-    // moves to a key no current recipe derives (old keys hashed the old
-    // version), under the old header.
-    let files = entry_files(&dir);
-    for f in &files {
-        let bytes = fs::read(f).expect("readable");
-        let stem = f.file_stem().and_then(|s| s.to_str()).expect("hex stem");
-        let key = u64::from_str_radix(stem, 16).expect("hex key");
-        let moved = f.with_file_name(format!("{:016x}.art", key ^ 0x5eed_5eed_5eed_5eed));
-        fs::write(moved, forge_previous_format(&bytes)).expect("write");
-        fs::remove_file(f).expect("remove");
-    }
+    // moves to a key no current recipe derives, under the old header.
+    let forged = rewrite_records(&dir, |record| forge_previous_format(record));
 
     let second = Explorer::new().with_store(&dir);
     let recomputed = second.profile("sewha").expect("recomputes");
@@ -311,20 +319,23 @@ fn entries_of_the_previous_format_are_stale_not_corrupt() {
     assert_eq!(clean.profile, recomputed.profile);
 
     let report = second.store().expect("store attached").verify();
-    assert_eq!(report.stale, files.len() as u64, "{report:?}");
+    assert_eq!(report.stale, forged as u64, "{report:?}");
     assert_eq!(report.corrupt, 0, "{report:?}");
     assert_eq!(report.ok, disk.writes, "{report:?}");
 
     // a bit flip in a current entry's version field stays corrupt
-    let current = entry_files(&dir)
+    let current = records(&dir)
         .into_iter()
-        .find(|f| fs::read(f).is_ok_and(|b| b[8..12] == FORMAT_VERSION.to_le_bytes()))
+        .find(|e| {
+            let segment = fs::read(&e.segment).expect("readable");
+            segment[e.offset as usize + 8..][..4] == FORMAT_VERSION.to_le_bytes()
+        })
         .expect("a current entry");
-    let mut bytes = fs::read(&current).expect("readable");
-    bytes[8] ^= 0b100;
-    fs::write(&current, &bytes).expect("rewrite");
+    let mut bytes = fs::read(&current.segment).expect("readable");
+    bytes[current.offset as usize + 8] ^= 0b100;
+    fs::write(&current.segment, &bytes).expect("rewrite");
     let report = second.store().expect("store attached").verify();
-    assert_eq!((report.stale, report.corrupt), (files.len() as u64, 1));
+    assert_eq!((report.stale, report.corrupt), (forged as u64, 1));
 
     fs::remove_dir_all(&dir).ok();
 }
@@ -346,7 +357,7 @@ fn deleting_the_store_mid_session_only_costs_recomputes() {
     session
         .analyze("sewha", OptLevel::Pipelined)
         .expect("recomputes after rm -rf");
-    assert!(!entry_files(&dir).is_empty(), "the store was repopulated");
+    assert!(!records(&dir).is_empty(), "the store was repopulated");
 
     fs::remove_dir_all(&dir).ok();
 }
@@ -363,17 +374,11 @@ fn sessions_without_a_store_never_touch_disk_counters() {
 
 /// Every entry key in the store for `stage`, sorted.
 fn stage_keys(dir: &Path, stage: Stage) -> Vec<u64> {
-    let mut keys: Vec<u64> = fs::read_dir(dir.join(stage.name()))
-        .map(|entries| {
-            entries
-                .flatten()
-                .filter_map(|e| {
-                    let name = e.file_name().into_string().ok()?;
-                    u64::from_str_radix(name.strip_suffix(".art")?, 16).ok()
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    let mut keys: Vec<u64> = records(dir)
+        .into_iter()
+        .filter(|e| e.stage == stage)
+        .map(|e| e.key)
+        .collect();
     keys.sort_unstable();
     keys
 }
@@ -418,18 +423,18 @@ fn stage_keys_are_pinned() {
         only(&dir, Stage::Design),
         only(&dir, Stage::Evaluate),
     ];
-    // Recorded at format v7. These move only with a deliberate recipe
+    // Recorded at format v8. These move only with a deliberate recipe
     // change, which also needs a FORMAT_VERSION bump (or a release:
     // the crate version is in every key), and then new constants here.
     assert_eq!(
         keys.map(|k| format!("{k:016x}")),
         [
-            "c7858ffa000af249",
-            "a2bdbaa8c8c02d58",
-            "27dde56cfed4d97d",
-            "817f509e6ab71f32",
-            "72443228bcecb41e",
-            "f88016f17a8769b5",
+            "667ac242ddbe74e0",
+            "ff1b96a5ef4765d1",
+            "736901edc56c1d44",
+            "6c05178873ba87e9",
+            "8eb66651a9daf7fb",
+            "07ab007a5c7f6328",
         ],
         "compile, profile, level-1 schedule, level-1 analyze, design, evaluate"
     );
@@ -477,4 +482,106 @@ fn a_one_byte_source_change_moves_exactly_that_benchmarks_keys() {
         keys_of("edit-iir-after", Some(&edited), "iir"),
         "no other benchmark's key moves"
     );
+}
+
+#[test]
+fn two_handles_on_one_directory_read_each_others_later_puts() {
+    let dir = store_dir("two-handles");
+    let (a, b) = (ArtifactStore::open(&dir), ArtifactStore::open(&dir));
+    assert!(a.save(Stage::Compile, 1, &1u64));
+    assert_eq!(b.load::<u64>(Stage::Compile, 1), Some(1), "b sees a's put");
+    assert!(b.save(Stage::Compile, 2, &2u64));
+    assert_eq!(a.load::<u64>(Stage::Compile, 2), Some(2), "a sees b's put");
+    // both have indexed each other's segment; later appends show too
+    assert!(a.save(Stage::Profile, 3, &3u64));
+    assert!(b.save(Stage::Profile, 4, &4u64));
+    assert_eq!(b.load::<u64>(Stage::Profile, 3), Some(3));
+    assert_eq!(a.load::<u64>(Stage::Profile, 4), Some(4));
+    // each appended only to its own segment
+    assert_eq!(fs::read_dir(&dir).expect("store dir").count(), 2);
+    for store in [&a, &b] {
+        let totals = store.totals();
+        assert_eq!((totals.hits, totals.misses, totals.corrupt), (2, 0, 0));
+        assert_eq!((totals.writes, totals.entries), (2, 4));
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_cold_explore_all_leaves_exactly_one_file() {
+    let dir = store_dir("one-file");
+    let session = Explorer::new()
+        .with_registry(asip_explorer::benchmarks::full_registry())
+        .with_store(&dir);
+    session.explore_all().expect("explores");
+    let writes = session.cache_stats().tier("disk").total().writes;
+    assert!(writes >= 360, "every artifact was written: {writes}");
+    let files: Vec<_> = fs::read_dir(&dir).expect("store dir").flatten().collect();
+    assert_eq!(files.len(), 1, "one segment: {files:?}");
+    assert_eq!(records(&dir).len() as u64, writes);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_bit_flip_in_a_key_is_never_a_wrong_hit() {
+    let dir = store_dir("key-flip");
+    let store = ArtifactStore::open(&dir);
+    assert!(store.save(Stage::Analyze, 5, &String::from("report")));
+    // the flipped record is filed under key 4, where its checksum,
+    // which covers the key, rejects it
+    let [e] = &records(&dir)[..] else {
+        panic!("one record")
+    };
+    let mut segment = fs::read(&e.segment).expect("readable");
+    let key = e.offset as usize + key_at(&segment[e.offset as usize..]);
+    segment[key] ^= 1;
+    fs::write(&e.segment, &segment).expect("writable");
+    let fresh = ArtifactStore::open(&dir);
+    assert_eq!(fresh.load::<String>(Stage::Analyze, 5), None);
+    assert_eq!(fresh.load::<String>(Stage::Analyze, 4), None);
+    let stats = fresh.stats(Stage::Analyze);
+    assert_eq!((stats.hits, stats.misses, stats.corrupt), (0, 1, 1));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A store written by format v7 — one `<stage>/<key>.art` file per
+/// entry, no key in the header — holds no segment: it reads as absent,
+/// never as corrupt, and `verify` lists nothing in it.
+#[test]
+fn a_v7_store_reads_as_absent_never_as_corrupt() {
+    let dir = store_dir("v7");
+    let clean = Explorer::new()
+        .with_store(&dir)
+        .profile("sewha")
+        .expect("computes");
+    // rewrite every record as v7 framed it, under its v7 path
+    let entries = records(&dir);
+    for e in &entries {
+        let segment = fs::read(&e.segment).expect("readable");
+        let record = &segment[e.offset as usize..(e.offset + e.bytes) as usize];
+        let key_at = key_at(record);
+        let mut v7 = [&record[..key_at], &record[key_at + 8..]].concat();
+        v7[8..12].copy_from_slice(&7u32.to_le_bytes());
+        let sum_at = key_at + 8;
+        let mut covered = v7[8..sum_at].to_vec();
+        covered.extend_from_slice(&checksum(&v7[sum_at + 8..]).to_le_bytes());
+        v7[sum_at..sum_at + 8].copy_from_slice(&checksum(&covered).to_le_bytes());
+        let path = dir.join(e.stage.name()).join(format!("{:016x}.art", e.key));
+        fs::create_dir_all(path.parent().expect("stage dir")).expect("mkdir");
+        fs::write(path, v7).expect("writable");
+    }
+    for e in &entries {
+        fs::remove_file(&e.segment).ok();
+    }
+    let report = ArtifactStore::open(&dir).verify();
+    assert_eq!((report.ok, report.stale, report.corrupt), (0, 0, 0));
+
+    let second = Explorer::new().with_store(&dir);
+    let recomputed = second.profile("sewha").expect("recomputes");
+    let stats = second.cache_stats();
+    let disk = stats.tier("disk").total();
+    assert_eq!((disk.hits, disk.corrupt), (0, 0), "{stats}");
+    assert!(disk.misses > 0, "{stats}");
+    assert_eq!(clean.profile, recomputed.profile);
+    fs::remove_dir_all(&dir).ok();
 }

@@ -4,11 +4,17 @@
 //! custom tier must be a drop-in through `Explorer::with_tier`.
 
 use asip_explorer::prelude::*;
+use asip_explorer::store::ManifestEntry;
 use asip_explorer::{MemoryTier, TierRead};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Bytes across every listed record.
+fn total_bytes(entries: &[ManifestEntry]) -> u64 {
+    entries.iter().map(|e| e.bytes).sum()
+}
 
 fn store_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("asip-gc-{tag}-{}", std::process::id()));
@@ -50,11 +56,11 @@ fn gc_bounds_a_config_sweep_and_the_next_run_recomputes_and_heals() {
     let full = store.snapshot();
     assert!(full.len() >= 4, "the sweep persisted several artifacts");
     // a byte budget smaller than the sweep: GC must shrink below it
-    let budget = full.total_bytes() / 2;
+    let budget = total_bytes(&full) / 2;
     let report = store.gc(&StoreGcConfig::default().with_max_bytes(budget));
     assert!(report.evicted_entries > 0, "{report:?}");
     assert!(report.retained_bytes <= budget, "{report:?}");
-    assert!(store.snapshot().total_bytes() <= budget);
+    assert!(total_bytes(&store.snapshot()) <= budget);
     // and the eviction count surfaces through the session's CacheStats
     assert_eq!(baseline.cache_stats().gc_evictions, report.evicted_entries);
     assert!(baseline.cache_stats().tier("disk").total().bytes <= budget);
@@ -292,7 +298,7 @@ fn with_store_gc_enforces_a_standing_budget_at_attach_time() {
     warm.explore("fir").expect("populates");
     let before = warm.store().expect("attached").snapshot();
     assert!(before.len() > 2, "several artifacts persisted");
-    let budget = before.total_bytes() / 3;
+    let budget = total_bytes(&before) / 3;
     drop(warm);
 
     // a long-lived host reattaches and runs one budgeted GC pass,
@@ -302,9 +308,9 @@ fn with_store_gc_enforces_a_standing_budget_at_attach_time() {
     store.gc(&StoreGcConfig::default().with_max_bytes(budget));
     let after = store.snapshot();
     assert!(
-        after.total_bytes() <= budget,
+        total_bytes(&after) <= budget,
         "attach-time GC enforced the budget ({} > {budget})",
-        after.total_bytes()
+        total_bytes(&after)
     );
     assert!(after.len() < before.len());
     assert!(
@@ -326,4 +332,84 @@ fn with_store_gc_enforces_a_standing_budget_at_attach_time() {
     assert_eq!(calm.cache_stats().gc_evictions, 0);
 
     fs::remove_dir_all(&dir).ok();
+}
+
+/// GC to a budget keeps exactly the newest records: everything the
+/// later of two sessions wrote survives, everything the earlier one
+/// wrote is evicted, and a later session recomputes only that and
+/// heals the store.
+#[test]
+fn gc_to_a_budget_keeps_only_the_newest_records_and_a_later_session_heals() {
+    let dir = store_dir("newest");
+    Explorer::new()
+        .with_store(&dir)
+        .explore("sewha")
+        .expect("populates");
+    let older = ArtifactStore::open(&dir).snapshot();
+    Explorer::new()
+        .with_store(&dir)
+        .explore("fir")
+        .expect("populates");
+    let all = ArtifactStore::open(&dir).snapshot();
+    let newer = &all[older.len()..];
+    assert!(!newer.is_empty(), "fir wrote its own records");
+    let newer_bytes = total_bytes(newer);
+
+    let store = ArtifactStore::open(&dir);
+    let report = store.gc(&StoreGcConfig::default().with_max_bytes(newer_bytes));
+    assert_eq!(report.evicted_entries, older.len() as u64, "{report:?}");
+    assert_eq!(report.retained_bytes, newer_bytes, "{report:?}");
+    let kept = ArtifactStore::open(&dir).snapshot();
+    let ids = |entries: &[ManifestEntry]| -> Vec<(Stage, u64)> {
+        entries.iter().map(|e| (e.stage, e.key)).collect()
+    };
+    assert_eq!(ids(&kept), ids(newer), "the newest, in order");
+    assert_eq!(fs::read_dir(&dir).expect("store dir").count(), 1);
+
+    // the next session recomputes only what GC dropped, and heals
+    let replay = Explorer::new().with_store(&dir);
+    replay.explore("fir").expect("replays");
+    assert_eq!(replay.cache_stats().total_misses(), 0, "fir was kept");
+    replay.explore("sewha").expect("recomputes");
+    assert!(replay.cache_stats().total_misses() > 0, "sewha was evicted");
+    let healed = Explorer::new().with_store(&dir);
+    healed.explore("sewha").expect("replays");
+    healed.explore("fir").expect("replays");
+    assert_eq!(healed.cache_stats().total_misses(), 0);
+    assert_eq!(ArtifactStore::open(&dir).verify().corrupt, 0);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Saves racing a handle's first occupancy query all land in its
+/// stats: the query never loses one.
+#[test]
+fn the_first_stats_query_never_loses_a_racing_save() {
+    for round in 0..20 {
+        let store = ArtifactStore::open(store_dir(&format!("index-race-{round}")));
+        for key in 0..32 {
+            store.save(Stage::Compile, key, &key);
+        }
+        // the savers and the first stats query start together, so
+        // saves land before, during and after its scan
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for key in 0..16 {
+                        store.save(Stage::Profile, t * 100 + key, &key);
+                    }
+                });
+            }
+            start.wait();
+            store.totals();
+        });
+        assert_eq!(
+            store.totals().entries,
+            ArtifactStore::open(store.dir()).snapshot().len() as u64,
+            "round {round}"
+        );
+        fs::remove_dir_all(store.dir()).ok();
+    }
 }
