@@ -20,8 +20,9 @@
 //! **Check mode** (`--check ADDR`) is the CI smoke path: it runs
 //! `explore_all` on two consecutive *storeless* client sessions against
 //! the daemon and requires the second to perform zero recomputes with
-//! every artifact served as a remote hit. Exit code 3 when the
-//! guarantee does not hold, so CI gates on it.
+//! every artifact served as a remote hit, in a single request (the
+//! prefetch's batch read). Exit code 3 when the guarantee does not
+//! hold, so CI gates on it.
 //!
 //! **Stop mode** (`--stop ADDR`) asks the daemon to shut down cleanly;
 //! exit code 2 when no daemon answers.
@@ -210,7 +211,8 @@ fn run_check(addr: &str) -> ExitCode {
     };
     asip_bench::print_cache_report(&first);
     // pass 2 is the guarantee: a brand-new storeless session must be
-    // served entirely by the daemon — zero recomputes, all remote hits
+    // served entirely by the daemon — zero recomputes, all remote hits,
+    // one round trip
     println!("check pass 2 (must be all remote hits) …");
     let second = match client_pass(addr) {
         Ok(s) => s,
@@ -223,13 +225,14 @@ fn run_check(addr: &str) -> ExitCode {
     let stats = second.cache_stats();
     let (misses, remote_hits) = (stats.total_misses(), stats.tier("remote").total().hits);
     let wire_errors = stats.remote.errors + stats.remote.skipped;
-    if misses > 0 || remote_hits == 0 || wire_errors > 0 {
+    let requests = stats.remote.requests;
+    if misses > 0 || remote_hits == 0 || wire_errors > 0 || requests != 1 {
         eprintln!(
-            "serve: check FAILED: {misses} recomputes, {remote_hits} remote hits, {wire_errors} wire errors (want 0 / >0 / 0)"
+            "serve: check FAILED: {misses} recomputes, {remote_hits} remote hits, {wire_errors} wire errors, {requests} requests (want 0 / >0 / 0 / 1)"
         );
         return ExitCode::from(3);
     }
-    println!("check OK: 0 recomputes, {remote_hits} remote hits, no wire errors");
+    println!("check OK: 0 recomputes, {remote_hits} remote hits in 1 request, no wire errors");
     ExitCode::SUCCESS
 }
 

@@ -185,7 +185,7 @@ pub fn human_bytes(bytes: u64) -> String {
 
 /// Print the standard end-of-run cache report every bench binary closes
 /// with: the per-stage memory counters, then one line per attached tier
-/// (disk, staging memory, remote, custom) with its hit/miss/write/
+/// (remote, disk, custom) with its hit/miss/write/
 /// corrupt counters and byte totals, then remote wire traffic and
 /// prefetch/GC activity when any happened. One formatter for all
 /// binaries, so the report (and the new tier counters) can never drift

@@ -1,6 +1,6 @@
 //! The in-memory caches: the bounded LRU map behind every typed session
-//! stage cache, and the byte-budgeted [`MemoryTier`] staging tier of the
-//! [tier stack](crate::tier).
+//! stage cache, and the byte-budgeted [`MemoryTier`], an in-memory
+//! [`ArtifactTier`] for the [tier stack](crate::tier).
 //!
 //! The [`Explorer`](crate::Explorer) session memoizes each pipeline
 //! stage; for the twelve-benchmark registry the maps stay tiny, but a
@@ -14,12 +14,12 @@
 //! the session wraps one per stage in a `Mutex`.
 //!
 //! [`MemoryTier`] reuses the same LRU as an [`ArtifactTier`]: a
-//! thread-safe map of
-//! *encoded payload bytes* keyed by `(Stage, u64)`, bounded by a byte
-//! budget instead of an entry count. The session's suite prefetcher
-//! stages warm disk payloads here in parallel so stage requests decode
-//! from memory; nothing is written through on the compute path (decoded
-//! values live in the typed LRUs above).
+//! thread-safe map of *encoded payload bytes* keyed by `(Stage, u64)`,
+//! bounded by a byte budget instead of an entry count. The session never
+//! mounts one itself (its prefetch decodes straight into the typed
+//! LRUs); tests and fault harnesses mount it with
+//! [`Explorer::with_tier`](crate::Explorer::with_tier) as a tier that
+//! lives only as long as the process.
 //!
 //! ```
 //! use asip_explorer::cache::LruCache;
@@ -176,12 +176,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
-// -- the in-memory staging tier ----------------------------------------
+// -- the in-memory tier ------------------------------------------------
 
-/// Default byte budget of a [`MemoryTier`]: generous next to a full
-/// warm-suite prefetch (a complete twelve-benchmark pipeline is a few
-/// MiB of payloads) while bounding a pathological sweep.
-pub const DEFAULT_STAGING_BUDGET: u64 = 64 << 20;
+/// Default byte budget of a [`MemoryTier`]: generous next to a complete
+/// twelve-benchmark pipeline (a few MiB of payloads) while bounding a
+/// pathological sweep.
+pub const DEFAULT_MEMORY_BUDGET: u64 = 64 << 20;
 
 #[derive(Debug, Default)]
 struct MemoryState {
@@ -222,16 +222,10 @@ impl MemoryState {
 /// The in-memory byte tier: a thread-safe, byte-budgeted LRU of encoded
 /// artifact payloads implementing [`ArtifactTier`].
 ///
-/// This is the stack's *staging* tier
-/// ([`persistent`](ArtifactTier::persistent)` == false`): computed
+/// It is not [`persistent`](ArtifactTier::persistent): computed
 /// artifacts are not written through to it — they already live, decoded,
-/// in the session's typed stage caches. Its entries come from the
-/// parallel suite prefetcher
-/// ([`Explorer::prefetch`](crate::Explorer::prefetch)), which batch-reads
-/// warm disk payloads into it so the subsequent stage requests decode
-/// from memory instead of performing serial disk reads; every request it
-/// serves is counted as a `prefetch_hit` in
-/// [`CacheStats`](crate::CacheStats).
+/// in the session's typed stage caches. Its entries are the ones its
+/// owner `put`s; a session that mounts it reads them like any tier's.
 ///
 /// ```
 /// use asip_explorer::artifact::Stage;
@@ -244,7 +238,7 @@ impl MemoryState {
 /// assert!(matches!(tier.get(Stage::Compile, 7), TierRead::Hit(p) if p == b"payload"));
 /// assert!(matches!(tier.get(Stage::Compile, 8), TierRead::Miss));
 /// assert_eq!(tier.totals().bytes, 7);
-/// assert!(!tier.persistent(), "a staging buffer, not a store");
+/// assert!(!tier.persistent(), "filled by its owner, not written through");
 /// ```
 #[derive(Debug)]
 pub struct MemoryTier {
@@ -260,13 +254,13 @@ impl Default for MemoryTier {
 }
 
 impl MemoryTier {
-    /// A staging tier with the [default byte
-    /// budget](DEFAULT_STAGING_BUDGET).
+    /// A memory tier with the [default byte
+    /// budget](DEFAULT_MEMORY_BUDGET).
     pub fn new() -> Self {
-        MemoryTier::with_budget(DEFAULT_STAGING_BUDGET)
+        MemoryTier::with_budget(DEFAULT_MEMORY_BUDGET)
     }
 
-    /// A staging tier bounded to at most `budget` payload bytes;
+    /// A memory tier bounded to at most `budget` payload bytes;
     /// least-recently-used entries are evicted first when an insert
     /// overflows the budget. A payload larger than the whole budget is
     /// refused (`put` returns `false`), so a budget of 0 keeps only
@@ -282,13 +276,6 @@ impl MemoryTier {
     /// The configured byte budget.
     pub fn budget(&self) -> u64 {
         self.budget
-    }
-
-    /// Drop every staged payload (counters are untouched; use
-    /// [`ArtifactTier::reset_counters`] for those).
-    pub fn clear(&self) {
-        let mut state = crate::tier::lock(&self.state);
-        *state = MemoryState::default();
     }
 }
 
@@ -476,7 +463,6 @@ mod tests {
         assert_eq!(tier.totals().bytes, 0);
         assert_eq!(tier.totals().entries, 0);
         assert_eq!(tier.totals().corrupt, 1);
-        tier.clear();
         let tier = MemoryTier::with_budget(0);
         tier.put(Stage::Compile, 1, b"z");
         assert_eq!(tier.totals().entries, 0, "zero budget keeps nothing");

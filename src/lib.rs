@@ -37,17 +37,17 @@
 //! recompiling, re-profiling and re-scheduling the suite (see the
 //! [`store`] module and `docs/persistence.md`). Caching is organised as
 //! an explicit [tier stack](tier): every cache layer implements the
-//! pluggable [`ArtifactTier`] interface — the in-memory staging tier,
-//! the disk store, and any custom tier added via
-//! [`Explorer::with_tier`] — with read-through, write-through, parallel
-//! warm-suite prefetch ([`Explorer::prefetch`]) and size/age-budgeted
-//! store GC ([`ArtifactStore::gc`], surfaced as the `asip-bench`
-//! `store` maintenance binary).
+//! pluggable [`ArtifactTier`] interface — the disk store, the remote
+//! tier, and any custom tier added via [`Explorer::with_tier`] — with
+//! read-through, write-through, a batched warm-suite prefetch that
+//! decodes straight into the typed caches ([`Explorer::prefetch`]) and
+//! size/age-budgeted store GC ([`ArtifactStore::gc`], surfaced as the
+//! `asip-bench` `store` maintenance binary).
 //!
 //! Finally, artifacts can cross *machine* boundaries: the [`remote`]
 //! module provides a `serve` daemon (the `asip-bench` `serve` binary)
 //! that keeps one warm session resident behind a TCP or Unix socket,
-//! and a [`RemoteTier`] clients insert between staging and disk via
+//! and a [`RemoteTier`] clients mount above their disk store via
 //! [`Explorer::with_remote`] — with explicit retry/timeout/backoff
 //! ([`RetryPolicy`]) and graceful degradation: any server failure is a
 //! counted miss that falls back to local compute, never an error (see

@@ -155,10 +155,12 @@ struct Health {
 /// A shared remote artifact tier: [`ArtifactTier`] over the wire
 /// protocol, speaking to a `serve` daemon (see [`crate::remote`]).
 ///
-/// Plugged between the staging tier and the disk store by
+/// Plugged above the disk store by
 /// [`Explorer::with_remote`](crate::Explorer::with_remote); storeless
-/// clients get `staging → remote`, so a warm server turns a cold client
-/// process into an all-hit run with zero local persistence. The tier is
+/// clients get a stack of this tier alone, so a warm server turns a
+/// cold client process into an all-hit run with zero local persistence,
+/// and its [`get_batch`](ArtifactTier::get_batch) answers a whole
+/// prefetch in one round trip. The tier is
 /// [persistent](ArtifactTier::persistent): computed artifacts are
 /// written through, so every client shares its work with the fleet.
 #[derive(Debug)]
@@ -480,10 +482,6 @@ impl ArtifactTier for RemoteTier {
                 })
                 .collect(),
         }
-    }
-
-    fn batched(&self) -> bool {
-        true
     }
 
     fn put(&self, stage: Stage, key: u64, payload: &[u8]) -> bool {

@@ -4,11 +4,11 @@
 //! The [`store`](crate::store) module made stage artifacts outlive a
 //! process; this module makes them outlive a *machine boundary*. A
 //! `serve` daemon (see [`serve`]) keeps one [`Explorer`](crate::Explorer)
-//! session resident — staging memory plus disk store — and answers
-//! artifact operations over a versioned binary protocol
-//! ([`proto`]); clients plug a [`RemoteTier`] between their staging
-//! tier and their disk store (or run storeless against the server
-//! alone) via [`Explorer::with_remote`](crate::Explorer::with_remote).
+//! session resident — its disk store — and answers artifact operations
+//! over a versioned binary protocol ([`proto`]); clients plug a
+//! [`RemoteTier`] above their disk store (or run storeless against the
+//! server alone) via
+//! [`Explorer::with_remote`](crate::Explorer::with_remote).
 //!
 //! The design inherits the cache's core contract: *the remote tier can
 //! degrade, never break*. Every failure — server absent, killed

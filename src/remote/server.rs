@@ -6,9 +6,10 @@
 //! clients (a `get` miss is a miss — the *client* computes and writes
 //! the result back through `put`), so a slow client cannot occupy the
 //! server with stage work. What the server provides is its resident
-//! tier stack — staging memory plus disk store — shared across every
-//! client process, and a `stats` op exposing its own session counters
-//! so tests can observe single-flight behaviour fleet-wide.
+//! tier stack — its disk store, whose open segments it reads — shared
+//! across every client process, and a `stats` op exposing its own
+//! session counters so tests can observe single-flight behaviour
+//! fleet-wide.
 //!
 //! Threading model: one accept thread blocks in `accept`, so a new
 //! connection is read the moment it lands. Each connection is served by
@@ -24,9 +25,9 @@
 //! to the store's segment when its `put` is answered, so there is
 //! nothing to flush.
 //!
-//! A `get` that a persistent tier answers also lands in the session's
-//! staging memory tier, so the next client reads it from memory instead
-//! of the disk (see [`ServeOptions`]).
+//! Reads and writes go through the same [`TierStack`](crate::TierStack)
+//! functions a session's own requests use: a `get` walks the stack top
+//! down, a `put` is written through to every persistent tier.
 
 use crate::artifact::Stage;
 use crate::remote::proto::{
@@ -36,7 +37,6 @@ use crate::remote::proto::{
 use crate::remote::transport::{Conn, Endpoint, Listener, Waker};
 use crate::session::Explorer;
 use crate::store::FORMAT_VERSION;
-use crate::tier::TierRead;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -50,11 +50,7 @@ use std::time::{Duration, Instant};
 /// whatever the `poll_interval`. Connection threads are reused: a worker
 /// whose connection ended parks for up to `idle_timeout` and takes the
 /// next connection, and a thread is spawned only when no worker is
-/// parked. Entries the daemon reads from a persistent tier (its store)
-/// are promoted into the session's staging memory tier, which its byte
-/// budget (64 MiB by default, LRU) bounds; keys are content hashes, so a
-/// promoted entry never goes stale. The daemon session's own stage
-/// requests may then count such entries as prefetch hits.
+/// parked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Bound on each read/write once a frame has started. A slow
@@ -256,26 +252,12 @@ impl Shared {
         }
     }
 
-    /// Read `(stage, key)` from the resident stack, top tier down. A
-    /// miss everywhere stays a miss — the client computes. A hit in a
-    /// persistent tier, whose bytes passed that tier's checksum, is
-    /// promoted into the topmost non-persistent tier above it (the
-    /// staging memory tier), so the next read of a hot entry skips the
-    /// disk. Keys are content hashes, so a promoted entry cannot go
-    /// stale, whatever later puts, GC or file deletion do.
+    /// Read `(stage, key)` from the resident stack, top tier down, as a
+    /// session request does. A miss everywhere stays a miss — the
+    /// client computes.
     fn find(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
-        let tiers = self.session.tier_stack().tiers();
-        for (depth, tier) in tiers.iter().enumerate() {
-            if let TierRead::Hit(payload) = tier.get(stage, key) {
-                if tier.persistent() {
-                    if let Some(hot) = tiers[..depth].iter().find(|t| !t.persistent()) {
-                        hot.put(stage, key, &payload);
-                    }
-                }
-                return Some(payload);
-            }
-        }
-        None
+        let read = self.session.tier_stack().read_from(0, stage, key);
+        read.map(|(_, payload)| payload)
     }
 
     /// Count one answered probe as a hit or a miss.
@@ -358,17 +340,8 @@ impl Shared {
                 payload,
             } => {
                 self.add(&self.counters.puts, 1);
-                let mut landed = false;
-                for tier in self.session.tier_stack().tiers() {
-                    if tier.persistent() {
-                        landed |= tier.put(stage, key, &payload);
-                    } else if tier.contains(stage, key) {
-                        // a copy `find` promoted must not outlive the
-                        // entry it was read from
-                        tier.put(stage, key, &payload);
-                    }
-                }
-                Response::Done(landed)
+                let stack = self.session.tier_stack();
+                Response::Done(stack.write_through(stage, key, &payload))
             }
             Request::Contains { stage, key } => {
                 self.add(&self.counters.contains, 1);
@@ -1115,10 +1088,10 @@ mod tests {
     }
 
     #[test]
-    fn disk_hits_are_promoted_to_memory_and_damaged_entries_never_are() {
+    fn damaged_entries_are_counted_corrupt_and_never_served() {
         use crate::artifact::Stage;
         use crate::tier::TierRead;
-        let dir = temp_dir("promote");
+        let dir = temp_dir("damaged");
         let session = Arc::new(Explorer::new().with_store(&dir));
         let handle =
             serve(Arc::clone(&session), &loopback(), ServeOptions::default()).expect("binds");
@@ -1132,37 +1105,23 @@ mod tests {
         bytes[(e.offset + e.bytes - 1) as usize] ^= 0xFF;
         std::fs::write(&e.segment, &bytes).expect("writable");
 
-        let staging = &session.tier_stack().tiers()[0];
-        assert!(!staging.persistent(), "the staging memory tier");
-        assert!(
-            !staging.contains(Stage::Profile, 1),
-            "puts land on disk only"
-        );
         assert!(matches!(tier.get(Stage::Profile, 1), TierRead::Hit(p) if p == b"good"));
-        assert!(
-            staging.contains(Stage::Profile, 1),
-            "a disk hit is promoted"
-        );
         assert!(matches!(tier.get(Stage::Profile, 2), TierRead::Miss));
         assert!(
-            !staging.contains(Stage::Profile, 2),
-            "damage is never promoted"
+            matches!(tier.get(Stage::Profile, 2), TierRead::Miss),
+            "a rejected record is never served"
         );
-
-        // the promoted entry answers from memory once the disk is gone
-        std::fs::remove_dir_all(&dir).expect("store removable");
-        assert!(matches!(tier.get(Stage::Profile, 1), TierRead::Hit(p) if p == b"good"));
         let totals: std::collections::HashMap<_, _> =
             handle.stats().tier_totals.into_iter().collect();
         assert_eq!(totals["disk"].corrupt, 1, "{totals:?}");
         assert_eq!(totals["disk"].hits, 1, "{totals:?}");
-        assert_eq!(totals["memory"].hits, 1, "{totals:?}");
+        assert_eq!(totals.len(), 1, "the store is the only tier: {totals:?}");
         let _ = handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_put_replaces_the_promoted_copy() {
+    fn a_put_replaces_the_served_entry() {
         use crate::artifact::Stage;
         use crate::tier::TierRead;
         let dir = temp_dir("replace");
@@ -1172,11 +1131,10 @@ mod tests {
         let tier = RemoteTier::new(handle.endpoint().clone(), RetryPolicy::default());
         assert!(tier.put(Stage::Profile, 1, b"old"));
         assert!(matches!(tier.get(Stage::Profile, 1), TierRead::Hit(p) if p == b"old"));
-        assert!(session.tier_stack().tiers()[0].contains(Stage::Profile, 1));
         assert!(tier.put(Stage::Profile, 1, b"new"));
         assert!(
             matches!(tier.get(Stage::Profile, 1), TierRead::Hit(p) if p == b"new"),
-            "the overwritten entry is not served from memory"
+            "the overwritten entry is not served"
         );
         let _ = handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

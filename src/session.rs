@@ -39,17 +39,18 @@
 //!   on-disk, content-addressed artifact store under the memory caches
 //!   so separate processes share work. Every stage request flows
 //!   through one generic [`TierStack`] (see [`crate::tier`]): typed
-//!   memory cache → staging byte tier → disk → compute, with
+//!   memory cache → remote → disk → custom tiers → compute, with
 //!   write-through of computed artifacts; [`Explorer::with_tier`] plugs
-//!   in additional tiers (e.g. a future shared remote store) behind the
-//!   same [`ArtifactTier`] interface. Corrupted or stale entries fall
+//!   in additional tiers (any shared cache) behind the same
+//!   [`ArtifactTier`] interface. Corrupted or stale entries fall
 //!   back to recompute, and every mounted tier's
 //!   hit/miss/write/corrupt/byte counters are part of [`CacheStats`]
 //!   ([`CacheStats::tiers`], by name through [`CacheStats::tier`]).
-//! - **Parallel warm starts.** [`Explorer::explore_all`] and the suite
+//! - **Batched warm starts.** [`Explorer::explore_all`] and the suite
 //!   stages [`prefetch`](Explorer::prefetch) their persisted artifacts
-//!   on the session thread pool before fan-out, so a warm run performs
-//!   its disk reads concurrently instead of one at a time
+//!   before fan-out: one batch read per tier (one round trip to a
+//!   remote tier), decoded on the session thread pool straight into the
+//!   typed caches, so the requests that follow read no tier at all
 //!   (`prefetch_hits` in [`CacheStats`] shows the effect).
 //!
 //! ```
@@ -68,10 +69,10 @@
 //! ```
 
 use crate::artifact::{
-    Analyzed, Compiled, DesignSpaced, Designed, DesignedSuite, Evaluated, EvaluatedSuite,
-    Exploration, Profiled, Scheduled, Stage,
+    Analyzed, ArtifactCodec, Compiled, DesignSpaced, Designed, DesignedSuite, Evaluated,
+    EvaluatedSuite, Exploration, Profiled, Scheduled, Stage,
 };
-use crate::cache::{LruCache, MemoryTier};
+use crate::cache::LruCache;
 use crate::error::ExplorerError;
 use crate::remote::{Endpoint, RemoteTier, RemoteTotals, RetryPolicy};
 use crate::store::{ArtifactStore, StableHasher};
@@ -94,12 +95,11 @@ use std::sync::{Arc, Mutex};
 /// Hit/miss/eviction counters (and the live entry count) for one
 /// stage's typed front cache.
 ///
-/// A request is either a memory `hit`, a prefetch hit (`prefetch_hits`
-/// — decoded from bytes the parallel prefetcher staged in memory), a
-/// hit in a lower tier (counted by that tier, see [`CacheStats::tiers`])
-/// or a `miss` (the stage actually ran). `misses` therefore always
-/// equals the number of times the stage's computation executed in this
-/// session.
+/// A request is either a memory `hit` (whether the value was computed,
+/// read by an earlier request or admitted by the prefetch), a hit in a
+/// tier (counted by that tier, see [`CacheStats::tiers`]) or a `miss`
+/// (the stage actually ran). `misses` therefore always equals the
+/// number of times the stage's computation executed in this session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageStats {
     /// Requests served from the in-memory session cache.
@@ -111,10 +111,9 @@ pub struct StageStats {
     pub evictions: u64,
     /// Entries currently resident in the in-memory cache.
     pub entries: u64,
-    /// Requests served by decoding bytes staged in the in-memory byte
-    /// tier by the parallel suite prefetcher
-    /// ([`Explorer::prefetch`]) — no recompute *and* no request-path
-    /// disk read.
+    /// Artifacts the prefetch ([`Explorer::prefetch`]) read from a tier
+    /// and decoded into the in-memory cache, so the requests for them
+    /// recompute nothing and read no tier.
     pub prefetch_hits: u64,
 }
 
@@ -141,9 +140,9 @@ pub struct CacheStats {
     /// Design-space-stage counters.
     pub design_space: StageStats,
     /// Every tier of the session's [`TierStack`], top (probed first)
-    /// to bottom — the staging memory tier, the remote tier, the disk
-    /// store and any tier mounted with [`Explorer::with_tier`]. Empty
-    /// for a storeless session.
+    /// to bottom — the remote tier, the disk store and any tier mounted
+    /// with [`Explorer::with_tier`]. Empty for a session with none of
+    /// them.
     pub tiers: Vec<TierReport>,
     /// Store entries evicted by this session's [`ArtifactStore::gc`]
     /// passes (run one through [`Explorer::store`]).
@@ -230,7 +229,8 @@ impl CacheStats {
         self.sum(|s| s.entries)
     }
 
-    /// Total requests served from prefetch-staged bytes across stages.
+    /// Total artifacts the prefetch decoded into the caches, across
+    /// stages.
     pub fn total_prefetch_hits(&self) -> u64 {
         self.sum(|s| s.prefetch_hits)
     }
@@ -382,36 +382,47 @@ struct Caches {
 }
 
 impl Caches {
-    /// Run `f` over every stage cache's bookkeeping surface, in stage
-    /// order. The typed caches have nine distinct types, so uniform
-    /// access goes through this visitor instead of an array.
-    fn for_each(&self, mut f: impl FnMut(&dyn StageCacheOps)) {
-        f(&self.compile);
-        f(&self.profile);
-        f(&self.schedule);
-        f(&self.analyze);
-        f(&self.design);
-        f(&self.evaluate);
-        f(&self.design_suite);
-        f(&self.evaluate_suite);
-        f(&self.design_space);
+    /// One stage's cache, type-erased. The typed caches have nine
+    /// distinct types, so uniform access goes through this accessor
+    /// instead of an array.
+    fn stage(&self, stage: Stage) -> &dyn StageCacheOps {
+        match stage {
+            Stage::Compile => &self.compile,
+            Stage::Profile => &self.profile,
+            Stage::Schedule => &self.schedule,
+            Stage::Analyze => &self.analyze,
+            Stage::Design => &self.design,
+            Stage::Evaluate => &self.evaluate,
+            Stage::DesignSuite => &self.design_suite,
+            Stage::EvaluateSuite => &self.evaluate_suite,
+            Stage::DesignSpace => &self.design_space,
+        }
     }
 }
 
 /// The type-erased slice of [`StageCache`] the session needs for
-/// uniform bookkeeping (capacity, reset, counter snapshots).
+/// uniform bookkeeping (capacity, reset, counter snapshots) and for
+/// the prefetch's admissions.
 trait StageCacheOps {
     fn set_capacity(&self, capacity: Option<usize>) -> u64;
     fn reset(&self);
     fn stats(&self) -> StageStats;
+    fn contains_key(&self, key: u64) -> bool;
+    fn admit(&self, key: u64, payload: &[u8]) -> bool;
 }
 
-impl<V> StageCacheOps for StageCache<V> {
+impl<V: ArtifactCodec> StageCacheOps for StageCache<V> {
     fn set_capacity(&self, capacity: Option<usize>) -> u64 {
         StageCache::set_capacity(self, capacity)
     }
     fn reset(&self) {
         StageCache::reset(self)
+    }
+    fn contains_key(&self, key: u64) -> bool {
+        StageCache::contains_key(self, key)
+    }
+    fn admit(&self, key: u64, payload: &[u8]) -> bool {
+        StageCache::admit(self, key, payload)
     }
     fn stats(&self) -> StageStats {
         StageStats {
@@ -440,7 +451,6 @@ pub struct Explorer {
     store: Option<Arc<ArtifactStore>>,
     remote: Option<Arc<RemoteTier>>,
     extra_tiers: Vec<Arc<dyn ArtifactTier>>,
-    staging: Option<Arc<MemoryTier>>,
     tiers: TierStack,
     caches: Caches,
     /// Decoded simulator engines, keyed by the compile key. Not a stage
@@ -490,7 +500,6 @@ impl Default for Explorer {
             store: None,
             remote: None,
             extra_tiers: Vec::new(),
-            staging: None,
             tiers: TierStack::new(),
             caches: Caches::default(),
             engines: Mutex::new(LruCache::default()),
@@ -579,9 +588,9 @@ impl Explorer {
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         let cap = Some(capacity.max(1));
         self.cache_capacity = cap;
-        self.caches.for_each(|cache| {
-            cache.set_capacity(cap);
-        });
+        for stage in Stage::all() {
+            self.caches.stage(stage).set_capacity(cap);
+        }
         lock(&self.engines).set_capacity(cap);
         lock(&self.baselines).set_capacity(cap);
         lock(&self.coverage).set_capacity(cap);
@@ -595,8 +604,8 @@ impl Explorer {
     /// work (see the [`store`](crate::store) module docs for the disk
     /// layout).
     ///
-    /// Lookup order per stage request: typed memory cache → staging
-    /// byte tier → disk store → compute (then write through to every
+    /// Lookup order per stage request: typed memory cache → remote tier
+    /// (if any) → disk store → compute (then write through to every
     /// persistent tier) — one [`TierStack`] walk, see [`crate::tier`].
     /// Store keys hash a digest of the benchmark *source*, the data spec, the
     /// seed and every configuration the stage depends on, so a store
@@ -613,10 +622,9 @@ impl Explorer {
 
     /// Attach a [`RemoteTier`] speaking to a running `serve` daemon at
     /// `addr` (`host:port` or `unix:/path` — see [`Endpoint::parse`]),
-    /// inserted *between* the staging tier and the disk store: a warm
-    /// server answers before any local disk read, and a storeless
-    /// client (`staging → remote`) runs entirely off the fleet-shared
-    /// stack. Computed artifacts are written through, so every client
+    /// inserted *above* the disk store: a warm server answers before
+    /// any local disk read, and a storeless client (`[remote]`) runs
+    /// entirely off the fleet-shared stack. Computed artifacts are written through, so every client
     /// populates the server for the others.
     ///
     /// Server failures are never session errors: each one degrades to
@@ -642,8 +650,8 @@ impl Explorer {
     }
 
     /// Plug an additional [`ArtifactTier`] into the bottom of the tier
-    /// stack (probed after the staging tier, the remote tier and the
-    /// disk store, written through like any persistent tier). This is
+    /// stack (probed after the remote tier and the disk store, written
+    /// through if it is [persistent](ArtifactTier::persistent)). This is
     /// the extension point for custom shared caches — anything beyond
     /// the built-in disk store and [`Explorer::with_remote`] daemon —
     /// which need nothing beyond the trait's five methods. Its counters
@@ -655,26 +663,18 @@ impl Explorer {
         self
     }
 
-    /// Reassemble the tier stack from its parts: a fresh staging byte
-    /// tier on top (prefetch target), then the remote tier, then the
-    /// disk store, then any custom tiers in registration order.
+    /// Reassemble the tier stack from its parts: the remote tier, then
+    /// the disk store, then any custom tiers in registration order.
     fn rebuild_tiers(&mut self) {
         let mut stack = TierStack::new();
-        if self.store.is_some() || self.remote.is_some() || !self.extra_tiers.is_empty() {
-            let staging = Arc::new(MemoryTier::new());
-            self.staging = Some(Arc::clone(&staging));
-            stack.push(staging);
-            if let Some(remote) = &self.remote {
-                stack.push(Arc::clone(remote) as Arc<dyn ArtifactTier>);
-            }
-            if let Some(store) = &self.store {
-                stack.push(Arc::clone(store) as Arc<dyn ArtifactTier>);
-            }
-            for tier in &self.extra_tiers {
-                stack.push(Arc::clone(tier));
-            }
-        } else {
-            self.staging = None;
+        if let Some(remote) = &self.remote {
+            stack.push(Arc::clone(remote) as Arc<dyn ArtifactTier>);
+        }
+        if let Some(store) = &self.store {
+            stack.push(Arc::clone(store) as Arc<dyn ArtifactTier>);
+        }
+        for tier in &self.extra_tiers {
+            stack.push(Arc::clone(tier));
         }
         self.tiers = stack;
     }
@@ -738,23 +738,22 @@ impl Explorer {
 
     // -- ephemeral-state management ------------------------------------
 
-    /// Drop every cached in-memory artifact (the staging byte tier
-    /// included) and zero the counters (disk-tier counters included).
+    /// Drop every cached in-memory artifact and zero the counters
+    /// (every tier's counters included).
     /// Configuration (registry, levels, stage parameters, cache bounds)
     /// is permanent and survives — as do the *entries* of an attached
     /// store: they are persistent state, shared with other processes,
     /// and stay valid because their keys hash artifact content identity
     /// rather than session history.
     pub fn reset(&self) {
-        self.caches.for_each(|cache| cache.reset());
+        for stage in Stage::all() {
+            self.caches.stage(stage).reset();
+        }
         lock(&self.engines).clear();
         lock(&self.baselines).clear();
         lock(&self.coverage).clear();
         lock(&self.rewritten).clear();
         self.derived.reset();
-        if let Some(staging) = &self.staging {
-            staging.clear();
-        }
         self.tiers.reset_counters();
     }
 
@@ -1429,10 +1428,10 @@ impl Explorer {
     /// over the session's worker threads. Results come back in registry
     /// order regardless of scheduling.
     ///
-    /// When a store is attached, the suite's persisted artifacts are
-    /// [prefetched](Explorer::prefetch) in parallel on the same thread
-    /// pool before the fan-out, so a warm run performs its disk reads
-    /// concurrently instead of one file at a time per worker.
+    /// When a tier is mounted, the suite's persisted artifacts are
+    /// [prefetched](Explorer::prefetch) before the fan-out: one batch
+    /// read per tier, decoded on the same thread pool, so a warm run's
+    /// stage requests read no tier.
     ///
     /// # Errors
     ///
@@ -1632,26 +1631,26 @@ impl Explorer {
         }
     }
 
-    // -- parallel suite prefetch ---------------------------------------
+    // -- suite prefetch ------------------------------------------------
 
-    /// Stage the persisted artifacts of `names` into the in-memory byte
-    /// tier, reading the persistent tiers in parallel on the session
-    /// thread pool. For each benchmark this covers every stage the
-    /// session's configuration would request (compile, profile, the
-    /// configured levels' schedules and analyses, the design-feedback
-    /// schedule, design and evaluate). Subsequent stage requests decode
-    /// the staged bytes instead of performing their own serial disk
-    /// reads, and count as `prefetch_hits` in [`CacheStats`].
+    /// Read the persisted artifacts of `names` from the tier stack in
+    /// one batch per tier and decode them, on the session thread pool,
+    /// straight into the typed caches. For each benchmark this covers
+    /// every stage the session's configuration would request (compile,
+    /// profile, the configured levels' schedules and analyses, the
+    /// design-feedback schedule, design and evaluate). The stage
+    /// requests that follow are typed-cache hits that read no tier; each
+    /// admitted artifact counts as a `prefetch_hit` in [`CacheStats`].
     ///
-    /// A no-op (returning 0, after validating the names) when the
-    /// session cannot stage — no store attached, or no staging tier
-    /// above a persistent one. Returns the number of artifacts staged;
-    /// entries already staged, absent from every persistent tier, or
-    /// already resident in the typed caches (a memory-warm session
-    /// re-reads nothing from disk) contribute nothing.
-    /// [`Explorer::explore_all`] and the suite stages call this
-    /// automatically; call it directly when warming a custom request
-    /// pattern.
+    /// A no-op (returning 0, after validating the names) when no tier is
+    /// mounted. Returns the number of artifacts admitted; entries absent
+    /// from every tier, already resident in the typed caches (a
+    /// memory-warm session re-reads nothing) or failing typed decoding
+    /// contribute nothing. A payload that fails decoding is left to the
+    /// request path, which reads it again and counts it corrupt on the
+    /// tier that served it. [`Explorer::explore_all`] and the suite
+    /// stages call this automatically; call it directly when warming a
+    /// custom request pattern.
     ///
     /// # Errors
     ///
@@ -1661,7 +1660,7 @@ impl Explorer {
             .iter()
             .map(|name| self.benchmark(name))
             .collect::<Result<_, _>>()?;
-        if !self.tiers.can_stage() {
+        if self.tiers.is_empty() {
             return Ok(0);
         }
         // every configured level, plus the design stage's feedback level
@@ -1669,28 +1668,26 @@ impl Explorer {
         let mut levels: BTreeSet<OptLevel> = self.levels.iter().copied().collect();
         levels.insert(self.constraints.opt_level);
         let levels: Vec<OptLevel> = levels.into_iter().collect();
-        let (c, opt, det) = (&self.caches, self.opt_config, self.detector);
+        let (opt, det) = (self.opt_config, self.detector);
         let mut keys = Vec::new();
         for bench in &benches {
             self.upstream_keys(bench, &levels, opt, &mut keys);
             for &level in &self.levels {
-                let key = self.key_analyze(bench, level, opt, det);
-                want(&mut keys, &c.analyze, Stage::Analyze, key);
+                keys.push((Stage::Analyze, self.key_analyze(bench, level, opt, det)));
             }
             let key = self.key_design(Stage::Design, bench, self.constraints, det);
-            want(&mut keys, &c.design, Stage::Design, key);
+            keys.push((Stage::Design, key));
             let key = self.key_design(Stage::Evaluate, bench, self.constraints, det);
-            want(&mut keys, &c.evaluate, Stage::Evaluate, key);
+            keys.push((Stage::Evaluate, key));
         }
         Ok(self.prefetch_keys(keys))
     }
 
-    /// Stage what a suite stage's computation will request of its
-    /// (already validated) `members` and cannot serve from the typed
-    /// caches: compile, profile and the schedules at `levels`. A no-op
-    /// when the session cannot stage.
+    /// Prefetch what a suite stage's computation will request of its
+    /// (already validated) `members`: compile, profile and the
+    /// schedules at `levels`.
     fn prefetch_members(&self, members: &[String], levels: &[OptLevel], opt: OptConfig) {
-        if !self.tiers.can_stage() {
+        if self.tiers.is_empty() {
             return;
         }
         let mut keys = Vec::new();
@@ -1701,8 +1698,7 @@ impl Explorer {
     }
 
     /// Push the keys of `bench`'s compile and profile artifacts and of
-    /// its schedules at `levels` under `opt` that the typed caches do
-    /// not hold.
+    /// its schedules at `levels` under `opt`.
     fn upstream_keys(
         &self,
         bench: &Benchmark,
@@ -1710,46 +1706,30 @@ impl Explorer {
         opt: OptConfig,
         keys: &mut Vec<(Stage, u64)>,
     ) {
-        let c = &self.caches;
-        want(keys, &c.compile, Stage::Compile, self.key_compile(bench));
-        want(keys, &c.profile, Stage::Profile, self.key_profile(bench));
+        keys.push((Stage::Compile, self.key_compile(bench)));
+        keys.push((Stage::Profile, self.key_profile(bench)));
         for &level in levels {
-            let key = self.key_schedule(bench, level, opt);
-            want(keys, &c.schedule, Stage::Schedule, key);
+            keys.push((Stage::Schedule, self.key_schedule(bench, level, opt)));
         }
     }
 
-    /// Stage an explicit key set in parallel on the session thread
-    /// pool, returning how many entries were staged. Infallible: a key
-    /// that cannot be staged is simply skipped.
+    /// Read the keys the typed caches do not hold with one batch per
+    /// tier and admit every decodable payload, returning how many were
+    /// admitted. Infallible: a key that cannot be admitted is skipped.
     fn prefetch_keys(&self, mut keys: Vec<(Stage, u64)>) -> usize {
-        if !self.tiers.can_stage() || keys.is_empty() {
-            return 0;
-        }
         keys.sort_unstable();
         keys.dedup();
-        // a batched tier (the remote tier) turns the whole warm-up into
-        // one round trip instead of one request per key; the stack
-        // walks persistent tiers in order either way
-        if self.tiers.has_batched() {
-            return self.tiers.stage_in_batch(&keys);
-        }
-        let staged = AtomicUsize::new(0);
-        let result: Result<Vec<()>, ExplorerError> = self.map_slice(&keys, |&(stage, key)| {
-            if self.tiers.stage_in(stage, key) {
-                staged.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(())
+        keys.retain(|&(stage, key)| !self.caches.stage(stage).contains_key(key));
+        let reads = self.tiers.read_batch(&keys);
+        let hits: Vec<((Stage, u64), Vec<u8>)> = keys
+            .into_iter()
+            .zip(reads)
+            .filter_map(|(key, read)| Some((key, read?)))
+            .collect();
+        let admitted = self.map_slice(&hits, |((stage, key), payload)| {
+            Ok(self.caches.stage(*stage).admit(*key, payload))
         });
-        debug_assert!(result.is_ok(), "staging work is infallible");
-        staged.into_inner()
-    }
-}
-
-/// Queue `(stage, key)` for prefetch unless `cache` already holds it.
-fn want<V>(keys: &mut Vec<(Stage, u64)>, cache: &StageCache<V>, stage: Stage, key: u64) {
-    if !cache.contains_key(key) {
-        keys.push((stage, key));
+        admitted.map_or(0, |a| a.into_iter().filter(|&ok| ok).count())
     }
 }
 
@@ -1976,32 +1956,34 @@ mod tests {
     }
 
     #[test]
-    fn with_store_builds_a_staging_plus_disk_stack() {
+    fn with_store_builds_a_disk_only_stack_and_remote_goes_above_it() {
         let dir = std::env::temp_dir().join(format!("asip-session-stack-{}", std::process::id()));
+        let names = |session: &Explorer| -> Vec<&'static str> {
+            let stack = session.tier_stack().tiers();
+            stack.iter().map(|t| t.name()).collect()
+        };
         let session = Explorer::new().with_store(&dir);
-        let names: Vec<&str> = session
-            .tier_stack()
-            .tiers()
-            .iter()
-            .map(|t| t.name())
-            .collect();
-        assert_eq!(names, ["memory", "disk"]);
-        assert!(session.tier_stack().can_stage());
+        assert_eq!(names(&session), ["disk"]);
         let reported: Vec<&str> = session.cache_stats().tiers.iter().map(|t| t.name).collect();
-        assert_eq!(reported, names, "one report per mounted tier, in order");
+        assert_eq!(reported, names(&session), "one report per tier, in order");
+        // mounting a remote tier dials nothing
+        let client = session
+            .with_remote("127.0.0.1:1", RetryPolicy::default())
+            .expect("endpoint parses");
+        assert_eq!(names(&client), ["remote", "disk"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn tier_reports_by_name_sum_same_named_tiers_and_default_to_empty() {
+        use crate::cache::MemoryTier;
         let (a, b) = (Arc::new(MemoryTier::new()), Arc::new(MemoryTier::new()));
         a.put(Stage::Compile, 1, b"x");
         b.put(Stage::Compile, 2, b"y");
         b.put(Stage::Profile, 3, b"z");
-        // the session's own staging tier is a third "memory" tier
         let stats = Explorer::new().with_tier(a).with_tier(b).cache_stats();
         let memory = stats.tier("memory");
-        assert_eq!(stats.tiers.len(), 3);
+        assert_eq!(stats.tiers.len(), 2);
         assert_eq!(memory.stage(Stage::Compile).writes, 2);
         assert_eq!(memory.stage(Stage::Profile).entries, 1);
         assert_eq!(memory.total().writes, 3);

@@ -8,13 +8,14 @@
 //!
 //! - [`ArtifactTier`] is the contract every cache tier implements —
 //!   `get`/`put`/`contains` over *encoded payload bytes* keyed by
-//!   `(Stage, u64)`, plus per-stage [`TierStats`]. The in-memory staging
-//!   tier ([`MemoryTier`](crate::cache::MemoryTier)) and the disk store
-//!   both implement it; a future remote tier (HTTP, object store) is a
+//!   `(Stage, u64)`, plus per-stage [`TierStats`]. The disk store, the
+//!   remote tier and the in-memory [`MemoryTier`](crate::cache::MemoryTier)
+//!   all implement it; a further shared cache (HTTP, object store) is a
 //!   one-struct addition behind the same interface.
-//! - [`TierStack`] is an ordered list of tiers with read-through,
-//!   write-through and prefetch-staging semantics, and the one generic
-//!   `get_or_compute` every session stage goes through.
+//! - [`TierStack`] is an ordered list of tiers with read-through and
+//!   write-through semantics, the batched read the session's prefetch
+//!   goes through, and the one generic `get_or_compute` every session
+//!   stage goes through.
 //!
 //! # The tier contract
 //!
@@ -33,10 +34,11 @@
 //! A stage request resolves in this order, stopping at the first hit:
 //!
 //! 1. the session's typed per-stage LRU (artifacts shared by `Arc` — the
-//!    only tier that never re-decodes);
-//! 2. each stack tier top-down (staging memory first, then disk, then
-//!    any custom tier) — a hit decodes the payload and promotes the
-//!    value into the typed LRU;
+//!    only tier that never re-decodes; the session's prefetch decodes
+//!    warm artifacts straight into it);
+//! 2. each stack tier top-down (remote, then disk, then any custom
+//!    tier) — a hit decodes the payload and promotes the value into the
+//!    typed LRU;
 //! 3. the stage computation, whose result is written through to every
 //!    [persistent](ArtifactTier::persistent) tier.
 //!
@@ -132,10 +134,11 @@ pub enum TierRead {
 /// One pluggable cache tier holding encoded artifact payloads keyed by
 /// `(Stage, u64)`.
 ///
-/// Implemented by the in-memory staging tier
-/// ([`MemoryTier`](crate::cache::MemoryTier)) and the persistent disk
-/// store ([`ArtifactStore`](crate::store::ArtifactStore)); a shared
-/// remote tier implements the same five methods and plugs into
+/// Implemented by the persistent disk store
+/// ([`ArtifactStore`](crate::store::ArtifactStore)), the remote tier
+/// ([`RemoteTier`](crate::remote::RemoteTier)) and the in-memory
+/// [`MemoryTier`](crate::cache::MemoryTier); any other shared cache
+/// implements the same five methods and plugs into
 /// [`Explorer::with_tier`](crate::Explorer::with_tier) unchanged.
 ///
 /// Tiers are infallible by contract: absence is a [`TierRead::Miss`],
@@ -152,9 +155,9 @@ pub trait ArtifactTier: Send + Sync + fmt::Debug {
 
     /// Probe many entries at once, returning one [`TierRead`] per key
     /// in order. The default loops [`ArtifactTier::get`]; tiers with a
-    /// cheaper bulk path (one network round trip for the whole
-    /// prefetch set) override it and report
-    /// [`batched`](ArtifactTier::batched).
+    /// cheaper bulk path (the remote tier: one network round trip for
+    /// the whole prefetch set) override it. The session's prefetch
+    /// reads every tier through this method.
     fn get_batch(&self, keys: &[(Stage, u64)]) -> Vec<TierRead> {
         keys.iter()
             .map(|&(stage, key)| self.get(stage, key))
@@ -162,10 +165,9 @@ pub trait ArtifactTier: Send + Sync + fmt::Debug {
     }
 
     /// Whether [`get_batch`](ArtifactTier::get_batch) is genuinely
-    /// cheaper than per-key [`get`](ArtifactTier::get)s (e.g. it
-    /// collapses a prefetch sweep into one network round trip). The
-    /// stack uses this to pick between the parallel per-key staging
-    /// path and [`TierStack::stage_in_batch`].
+    /// cheaper than per-key [`get`](ArtifactTier::get)s. A hint for
+    /// wrappers and callers only: the stack does not read it, since the
+    /// prefetch calls `get_batch` on every tier.
     fn batched(&self) -> bool {
         false
     }
@@ -191,8 +193,8 @@ pub trait ArtifactTier: Send + Sync + fmt::Debug {
 
     /// Whether computed artifacts should be written through to this
     /// tier. `true` for tiers that outlive the request path (disk,
-    /// remote); `false` for staging buffers that are only populated by
-    /// prefetch/promotion (the in-memory byte tier).
+    /// remote); `false` for a tier that is read but filled only by its
+    /// owner (the in-memory [`MemoryTier`](crate::cache::MemoryTier)).
     fn persistent(&self) -> bool {
         true
     }
@@ -316,8 +318,8 @@ impl<V> StageCache<V> {
     }
 
     /// Whether a finished artifact is resident under `key`, without
-    /// refreshing recency (used by the prefetcher to skip disk reads
-    /// for entries the typed cache will serve anyway).
+    /// refreshing recency (used by the prefetch to skip tier reads for
+    /// entries the typed cache will serve anyway).
     pub(crate) fn contains_key(&self, key: u64) -> bool {
         lock(&self.state).lru.contains_key(&key)
     }
@@ -334,6 +336,30 @@ impl<V> StageCache<V> {
     fn insert(&self, key: u64, value: Arc<V>) {
         let evicted = lock(&self.state).lru.insert(key, value);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
+    }
+
+    /// Decode a prefetched payload into the cache, counting it as a
+    /// `prefetch_hit`. Returns whether it was admitted: a payload that
+    /// fails typed decoding is left for the request path, which
+    /// re-reads it and counts it corrupt on the tier that served it,
+    /// and a key already resident keeps its value.
+    pub(crate) fn admit(&self, key: u64, payload: &[u8]) -> bool
+    where
+        V: ArtifactCodec,
+    {
+        let Ok(value) = V::from_bytes(payload) else {
+            return false;
+        };
+        let evicted = {
+            let mut state = lock(&self.state);
+            if state.lru.contains_key(&key) {
+                return false;
+            }
+            state.lru.insert(key, Arc::new(value))
+        };
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+        true
     }
 }
 
@@ -360,8 +386,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 // -- the stack ---------------------------------------------------------
 
-/// An ordered stack of [`ArtifactTier`]s with read-through,
-/// write-through and prefetch-staging semantics.
+/// An ordered stack of [`ArtifactTier`]s with read-through and
+/// write-through semantics.
 ///
 /// The stack itself is cheap to clone (tiers are shared by `Arc`) and
 /// may be empty — an empty stack degenerates every request to
@@ -398,16 +424,6 @@ impl TierStack {
         self.tiers.iter().any(|t| t.persistent())
     }
 
-    /// Whether the stack can stage prefetched payloads (has a
-    /// non-persistent tier above at least one persistent tier).
-    pub fn can_stage(&self) -> bool {
-        let first_staging = self.tiers.iter().position(|t| !t.persistent());
-        match first_staging {
-            Some(i) => self.tiers[i + 1..].iter().any(|t| t.persistent()),
-            None => false,
-        }
-    }
-
     /// Zero every tier's counters.
     pub fn reset_counters(&self) {
         for t in &self.tiers {
@@ -418,8 +434,14 @@ impl TierStack {
     /// Probe tiers `start..` top-down for `(stage, key)`. Returns the
     /// index of the serving tier and the payload, or `None` when every
     /// tier missed. Corrupt entries are skipped (each tier counts its
-    /// own).
-    fn read_from(&self, start: usize, stage: Stage, key: u64) -> Option<(usize, Vec<u8>)> {
+    /// own). The request path and the serve daemon's reads go through
+    /// here.
+    pub(crate) fn read_from(
+        &self,
+        start: usize,
+        stage: Stage,
+        key: u64,
+    ) -> Option<(usize, Vec<u8>)> {
         for (i, tier) in self.tiers.iter().enumerate().skip(start) {
             match tier.get(stage, key) {
                 TierRead::Hit(payload) => return Some((i, payload)),
@@ -429,84 +451,47 @@ impl TierStack {
         None
     }
 
-    /// Write a computed artifact's payload through to every persistent
-    /// tier.
-    fn write_through(&self, stage: Stage, key: u64, payload: &[u8]) {
+    /// Write a payload through to every persistent tier, returning
+    /// whether any write landed. Computed artifacts and the serve
+    /// daemon's `put`s go through here.
+    pub(crate) fn write_through(&self, stage: Stage, key: u64, payload: &[u8]) -> bool {
+        let mut landed = false;
         for tier in &self.tiers {
             if tier.persistent() {
-                tier.put(stage, key, payload);
+                landed |= tier.put(stage, key, payload);
             }
         }
+        landed
     }
 
-    /// Prefetch one entry: read it from the persistent tiers and stage
-    /// the payload in the topmost non-persistent tier, so a later
-    /// request finds it in memory instead of performing its own disk
-    /// read. Returns whether a payload was staged (false when the stack
-    /// cannot stage, the entry is already staged, or no persistent tier
-    /// holds it).
-    pub fn stage_in(&self, stage: Stage, key: u64) -> bool {
-        let Some(staging_idx) = self.tiers.iter().position(|t| !t.persistent()) else {
-            return false;
-        };
-        let staging = &self.tiers[staging_idx];
-        if staging.contains(stage, key) {
-            return false;
-        }
-        match self.read_from(staging_idx + 1, stage, key) {
-            Some((_, payload)) => staging.put(stage, key, &payload),
-            None => false,
-        }
-    }
-
-    /// Whether any tier offers a genuine bulk read
-    /// ([`ArtifactTier::batched`]), making
-    /// [`TierStack::stage_in_batch`] worthwhile.
-    pub fn has_batched(&self) -> bool {
-        self.tiers.iter().any(|t| t.batched())
-    }
-
-    /// Prefetch a whole key set: probe the persistent tiers top-down
-    /// with one [`ArtifactTier::get_batch`] per tier (keys a higher
-    /// tier already served are not probed again below) and stage every
-    /// payload found in the topmost non-persistent tier. The batched
-    /// sibling of [`TierStack::stage_in`], used when a tier offers a
-    /// bulk path — one network round trip covers the whole warm-suite
-    /// prefetch instead of one request per artifact. Returns how many
-    /// entries were staged.
-    pub fn stage_in_batch(&self, keys: &[(Stage, u64)]) -> usize {
-        let Some(staging_idx) = self.tiers.iter().position(|t| !t.persistent()) else {
-            return 0;
-        };
-        let staging = &self.tiers[staging_idx];
-        let mut pending: Vec<(Stage, u64)> = keys
-            .iter()
-            .copied()
-            .filter(|&(stage, key)| !staging.contains(stage, key))
-            .collect();
-        let mut staged = 0;
-        for tier in &self.tiers[staging_idx + 1..] {
+    /// Read a whole key set top-down with one
+    /// [`ArtifactTier::get_batch`] per tier; keys a higher tier served
+    /// are not probed again below, so a remote tier answers the whole
+    /// set in one round trip. Returns one payload per key in order,
+    /// `None` where every tier missed. Corrupt entries are skipped, as
+    /// in [`TierStack::read_from`].
+    pub(crate) fn read_batch(&self, keys: &[(Stage, u64)]) -> Vec<Option<Vec<u8>>> {
+        let mut found = vec![None; keys.len()];
+        let mut pending: Vec<usize> = (0..keys.len()).collect();
+        for tier in &self.tiers {
             if pending.is_empty() {
                 break;
             }
-            if !tier.persistent() {
-                continue;
-            }
-            let reads = tier.get_batch(&pending);
-            let mut rest = Vec::new();
-            for ((stage, key), read) in pending.into_iter().zip(reads) {
-                match read {
+            let probe: Vec<(Stage, u64)> = pending.iter().map(|&i| keys[i]).collect();
+            let reads = tier.get_batch(&probe);
+            pending = pending
+                .into_iter()
+                .zip(reads)
+                .filter_map(|(i, read)| match read {
                     TierRead::Hit(payload) => {
-                        if staging.put(stage, key, &payload) {
-                            staged += 1;
-                        }
+                        found[i] = Some(payload);
+                        None
                     }
-                    TierRead::Miss | TierRead::Corrupt => rest.push((stage, key)),
-                }
-            }
-            pending = rest;
+                    TierRead::Miss | TierRead::Corrupt => Some(i),
+                })
+                .collect();
         }
-        staged
+        found
     }
 
     /// Memoize one stage computation through the full tier hierarchy
@@ -518,9 +503,8 @@ impl TierStack {
     /// tier address the artifact by it, so a request hashes its recipe
     /// once, hit or miss. A tier hit decodes the payload and is **not**
     /// a miss — `cache.misses` counts exactly the times `compute` ran.
-    /// Hits served from a non-persistent (staging) tier additionally
-    /// count as `prefetch_hits`. If the computation fails or panics,
-    /// the in-flight claim is released so a waiter can retry.
+    /// If the computation fails or panics, the in-flight claim is
+    /// released so a waiter can retry.
     pub(crate) fn get_or_compute<V, F>(
         &self,
         stage: Stage,
@@ -557,9 +541,6 @@ impl TierStack {
         while let Some((i, payload)) = self.read_from(start, stage, key) {
             match V::from_bytes(&payload) {
                 Ok(v) => {
-                    if !self.tiers[i].persistent() {
-                        cache.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                    }
                     let value = Arc::new(v);
                     cache.insert(key, Arc::clone(&value));
                     drop(claim);
@@ -598,20 +579,20 @@ mod tests {
         ArtifactStore::open(dir)
     }
 
+    /// A non-persistent memory tier above a disk store.
     fn stack(tag: &str) -> (TierStack, Arc<MemoryTier>, Arc<ArtifactStore>) {
-        let staging = Arc::new(MemoryTier::new());
+        let memory = Arc::new(MemoryTier::new());
         let disk = Arc::new(temp_store(tag));
         let mut stack = TierStack::new();
-        stack.push(staging.clone());
+        stack.push(memory.clone());
         stack.push(disk.clone());
-        (stack, staging, disk)
+        (stack, memory, disk)
     }
 
     #[test]
     fn empty_stack_computes_and_memoizes() {
         let stack = TierStack::new();
         assert!(!stack.has_persistent());
-        assert!(!stack.can_stage());
         let cache: StageCache<u64> = StageCache::default();
         let v = stack
             .get_or_compute(Stage::Compile, &cache, 1, || Ok(7u64))
@@ -626,55 +607,78 @@ mod tests {
     }
 
     #[test]
-    fn write_through_skips_staging_and_lands_on_disk() {
-        let (stack, staging, disk) = stack("write-through");
+    fn write_through_skips_a_non_persistent_tier_and_lands_on_disk() {
+        let (stack, memory, disk) = stack("write-through");
         assert!(stack.has_persistent());
-        assert!(stack.can_stage());
         let cache: StageCache<u64> = StageCache::default();
         stack
             .get_or_compute(Stage::Compile, &cache, 42, || Ok(9u64))
             .expect("computes");
-        assert_eq!(staging.totals().writes, 0, "staging is not written through");
+        assert_eq!(memory.totals().writes, 0, "memory is not written through");
         assert_eq!(disk.totals().writes, 1);
         assert!(disk.contains(Stage::Compile, 42));
         std::fs::remove_dir_all(disk.dir()).ok();
     }
 
     #[test]
-    fn staged_entries_serve_and_count_prefetch_hits() {
-        let (stack, staging, disk) = stack("staged");
+    fn prefetch_admits_into_the_typed_cache_and_the_request_reads_no_tier() {
+        let (stack, memory, disk) = stack("prefetch");
         let cache: StageCache<u64> = StageCache::default();
         stack
             .get_or_compute(Stage::Profile, &cache, 5, || Ok(11u64))
             .expect("computes");
+        memory.put(Stage::Profile, 6, b"junk");
+        stack.reset_counters();
 
-        // a fresh front cache (new "session") with the same stack:
-        // prefetch stages the payload, the request decodes from memory
+        // a fresh front cache (new "session") with the same stack: one
+        // batch read per tier, top-down, then admission
         let cold: StageCache<u64> = StageCache::default();
-        assert!(stack.stage_in(Stage::Profile, 5), "staged from disk");
-        assert!(!stack.stage_in(Stage::Profile, 5), "already staged");
-        assert!(staging.contains(Stage::Profile, 5));
+        let keys = [
+            (Stage::Profile, 5),
+            (Stage::Profile, 6),
+            (Stage::Profile, 7),
+        ];
+        let [five, six, seven] = &stack.read_batch(&keys)[..] else {
+            panic!("one read per key")
+        };
+        assert_eq!(six.as_deref(), Some(&b"junk"[..]), "served by memory");
+        assert!(seven.is_none(), "no tier holds it");
+        let probed = disk.totals();
+        assert_eq!(
+            (probed.hits, probed.misses),
+            (1, 1),
+            "key 6 is not probed below memory"
+        );
+        let five = five.as_ref().expect("served by disk");
+        assert!(cold.admit(5, five), "decoded into the cache");
+        assert!(!cold.admit(5, five), "already resident");
+        assert!(!cold.admit(6, b"junk"), "undecodable bytes are left alone");
+        assert_eq!(cold.prefetch_hits.load(Ordering::Relaxed), 1);
+
+        let (memory_reads, disk_reads) = (memory.totals(), disk.totals());
         let v = stack
             .get_or_compute(Stage::Profile, &cold, 5, || Err(ExplorerError::EmptySuite))
-            .expect("served from staging");
+            .expect("served from the typed cache");
         assert_eq!(*v, 11);
-        assert_eq!(cold.prefetch_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(cold.hits.load(Ordering::Relaxed), 1);
         assert_eq!(cold.misses.load(Ordering::Relaxed), 0);
+        assert_eq!(memory.totals(), memory_reads, "the request read no tier");
+        assert_eq!(disk.totals(), disk_reads, "the request read no tier");
         std::fs::remove_dir_all(disk.dir()).ok();
     }
 
     #[test]
     fn undecodable_payload_demotes_to_corrupt_and_recomputes() {
-        let (stack, staging, disk) = stack("demote");
-        // stage bytes that validate as framing but are not a u64 payload
-        staging.put(Stage::Compile, 3, b"junk");
+        let (stack, memory, disk) = stack("demote");
+        // bytes that pass the tier's own checks but are not a u64 payload
+        memory.put(Stage::Compile, 3, b"junk");
         let cache: StageCache<u64> = StageCache::default();
         let v = stack
             .get_or_compute(Stage::Compile, &cache, 3, || Ok(8u64))
             .expect("recomputes");
         assert_eq!(*v, 8);
-        assert_eq!(staging.totals().corrupt, 1, "demoted after typed decode");
-        assert_eq!(staging.totals().entries, 0, "bad entry discarded");
+        assert_eq!(memory.totals().corrupt, 1, "demoted after typed decode");
+        assert_eq!(memory.totals().entries, 0, "bad entry discarded");
         assert_eq!(cache.misses.load(Ordering::Relaxed), 1);
         std::fs::remove_dir_all(disk.dir()).ok();
     }

@@ -371,6 +371,44 @@ fn stage_keys(dir: &Path, stage: Stage) -> Vec<u64> {
     keys
 }
 
+/// Overwrite every analyze and schedule entry in the daemon's store at
+/// `dir` with bytes that frame correctly but fail typed decoding, put
+/// through `hostile`. Returns how many entries were poisoned.
+fn poison_analyze_and_schedule(dir: &Path, hostile: &RemoteTier) -> u64 {
+    let reader = ArtifactStore::open(dir);
+    let mut poisoned = 0u64;
+    for key in stage_keys(dir, Stage::Analyze) {
+        let report: SequenceReport = reader.load(Stage::Analyze, key).expect("valid entry");
+        assert!(report.entries().len() >= 2, "the sort must compare a NaN");
+        let poison = nan_report_bytes(&report);
+        assert!(
+            matches!(
+                SequenceReport::from_bytes(&poison),
+                Err(CodecError::Invalid { detail }) if detail.contains("frequency")
+            ),
+            "the poison is rejected for its frequency"
+        );
+        assert!(hostile.put(Stage::Analyze, key, &poison), "put lands");
+        poisoned += 1;
+    }
+    for key in stage_keys(dir, Stage::Schedule) {
+        let mut graph: ScheduleGraph = reader.load(Stage::Schedule, key).expect("valid entry");
+        let op = graph.ops.first_mut().expect("a graph with ops");
+        op.weight = f64::NAN;
+        let poison = graph.to_bytes();
+        assert!(
+            matches!(
+                ScheduleGraph::from_bytes(&poison),
+                Err(CodecError::Invalid { detail }) if detail.contains("weight")
+            ),
+            "the poison is rejected for its weight"
+        );
+        assert!(hostile.put(Stage::Schedule, key, &poison), "put lands");
+        poisoned += 1;
+    }
+    poisoned
+}
+
 /// A report's encoding with its first frequency replaced by NaN,
 /// written through the public encoder field by field, since
 /// `SequenceReport` itself cannot hold an unsortable frequency.
@@ -410,36 +448,7 @@ fn poisoned_puts_are_counted_corrupt_and_recomputed() {
     // a hostile client overwrites every analyze and schedule entry
     let reader = ArtifactStore::open(&dir);
     let hostile = RemoteTier::new(handle.endpoint().clone(), chaos_policy(2));
-    let mut poisoned = 0u64;
-    for key in stage_keys(&dir, Stage::Analyze) {
-        let report: SequenceReport = reader.load(Stage::Analyze, key).expect("valid entry");
-        assert!(report.entries().len() >= 2, "the sort must compare a NaN");
-        let poison = nan_report_bytes(&report);
-        assert!(
-            matches!(
-                SequenceReport::from_bytes(&poison),
-                Err(CodecError::Invalid { detail }) if detail.contains("frequency")
-            ),
-            "the poison is rejected for its frequency"
-        );
-        assert!(hostile.put(Stage::Analyze, key, &poison), "put lands");
-        poisoned += 1;
-    }
-    for key in stage_keys(&dir, Stage::Schedule) {
-        let mut graph: ScheduleGraph = reader.load(Stage::Schedule, key).expect("valid entry");
-        let op = graph.ops.first_mut().expect("a graph with ops");
-        op.weight = f64::NAN;
-        let poison = graph.to_bytes();
-        assert!(
-            matches!(
-                ScheduleGraph::from_bytes(&poison),
-                Err(CodecError::Invalid { detail }) if detail.contains("weight")
-            ),
-            "the poison is rejected for its weight"
-        );
-        assert!(hostile.put(Stage::Schedule, key, &poison), "put lands");
-        poisoned += 1;
-    }
+    let mut poisoned = poison_analyze_and_schedule(&dir, &hostile);
     assert_eq!(poisoned, 6, "three levels of analyze and schedule entries");
 
     let fresh = Explorer::new()
@@ -494,6 +503,28 @@ fn poisoned_puts_are_counted_corrupt_and_recomputed() {
         assert_eq!(remote.total().corrupt, 1, "only the program: {stats}");
     }
     assert_eq!(poisoned, 8, "six stage entries and two programs");
+
+    // the analyze and schedule poison once more, now read through the
+    // prefetch of an `explore_all`: its batch read admits nothing that
+    // fails decoding, and the request path counts each entry corrupt
+    // once on the remote tier
+    let again = poison_analyze_and_schedule(&dir, &hostile);
+    assert_eq!(again, 6, "the recomputes healed the first poison");
+    let batched = Explorer::new()
+        .with_remote(&addr, chaos_policy(6))
+        .expect("daemon endpoint parses");
+    let runs = batched
+        .explore_all()
+        .expect("a poisoned tier costs recomputes");
+    let fir = runs.iter().find(|e| e.benchmark.name == "fir");
+    let fir = fir.expect("fir is registered");
+    assert_eq!(format!("{fir:?}"), expected, "byte-identical results");
+    let stats = batched.cache_stats();
+    assert_eq!(stats.total_remote_corrupt(), again, "{stats}");
+    for stage in [Stage::Analyze, Stage::Schedule] {
+        let remote = stats.tier("remote").stage(stage);
+        assert_eq!(remote.corrupt, 3, "{stage}: {stats}");
+    }
 
     let served = handle.shutdown();
     assert_eq!(served.panics, 0);

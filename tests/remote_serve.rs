@@ -54,6 +54,33 @@ fn warm_server_serves_a_storeless_client_with_zero_recomputes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A warm storeless `explore_all` is one round trip: the prefetch's
+/// `GetBatch` answers every artifact, decoded straight into the typed
+/// caches, and no stage request after it reaches the wire.
+#[test]
+fn a_warm_storeless_explore_all_is_one_round_trip() {
+    let dir = store_dir("one-trip");
+    let server_session = Arc::new(Explorer::new().with_store(&dir));
+    server_session.explore_all().expect("server warms up");
+    let handle = serve(server_session, &loopback(), ServeOptions::default()).expect("binds");
+
+    let session = client(handle.endpoint());
+    session.explore_all().expect("suite served remotely");
+    let stats = session.cache_stats();
+    assert_eq!(stats.total_misses(), 0, "zero recomputes: {stats}");
+    assert_eq!(
+        stats.remote.requests, 1,
+        "the prefetch's GetBatch only: {stats}"
+    );
+    assert_eq!(
+        stats.total_prefetch_hits(),
+        stats.tier("remote").total().hits,
+        "every remote hit was admitted by the prefetch: {stats}"
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cold_client_populates_the_daemon_for_the_next_client() {
     let dir = store_dir("populate");
@@ -179,9 +206,8 @@ fn handle_endpoint_clone(tier: &RemoteTier) -> Endpoint {
 
 #[test]
 fn client_with_local_store_prefers_the_remote_tier() {
-    // ISSUE topology: remote sits BETWEEN staging and disk — a client
-    // with its own (cold) store still reads a warm server first, and
-    // write-through lands on both
+    // remote sits above disk: a client with its own (cold) store still
+    // reads a warm server first, and write-through lands on both
     let server_dir = store_dir("order-server");
     let client_dir = store_dir("order-client");
     let server_session = Arc::new(Explorer::new().with_store(&server_dir));
@@ -198,7 +224,7 @@ fn client_with_local_store_prefers_the_remote_tier() {
         .iter()
         .map(|t| t.name())
         .collect();
-    assert_eq!(names, ["memory", "remote", "disk"], "stack order");
+    assert_eq!(names, ["remote", "disk"], "stack order");
     session.explore("fir").expect("pipeline");
     let stats = session.cache_stats();
     assert_eq!(stats.total_misses(), 0, "no recompute: {stats}");
@@ -244,23 +270,23 @@ fn fresh_clients_are_accepted_on_arrival_whatever_the_poll_interval() {
 }
 
 #[test]
-fn replayed_entries_are_served_from_daemon_memory_after_the_store_is_deleted() {
+fn replayed_entries_are_served_from_open_segments_after_the_store_is_deleted() {
     let dir = store_dir("hot");
     let server_session = Arc::new(Explorer::new().with_store(&dir));
     server_session.explore("fir").expect("server warms up");
     let server_computes = server_session.cache_stats().total_misses();
     let handle = serve(server_session, &loopback(), ServeOptions::default()).expect("binds");
 
-    // the first replay reads the daemon's store, which promotes every
-    // entry it serves into the daemon's staging memory
+    // the first replay reads the daemon's store
     let first = client(handle.endpoint());
     let replay = first.explore("fir").expect("served remotely");
     assert_eq!(first.cache_stats().total_misses(), 0);
 
-    // with the store gone, the second replay is served from memory
+    // with the directory gone, the daemon still reads every indexed
+    // record through the segment files it holds open
     std::fs::remove_dir_all(&dir).expect("store removable");
     let second = client(handle.endpoint());
-    let again = second.explore("fir").expect("served from daemon memory");
+    let again = second.explore("fir").expect("served from open segments");
     let stats = second.cache_stats();
     assert_eq!(stats.total_misses(), 0, "zero recomputes: {stats}");
     let remote = stats.tier("remote").total();

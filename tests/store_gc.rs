@@ -1,7 +1,8 @@
 //! Tier-stack integration tests: GC budgets must actually bound the
 //! store (and stay safe against live readers), a warm `explore_all`
-//! must serve from prefetch-staged bytes with zero recomputes, and a
-//! custom tier must be a drop-in through `Explorer::with_tier`.
+//! must serve from prefetched artifacts with zero recomputes, bounded
+//! caches or not, and a custom tier must be a drop-in through
+//! `Explorer::with_tier`.
 
 use asip_explorer::prelude::*;
 use asip_explorer::store::ManifestEntry;
@@ -219,6 +220,29 @@ fn warm_explore_all_prefetches_with_zero_recomputes() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A bounded session over a warm store recomputes nothing. The prefetch
+/// admits more artifacts than an entry bound of 1 keeps, so a request
+/// for an evicted admission reads the store again: a tier read, never a
+/// recompute, and the results equal an unbounded replay.
+#[test]
+fn a_bounded_session_over_a_warm_store_recomputes_nothing() {
+    let dir = store_dir("bounded");
+    Explorer::new()
+        .with_store(&dir)
+        .explore_all()
+        .expect("cold run");
+    let unbounded = Explorer::new().with_store(&dir).explore_all();
+    let unbounded = unbounded.expect("unbounded replay");
+
+    let session = Explorer::new().with_store(&dir).with_cache_capacity(1);
+    let replay = session.explore_all().expect("bounded replay");
+    let stats = session.cache_stats();
+    assert_eq!(stats.total_misses(), 0, "zero recomputes: {stats}");
+    assert!(stats.total_evictions() > 0, "the bound evicted: {stats}");
+    assert_eq!(format!("{replay:?}"), format!("{unbounded:?}"));
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// The pluggable-tier contract: a custom tier (here an in-memory
 /// stand-in for a shared remote cache) drops into the stack via
 /// `with_tier` with nothing but the trait impl, receives write-through,
@@ -243,7 +267,7 @@ impl ArtifactTier for RemoteLike {
         self.0.stats(stage)
     }
     fn persistent(&self) -> bool {
-        true // unlike the staging buffer, this tier receives write-through
+        true // unlike a plain `MemoryTier`, this tier receives write-through
     }
     fn reset_counters(&self) {
         self.0.reset_counters()
