@@ -655,20 +655,6 @@ pub trait ArtifactCodec: Sized {
 /// elements actually decode.
 const PREALLOC_CAP: usize = 1024;
 
-/// Decode a batch of independently-encoded payloads of one artifact
-/// type, returning one result per payload (order preserved). For batch
-/// consumers of staged/persisted artifacts (e.g. tools sweeping a store
-/// directory): a single damaged payload yields one `Err` entry instead
-/// of aborting the whole batch.
-pub fn decode_batch<V: ArtifactCodec>(
-    payloads: impl IntoIterator<Item = impl AsRef<[u8]>>,
-) -> Vec<Result<V, CodecError>> {
-    payloads
-        .into_iter()
-        .map(|p| V::from_bytes(p.as_ref()))
-        .collect()
-}
-
 impl ArtifactCodec for u32 {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u64(u64::from(*self));
@@ -1451,16 +1437,6 @@ mod tests {
         let nan_bits = f64::NAN.to_bits();
         let back = f64::from_bytes(&f64::from_bits(nan_bits).to_bytes()).expect("decodes");
         assert_eq!(back.to_bits(), nan_bits);
-    }
-
-    #[test]
-    fn decode_batch_isolates_damaged_payloads() {
-        let payloads = vec![1u64.to_bytes(), b"junk".to_vec(), 3u64.to_bytes()];
-        let out = decode_batch::<u64>(&payloads);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0], Ok(1));
-        assert!(out[1].is_err(), "one bad payload does not abort the batch");
-        assert_eq!(out[2], Ok(3));
     }
 
     #[test]

@@ -1,25 +1,26 @@
 //! The in-memory caches: the bounded LRU map behind every typed session
-//! stage cache, and the byte-budgeted [`MemoryTier`], an in-memory
+//! cache, and the unbounded [`MemoryTier`], an in-memory
 //! [`ArtifactTier`] for the [tier stack](crate::tier).
 //!
 //! The [`Explorer`](crate::Explorer) session memoizes each pipeline
-//! stage; for the twelve-benchmark registry the maps stay tiny, but a
-//! long-lived session behind a service would otherwise grow without
-//! bound as sweeps visit ever more `(benchmark, configuration)` keys.
-//! [`LruCache`] bounds each stage map to a configurable number of
-//! entries: an insert over capacity evicts the least-recently-*used*
-//! entry (a cache hit refreshes recency), and every eviction is
-//! reported back so the session's [`CacheStats`](crate::CacheStats) can
-//! account for it. The map itself is synchronous and unsynchronized —
-//! the session wraps one per stage in a `Mutex`.
+//! stage and the derived work its stages share; for the
+//! twelve-benchmark registry the maps stay tiny, but a long-lived
+//! session behind a service would otherwise grow without bound as
+//! sweeps visit ever more `(benchmark, configuration)` keys.
+//! [`LruCache`] bounds each map to a configurable number of entries: an
+//! insert over capacity evicts the least-recently-*used* entry (a cache
+//! hit refreshes recency), and every eviction is reported back so the
+//! session's [`CacheStats`](crate::CacheStats) can account for it. The
+//! map itself is synchronous and unsynchronized — the session's
+//! single-flighted memo (`StageCache`, see [`crate::tier`]) wraps each
+//! one in a `Mutex`.
 //!
-//! [`MemoryTier`] reuses the same LRU as an [`ArtifactTier`]: a
-//! thread-safe map of *encoded payload bytes* keyed by `(Stage, u64)`,
-//! bounded by a byte budget instead of an entry count. The session never
+//! [`MemoryTier`] is an [`ArtifactTier`] holding *encoded payload
+//! bytes* keyed by `(Stage, u64)` in a plain map. The session never
 //! mounts one itself (its prefetch decodes straight into the typed
-//! LRUs); tests and fault harnesses mount it with
-//! [`Explorer::with_tier`](crate::Explorer::with_tier) as a tier that
-//! lives only as long as the process.
+//! caches); tests, fault harnesses and the serve daemon's panic probe
+//! mount it with [`Explorer::with_tier`](crate::Explorer::with_tier) as
+//! a tier that lives only as long as the process.
 //!
 //! ```
 //! use asip_explorer::cache::LruCache;
@@ -35,8 +36,8 @@
 //! assert_eq!(cache.len(), 2);
 //! ```
 
-use crate::artifact::{Stage, STAGE_COUNT};
-use crate::tier::{ArtifactTier, TierCounters, TierRead, TierStats};
+use crate::artifact::Stage;
+use crate::tier::{lock, ArtifactTier, TierCounters, TierRead, TierStats};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Mutex;
@@ -142,11 +143,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.tick = 0;
     }
 
-    /// Remove one entry, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.map.remove(key).map(|e| e.value)
-    }
-
     /// Visit every cached value without touching recency, in no
     /// particular order. Used by the session to aggregate per-engine
     /// counters (e.g. run-state pool stats) into its [`CacheStats`]
@@ -157,69 +153,19 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.values().map(|e| &e.value)
     }
 
-    /// Remove and return the least-recently-used entry, or `None` when
-    /// empty. This is the primitive byte-budgeted callers
-    /// ([`MemoryTier`]) build on: they need the evicted *value* back to
-    /// keep their size accounting exact.
-    pub fn pop_lru(&mut self) -> Option<(K, V)> {
+    fn evict_one(&mut self) -> bool {
         let oldest = self
             .map
             .iter()
             .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone())?;
-        let value = self.map.remove(&oldest)?.value;
-        Some((oldest, value))
-    }
-
-    fn evict_one(&mut self) -> bool {
-        self.pop_lru().is_some()
+            .map(|(k, _)| k.clone());
+        oldest.is_some_and(|k| self.map.remove(&k).is_some())
     }
 }
 
 // -- the in-memory tier ------------------------------------------------
 
-/// Default byte budget of a [`MemoryTier`]: generous next to a complete
-/// twelve-benchmark pipeline (a few MiB of payloads) while bounding a
-/// pathological sweep.
-pub const DEFAULT_MEMORY_BUDGET: u64 = 64 << 20;
-
-#[derive(Debug, Default)]
-struct MemoryState {
-    lru: LruCache<(Stage, u64), Vec<u8>>,
-    bytes: u64,
-    stage_entries: [u64; STAGE_COUNT],
-    stage_bytes: [u64; STAGE_COUNT],
-}
-
-impl MemoryState {
-    fn insert(&mut self, stage: Stage, key: u64, payload: &[u8], budget: u64) {
-        self.remove(stage, key);
-        self.lru.insert((stage, key), payload.to_vec());
-        self.bytes += payload.len() as u64;
-        self.stage_entries[stage as usize] += 1;
-        self.stage_bytes[stage as usize] += payload.len() as u64;
-        while self.bytes > budget {
-            let Some(((s, _), evicted)) = self.lru.pop_lru() else {
-                break;
-            };
-            self.forget(s, evicted.len() as u64);
-        }
-    }
-
-    fn remove(&mut self, stage: Stage, key: u64) {
-        if let Some(old) = self.lru.remove(&(stage, key)) {
-            self.forget(stage, old.len() as u64);
-        }
-    }
-
-    fn forget(&mut self, stage: Stage, bytes: u64) {
-        self.bytes -= bytes;
-        self.stage_entries[stage as usize] -= 1;
-        self.stage_bytes[stage as usize] -= bytes;
-    }
-}
-
-/// The in-memory byte tier: a thread-safe, byte-budgeted LRU of encoded
+/// The in-memory byte tier: a thread-safe, unbounded map of encoded
 /// artifact payloads implementing [`ArtifactTier`].
 ///
 /// It is not [`persistent`](ArtifactTier::persistent): computed
@@ -232,7 +178,7 @@ impl MemoryState {
 /// use asip_explorer::cache::MemoryTier;
 /// use asip_explorer::tier::{ArtifactTier, TierRead};
 ///
-/// let tier = MemoryTier::with_budget(1024);
+/// let tier = MemoryTier::new();
 /// assert!(tier.put(Stage::Compile, 7, b"payload"));
 /// assert!(tier.contains(Stage::Compile, 7));
 /// assert!(matches!(tier.get(Stage::Compile, 7), TierRead::Hit(p) if p == b"payload"));
@@ -240,42 +186,16 @@ impl MemoryState {
 /// assert_eq!(tier.totals().bytes, 7);
 /// assert!(!tier.persistent(), "filled by its owner, not written through");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MemoryTier {
-    state: Mutex<MemoryState>,
+    entries: Mutex<HashMap<(Stage, u64), Vec<u8>>>,
     counters: TierCounters,
-    budget: u64,
-}
-
-impl Default for MemoryTier {
-    fn default() -> Self {
-        MemoryTier::new()
-    }
 }
 
 impl MemoryTier {
-    /// A memory tier with the [default byte
-    /// budget](DEFAULT_MEMORY_BUDGET).
+    /// An empty memory tier.
     pub fn new() -> Self {
-        MemoryTier::with_budget(DEFAULT_MEMORY_BUDGET)
-    }
-
-    /// A memory tier bounded to at most `budget` payload bytes;
-    /// least-recently-used entries are evicted first when an insert
-    /// overflows the budget. A payload larger than the whole budget is
-    /// refused (`put` returns `false`), so a budget of 0 keeps only
-    /// empty payloads.
-    pub fn with_budget(budget: u64) -> Self {
-        MemoryTier {
-            state: Mutex::new(MemoryState::default()),
-            counters: TierCounters::default(),
-            budget,
-        }
-    }
-
-    /// The configured byte budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
+        MemoryTier::default()
     }
 }
 
@@ -285,12 +205,10 @@ impl ArtifactTier for MemoryTier {
     }
 
     fn get(&self, stage: Stage, key: u64) -> TierRead {
-        let mut state = crate::tier::lock(&self.state);
-        match state.lru.get(&(stage, key)) {
+        match lock(&self.entries).get(&(stage, key)) {
             Some(payload) => {
-                let payload = payload.clone();
                 self.counters.count_hit(stage);
-                TierRead::Hit(payload)
+                TierRead::Hit(payload.clone())
             }
             None => {
                 self.counters.count_miss(stage);
@@ -300,36 +218,23 @@ impl ArtifactTier for MemoryTier {
     }
 
     fn put(&self, stage: Stage, key: u64, payload: &[u8]) -> bool {
-        let mut state = crate::tier::lock(&self.state);
-        // inserting it would evict every entry, then the payload itself;
-        // a refused put still replaces the key's older copy, which must
-        // not go on being served
-        if payload.len() as u64 > self.budget {
-            state.remove(stage, key);
-            return false;
-        }
-        state.insert(stage, key, payload, self.budget);
+        lock(&self.entries).insert((stage, key), payload.to_vec());
         self.counters.count_write(stage);
         true
     }
 
     fn contains(&self, stage: Stage, key: u64) -> bool {
-        crate::tier::lock(&self.state)
-            .lru
-            .contains_key(&(stage, key))
+        lock(&self.entries).contains_key(&(stage, key))
     }
 
     fn stats(&self, stage: Stage) -> TierStats {
-        let occupancy = {
-            let state = crate::tier::lock(&self.state);
-            (
-                state.stage_entries[stage as usize],
-                state.stage_bytes[stage as usize],
-            )
-        };
+        let (entries, bytes) = lock(&self.entries)
+            .iter()
+            .filter(|((s, _), _)| *s == stage)
+            .fold((0, 0), |(n, b), (_, p)| (n + 1, b + p.len() as u64));
         TierStats {
-            entries: occupancy.0,
-            bytes: occupancy.1,
+            entries,
+            bytes,
             ..self.counters.snapshot(stage)
         }
     }
@@ -339,7 +244,7 @@ impl ArtifactTier for MemoryTier {
     }
 
     fn mark_corrupt(&self, stage: Stage, key: u64) {
-        crate::tier::lock(&self.state).remove(stage, key);
+        lock(&self.entries).remove(&(stage, key));
         self.counters.demote_hit(stage);
     }
 
@@ -420,38 +325,8 @@ mod tests {
     }
 
     #[test]
-    fn pop_lru_returns_oldest_first() {
-        let mut c = LruCache::default();
-        c.insert("a", 1);
-        c.insert("b", 2);
-        assert_eq!(c.get(&"a"), Some(&1)); // refresh a: b is now LRU
-        assert_eq!(c.pop_lru(), Some(("b", 2)));
-        assert_eq!(c.pop_lru(), Some(("a", 1)));
-        assert_eq!(c.pop_lru(), None);
-    }
-
-    #[test]
-    fn memory_tier_respects_its_byte_budget_lru_first() {
-        let tier = MemoryTier::with_budget(10);
-        tier.put(Stage::Compile, 1, b"aaaa"); // 4 bytes
-        tier.put(Stage::Profile, 2, b"bbbb"); // 8 bytes
-                                              // refresh entry 1, then overflow: entry 2 is LRU and must go
-        assert!(matches!(tier.get(Stage::Compile, 1), TierRead::Hit(_)));
-        tier.put(Stage::Schedule, 3, b"cccc"); // 12 > 10 → evict
-        assert!(tier.contains(Stage::Compile, 1));
-        assert!(!tier.contains(Stage::Profile, 2), "LRU entry evicted");
-        assert!(tier.contains(Stage::Schedule, 3));
-        let totals = tier.totals();
-        assert_eq!(totals.bytes, 8);
-        assert_eq!(totals.entries, 2);
-        // per-stage occupancy adds up
-        assert_eq!(tier.stats(Stage::Compile).bytes, 4);
-        assert_eq!(tier.stats(Stage::Profile).entries, 0);
-    }
-
-    #[test]
     fn memory_tier_replacement_keeps_accounting_exact() {
-        let tier = MemoryTier::with_budget(100);
+        let tier = MemoryTier::new();
         tier.put(Stage::Compile, 1, b"xxxxxxxx");
         tier.put(Stage::Compile, 1, b"yy");
         assert_eq!(tier.totals().bytes, 2, "old size released on replace");
@@ -463,32 +338,14 @@ mod tests {
         assert_eq!(tier.totals().bytes, 0);
         assert_eq!(tier.totals().entries, 0);
         assert_eq!(tier.totals().corrupt, 1);
-        let tier = MemoryTier::with_budget(0);
-        tier.put(Stage::Compile, 1, b"z");
-        assert_eq!(tier.totals().entries, 0, "zero budget keeps nothing");
-    }
-
-    #[test]
-    fn memory_tier_refuses_a_payload_larger_than_its_budget() {
-        let tier = MemoryTier::with_budget(8);
-        assert!(tier.put(Stage::Compile, 1, b"aaaa"));
-        assert!(
-            !tier.put(Stage::Profile, 2, &[0; 16]),
-            "oversize is refused"
-        );
-        assert!(tier.contains(Stage::Compile, 1), "nothing was evicted");
-        assert!(!tier.contains(Stage::Profile, 2));
-        let totals = tier.totals();
-        assert_eq!((totals.entries, totals.bytes, totals.writes), (1, 4, 1));
-    }
-
-    #[test]
-    fn a_refused_put_stops_serving_the_keys_older_copy() {
-        let tier = MemoryTier::with_budget(8);
-        assert!(tier.put(Stage::Compile, 1, b"old"));
-        assert!(!tier.put(Stage::Compile, 1, &[0; 9]), "oversize is refused");
-        assert!(matches!(tier.get(Stage::Compile, 1), TierRead::Miss));
-        let totals = tier.totals();
-        assert_eq!((totals.entries, totals.bytes), (0, 0));
+        // occupancy is counted per stage
+        tier.put(Stage::Compile, 1, b"a");
+        tier.put(Stage::Profile, 2, b"bbb");
+        tier.put(Stage::Profile, 3, b"cc");
+        assert_eq!(tier.stats(Stage::Compile).entries, 1);
+        assert_eq!(tier.stats(Stage::Compile).bytes, 1);
+        assert_eq!(tier.stats(Stage::Profile).entries, 2);
+        assert_eq!(tier.stats(Stage::Profile).bytes, 5);
+        assert_eq!(tier.stats(Stage::Schedule), TierStats::default());
     }
 }

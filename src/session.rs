@@ -27,14 +27,16 @@
 //!   missing key block on the one in-flight computation instead of
 //!   duplicating it; each stage value is computed (and counted) once.
 //! - **Bounded caches.** [`Explorer::with_cache_capacity`] puts an LRU
-//!   bound on every stage cache; evictions and live entry counts are
-//!   surfaced through [`CacheStats`].
-//! - **Derived work done once.** Below the stage caches the session
+//!   bound on every stage cache and derived-work memo; evictions and
+//!   live entry counts are surfaced through [`CacheStats`].
+//! - **Derived work done once.** Beside the stage caches the session
 //!   memoizes what several stages share: decoded engines, baseline
-//!   output images, coverage studies per `(benchmark, level)` and one
-//!   rewritten engine plus its measurement per `(benchmark, design)`.
-//!   Sweeps whose configs reach the same studies or the same designs
-//!   run each once (`coverage_*` and `measurements*` in [`CacheStats`]).
+//!   output images, coverage studies per `(benchmark, level)`, one
+//!   rewritten engine per `(benchmark, design)` and its measurement per
+//!   seed. These memos are single-flighted stage caches too, keyed by
+//!   `u64` recipe keys, so sweeps whose configs — or concurrent
+//!   requests — reach the same studies or the same designs run each
+//!   once (`coverage_*` and `measurements*` in [`CacheStats`]).
 //! - **Pluggable persistence.** [`Explorer::with_store`] attaches an
 //!   on-disk, content-addressed artifact store under the memory caches
 //!   so separate processes share work. Every stage request flows
@@ -70,9 +72,8 @@
 
 use crate::artifact::{
     Analyzed, ArtifactCodec, Compiled, DesignSpaced, Designed, DesignedSuite, Evaluated,
-    EvaluatedSuite, Exploration, Profiled, Scheduled, Stage,
+    EvaluatedSuite, Exploration, Profiled, Scheduled, Stage, STAGE_COUNT,
 };
-use crate::cache::LruCache;
 use crate::error::ExplorerError;
 use crate::remote::{Endpoint, RemoteTier, RemoteTotals, RetryPolicy};
 use crate::store::{ArtifactStore, StableHasher};
@@ -89,7 +90,7 @@ use asip_synth::{
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Hit/miss/eviction counters (and the live entry count) for one
@@ -162,13 +163,15 @@ pub struct CacheStats {
     /// Coverage studies the session ran (the design stages' feedback,
     /// memoized per analyze key).
     pub coverage_studies: u64,
-    /// Coverage-study requests served from the session's memo.
+    /// Coverage-study requests served from the session's memo,
+    /// concurrent requests that waited for a running study included.
     pub coverage_reused: u64,
     /// Rewritten-program measurements the session ran (one simulation
-    /// each, memoized per `(benchmark, design)`).
+    /// each, memoized per `(benchmark, design, seed)`).
     pub measurements: u64,
     /// Measurement requests served from the session's memo: a design
-    /// reached again — by another config or another stage — is not
+    /// reached again under a seed it was measured on — by another
+    /// config, another stage or a session re-seeded back — is not
     /// simulated again.
     pub measurements_reused: u64,
 }
@@ -312,44 +315,11 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// A design applied to one program: its rewritten engine, and the
-/// last successful measurement of that engine with the seed whose data
-/// it ran on (errors are never stored). The rewrite does not depend on
-/// the seed, the measurement does: a session re-seeded by
-/// [`Explorer::with_seed`] keeps the engine and measures again.
-#[derive(Debug)]
-struct Rewritten {
-    prepared: Arc<PreparedDesign>,
-    evaluation: Mutex<Option<(u64, Evaluation)>>,
-}
-
-/// Run/reuse counters of the session's derived-work memos.
-#[derive(Debug, Default)]
-struct DerivedCounters {
-    coverage_studies: AtomicU64,
-    coverage_reused: AtomicU64,
-    measurements: AtomicU64,
-    measurements_reused: AtomicU64,
-}
-
-impl DerivedCounters {
-    fn reset(&self) {
-        for c in [
-            &self.coverage_studies,
-            &self.coverage_reused,
-            &self.measurements,
-            &self.measurements_reused,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Stable digest of an [`AsipDesign`]'s full identity — every field
 /// that affects the rewrite (extension ids, signatures, areas,
 /// benefits, total area), in order. Two designs with the same digest
-/// rewrite a program identically, so the digest keys the session's
-/// rewritten-engine cache.
+/// rewrite a program identically, so the digest is part of the
+/// prepared-design key.
 fn design_digest(design: &AsipDesign) -> u64 {
     let mut h = StableHasher::new();
     h.write_usize(design.extensions.len());
@@ -453,35 +423,34 @@ pub struct Explorer {
     extra_tiers: Vec<Arc<dyn ArtifactTier>>,
     tiers: TierStack,
     caches: Caches,
-    /// Decoded simulator engines, keyed by the compile key. Not a stage
-    /// cache: engines are derived (never persisted) artifacts that the
-    /// profile and evaluate stages share so one session decodes each
-    /// program exactly once.
-    engines: Mutex<LruCache<u64, Arc<Engine>>>,
+    /// Decoded simulator engines, keyed by the compile key. Derived
+    /// work, never persisted: the profile and evaluate stages share
+    /// them so one session decodes each program exactly once.
+    engines: StageCache<Engine>,
     /// Baseline output images, keyed by the profile key. The profile
     /// stage's own run captures each one (when the profile came from a
     /// tier instead, the first evaluation runs the baseline once), so
     /// an evaluation simulates only the rewritten program. Derived
     /// state, like `engines`.
-    baselines: Mutex<LruCache<u64, Arc<OutputImage>>>,
+    baselines: StageCache<OutputImage>,
     /// Coverage studies ([`asip_synth::coverage_report`]), keyed by the
     /// analyze key. Every design stage reads its feedback here, so a
     /// sweep runs each `(benchmark, level)` study once however many
     /// configs, suite designs and design spaces reach it. Derived
     /// state, like `engines`.
-    coverage: Mutex<LruCache<u64, Arc<SequenceReport>>>,
-    /// Rewritten designs, keyed by `(compile key, design digest)`: the
-    /// [`PreparedDesign`] (rewritten and decoded once) and its
-    /// measurement on the seeded data, tagged with the seed. Configs
-    /// whose designs coincide — common in a constraint sweep — and the
-    /// per-benchmark and suite evaluate stages share one entry, so each
-    /// `(program, design)` pair is rewritten and decoded once per
-    /// session and simulated once per seed. Derived state, like
-    /// `engines`.
-    rewritten: Mutex<LruCache<(u64, u64), Arc<Rewritten>>>,
-    /// Run/reuse counters of `coverage` and of the measurements in
-    /// `rewritten`.
-    derived: DerivedCounters,
+    coverage: StageCache<SequenceReport>,
+    /// Rewritten-and-decoded designs, keyed by a hash of the compile
+    /// key and the [`design_digest`]. Configs whose designs coincide —
+    /// common in a constraint sweep — and the per-benchmark and suite
+    /// evaluate stages share one entry, so each `(program, design)`
+    /// pair is rewritten and decoded once per session. Derived state,
+    /// like `engines`.
+    prepared: StageCache<PreparedDesign>,
+    /// Measurements of prepared designs on the seeded data, keyed by a
+    /// hash of the prepared key and the seed: each `(program, design)`
+    /// pair is simulated once per seed. Failures are not kept. Derived
+    /// state, like `engines`.
+    measurements: StageCache<Evaluation>,
 }
 
 impl Default for Explorer {
@@ -502,11 +471,11 @@ impl Default for Explorer {
             extra_tiers: Vec::new(),
             tiers: TierStack::new(),
             caches: Caches::default(),
-            engines: Mutex::new(LruCache::default()),
-            baselines: Mutex::new(LruCache::default()),
-            coverage: Mutex::new(LruCache::default()),
-            rewritten: Mutex::new(LruCache::default()),
-            derived: DerivedCounters::default(),
+            engines: StageCache::default(),
+            baselines: StageCache::default(),
+            coverage: StageCache::default(),
+            prepared: StageCache::default(),
+            measurements: StageCache::default(),
         }
     }
 }
@@ -579,22 +548,23 @@ impl Explorer {
         self
     }
 
-    /// Bound every stage cache to at most `capacity` entries (least
-    /// recently used entries are evicted first; a capacity of 0 is
-    /// treated as 1). The default is unbounded, which is fine for the
-    /// twelve-benchmark registry but not for a session serving an open
-    /// stream of sweeps — evictions are counted per stage in
-    /// [`CacheStats`].
+    /// Bound every stage cache and derived-work memo to at most
+    /// `capacity` entries (least recently used entries are evicted
+    /// first; a capacity of 0 is treated as 1). The default is
+    /// unbounded, which is fine for the twelve-benchmark registry but
+    /// not for a session serving an open stream of sweeps — evictions
+    /// are counted per stage in [`CacheStats`].
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         let cap = Some(capacity.max(1));
         self.cache_capacity = cap;
         for stage in Stage::all() {
             self.caches.stage(stage).set_capacity(cap);
         }
-        lock(&self.engines).set_capacity(cap);
-        lock(&self.baselines).set_capacity(cap);
-        lock(&self.coverage).set_capacity(cap);
-        lock(&self.rewritten).set_capacity(cap);
+        self.engines.set_capacity(cap);
+        self.baselines.set_capacity(cap);
+        self.coverage.set_capacity(cap);
+        self.prepared.set_capacity(cap);
+        self.measurements.set_capacity(cap);
         self
     }
 
@@ -749,11 +719,11 @@ impl Explorer {
         for stage in Stage::all() {
             self.caches.stage(stage).reset();
         }
-        lock(&self.engines).clear();
-        lock(&self.baselines).clear();
-        lock(&self.coverage).clear();
-        lock(&self.rewritten).clear();
-        self.derived.reset();
+        self.engines.reset();
+        self.baselines.reset();
+        self.coverage.reset();
+        self.prepared.reset();
+        self.measurements.reset();
         self.tiers.reset_counters();
     }
 
@@ -787,10 +757,10 @@ impl Explorer {
                 .map(|tier| tier.remote_totals())
                 .unwrap_or_default(),
             run_state: self.run_state_stats(),
-            coverage_studies: self.derived.coverage_studies.load(Ordering::Relaxed),
-            coverage_reused: self.derived.coverage_reused.load(Ordering::Relaxed),
-            measurements: self.derived.measurements.load(Ordering::Relaxed),
-            measurements_reused: self.derived.measurements_reused.load(Ordering::Relaxed),
+            coverage_studies: self.coverage.misses.load(Ordering::Relaxed),
+            coverage_reused: self.coverage.hits.load(Ordering::Relaxed),
+            measurements: self.measurements.misses.load(Ordering::Relaxed),
+            measurements_reused: self.measurements.hits.load(Ordering::Relaxed),
         }
     }
 
@@ -801,11 +771,11 @@ impl Explorer {
     /// with everything else ephemeral.
     fn run_state_stats(&self) -> RunStateStats {
         let mut stats = RunStateStats::default();
-        for engine in lock(&self.engines).values() {
+        for engine in self.engines.values() {
             stats.absorb(engine.run_state_stats());
         }
-        for rewritten in lock(&self.rewritten).values() {
-            stats.absorb(rewritten.prepared.engine().run_state_stats());
+        for prepared in self.prepared.values() {
+            stats.absorb(prepared.engine().run_state_stats());
         }
         stats
     }
@@ -854,23 +824,17 @@ impl Explorer {
     /// Compile-stage errors.
     pub fn engine(&self, name: &str) -> Result<Arc<Engine>, ExplorerError> {
         let key = self.key_compile(&self.benchmark(name)?);
-        if let Some(engine) = lock(&self.engines).get(&key) {
-            return Ok(Arc::clone(engine));
-        }
-        let compiled = self.compile(name)?;
-        let engine = Arc::new(Engine::new(Arc::clone(&compiled.program)));
-        // a concurrent decode of the same program is benign (decode is
-        // cheap and pure); last writer wins
-        lock(&self.engines).insert(key, Arc::clone(&engine));
-        Ok(engine)
+        self.engines
+            .memo(key, || Ok(Engine::new(self.compile(name)?.program)))
     }
 
     /// The session's rewritten-and-decoded engine for a `(benchmark,
-    /// design)` pair (see [`asip_synth::prepare`]), cached by a stable
-    /// digest of the design so sweeps that reach the same design again
-    /// rewrite and decode it once. Like the baseline engine cache, this
-    /// is derived state: dropped by [`Explorer::reset`], bounded by
-    /// [`Explorer::with_cache_capacity`].
+    /// design)` pair (see [`asip_synth::prepare`]), memoized under a
+    /// hash of the compile key and a stable digest of the design, so
+    /// sweeps that reach the same design again rewrite and decode it
+    /// once, and concurrent requests for one pair share one `Arc`. Like
+    /// the baseline engine cache, this is derived state: dropped by
+    /// [`Explorer::reset`], bounded by [`Explorer::with_cache_capacity`].
     ///
     /// # Errors
     ///
@@ -880,28 +844,10 @@ impl Explorer {
         name: &str,
         design: &AsipDesign,
     ) -> Result<Arc<PreparedDesign>, ExplorerError> {
-        Ok(Arc::clone(&self.rewritten(name, design)?.prepared))
-    }
-
-    /// The session's [`Rewritten`] entry for a `(benchmark, design)`
-    /// pair, prepared on first use.
-    fn rewritten(&self, name: &str, design: &AsipDesign) -> Result<Arc<Rewritten>, ExplorerError> {
-        let key = (
-            self.key_compile(&self.benchmark(name)?),
-            design_digest(design),
-        );
-        if let Some(rewritten) = lock(&self.rewritten).get(&key) {
-            return Ok(Arc::clone(rewritten));
-        }
-        let compiled = self.compile(name)?;
-        let rewritten = Arc::new(Rewritten {
-            prepared: Arc::new(asip_synth::prepare(&compiled.program, design)),
-            evaluation: Mutex::new(None),
-        });
-        // as with the baseline engines: a concurrent prepare of the
-        // same pair is benign (pure, milliseconds); last writer wins
-        lock(&self.rewritten).insert(key, Arc::clone(&rewritten));
-        Ok(rewritten)
+        let key = self.key_prepared(&self.benchmark(name)?, design);
+        self.prepared.memo(key, || {
+            Ok(asip_synth::prepare(&self.compile(name)?.program, design))
+        })
     }
 
     /// The coverage study of `name`'s schedule at `level` under `opt`
@@ -915,19 +861,10 @@ impl Explorer {
         detector: DetectorConfig,
     ) -> Result<Arc<SequenceReport>, ExplorerError> {
         let key = self.key_analyze(&self.benchmark(name)?, level, opt, detector);
-        if let Some(report) = lock(&self.coverage).get(&key) {
-            self.derived.coverage_reused.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(report));
-        }
-        let scheduled = self.schedule_with(name, level, opt)?;
-        let report = Arc::new(asip_synth::coverage_report(&scheduled.graph, detector));
-        self.derived
-            .coverage_studies
-            .fetch_add(1, Ordering::Relaxed);
-        // a concurrent study of the same key is benign (deterministic);
-        // last writer wins
-        lock(&self.coverage).insert(key, Arc::clone(&report));
-        Ok(report)
+        self.coverage.memo(key, || {
+            let scheduled = self.schedule_with(name, level, opt)?;
+            Ok(asip_synth::coverage_report(&scheduled.graph, detector))
+        })
     }
 
     /// The baseline output image of `name` on the session's seeded
@@ -935,60 +872,41 @@ impl Explorer {
     /// came from a tier — computed here by one baseline run and cached.
     fn baseline(&self, name: &str) -> Result<Arc<OutputImage>, ExplorerError> {
         let benchmark = self.benchmark(name)?;
-        let key = self.key_profile(&benchmark);
-        if let Some(image) = lock(&self.baselines).get(&key) {
-            return Ok(Arc::clone(image));
-        }
-        let data = benchmark.dataset_with_seed(self.seed);
-        let (_, image) = self
-            .engine(name)?
-            .run_output(&data)
-            .map_err(ExplorerError::Eval)?;
-        let image = Arc::new(image);
-        // a concurrent baseline run of the same program is benign
-        // (deterministic); last writer wins
-        lock(&self.baselines).insert(key, Arc::clone(&image));
-        Ok(image)
+        self.baselines.memo(self.key_profile(&benchmark), || {
+            let data = benchmark.dataset_with_seed(self.seed);
+            let (_, image) = self
+                .engine(name)?
+                .run_output(&data)
+                .map_err(ExplorerError::Eval)?;
+            Ok(image)
+        })
     }
 
     /// Measure `design` on `name`: only the rewritten program runs. The
     /// baseline cycle count is the cached profile's `total_ops`, and
     /// the rewritten outputs are checked against the cached baseline
-    /// image. A successful measurement is kept on the design's
-    /// [`Rewritten`] entry with the session seed, so a design reached
-    /// again under the same seed is not simulated again; a failure is
-    /// not kept.
+    /// image. A successful measurement is memoized per design and
+    /// seed, so a design reached again under a seed it was measured on
+    /// is not simulated again; a failure is not kept.
     fn measure(&self, name: &str, design: &AsipDesign) -> Result<Evaluation, ExplorerError> {
-        let rewritten = self.rewritten(name, design)?;
-        if let Some((_, evaluation)) = lock(&rewritten.evaluation)
-            .as_ref()
-            .filter(|(seed, _)| *seed == self.seed)
-        {
-            self.derived
-                .measurements_reused
-                .fetch_add(1, Ordering::Relaxed);
-            return Ok(evaluation.clone());
-        }
-        let profiled = self.profile(name)?;
-        let data = profiled.benchmark.dataset_with_seed(self.seed);
-        let baseline = self.baseline(name)?;
-        let evaluation = asip_synth::measure(
-            &rewritten.prepared,
-            &data,
-            profiled.profile.total_ops(),
-            &baseline,
-        )
-        .map_err(|e| match e {
-            EvalError::Sim(e) => ExplorerError::Eval(e),
-            EvalError::OutputMismatch => ExplorerError::OutputMismatch {
-                benchmark: name.to_string(),
-            },
+        let mut h = StableHasher::new();
+        h.write_u64(self.key_prepared(&self.benchmark(name)?, design));
+        h.write_u64(self.seed);
+        let evaluation = self.measurements.memo(h.finish(), || {
+            let prepared = self.prepared(name, design)?;
+            let profiled = self.profile(name)?;
+            let data = profiled.benchmark.dataset_with_seed(self.seed);
+            let baseline = self.baseline(name)?;
+            asip_synth::measure(&prepared, &data, profiled.profile.total_ops(), &baseline).map_err(
+                |e| match e {
+                    EvalError::Sim(e) => ExplorerError::Eval(e),
+                    EvalError::OutputMismatch => ExplorerError::OutputMismatch {
+                        benchmark: name.to_string(),
+                    },
+                },
+            )
         })?;
-        self.derived.measurements.fetch_add(1, Ordering::Relaxed);
-        // a concurrent measurement of the same pair is benign
-        // (deterministic); last writer wins
-        *lock(&rewritten.evaluation) = Some((self.seed, evaluation.clone()));
-        Ok(evaluation)
+        Ok((*evaluation).clone())
     }
 
     /// Profile stage: run the benchmark on its seeded Table-1 input
@@ -1008,7 +926,7 @@ impl Explorer {
                     // one pooled run yields the profile and the typed
                     // baseline output image every evaluation checks against
                     let (outcome, image) = self.engine(name)?.run_output(&data)?;
-                    lock(&self.baselines).insert(key, Arc::new(image));
+                    self.baselines.insert(key, Arc::new(image));
                     Ok(outcome.profile)
                 })?;
         Ok(Profiled {
@@ -1530,6 +1448,15 @@ impl Explorer {
         self.disk_key(Stage::Compile, |h| hash_benchmark(h, b))
     }
 
+    /// The key of a prepared design: the compile key and the
+    /// [`design_digest`] (the rewrite depends on nothing else).
+    fn key_prepared(&self, b: &Benchmark, design: &AsipDesign) -> u64 {
+        let mut h = StableHasher::new();
+        h.write_u64(self.key_compile(b));
+        h.write_u64(design_digest(design));
+        h.finish()
+    }
+
     fn key_profile(&self, b: &Benchmark) -> u64 {
         self.disk_key(Stage::Profile, |h| {
             hash_benchmark(h, b);
@@ -1648,9 +1575,12 @@ impl Explorer {
     /// memory-warm session re-reads nothing) or failing typed decoding
     /// contribute nothing. A payload that fails decoding is left to the
     /// request path, which reads it again and counts it corrupt on the
-    /// tier that served it. [`Explorer::explore_all`] and the suite
-    /// stages call this automatically; call it directly when warming a
-    /// custom request pattern.
+    /// tier that served it. Under a
+    /// [cache bound](Explorer::with_cache_capacity), a stage with more
+    /// missing entries than the bound is not prefetched: its requests
+    /// read each entry once instead. [`Explorer::explore_all`] and the
+    /// suite stages call this automatically; call it directly when
+    /// warming a custom request pattern.
     ///
     /// # Errors
     ///
@@ -1716,10 +1646,22 @@ impl Explorer {
     /// Read the keys the typed caches do not hold with one batch per
     /// tier and admit every decodable payload, returning how many were
     /// admitted. Infallible: a key that cannot be admitted is skipped.
+    ///
+    /// A stage whose missing keys outnumber the
+    /// [cache bound](Explorer::with_cache_capacity) is left to its
+    /// requests: admitting them would evict all but the last few, and
+    /// each evicted artifact would then be read and decoded again.
     fn prefetch_keys(&self, mut keys: Vec<(Stage, u64)>) -> usize {
         keys.sort_unstable();
         keys.dedup();
         keys.retain(|&(stage, key)| !self.caches.stage(stage).contains_key(key));
+        if let Some(capacity) = self.cache_capacity {
+            let mut missing = [0; STAGE_COUNT];
+            for &(stage, _) in &keys {
+                missing[stage as usize] += 1;
+            }
+            keys.retain(|&(stage, _)| missing[stage as usize] <= capacity);
+        }
         let reads = self.tiers.read_batch(&keys);
         let hits: Vec<((Stage, u64), Vec<u8>)> = keys
             .into_iter()

@@ -16,6 +16,9 @@
 //!   write-through semantics, the batched read the session's prefetch
 //!   goes through, and the one generic `get_or_compute` every session
 //!   stage goes through.
+//! - `StageCache` is the typed, single-flighted in-memory memo above
+//!   the stack: one per stage, and one per kind of derived work the
+//!   session shares between stages (which never reaches a tier).
 //!
 //! # The tier contract
 //!
@@ -42,8 +45,11 @@
 //! 3. the stage computation, whose result is written through to every
 //!    [persistent](ArtifactTier::persistent) tier.
 //!
-//! Single-flighting wraps the whole sequence: concurrent requests for
-//! one missing key perform one tier walk and at most one computation.
+//! Single-flighting wraps the whole sequence: steps 2 and 3 are the
+//! `fill` of the typed cache's `get_or_insert_with`, so concurrent
+//! requests for one missing key perform one tier walk and at most one
+//! computation. The session's derived-work memos go through the same
+//! `get_or_insert_with`.
 
 use crate::artifact::{ArtifactCodec, Stage, STAGE_COUNT};
 use crate::cache::LruCache;
@@ -266,12 +272,17 @@ impl TierCounters {
 
 // -- the typed front cache ---------------------------------------------
 
-/// One stage's typed front cache: a bounded LRU map of finished
-/// artifacts, the set of keys currently being computed (single-flight),
-/// and the stage's memory-tier counters. Sits *above* the byte-level
-/// tier stack — it is the only layer that shares decoded values by
-/// `Arc` instead of re-decoding payload bytes. Entries are addressed by
-/// the artifact's recipe key, the same `u64` every tier files it under.
+/// The session's one in-memory memo: a bounded LRU map of finished
+/// values, the set of keys currently being filled (single-flight, see
+/// [`get_or_insert_with`](StageCache::get_or_insert_with)), and
+/// hit/miss/eviction counters. As a stage's typed front cache it sits
+/// *above* the byte-level tier stack — the only layer that shares
+/// decoded values by `Arc` instead of re-decoding payload bytes — and
+/// its entries are addressed by the artifact's recipe key, the same
+/// `u64` every tier files it under. The session's derived work
+/// (engines, baseline images, coverage studies, prepared designs and
+/// their measurements) lives in `StageCache`s too, filled through
+/// [`memo`](StageCache::memo) and never written to a tier.
 #[derive(Debug)]
 pub(crate) struct StageCache<V> {
     state: Mutex<CacheState<V>>,
@@ -333,9 +344,77 @@ impl<V> StageCache<V> {
         self.prefetch_hits.store(0, Ordering::Relaxed);
     }
 
-    fn insert(&self, key: u64, value: Arc<V>) {
+    /// Insert a value computed outside [`get_or_insert_with`]
+    /// (the profile stage files the baseline image its run captured).
+    ///
+    /// [`get_or_insert_with`]: StageCache::get_or_insert_with
+    pub(crate) fn insert(&self, key: u64, value: Arc<V>) {
         let evicted = lock(&self.state).lru.insert(key, value);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
+    }
+
+    /// Every resident value, without refreshing recency.
+    pub(crate) fn values(&self) -> Vec<Arc<V>> {
+        lock(&self.state).lru.values().cloned().collect()
+    }
+
+    /// The value resident under `key`, counted as a hit, or else the
+    /// value `fill` produces, inserted under `key`. Single-flight:
+    /// concurrent callers for one missing key run one `fill`, and the
+    /// others wait for it and count as hits. If `fill` fails or panics,
+    /// its claim is released and a waiter runs its own `fill`. No miss
+    /// is counted here: a `fill` counts its own (see
+    /// [`memo`](StageCache::memo)).
+    ///
+    /// A `fill` must never request its own key, directly or through
+    /// other caches: it would wait on its own claim forever. The
+    /// session's caches request each other acyclically (a measurement
+    /// needs its prepared design, profile and baseline; those need the
+    /// engine, which needs the compile stage; a coverage study needs
+    /// the schedule, which needs the profile), so no wait can close a
+    /// cycle.
+    pub(crate) fn get_or_insert_with<F>(&self, key: u64, fill: F) -> Result<Arc<V>, ExplorerError>
+    where
+        F: FnOnce() -> Result<V, ExplorerError>,
+    {
+        {
+            let mut state = lock(&self.state);
+            loop {
+                if let Some(v) = state.lru.get(&key) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Arc::clone(v));
+                }
+                if !state.inflight.contains(&key) {
+                    break;
+                }
+                state = self
+                    .ready
+                    .wait(state)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+            state.inflight.insert(key);
+        }
+        // This thread owns the fill for `key`; the claim is released
+        // (and waiters woken) on every exit path, panics included, via
+        // the guard.
+        let _claim = InflightClaim { cache: self, key };
+        let value = Arc::new(fill()?);
+        self.insert(key, Arc::clone(&value));
+        Ok(value)
+    }
+
+    /// Memoize derived work under `key`: [`get_or_insert_with`] with
+    /// one miss counted per run of `compute`.
+    ///
+    /// [`get_or_insert_with`]: StageCache::get_or_insert_with
+    pub(crate) fn memo<F>(&self, key: u64, compute: F) -> Result<Arc<V>, ExplorerError>
+    where
+        F: FnOnce() -> Result<V, ExplorerError>,
+    {
+        self.get_or_insert_with(key, || {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            compute()
+        })
     }
 
     /// Decode a prefetched payload into the cache, counting it as a
@@ -494,17 +573,17 @@ impl TierStack {
         found
     }
 
-    /// Memoize one stage computation through the full tier hierarchy
-    /// with single-flight semantics: typed LRU → each tier top-down →
-    /// `compute`, writing computed results through to every persistent
-    /// tier.
+    /// Memoize one stage computation through the full tier hierarchy:
+    /// typed LRU → each tier top-down → `compute`, writing computed
+    /// results through to every persistent tier. The tier walk and the
+    /// computation are the `fill` of [`StageCache::get_or_insert_with`],
+    /// so concurrent requests for one missing key perform one walk and
+    /// at most one computation.
     ///
     /// `key` is the artifact's recipe key: the typed cache and every
     /// tier address the artifact by it, so a request hashes its recipe
     /// once, hit or miss. A tier hit decodes the payload and is **not**
     /// a miss — `cache.misses` counts exactly the times `compute` ran.
-    /// If the computation fails or panics, the in-flight claim is
-    /// released so a waiter can retry.
     pub(crate) fn get_or_compute<V, F>(
         &self,
         stage: Stage,
@@ -516,54 +595,28 @@ impl TierStack {
         V: ArtifactCodec,
         F: FnOnce() -> Result<V, ExplorerError>,
     {
-        {
-            let mut state = lock(&cache.state);
-            loop {
-                if let Some(v) = state.lru.get(&key) {
-                    cache.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(v));
-                }
-                if !state.inflight.contains(&key) {
-                    break;
-                }
-                state = cache
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            state.inflight.insert(key);
-        }
-        // This thread owns the computation for `key`; the claim is
-        // released (and waiters woken) on every exit path, panics
-        // included, via the guard.
-        let claim = InflightClaim { cache, key };
-        let mut start = 0;
-        while let Some((i, payload)) = self.read_from(start, stage, key) {
-            match V::from_bytes(&payload) {
-                Ok(v) => {
-                    let value = Arc::new(v);
-                    cache.insert(key, Arc::clone(&value));
-                    drop(claim);
-                    return Ok(value);
-                }
-                Err(_) => {
-                    // The tier's own framing validated but the typed
-                    // decode rejected the payload (e.g. stage semantics
-                    // changed under one FORMAT_VERSION). Tell the tier,
-                    // then keep probing lower tiers.
-                    self.tiers[i].mark_corrupt(stage, key);
-                    start = i + 1;
+        cache.get_or_insert_with(key, || {
+            let mut start = 0;
+            while let Some((i, payload)) = self.read_from(start, stage, key) {
+                match V::from_bytes(&payload) {
+                    Ok(v) => return Ok(v),
+                    Err(_) => {
+                        // The tier's own framing validated but the typed
+                        // decode rejected the payload (e.g. stage
+                        // semantics changed under one FORMAT_VERSION).
+                        // Tell the tier, then keep probing lower tiers.
+                        self.tiers[i].mark_corrupt(stage, key);
+                        start = i + 1;
+                    }
                 }
             }
-        }
-        cache.misses.fetch_add(1, Ordering::Relaxed);
-        let value = Arc::new(compute()?);
-        if self.has_persistent() {
-            self.write_through(stage, key, &value.to_bytes());
-        }
-        cache.insert(key, Arc::clone(&value));
-        drop(claim);
-        Ok(value)
+            cache.misses.fetch_add(1, Ordering::Relaxed);
+            let value = compute()?;
+            if self.has_persistent() {
+                self.write_through(stage, key, &value.to_bytes());
+            }
+            Ok(value)
+        })
     }
 }
 

@@ -243,6 +243,28 @@ fn a_bounded_session_over_a_warm_store_recomputes_nothing() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// Under a cache bound smaller than a stage's key set, the prefetch
+/// leaves that stage to its requests instead of admitting entries the
+/// bound evicts again: a warm bounded `explore_all` reads each of the
+/// registry's 120 artifacts from disk exactly once.
+#[test]
+fn a_bounded_prefetch_reads_each_warm_artifact_once() {
+    let dir = store_dir("bounded-prefetch");
+    Explorer::new()
+        .with_store(&dir)
+        .explore_all()
+        .expect("cold run");
+    let session = Explorer::new()
+        .with_store(&dir)
+        .with_threads(1)
+        .with_cache_capacity(8);
+    session.explore_all().expect("bounded replay");
+    let stats = session.cache_stats();
+    assert_eq!(stats.total_misses(), 0, "zero recomputes: {stats}");
+    assert_eq!(stats.tier("disk").total().hits, 120, "{stats}");
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// The pluggable-tier contract: a custom tier (here an in-memory
 /// stand-in for a shared remote cache) drops into the stack via
 /// `with_tier` with nothing but the trait impl, receives write-through,
@@ -276,7 +298,7 @@ impl ArtifactTier for RemoteLike {
 
 #[test]
 fn a_custom_tier_is_a_drop_in_through_with_tier() {
-    let remote = Arc::new(RemoteLike(MemoryTier::with_budget(64 << 20)));
+    let remote = Arc::new(RemoteLike(MemoryTier::new()));
 
     let first = Explorer::new().with_tier(remote.clone());
     let computed = first.profile("sewha").expect("computes");
