@@ -83,8 +83,8 @@ fn remote_command(addr: &str, command: &str) -> ExitCode {
             Ok(s) => {
                 println!("server at {}", tier.endpoint());
                 println!(
-                    "requests: {} ({} gets, {} batch keys, {} puts, {} contains, {} pings)",
-                    s.requests, s.gets, s.batch_keys, s.puts, s.contains, s.pings
+                    "requests: {} ({} batch keys, {} puts, {} pings)",
+                    s.requests, s.batch_keys, s.puts, s.pings
                 );
                 println!(
                     "served:   {} hits / {} misses, {} in, {} out, {} connections, {} frame errors",

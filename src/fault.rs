@@ -3,11 +3,11 @@
 //! This module is the robustness counterpart of the `asip-gen` workload
 //! generator: where the generator gives every feature *differential*
 //! coverage from a seed, a [`FaultPlan`] gives every tier and the serve
-//! daemon *chaos* coverage from a seed. A plan is built on the same
-//! SplitMix64 discipline as `asip_gen::GenRng` (one independent stream
-//! per fault site, so per-site probabilities are stable regardless of
-//! how concurrent callers interleave their draws) and schedules the
-//! full fault taxonomy:
+//! daemon *chaos* coverage from a seed. A plan draws from the
+//! generator's own SplitMix64 stream, [`GenRng`] (one independent
+//! stream per fault site, so per-site probabilities are stable
+//! regardless of how concurrent callers interleave their draws), and
+//! schedules the full fault taxonomy:
 //!
 //! - **disk** — read I/O errors, write I/O errors, torn/partial writes
 //!   at a plan-chosen byte offset;
@@ -18,72 +18,31 @@
 //! [`RemoteTier`] each expose an `arm_faults(plan)` hook guarded by a
 //! relaxed atomic flag (a single predictable-false branch when no plan
 //! is armed — the production hot path pays nothing), and the wrapper
-//! [`FaultTier`] injects faults in front of *any* [`ArtifactTier`]
-//! without the inner tier's cooperation. Every injected fault must
-//! degrade exactly like the real fault it models: a counted miss, a
-//! counted corrupt entry, a counted retry — never a wrong byte and
-//! never a panic escaping the tier contract. `tests/chaos.rs` sweeps
+//! [`FaultTier`] puts two deterministic triggers in front of *any*
+//! [`ArtifactTier`]: a panic on one key and a delay on every read.
+//! Every injected fault must degrade exactly like the real fault it
+//! models: a counted miss, a counted corrupt entry, a counted retry —
+//! never a wrong byte and never a panic escaping the tier contract. `tests/chaos.rs` sweeps
 //! seeded plans through full sessions and reconciles the plan's
 //! [`FaultCounts`] against the session counters; see
 //! `docs/robustness.md` for the taxonomy and the guarantees.
 //!
 //! [`ArtifactStore`]: crate::store::ArtifactStore
 //! [`RemoteTier`]: crate::remote::RemoteTier
+//! [`GenRng`]: asip_gen::GenRng
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::artifact::Stage;
-use crate::tier::{ArtifactTier, TierRead, TierStats};
+use crate::tier::{lock, ArtifactTier, TierRead, TierStats};
+use asip_gen::GenRng;
 
 /// The artifact key [`FaultTier::panic_probe`] panics on — used by the
 /// `serve --chaos-panic` smoke flow to prove the daemon survives a
 /// panicking stage lookup. ASCII `"panic"` as a little-endian integer.
 pub const PANIC_PROBE_KEY: u64 = 0x0063_696e_6170;
-
-/// SplitMix64 — the same generator discipline as `asip_gen::GenRng`,
-/// duplicated here so the fault layer stays free of cross-crate
-/// dependencies. For seed 0 the first two outputs are
-/// `0xE220_A839_7B1D_CDAF`, `0x6E78_9E6A_A1B9_65F4` (pinned below).
-#[derive(Debug, Clone)]
-pub struct FaultRng {
-    state: u64,
-}
-
-impl FaultRng {
-    /// A generator whose whole future stream is determined by `seed`.
-    pub fn new(seed: u64) -> Self {
-        FaultRng { state: seed }
-    }
-
-    /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, bound)`; 0 when `bound` is 0.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-
-    /// True with probability `percent`/100.
-    pub fn percent(&mut self, percent: u8) -> bool {
-        match percent {
-            0 => false,
-            p if p >= 100 => true,
-            p => self.below(100) < u64::from(p),
-        }
-    }
-}
 
 /// One injectable fault kind — the index into a plan's per-site RNG
 /// streams and counters.
@@ -264,14 +223,14 @@ impl FaultCounts {
 /// A seed-keyed schedule of injectable faults.
 ///
 /// Construction is cheap and the plan is sharable (`Arc`) between a
-/// store hook, a remote hook and any number of [`FaultTier`]s; each
-/// fault site draws from its own SplitMix64 stream derived from the
-/// seed, and every fired fault is counted for reconciliation.
+/// store hook and a remote hook; each fault site draws from its own
+/// [`GenRng`] stream derived from the seed, and every fired fault is
+/// counted for reconciliation.
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
     config: FaultConfig,
-    streams: [Mutex<FaultRng>; FAULT_SITE_COUNT],
+    streams: [Mutex<GenRng>; FAULT_SITE_COUNT],
     counts: [AtomicU64; FAULT_SITE_COUNT],
     torn_unattributable: AtomicU64,
 }
@@ -282,8 +241,8 @@ impl FaultPlan {
         // Per-site streams are decorrelated by running the seed through
         // one SplitMix64 step per site index — the same "stream split"
         // idiom asip-gen uses for its per-section RNGs.
-        let mut splitter = FaultRng::new(seed);
-        let streams = std::array::from_fn(|_| Mutex::new(FaultRng::new(splitter.next_u64())));
+        let mut splitter = GenRng::new(seed);
+        let streams = std::array::from_fn(|_| Mutex::new(GenRng::new(splitter.next_u64())));
         let counts = std::array::from_fn(|_| AtomicU64::new(0));
         FaultPlan {
             seed,
@@ -305,14 +264,14 @@ impl FaultPlan {
     }
 
     /// Roll `site`: true (and counted) when the fault fires. Sites with
-    /// rate 0 return immediately without consuming a draw.
+    /// rate 0 (never) or 100 and above (always) consume no draw.
     pub fn roll(&self, site: FaultSite) -> bool {
         let rate = self.config.rate(site);
         if rate == 0 {
             return false;
         }
         let i = site.index();
-        let fired = crate::tier::lock(&self.streams[i]).percent(rate);
+        let fired = rate >= 100 || lock(&self.streams[i]).percent(rate);
         if fired {
             self.counts[i].fetch_add(1, Ordering::Relaxed);
         }
@@ -321,9 +280,12 @@ impl FaultPlan {
 
     /// Draw a value in `[0, bound)` from `site`'s stream without
     /// counting a fault — used to pick torn-write offsets and which
-    /// byte to garble.
+    /// byte to garble. A `bound` of 0 answers 0 without a draw.
     pub fn draw(&self, site: FaultSite, bound: u64) -> u64 {
-        crate::tier::lock(&self.streams[site.index()]).below(bound)
+        if bound == 0 {
+            return 0;
+        }
+        lock(&self.streams[site.index()]).next_u64() % bound
     }
 
     /// Record that a torn write stopped before the record's key ended
@@ -353,20 +315,14 @@ impl FaultPlan {
     }
 }
 
-/// An [`ArtifactTier`] wrapper that injects faults in front of any
-/// inner tier: plan-scheduled read misses, garbled payloads and dropped
-/// writes, plus two deterministic triggers used by the daemon-hardening
-/// tests — a panic on one exact key ([`FaultTier::panic_on`]) and a
-/// fixed per-get delay ([`FaultTier::with_get_delay`], for driving the
-/// server into overload).
-///
-/// Garbled payloads exercise the stack's *healing* path: the typed
-/// decode above the tier fails, `mark_corrupt` fires (forwarded to the
-/// inner tier), and the recompute writes a fresh copy through.
+/// An [`ArtifactTier`] wrapper with the two deterministic triggers the
+/// daemon-hardening tests use, in front of any inner tier: a panic on
+/// one exact key ([`FaultTier::panic_on`]) and a fixed per-get delay
+/// ([`FaultTier::with_get_delay`], for driving the server into
+/// overload). Every other call is forwarded unchanged.
 #[derive(Debug)]
 pub struct FaultTier {
     inner: Arc<dyn ArtifactTier>,
-    plan: Option<Arc<FaultPlan>>,
     panic_on: Option<(Stage, u64)>,
     get_delay: Option<Duration>,
     panics: AtomicU64,
@@ -378,20 +334,11 @@ impl FaultTier {
     pub fn new(inner: Arc<dyn ArtifactTier>) -> Self {
         FaultTier {
             inner,
-            plan: None,
             panic_on: None,
             get_delay: None,
             panics: AtomicU64::new(0),
             delays: AtomicU64::new(0),
         }
-    }
-
-    /// Schedule probabilistic faults from `plan` (disk sites:
-    /// [`FaultSite::DiskRead`] → miss, [`FaultSite::GarbageFrame`] →
-    /// garbled hit, [`FaultSite::DiskWrite`] → dropped write).
-    pub fn with_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.plan = Some(plan);
-        self
     }
 
     /// Panic (deliberately) on every `get` of exactly `(stage, key)`.
@@ -439,34 +386,10 @@ impl ArtifactTier for FaultTier {
             self.delays.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(delay);
         }
-        if let Some(plan) = &self.plan {
-            if plan.roll(FaultSite::DiskRead) {
-                return TierRead::Miss;
-            }
-            if plan.roll(FaultSite::GarbageFrame) {
-                return match self.inner.get(stage, key) {
-                    TierRead::Hit(mut bytes) => {
-                        if bytes.is_empty() {
-                            TierRead::Miss
-                        } else {
-                            let i = plan.draw(FaultSite::GarbageFrame, bytes.len() as u64) as usize;
-                            bytes[i] ^= 0xFF;
-                            TierRead::Hit(bytes)
-                        }
-                    }
-                    other => other,
-                };
-            }
-        }
         self.inner.get(stage, key)
     }
 
     fn put(&self, stage: Stage, key: u64, payload: &[u8]) -> bool {
-        if let Some(plan) = &self.plan {
-            if plan.roll(FaultSite::DiskWrite) {
-                return false;
-            }
-        }
         self.inner.put(stage, key, payload)
     }
 
@@ -495,15 +418,6 @@ impl ArtifactTier for FaultTier {
 mod tests {
     use super::*;
     use crate::cache::MemoryTier;
-
-    #[test]
-    fn splitmix_stream_is_pinned() {
-        // Must match asip_gen::GenRng exactly — same constants, same
-        // reference stream for seed 0.
-        let mut rng = FaultRng::new(0);
-        assert_eq!(rng.next_u64(), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(rng.next_u64(), 0x6E78_9E6A_A1B9_65F4);
-    }
 
     #[test]
     fn plans_are_deterministic_per_seed() {
@@ -551,50 +465,6 @@ mod tests {
                 mixed.roll(FaultSite::DiskRead)
             );
         }
-    }
-
-    #[test]
-    fn fault_tier_injects_misses_drops_and_garble() {
-        let inner = Arc::new(MemoryTier::new());
-        let plan = Arc::new(FaultPlan::new(
-            3,
-            FaultConfig {
-                disk_read_error: 50,
-                disk_write_error: 50,
-                garbage_frame: 50,
-                ..FaultConfig::default()
-            },
-        ));
-        let tier = FaultTier::new(inner.clone()).with_plan(plan.clone());
-
-        let mut dropped = 0u64;
-        for key in 0..200u64 {
-            if !tier.put(Stage::Compile, key, b"payload-bytes") {
-                dropped += 1;
-            }
-        }
-        assert_eq!(dropped, plan.counts().disk_write_errors);
-        assert!(dropped > 0, "50% over 200 puts must drop some");
-
-        let mut misses = 0u64;
-        let mut garbled = 0u64;
-        for key in 0..200u64 {
-            match tier.get(Stage::Compile, key) {
-                TierRead::Miss => misses += 1,
-                TierRead::Hit(bytes) => {
-                    if bytes != b"payload-bytes" {
-                        garbled += 1;
-                    }
-                }
-                TierRead::Corrupt => {}
-            }
-        }
-        let counts = plan.counts();
-        assert!(misses >= counts.disk_read_errors);
-        assert!(counts.disk_read_errors > 0);
-        // Garbles only show on keys the inner tier actually holds.
-        assert!(garbled > 0, "some garbled hits must surface");
-        assert!(garbled <= counts.garbage_frames);
     }
 
     #[test]

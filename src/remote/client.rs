@@ -12,10 +12,11 @@
 
 use crate::artifact::Stage;
 use crate::error::RemoteError;
-use crate::fault::{FaultPlan, FaultRng, FaultSite};
+use crate::fault::{FaultPlan, FaultSite};
 use crate::remote::proto::{read_frame, write_frame, Request, Response, ServeStats, ServerInfo};
 use crate::remote::transport::{self, Conn, Endpoint};
 use crate::tier::{lock, ArtifactTier, TierCounters, TierRead, TierStats};
+use asip_gen::GenRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -174,7 +175,7 @@ pub struct RemoteTier {
     counters: TierCounters,
     totals: TotalCells,
     next_id: AtomicU64,
-    jitter: Mutex<FaultRng>,
+    jitter: Mutex<GenRng>,
     /// Fast-path guard for the fault-injection seam (see
     /// [`crate::fault`]): one relaxed load per connection open when no
     /// plan is armed.
@@ -203,7 +204,7 @@ impl RemoteTier {
             counters: TierCounters::default(),
             totals: TotalCells::default(),
             next_id: AtomicU64::new(1),
-            jitter: Mutex::new(FaultRng::new(jitter_seed)),
+            jitter: Mutex::new(GenRng::new(jitter_seed)),
             faults_armed: AtomicBool::new(false),
             faults: Mutex::new(None),
         }
@@ -426,6 +427,24 @@ impl RemoteTier {
             None => conn,
         })
     }
+
+    /// One `GetBatch` round trip for `keys`, without touching the
+    /// per-stage counters: one [`TierRead`] per key in order. A network
+    /// failure and a protocol surprise (a wrong variant or slot count)
+    /// both degrade to misses, so the next tier or the computation
+    /// serves the request.
+    fn read(&self, keys: &[(Stage, u64)]) -> Vec<TierRead> {
+        let req = Request::GetBatch {
+            keys: keys.to_vec(),
+        };
+        match self.request(&req) {
+            Ok(Response::Batch(slots)) if slots.len() == keys.len() => slots
+                .into_iter()
+                .map(|slot| slot.map_or(TierRead::Miss, TierRead::Hit))
+                .collect(),
+            Ok(_) | Err(_) => keys.iter().map(|_| TierRead::Miss).collect(),
+        }
+    }
 }
 
 fn unexpected(wanted: &str, got: &Response) -> RemoteError {
@@ -440,48 +459,19 @@ impl ArtifactTier for RemoteTier {
     }
 
     fn get(&self, stage: Stage, key: u64) -> TierRead {
-        match self.request(&Request::Get { stage, key }) {
-            Ok(Response::Value(Some(payload))) => {
-                self.counters.count_hit(stage);
-                TierRead::Hit(payload)
-            }
-            // a protocol-level surprise (wrong variant) and a network
-            // failure both degrade the same way: a counted miss, so the
-            // next tier or the computation serves the request
-            Ok(_) | Err(_) => {
-                self.counters.count_miss(stage);
-                TierRead::Miss
-            }
-        }
+        let mut reads = self.get_batch(&[(stage, key)]);
+        reads.pop().unwrap_or(TierRead::Miss)
     }
 
     fn get_batch(&self, keys: &[(Stage, u64)]) -> Vec<TierRead> {
-        let req = Request::GetBatch {
-            keys: keys.to_vec(),
-        };
-        match self.request(&req) {
-            Ok(Response::Batch(slots)) if slots.len() == keys.len() => keys
-                .iter()
-                .zip(slots)
-                .map(|(&(stage, _), slot)| match slot {
-                    Some(payload) => {
-                        self.counters.count_hit(stage);
-                        TierRead::Hit(payload)
-                    }
-                    None => {
-                        self.counters.count_miss(stage);
-                        TierRead::Miss
-                    }
-                })
-                .collect(),
-            Ok(_) | Err(_) => keys
-                .iter()
-                .map(|&(stage, _)| {
-                    self.counters.count_miss(stage);
-                    TierRead::Miss
-                })
-                .collect(),
+        let reads = self.read(keys);
+        for (&(stage, _), read) in keys.iter().zip(&reads) {
+            match read {
+                TierRead::Hit(_) => self.counters.count_hit(stage),
+                TierRead::Miss | TierRead::Corrupt => self.counters.count_miss(stage),
+            }
         }
+        reads
     }
 
     fn put(&self, stage: Stage, key: u64, payload: &[u8]) -> bool {
@@ -500,10 +490,7 @@ impl ArtifactTier for RemoteTier {
     }
 
     fn contains(&self, stage: Stage, key: u64) -> bool {
-        matches!(
-            self.request(&Request::Contains { stage, key }),
-            Ok(Response::Has(true))
-        )
+        matches!(self.read(&[(stage, key)])[..], [TierRead::Hit(_)])
     }
 
     fn stats(&self, stage: Stage) -> TierStats {
@@ -585,8 +572,8 @@ mod tests {
     #[test]
     fn backoff_jitter_is_bounded_and_deterministic() {
         let base = Duration::from_millis(100);
-        let mut rng_a = FaultRng::new(99);
-        let mut rng_b = FaultRng::new(99);
+        let mut rng_a = GenRng::new(99);
+        let mut rng_b = GenRng::new(99);
         for _ in 0..1000 {
             let a = jittered(base, rng_a.next_u64());
             let b = jittered(base, rng_b.next_u64());
@@ -595,8 +582,8 @@ mod tests {
             assert!(a <= base * 3 / 2, "never above 150%: {a:?}");
         }
         // different seeds desynchronize (some draw must differ)
-        let mut rng_c = FaultRng::new(100);
-        let mut rng_d = FaultRng::new(99);
+        let mut rng_c = GenRng::new(100);
+        let mut rng_d = GenRng::new(99);
         let diverged =
             (0..100).any(|_| jittered(base, rng_c.next_u64()) != jittered(base, rng_d.next_u64()));
         assert!(diverged);

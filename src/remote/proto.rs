@@ -27,6 +27,10 @@
 //! [`RemoteError::VersionSkew`] before its body is interpreted, and the
 //! client degrades to local compute. See `docs/serve.md` for the
 //! complete specification and compatibility policy.
+//!
+//! There is one read op, [`Request::GetBatch`], whatever the number of
+//! keys: a request's own read is a one-key batch, a prefetch sends the
+//! whole key set.
 
 use crate::artifact::{varint_len, Decoder, Encoder, Stage};
 use crate::error::RemoteError;
@@ -56,7 +60,11 @@ pub const PROTO_MAGIC: [u8; 8] = *b"ASIPRPC\n";
 /// (integers and lengths are LEB128 varints, booleans and option
 /// markers one byte, no type tags), and a stage travels as its index in
 /// [`Stage::all`] instead of its name.
-pub const PROTO_VERSION: u32 = 4;
+/// v5 — `GET_BATCH` is the only read: the single-key `GET` and the
+/// `CONTAINS` probe (kinds `0x02`/`0x05`, replies `0x82`/`0x85`) are
+/// retired, and the `STATS` body lost their `gets` and `contains`
+/// counters.
+pub const PROTO_VERSION: u32 = 5;
 
 /// Upper bound on one frame's body. Generous (the largest suite
 /// artifact is a few hundred KiB; a full prefetch batch is a few MiB)
@@ -67,32 +75,26 @@ pub const MAX_BODY_BYTES: u32 = 64 << 20;
 pub const HEADER_BYTES: usize = 33;
 
 /// Message kinds. Requests have the high bit clear, responses set;
-/// `ERROR` is the one response any request may receive.
+/// `ERROR` is the one response any request may receive. Kinds `0x02`,
+/// `0x05`, `0x82` and `0x85` (the v4 single-key read and existence
+/// probe, and their replies) are retired and never reused.
 pub mod kind {
     /// Liveness probe ([`Request::Ping`](super::Request::Ping)).
     pub const PING: u8 = 0x01;
-    /// Single-entry read ([`Request::Get`](super::Request::Get)).
-    pub const GET: u8 = 0x02;
-    /// Bulk read ([`Request::GetBatch`](super::Request::GetBatch)).
+    /// Read ([`Request::GetBatch`](super::Request::GetBatch)).
     pub const GET_BATCH: u8 = 0x03;
     /// Entry write ([`Request::Put`](super::Request::Put)).
     pub const PUT: u8 = 0x04;
-    /// Existence probe ([`Request::Contains`](super::Request::Contains)).
-    pub const CONTAINS: u8 = 0x05;
     /// Server statistics ([`Request::Stats`](super::Request::Stats)).
     pub const STATS: u8 = 0x06;
     /// Clean shutdown ([`Request::Shutdown`](super::Request::Shutdown)).
     pub const SHUTDOWN: u8 = 0x07;
     /// Reply to `PING` ([`Response::Pong`](super::Response::Pong)).
     pub const PONG: u8 = 0x81;
-    /// Reply to `GET` ([`Response::Value`](super::Response::Value)).
-    pub const VALUE: u8 = 0x82;
     /// Reply to `GET_BATCH` ([`Response::Batch`](super::Response::Batch)).
     pub const BATCH: u8 = 0x83;
     /// Reply to `PUT` ([`Response::Done`](super::Response::Done)).
     pub const DONE: u8 = 0x84;
-    /// Reply to `CONTAINS` ([`Response::Has`](super::Response::Has)).
-    pub const HAS: u8 = 0x85;
     /// Reply to `STATS` ([`Response::Stats`](super::Response::Stats)).
     pub const STATS_REPLY: u8 = 0x86;
     /// Reply to `SHUTDOWN` ([`Response::Closing`](super::Response::Closing)).
@@ -109,15 +111,9 @@ pub mod kind {
 pub enum Request {
     /// Liveness/version probe; answered with [`Response::Pong`].
     Ping,
-    /// Read one entry; answered with [`Response::Value`].
-    Get {
-        /// The pipeline stage the entry belongs to.
-        stage: Stage,
-        /// The content-derived tier key.
-        key: u64,
-    },
-    /// Read many entries in one round trip (the warm-prefetch path);
-    /// answered with [`Response::Batch`], one slot per key in order.
+    /// Read entries in one round trip (one key for a request's own
+    /// read, the whole set for a prefetch); answered with
+    /// [`Response::Batch`], one slot per key in order.
     GetBatch {
         /// The `(stage, key)` pairs to probe.
         keys: Vec<(Stage, u64)>,
@@ -132,14 +128,6 @@ pub enum Request {
         /// The complete encoded artifact payload.
         payload: Vec<u8>,
     },
-    /// Probe for existence without counting a read; answered with
-    /// [`Response::Has`].
-    Contains {
-        /// The pipeline stage the entry belongs to.
-        stage: Stage,
-        /// The content-derived tier key.
-        key: u64,
-    },
     /// Request the server's counters and tier totals; answered with
     /// [`Response::Stats`].
     Stats,
@@ -153,14 +141,10 @@ pub enum Request {
 pub enum Response {
     /// The server is alive; carries its version triple.
     Pong(ServerInfo),
-    /// The probed entry's payload, or `None` for a miss.
-    Value(Option<Vec<u8>>),
     /// One optional payload per requested key, in request order.
     Batch(Vec<Option<Vec<u8>>>),
     /// Whether the write landed on any persistent server tier.
     Done(bool),
-    /// Whether the probed entry exists on any server tier.
-    Has(bool),
     /// The server's counters, per-stage compute counts and tier totals.
     Stats(ServeStats),
     /// The daemon acknowledged [`Request::Shutdown`] and is draining.
@@ -195,19 +179,16 @@ pub struct ServerInfo {
 pub struct ServeStats {
     /// Frames served (every request kind, errors included).
     pub requests: u64,
-    /// `get` requests served.
-    pub gets: u64,
     /// Keys probed via `get_batch` requests.
     pub batch_keys: u64,
     /// `put` requests served.
     pub puts: u64,
-    /// `contains` requests served.
-    pub contains: u64,
     /// `ping` requests served.
     pub pings: u64,
-    /// `get`/`get_batch` probes answered with a payload.
+    /// `get_batch` probes answered with a payload.
     pub hits: u64,
-    /// `get`/`get_batch` probes answered with a miss.
+    /// `get_batch` probes answered with a miss (truncated keys
+    /// excluded).
     pub misses: u64,
     /// Frame bytes received (headers included).
     pub bytes_in: u64,
@@ -322,10 +303,8 @@ impl Request {
     pub fn kind(&self) -> u8 {
         match self {
             Request::Ping => kind::PING,
-            Request::Get { .. } => kind::GET,
             Request::GetBatch { .. } => kind::GET_BATCH,
             Request::Put { .. } => kind::PUT,
-            Request::Contains { .. } => kind::CONTAINS,
             Request::Stats => kind::STATS,
             Request::Shutdown => kind::SHUTDOWN,
         }
@@ -336,9 +315,6 @@ impl Request {
         let mut enc = Encoder::new();
         match self {
             Request::Ping | Request::Stats | Request::Shutdown => {}
-            Request::Get { stage, key } | Request::Contains { stage, key } => {
-                put_stage_key(&mut enc, *stage, *key);
-            }
             Request::GetBatch { keys } => {
                 enc.put_seq(keys.len());
                 for &(stage, key) in keys {
@@ -364,14 +340,6 @@ impl Request {
             kind::PING => Request::Ping,
             kind::STATS => Request::Stats,
             kind::SHUTDOWN => Request::Shutdown,
-            kind::GET => {
-                let (stage, key) = get_stage_key(&mut dec)?;
-                Request::Get { stage, key }
-            }
-            kind::CONTAINS => {
-                let (stage, key) = get_stage_key(&mut dec)?;
-                Request::Contains { stage, key }
-            }
             kind::GET_BATCH => {
                 let n = dec.seq().map_err(body_err)?;
                 let mut keys = Vec::with_capacity(n.min(4096));
@@ -405,10 +373,8 @@ impl Response {
     pub fn kind(&self) -> u8 {
         match self {
             Response::Pong(_) => kind::PONG,
-            Response::Value(_) => kind::VALUE,
             Response::Batch(_) => kind::BATCH,
             Response::Done(_) => kind::DONE,
-            Response::Has(_) => kind::HAS,
             Response::Stats(_) => kind::STATS_REPLY,
             Response::Closing => kind::CLOSING,
             Response::Overloaded => kind::OVERLOADED,
@@ -426,7 +392,6 @@ impl Response {
                 enc.put_u64(u64::from(info.format_version));
                 enc.put_str(&info.crate_version);
             }
-            Response::Value(payload) => put_opt_payload(&mut enc, payload.as_deref()),
             Response::Batch(slots) => {
                 enc.put_seq(slots.len());
                 for slot in slots {
@@ -434,14 +399,11 @@ impl Response {
                 }
             }
             Response::Done(landed) => enc.put_bool(*landed),
-            Response::Has(present) => enc.put_bool(*present),
             Response::Error(detail) => enc.put_str(detail),
             Response::Stats(s) => {
                 enc.put_u64(s.requests);
-                enc.put_u64(s.gets);
                 enc.put_u64(s.batch_keys);
                 enc.put_u64(s.puts);
-                enc.put_u64(s.contains);
                 enc.put_u64(s.pings);
                 enc.put_u64(s.hits);
                 enc.put_u64(s.misses);
@@ -485,7 +447,6 @@ impl Response {
                     crate_version,
                 })
             }
-            kind::VALUE => Response::Value(get_opt_payload(&mut dec)?),
             kind::BATCH => {
                 let n = dec.seq().map_err(body_err)?;
                 let mut slots = Vec::with_capacity(n.min(4096));
@@ -495,15 +456,12 @@ impl Response {
                 Response::Batch(slots)
             }
             kind::DONE => Response::Done(dec.bool().map_err(body_err)?),
-            kind::HAS => Response::Has(dec.bool().map_err(body_err)?),
             kind::ERROR => Response::Error(dec.str().map_err(body_err)?),
             kind::STATS_REPLY => {
                 let mut s = ServeStats {
                     requests: dec.u64().map_err(body_err)?,
-                    gets: dec.u64().map_err(body_err)?,
                     batch_keys: dec.u64().map_err(body_err)?,
                     puts: dec.u64().map_err(body_err)?,
-                    contains: dec.u64().map_err(body_err)?,
                     pings: dec.u64().map_err(body_err)?,
                     hits: dec.u64().map_err(body_err)?,
                     misses: dec.u64().map_err(body_err)?,
@@ -700,16 +658,11 @@ mod tests {
         round_trip_request(Request::Ping);
         round_trip_request(Request::Stats);
         round_trip_request(Request::Shutdown);
-        round_trip_request(Request::Get {
-            stage: Stage::Compile,
-            key: 0xdead_beef,
-        });
-        round_trip_request(Request::Contains {
-            stage: Stage::EvaluateSuite,
-            key: u64::MAX,
-        });
         round_trip_request(Request::GetBatch {
             keys: vec![(Stage::Compile, 1), (Stage::Profile, 2), (Stage::Design, 3)],
+        });
+        round_trip_request(Request::GetBatch {
+            keys: vec![(Stage::EvaluateSuite, u64::MAX)],
         });
         round_trip_request(Request::Put {
             stage: Stage::Schedule,
@@ -726,16 +679,13 @@ mod tests {
             format_version: crate::store::FORMAT_VERSION,
             crate_version: "1.2.3".into(),
         }));
-        round_trip_response(Response::Value(None));
-        round_trip_response(Response::Value(Some(vec![0, 1, 2])));
         round_trip_response(Response::Batch(vec![Some(vec![5]), None, Some(vec![])]));
         round_trip_response(Response::Done(true));
-        round_trip_response(Response::Has(false));
         round_trip_response(Response::Overloaded);
         round_trip_response(Response::Error("nope".into()));
         round_trip_response(Response::Stats(ServeStats {
             requests: 10,
-            gets: 4,
+            batch_keys: 4,
             hits: 3,
             misses: 1,
             overloaded: 2,
@@ -783,11 +733,12 @@ mod tests {
     #[test]
     fn stages_travel_as_their_index() {
         for (i, stage) in Stage::all().into_iter().enumerate() {
-            let body = Request::Get { stage, key: 300 }.encode_body();
-            assert_eq!(body, [i as u8, 0xAC, 0x02], "{stage}");
+            let keys = vec![(stage, 300)];
+            let body = Request::GetBatch { keys }.encode_body();
+            assert_eq!(body, [1, i as u8, 0xAC, 0x02], "{stage}");
         }
         assert!(matches!(
-            Request::decode(kind::GET, &[9, 0]),
+            Request::decode(kind::GET_BATCH, &[1, 9, 0]),
             Err(RemoteError::Frame { detail }) if detail.contains("stage")
         ));
     }
@@ -826,9 +777,8 @@ mod tests {
 
     #[test]
     fn corrupt_body_fails_the_checksum() {
-        let req = Request::Get {
-            stage: Stage::Compile,
-            key: 5,
+        let req = Request::GetBatch {
+            keys: vec![(Stage::Compile, 5)],
         };
         let mut wire = Vec::new();
         write_frame(&mut wire, req.kind(), 1, &req.encode_body()).expect("writes");
@@ -858,7 +808,7 @@ mod tests {
     #[test]
     fn oversize_length_is_rejected_before_allocating() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, kind::GET, 1, &[]).expect("writes");
+        write_frame(&mut wire, kind::GET_BATCH, 1, &[]).expect("writes");
         wire[21..25].copy_from_slice(&(MAX_BODY_BYTES + 1).to_le_bytes());
         assert!(matches!(
             read_frame(&mut wire.as_slice()),
@@ -870,6 +820,14 @@ mod tests {
     fn unknown_kinds_are_typed_errors() {
         assert!(Request::decode(0x7E, &[]).is_err());
         assert!(Response::decode(0x00, &[]).is_err());
+        // the retired v4 single-key read and existence probe, with a
+        // body that would have decoded under v4
+        for retired in [0x02, 0x05] {
+            assert!(Request::decode(retired, &[0, 5]).is_err(), "{retired:#04x}");
+        }
+        for retired in [0x82, 0x85] {
+            assert!(Response::decode(retired, &[0]).is_err(), "{retired:#04x}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! from its tier stack.
 //!
 //! The daemon is deliberately thin: it does not compute on behalf of
-//! clients (a `get` miss is a miss — the *client* computes and writes
+//! clients (a read miss is a miss — the *client* computes and writes
 //! the result back through `put`), so a slow client cannot occupy the
 //! server with stage work. What the server provides is its resident
 //! tier stack — its disk store, whose open segments it reads — shared
@@ -26,8 +26,10 @@
 //! nothing to flush.
 //!
 //! Reads and writes go through the same [`TierStack`](crate::TierStack)
-//! functions a session's own requests use: a `get` walks the stack top
-//! down, a `put` is written through to every persistent tier.
+//! functions a session's own requests use. The one read op, `get_batch`,
+//! walks the stack top down with the stack's batched read, one key at a
+//! time so the request deadline and the body budget can cut the reply
+//! between keys; a `put` is written through to every persistent tier.
 
 use crate::artifact::Stage;
 use crate::remote::proto::{
@@ -62,7 +64,7 @@ pub struct ServeOptions {
     /// bounded drain wait on shutdown. Not a latency floor: new
     /// connections are accepted on arrival.
     pub poll_interval: Duration,
-    /// Bound on *data* requests (`get`/`get_batch`/`put`/`contains`)
+    /// Bound on *data* requests (`get_batch`/`put`)
     /// being served at once, across all connections. A request landing
     /// at the bound is shed with [`Response::Overloaded`] — a typed,
     /// retryable answer, not an error — so a client stampede degrades
@@ -72,9 +74,9 @@ pub struct ServeOptions {
     pub max_inflight: usize,
     /// Budget for answering one request. Only `get_batch` can run long
     /// enough to matter: once the deadline passes, remaining keys in
-    /// the batch are answered `None` (each counted as
-    /// `deadline_truncated`), which the client treats as misses and
-    /// recomputes — degraded, never wrong.
+    /// the batch (a single-key read included) are answered `None` (each
+    /// counted as `deadline_truncated`), which the client treats as
+    /// misses and recomputes — degraded, never wrong.
     pub request_deadline: Duration,
     /// How long a connection may sit idle (no frame started) before the
     /// daemon reaps it to bound thread count against clients that
@@ -107,10 +109,8 @@ const DRAIN_BOUND: Duration = Duration::from_secs(5);
 #[derive(Debug, Default)]
 struct ServeCounters {
     requests: AtomicU64,
-    gets: AtomicU64,
     batch_keys: AtomicU64,
     puts: AtomicU64,
-    contains: AtomicU64,
     pings: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -173,13 +173,7 @@ impl Drop for InflightSlot<'_> {
 /// Whether a request occupies an in-flight slot. Control ops are
 /// exempt so probes and shutdown work under overload.
 fn is_data_op(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Get { .. }
-            | Request::GetBatch { .. }
-            | Request::Put { .. }
-            | Request::Contains { .. }
-    )
+    matches!(req, Request::GetBatch { .. } | Request::Put { .. })
 }
 
 impl Shared {
@@ -224,10 +218,8 @@ impl Shared {
         let c = &self.counters;
         ServeStats {
             requests: c.requests.load(Ordering::Relaxed),
-            gets: c.gets.load(Ordering::Relaxed),
             batch_keys: c.batch_keys.load(Ordering::Relaxed),
             puts: c.puts.load(Ordering::Relaxed),
-            contains: c.contains.load(Ordering::Relaxed),
             pings: c.pings.load(Ordering::Relaxed),
             hits: c.hits.load(Ordering::Relaxed),
             misses: c.misses.load(Ordering::Relaxed),
@@ -254,20 +246,14 @@ impl Shared {
 
     /// Read `(stage, key)` from the resident stack, top tier down, as a
     /// session request does. A miss everywhere stays a miss — the
-    /// client computes.
+    /// client computes. One key at a time, so the batch can stop at its
+    /// deadline or body budget between keys.
     fn find(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
-        let read = self.session.tier_stack().read_from(0, stage, key);
-        read.map(|(_, payload)| payload)
-    }
-
-    /// Count one answered probe as a hit or a miss.
-    fn count_probe(&self, hit: bool) {
-        let cell = if hit {
-            &self.counters.hits
-        } else {
-            &self.counters.misses
-        };
-        self.add(cell, 1);
+        let read = self.session.tier_stack().read_batch(0, &[(stage, key)]);
+        read.into_iter()
+            .next()
+            .flatten()
+            .map(|(_, payload)| payload)
     }
 
     /// Serve a `get_batch` probe. Two bounds answer keys `None`, which
@@ -307,7 +293,12 @@ impl Shared {
                 continue;
             }
             body_bytes += extra;
-            self.count_probe(read.is_some());
+            let cell = if read.is_some() {
+                &self.counters.hits
+            } else {
+                &self.counters.misses
+            };
+            self.add(cell, 1);
             reads.push(read);
         }
         reads
@@ -325,12 +316,6 @@ impl Shared {
                     crate_version: env!("CARGO_PKG_VERSION").to_string(),
                 })
             }
-            Request::Get { stage, key } => {
-                self.add(&self.counters.gets, 1);
-                let read = self.find(stage, key);
-                self.count_probe(read.is_some());
-                Response::Value(read)
-            }
             Request::GetBatch { keys } => {
                 Response::Batch(self.get_batch(keys, deadline, MAX_BODY_BYTES as usize))
             }
@@ -342,16 +327,6 @@ impl Shared {
                 self.add(&self.counters.puts, 1);
                 let stack = self.session.tier_stack();
                 Response::Done(stack.write_through(stage, key, &payload))
-            }
-            Request::Contains { stage, key } => {
-                self.add(&self.counters.contains, 1);
-                let has = self
-                    .session
-                    .tier_stack()
-                    .tiers()
-                    .iter()
-                    .any(|t| t.contains(stage, key));
-                Response::Has(has)
             }
             Request::Stats => Response::Stats(self.stats()),
             Request::Shutdown => Response::Closing,
@@ -763,9 +738,10 @@ mod tests {
         let stats = tier.server_stats().expect("stats answered");
         assert_eq!(stats.pings, 1);
         assert_eq!(stats.puts, 1);
-        assert_eq!(stats.gets, 2);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
+        // two gets and two contains, each a one-key batch
+        assert_eq!(stats.batch_keys, 4);
+        assert_eq!(stats.hits, 2);
+        assert_eq!(stats.misses, 2);
         assert_eq!(stats.connections, 1, "requests reuse one pooled conn");
         assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
 
@@ -797,6 +773,31 @@ mod tests {
 
         let stats = handle.shutdown();
         assert_eq!(stats.batch_keys, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_zero_request_deadline_answers_every_key_as_a_miss() {
+        let dir = temp_dir("deadline");
+        let session = Arc::new(Explorer::new().with_store(&dir));
+        let options = ServeOptions {
+            request_deadline: Duration::ZERO,
+            ..ServeOptions::default()
+        };
+        let handle = serve(session, &loopback(), options).expect("binds");
+        let tier = RemoteTier::new(handle.endpoint().clone(), RetryPolicy::default());
+
+        use crate::tier::TierRead;
+        let keys: Vec<_> = (1..=3).map(|k| (Stage::Profile, k)).collect();
+        for &(stage, key) in &keys {
+            assert!(tier.put(stage, key, b"payload"));
+        }
+        let reads = tier.get_batch(&keys);
+        assert!(reads.iter().all(|r| matches!(r, TierRead::Miss)));
+
+        let stats = handle.shutdown();
+        assert_eq!(stats.deadline_truncated, 3);
+        assert_eq!(stats.hits + stats.misses, 0, "no key reached the stack");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

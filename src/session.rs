@@ -53,7 +53,9 @@
 //!   before fan-out: one batch read per tier (one round trip to a
 //!   remote tier), decoded on the session thread pool straight into the
 //!   typed caches, so the requests that follow read no tier at all
-//!   (`prefetch_hits` in [`CacheStats`] shows the effect).
+//!   (`prefetch_hits` in [`CacheStats`] shows the effect). A key the
+//!   prefetch found on no tier is computed by its request without a
+//!   second probe, so a cold pass reads each artifact's tiers once.
 //!
 //! ```
 //! use asip_explorer::Explorer;
@@ -379,6 +381,7 @@ trait StageCacheOps {
     fn stats(&self) -> StageStats;
     fn contains_key(&self, key: u64) -> bool;
     fn admit(&self, key: u64, payload: &[u8]) -> bool;
+    fn note_absent(&self, key: u64);
 }
 
 impl<V: ArtifactCodec> StageCacheOps for StageCache<V> {
@@ -393,6 +396,9 @@ impl<V: ArtifactCodec> StageCacheOps for StageCache<V> {
     }
     fn admit(&self, key: u64, payload: &[u8]) -> bool {
         StageCache::admit(self, key, payload)
+    }
+    fn note_absent(&self, key: u64) {
+        StageCache::note_absent(self, key)
     }
     fn stats(&self) -> StageStats {
         StageStats {
@@ -1573,9 +1579,11 @@ impl Explorer {
     /// mounted. Returns the number of artifacts admitted; entries absent
     /// from every tier, already resident in the typed caches (a
     /// memory-warm session re-reads nothing) or failing typed decoding
-    /// contribute nothing. A payload that fails decoding is left to the
-    /// request path, which reads it again and counts it corrupt on the
-    /// tier that served it. Under a
+    /// contribute nothing. An entry absent from every tier is recorded
+    /// as such: its first request computes without probing the tiers a
+    /// second time. A payload that fails decoding is not absent; it is
+    /// left to the request path, which reads it again and counts it
+    /// corrupt on the tier that served it. Under a
     /// [cache bound](Explorer::with_cache_capacity), a stage with more
     /// missing entries than the bound is not prefetched: its requests
     /// read each entry once instead. [`Explorer::explore_all`] and the
@@ -1645,7 +1653,9 @@ impl Explorer {
 
     /// Read the keys the typed caches do not hold with one batch per
     /// tier and admit every decodable payload, returning how many were
-    /// admitted. Infallible: a key that cannot be admitted is skipped.
+    /// admitted. A key no tier holds is noted absent, so its request
+    /// computes without reading the tiers again. Infallible: a key that
+    /// cannot be admitted is skipped.
     ///
     /// A stage whose missing keys outnumber the
     /// [cache bound](Explorer::with_cache_capacity) is left to its
@@ -1662,12 +1672,14 @@ impl Explorer {
             }
             keys.retain(|&(stage, _)| missing[stage as usize] <= capacity);
         }
-        let reads = self.tiers.read_batch(&keys);
-        let hits: Vec<((Stage, u64), Vec<u8>)> = keys
-            .into_iter()
-            .zip(reads)
-            .filter_map(|(key, read)| Some((key, read?)))
-            .collect();
+        let reads = self.tiers.read_batch(0, &keys);
+        let mut hits = Vec::new();
+        for ((stage, key), read) in keys.into_iter().zip(reads) {
+            match read {
+                Some((_, payload)) => hits.push(((stage, key), payload)),
+                None => self.caches.stage(stage).note_absent(key),
+            }
+        }
         let admitted = self.map_slice(&hits, |((stage, key), payload)| {
             Ok(self.caches.stage(*stage).admit(*key, payload))
         });

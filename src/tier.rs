@@ -13,9 +13,10 @@
 //!   all implement it; a further shared cache (HTTP, object store) is a
 //!   one-struct addition behind the same interface.
 //! - [`TierStack`] is an ordered list of tiers with read-through and
-//!   write-through semantics, the batched read the session's prefetch
-//!   goes through, and the one generic `get_or_compute` every session
-//!   stage goes through.
+//!   write-through semantics. It has one read, a batched walk that the
+//!   request path, the session's prefetch and the serve daemon share,
+//!   and the one generic `get_or_compute` every session stage goes
+//!   through.
 //! - `StageCache` is the typed, single-flighted in-memory memo above
 //!   the stack: one per stage, and one per kind of derived work the
 //!   session shares between stages (which never reaches a tier).
@@ -41,7 +42,8 @@
 //!    warm artifacts straight into it);
 //! 2. each stack tier top-down (remote, then disk, then any custom
 //!    tier) — a hit decodes the payload and promotes the value into the
-//!    typed LRU;
+//!    typed LRU. A key the prefetch already found on no tier skips this
+//!    step once, so a cold key is probed once, not twice;
 //! 3. the stage computation, whose result is written through to every
 //!    [persistent](ArtifactTier::persistent) tier.
 //!
@@ -162,8 +164,8 @@ pub trait ArtifactTier: Send + Sync + fmt::Debug {
     /// Probe many entries at once, returning one [`TierRead`] per key
     /// in order. The default loops [`ArtifactTier::get`]; tiers with a
     /// cheaper bulk path (the remote tier: one network round trip for
-    /// the whole prefetch set) override it. The session's prefetch
-    /// reads every tier through this method.
+    /// the whole prefetch set) override it. The stack reads every tier
+    /// through this method, a request's single key included.
     fn get_batch(&self, keys: &[(Stage, u64)]) -> Vec<TierRead> {
         keys.iter()
             .map(|&(stage, key)| self.get(stage, key))
@@ -172,8 +174,8 @@ pub trait ArtifactTier: Send + Sync + fmt::Debug {
 
     /// Whether [`get_batch`](ArtifactTier::get_batch) is genuinely
     /// cheaper than per-key [`get`](ArtifactTier::get)s. A hint for
-    /// wrappers and callers only: the stack does not read it, since the
-    /// prefetch calls `get_batch` on every tier.
+    /// wrappers and callers only: the stack does not read it, since
+    /// every stack read calls `get_batch`.
     fn batched(&self) -> bool {
         false
     }
@@ -299,6 +301,7 @@ impl<V> Default for StageCache<V> {
             state: Mutex::new(CacheState {
                 lru: LruCache::default(),
                 inflight: HashSet::new(),
+                absent: HashSet::new(),
             }),
             ready: Condvar::new(),
             hits: AtomicU64::new(0),
@@ -313,6 +316,9 @@ impl<V> Default for StageCache<V> {
 struct CacheState<V> {
     lru: LruCache<u64, Arc<V>>,
     inflight: HashSet<u64>,
+    /// Keys the prefetch found on no tier, each consumed by its first
+    /// fill (see [`StageCache::note_absent`]).
+    absent: HashSet<u64>,
 }
 
 impl<V> StageCache<V> {
@@ -335,9 +341,12 @@ impl<V> StageCache<V> {
         lock(&self.state).lru.contains_key(&key)
     }
 
-    /// Drop every entry and zero the counters.
+    /// Drop every entry and absence record and zero the counters.
     pub(crate) fn reset(&self) {
-        lock(&self.state).lru.clear();
+        let mut state = lock(&self.state);
+        state.lru.clear();
+        state.absent.clear();
+        drop(state);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
@@ -440,6 +449,22 @@ impl<V> StageCache<V> {
         self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
         true
     }
+
+    /// Record that the prefetch found `key` on no tier, so the first
+    /// fill of `key` computes without reading the tiers again. Skipped
+    /// when a value is resident or being filled: a request got there
+    /// first, and its value would make the record stale.
+    pub(crate) fn note_absent(&self, key: u64) {
+        let mut state = lock(&self.state);
+        if !state.lru.contains_key(&key) && !state.inflight.contains(&key) {
+            state.absent.insert(key);
+        }
+    }
+
+    /// Consume `key`'s absence record, returning whether there was one.
+    fn take_absent(&self, key: u64) -> bool {
+        lock(&self.state).absent.remove(&key)
+    }
 }
 
 /// Releases a single-flight claim on drop (success, error, or panic)
@@ -510,26 +535,6 @@ impl TierStack {
         }
     }
 
-    /// Probe tiers `start..` top-down for `(stage, key)`. Returns the
-    /// index of the serving tier and the payload, or `None` when every
-    /// tier missed. Corrupt entries are skipped (each tier counts its
-    /// own). The request path and the serve daemon's reads go through
-    /// here.
-    pub(crate) fn read_from(
-        &self,
-        start: usize,
-        stage: Stage,
-        key: u64,
-    ) -> Option<(usize, Vec<u8>)> {
-        for (i, tier) in self.tiers.iter().enumerate().skip(start) {
-            match tier.get(stage, key) {
-                TierRead::Hit(payload) => return Some((i, payload)),
-                TierRead::Miss | TierRead::Corrupt => continue,
-            }
-        }
-        None
-    }
-
     /// Write a payload through to every persistent tier, returning
     /// whether any write landed. Computed artifacts and the serve
     /// daemon's `put`s go through here.
@@ -543,16 +548,22 @@ impl TierStack {
         landed
     }
 
-    /// Read a whole key set top-down with one
+    /// Read a key set from tiers `start..` top-down with one
     /// [`ArtifactTier::get_batch`] per tier; keys a higher tier served
     /// are not probed again below, so a remote tier answers the whole
-    /// set in one round trip. Returns one payload per key in order,
-    /// `None` where every tier missed. Corrupt entries are skipped, as
-    /// in [`TierStack::read_from`].
-    pub(crate) fn read_batch(&self, keys: &[(Stage, u64)]) -> Vec<Option<Vec<u8>>> {
+    /// set in one round trip. Returns, per key in order, the index of
+    /// the serving tier and the payload, or `None` where every tier
+    /// missed. Corrupt entries are skipped (each tier counts its own).
+    /// The request path, the session's prefetch and the serve daemon
+    /// all read through here.
+    pub(crate) fn read_batch(
+        &self,
+        start: usize,
+        keys: &[(Stage, u64)],
+    ) -> Vec<Option<(usize, Vec<u8>)>> {
         let mut found = vec![None; keys.len()];
         let mut pending: Vec<usize> = (0..keys.len()).collect();
-        for tier in &self.tiers {
+        for (t, tier) in self.tiers.iter().enumerate().skip(start) {
             if pending.is_empty() {
                 break;
             }
@@ -563,7 +574,7 @@ impl TierStack {
                 .zip(reads)
                 .filter_map(|(i, read)| match read {
                     TierRead::Hit(payload) => {
-                        found[i] = Some(payload);
+                        found[i] = Some((t, payload));
                         None
                     }
                     TierRead::Miss | TierRead::Corrupt => Some(i),
@@ -578,7 +589,8 @@ impl TierStack {
     /// results through to every persistent tier. The tier walk and the
     /// computation are the `fill` of [`StageCache::get_or_insert_with`],
     /// so concurrent requests for one missing key perform one walk and
-    /// at most one computation.
+    /// at most one computation. A key the prefetch found on no tier
+    /// ([`StageCache::note_absent`]) skips the walk and computes.
     ///
     /// `key` is the artifact's recipe key: the typed cache and every
     /// tier address the artifact by it, so a request hashes its recipe
@@ -596,8 +608,13 @@ impl TierStack {
         F: FnOnce() -> Result<V, ExplorerError>,
     {
         cache.get_or_insert_with(key, || {
-            let mut start = 0;
-            while let Some((i, payload)) = self.read_from(start, stage, key) {
+            // a key the prefetch found on no tier is not probed again
+            let mut start = if cache.take_absent(key) {
+                self.tiers.len()
+            } else {
+                0
+            };
+            while let Some((i, payload)) = self.read_batch(start, &[(stage, key)]).pop().flatten() {
                 match V::from_bytes(&payload) {
                     Ok(v) => return Ok(v),
                     Err(_) => {
@@ -691,10 +708,13 @@ mod tests {
             (Stage::Profile, 6),
             (Stage::Profile, 7),
         ];
-        let [five, six, seven] = &stack.read_batch(&keys)[..] else {
+        let [five, six, seven] = &stack.read_batch(0, &keys)[..] else {
             panic!("one read per key")
         };
-        assert_eq!(six.as_deref(), Some(&b"junk"[..]), "served by memory");
+        assert!(
+            matches!(six, Some((0, p)) if p == b"junk"),
+            "served by memory"
+        );
         assert!(seven.is_none(), "no tier holds it");
         let probed = disk.totals();
         assert_eq!(
@@ -702,7 +722,9 @@ mod tests {
             (1, 1),
             "key 6 is not probed below memory"
         );
-        let five = five.as_ref().expect("served by disk");
+        let Some((1, five)) = five else {
+            panic!("served by disk")
+        };
         assert!(cold.admit(5, five), "decoded into the cache");
         assert!(!cold.admit(5, five), "already resident");
         assert!(!cold.admit(6, b"junk"), "undecodable bytes are left alone");
@@ -733,6 +755,32 @@ mod tests {
         assert_eq!(memory.totals().corrupt, 1, "demoted after typed decode");
         assert_eq!(memory.totals().entries, 0, "bad entry discarded");
         assert_eq!(cache.misses.load(Ordering::Relaxed), 1);
+        std::fs::remove_dir_all(disk.dir()).ok();
+    }
+
+    #[test]
+    fn a_key_noted_absent_computes_without_a_tier_read_once() {
+        let (stack, memory, disk) = stack("absent");
+        let cache: StageCache<u64> = StageCache::default();
+        cache.note_absent(4);
+        memory.put(Stage::Design, 4, &5u64.to_bytes());
+        let v = stack
+            .get_or_compute(Stage::Design, &cache, 4, || Ok(6u64))
+            .expect("computes");
+        assert_eq!(*v, 6, "the record skips the tiers");
+        assert_eq!((memory.totals().hits, disk.totals().misses), (0, 0));
+        assert!(lock(&cache.state).absent.is_empty(), "the fill consumed it");
+
+        // a consumed or reset record no longer skips the tiers
+        cache.note_absent(5);
+        cache.note_absent(4);
+        assert_eq!(lock(&cache.state).absent.len(), 1, "4 is resident");
+        cache.reset();
+        assert!(lock(&cache.state).absent.is_empty());
+        let v = stack
+            .get_or_compute(Stage::Design, &cache, 4, || Ok(7u64))
+            .expect("reads");
+        assert_eq!(*v, 5, "served by memory");
         std::fs::remove_dir_all(disk.dir()).ok();
     }
 

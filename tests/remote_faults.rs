@@ -165,7 +165,7 @@ fn protocol_version_skew_is_detected_not_misread() {
         write_frame_versioned(
             &mut stream,
             PROTO_VERSION + 1,
-            proto::kind::VALUE,
+            proto::kind::BATCH,
             frame.request_id,
             &[],
         )

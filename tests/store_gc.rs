@@ -265,6 +265,19 @@ fn a_bounded_prefetch_reads_each_warm_artifact_once() {
     fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_cold_explore_all_probes_each_artifact_once() {
+    let dir = store_dir("cold-probe");
+    let session = Explorer::new().with_store(&dir).with_threads(1);
+    session.explore_all().expect("cold run");
+    let stats = session.cache_stats();
+    let disk = stats.tier("disk").total();
+    // the prefetch's miss is the only probe: each request computes
+    assert_eq!((disk.misses, disk.writes), (120, 120), "{stats}");
+    assert_eq!(stats.total_misses(), 120, "{stats}");
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// The pluggable-tier contract: a custom tier (here an in-memory
 /// stand-in for a shared remote cache) drops into the stack via
 /// `with_tier` with nothing but the trait impl, receives write-through,
