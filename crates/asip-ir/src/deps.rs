@@ -44,10 +44,8 @@ impl Dependence {
                 kinds.push(DepKind::Anti);
             }
         }
-        if let (Some((a1, w1)), Some((a2, w2))) = (earlier.memory_access(), later.memory_access()) {
-            if a1 == a2 && (w1 || w2) && !Self::indices_provably_distinct(earlier, later) {
-                kinds.push(DepKind::Memory);
-            }
+        if Self::memory(earlier, later) {
+            kinds.push(DepKind::Memory);
         }
         if earlier.is_terminator() || later.is_terminator() {
             kinds.push(DepKind::Control);
@@ -55,15 +53,17 @@ impl Dependence {
         kinds
     }
 
-    /// True if there is any dependence from `earlier` to `later`.
-    pub fn depends(earlier: &Inst, later: &Inst) -> bool {
-        !Self::between(earlier, later).is_empty()
-    }
-
-    /// True if there is a *true* (flow) register dependence only.
-    pub fn flow_only(earlier: &Inst, later: &Inst) -> bool {
-        let kinds = Self::between(earlier, later);
-        kinds.contains(&DepKind::Flow) && kinds.iter().all(|k| matches!(k, DepKind::Flow))
+    /// True if `earlier` and `later` may alias in memory: both access
+    /// the same array, at least one writes, and their indices are not
+    /// provably distinct. The [`DepKind::Memory`] test of
+    /// [`Dependence::between`], without allocating.
+    pub fn memory(earlier: &Inst, later: &Inst) -> bool {
+        match (earlier.memory_access(), later.memory_access()) {
+            (Some((a1, w1)), Some((a2, w2))) => {
+                a1 == a2 && (w1 || w2) && !Self::indices_provably_distinct(earlier, later)
+            }
+            _ => false,
+        }
     }
 
     /// Constant-index disambiguation: both accesses use integer-immediate
@@ -106,9 +106,8 @@ mod tests {
         let a = bin(0, 2, 0, 1);
         let b = bin(1, 3, 2, 1);
         assert_eq!(Dependence::between(&a, &b), vec![DepKind::Flow]);
-        assert!(Dependence::depends(&a, &b));
-        assert!(Dependence::flow_only(&a, &b));
-        assert!(!Dependence::depends(&b, &a) || !Dependence::flow_only(&b, &a));
+        // in the other order a overwrites the r2 that b reads: anti only
+        assert_eq!(Dependence::between(&b, &a), vec![DepKind::Anti]);
     }
 
     #[test]
@@ -132,7 +131,7 @@ mod tests {
         let kinds = Dependence::between(&a, &b);
         assert!(kinds.contains(&DepKind::Flow));
         assert!(kinds.contains(&DepKind::Anti));
-        assert!(!Dependence::flow_only(&a, &b));
+        assert_ne!(kinds, vec![DepKind::Flow], "not flow-only");
     }
 
     #[test]
@@ -140,7 +139,7 @@ mod tests {
         let a = bin(0, 2, 0, 1);
         let b = bin(1, 3, 0, 1);
         assert!(Dependence::between(&a, &b).is_empty());
-        assert!(!Dependence::depends(&a, &b));
+        assert!(Dependence::between(&b, &a).is_empty());
     }
 
     #[test]
@@ -212,6 +211,57 @@ mod tests {
         );
         assert!(!Dependence::between(&st0, &ld1).contains(&DepKind::Memory));
         assert!(Dependence::between(&st0, &ld0).contains(&DepKind::Memory));
+    }
+
+    #[test]
+    fn memory_query_matches_between() {
+        let load = |id, array, index| {
+            Inst::new(
+                InstId(id),
+                InstKind::Load {
+                    dst: Reg(9),
+                    array: ArrayId(array),
+                    index,
+                },
+            )
+        };
+        let store = |id, array, index| {
+            Inst::new(
+                InstId(id),
+                InstKind::Store {
+                    array: ArrayId(array),
+                    index,
+                    value: Reg(1).into(),
+                },
+            )
+        };
+        let by_reg = Operand::from(Reg(0));
+        let (zero, one) = (Operand::imm_int(0), Operand::imm_int(1));
+        let cases = [
+            // (earlier, later, may alias)
+            (store(0, 0, by_reg), load(1, 0, by_reg), true),
+            (load(0, 0, by_reg), store(1, 0, by_reg), true),
+            (store(0, 0, by_reg), store(1, 0, zero), true),
+            (load(0, 0, by_reg), load(1, 0, by_reg), false),
+            (store(0, 0, by_reg), load(1, 1, by_reg), false),
+            // constant indices: distinct constants never alias, equal ones do
+            (store(0, 0, zero), load(1, 0, one), false),
+            (store(0, 0, zero), store(1, 0, one), false),
+            (store(0, 0, zero), load(1, 0, zero), true),
+            (store(0, 0, one), load(1, 0, by_reg), true),
+            (bin(0, 9, 0, 1), load(1, 0, by_reg), false),
+        ];
+        for (earlier, later, alias) in &cases {
+            assert_eq!(
+                Dependence::memory(earlier, later),
+                *alias,
+                "{earlier:?} then {later:?}"
+            );
+            assert_eq!(
+                Dependence::between(earlier, later).contains(&DepKind::Memory),
+                *alias
+            );
+        }
     }
 
     #[test]

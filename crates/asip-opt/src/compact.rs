@@ -10,10 +10,23 @@
 //! resource-bounded VLIW schedule). The terminator issues in the final
 //! node (standard VLIW branch placement), so back-edge chains stay
 //! within one node of the loop top.
+//!
+//! The list scheduler keeps an incremental ready queue rather than
+//! rescanning the block every cycle. An op is *released* once all its
+//! predecessors have issued; at the start of each cycle, the released
+//! ops whose latencies have elapsed move into a max-heap keyed on
+//! (height, lowest index), and up to `width` of them are popped and
+//! issued. An op released during a cycle waits for the next one, so a
+//! latency-0 edge (anti or control) still acts as latency 1 here: the
+//! consumer never shares its producer's cycle, even where the DAG's
+//! VLIW semantics would allow it, and a block can take more nodes than
+//! its critical path.
 
 use crate::depdag::DepDag;
 use crate::graph::ScheduledOp;
 use crate::work::WorkBlock;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Compact one block into node layers (issue cycles) under an issue
 /// width limit.
@@ -49,6 +62,91 @@ pub fn compact_block(wb: &WorkBlock, width: usize) -> Vec<Vec<ScheduledOp>> {
     let mut earliest = vec![0u32; n];
     let mut cycle_of: Vec<Option<u32>> = vec![None; n];
     let mut unscheduled: usize = n - usize::from(term_idx.is_some());
+    // ops whose predecessors have all issued, not yet in `ready`
+    let mut released: Vec<usize> = (0..n)
+        .filter(|&i| pred_count[i] == 0 && Some(i) != term_idx)
+        .collect();
+    let mut ready: BinaryHeap<(u32, Reverse<usize>)> = BinaryHeap::new();
+    let mut cycle: u32 = 0;
+
+    while unscheduled > 0 {
+        released.retain(|&i| {
+            let due = earliest[i] <= cycle;
+            if due {
+                ready.push((height[i], Reverse(i)));
+            }
+            !due
+        });
+        for _ in 0..width {
+            let Some((_, Reverse(i))) = ready.pop() else {
+                break;
+            };
+            cycle_of[i] = Some(cycle);
+            unscheduled -= 1;
+            for &(j, lat) in dag.succs(i) {
+                pred_count[j] -= 1;
+                earliest[j] = earliest[j].max(cycle + lat);
+                if pred_count[j] == 0 && Some(j) != term_idx {
+                    released.push(j);
+                }
+            }
+        }
+        cycle += 1;
+        debug_assert!(
+            cycle as usize <= 2 * n + 2,
+            "scheduler failed to make progress"
+        );
+    }
+
+    // the terminator joins the last busy cycle, unless its own
+    // dependences (e.g. the branch condition) force a later one
+    let last_busy = cycle_of.iter().flatten().copied().max().unwrap_or(0);
+    if let Some(t) = term_idx {
+        cycle_of[t] = Some(last_busy.max(earliest[t]));
+    }
+
+    let max_cycle = cycle_of.iter().flatten().copied().max().unwrap_or(0);
+    let mut layers: Vec<Vec<ScheduledOp>> = vec![Vec::new(); (max_cycle + 1) as usize];
+    for (i, op) in wb.ops.iter().enumerate() {
+        let c = cycle_of[i].expect("all ops scheduled");
+        layers[c as usize].push(op.clone());
+    }
+    layers.retain(|l| !l.is_empty());
+    layers
+}
+
+/// The list scheduler as it was before the ready queue: it rescans and
+/// sorts every op each cycle, over the all-pairs DAG. The oracle
+/// [`compact_block`] is checked against.
+#[cfg(test)]
+pub(crate) fn compact_block_rescan(wb: &WorkBlock, width: usize) -> Vec<Vec<ScheduledOp>> {
+    assert!(width > 0, "issue width must be positive");
+    let n = wb.ops.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let dag = DepDag::pairwise(&wb.ops);
+    let term_idx = wb.ops.iter().rposition(|o| o.inst.is_terminator());
+
+    // critical-path height for priority (ops in program order form a
+    // topological order, so one reverse sweep suffices)
+    let mut height = vec![0u32; n];
+    for i in (0..n).rev() {
+        for &(j, lat) in dag.succs(i) {
+            height[i] = height[i].max(height[j] + lat);
+        }
+    }
+
+    let mut pred_count = vec![0usize; n];
+    for i in 0..n {
+        for &(j, _) in dag.succs(i) {
+            pred_count[j] += 1;
+        }
+    }
+
+    let mut earliest = vec![0u32; n];
+    let mut cycle_of: Vec<Option<u32>> = vec![None; n];
+    let mut unscheduled: usize = n - usize::from(term_idx.is_some());
     let mut cycle: u32 = 0;
 
     while unscheduled > 0 {
@@ -60,7 +158,7 @@ pub fn compact_block(wb: &WorkBlock, width: usize) -> Vec<Vec<ScheduledOp>> {
                     && earliest[i] <= cycle
             })
             .collect();
-        ready.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
+        ready.sort_by_key(|&i| (Reverse(height[i]), i));
         for &i in ready.iter().take(width) {
             cycle_of[i] = Some(cycle);
             unscheduled -= 1;

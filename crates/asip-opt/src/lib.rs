@@ -63,6 +63,8 @@ pub mod ilp;
 pub mod optimizer;
 pub mod pipeline;
 pub mod rename;
+#[cfg(test)]
+mod schedule_oracle;
 pub mod work;
 
 pub use graph::{NodeId, OpId, SchedNode, ScheduleGraph, ScheduledOp};

@@ -124,36 +124,43 @@ impl Optimizer {
         match self.level {
             OptLevel::None => ScheduleGraph::sequential(program, profile),
             OptLevel::Pipelined | OptLevel::PipelinedRenamed => {
-                let mut work = Work::new(program, profile);
-                if self.config.merge_blocks {
-                    work.merge_jump_chains();
-                }
-                if self.config.if_convert_max_ops > 0 {
-                    if_convert(&mut work, self.config.if_convert_max_ops);
-                    if self.config.merge_blocks {
-                        // folding a conditional often leaves jump chains
-                        work.merge_jump_chains();
-                    }
-                }
-                // Renaming runs BEFORE pipelining, as in the paper's
-                // compiler: the renamed loop body carries its values to
-                // the next iteration through the boundary copies, so the
-                // overlapped iterations of the kernel communicate "only
-                // through the renamed register" — which is exactly why
-                // the paper observes renaming destroying cross-iteration
-                // sequences.
-                if self.level == OptLevel::PipelinedRenamed {
-                    rename_registers(&mut work);
-                }
-                hoist_upward(&mut work, self.config.hoist_passes);
-                pipeline_loops(&mut work, self.config.unroll);
                 let width = self.config.width;
+                let work = self.regions(program, profile);
                 let mut graph = work.into_graph(|wb| compact_block(wb, width));
                 graph.region_chaining = true;
                 debug_assert!(graph.check_invariants().is_ok());
                 graph
             }
         }
+    }
+
+    /// Levels 1 and 2 up to compaction: the transformed blocks, each one
+    /// region for [`compact_block`].
+    pub(crate) fn regions(&self, program: &Program, profile: &Profile) -> Work {
+        let mut work = Work::new(program, profile);
+        if self.config.merge_blocks {
+            work.merge_jump_chains();
+        }
+        if self.config.if_convert_max_ops > 0 {
+            if_convert(&mut work, self.config.if_convert_max_ops);
+            if self.config.merge_blocks {
+                // folding a conditional often leaves jump chains
+                work.merge_jump_chains();
+            }
+        }
+        // Renaming runs BEFORE pipelining, as in the paper's
+        // compiler: the renamed loop body carries its values to
+        // the next iteration through the boundary copies, so the
+        // overlapped iterations of the kernel communicate "only
+        // through the renamed register" — which is exactly why
+        // the paper observes renaming destroying cross-iteration
+        // sequences.
+        if self.level == OptLevel::PipelinedRenamed {
+            rename_registers(&mut work);
+        }
+        hoist_upward(&mut work, self.config.hoist_passes);
+        pipeline_loops(&mut work, self.config.unroll);
+        work
     }
 }
 
